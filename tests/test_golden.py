@@ -1,0 +1,132 @@
+"""Golden outputs of the CLI: SHA-256 of every file each run writes.
+
+The runs below cover every subcommand, every sweep preset that finishes in
+well under a second at a reduced replicate count, and the keep-path of the
+estimator (a tridiagonal besov_spread sweep and an estimate on a seeded
+input with large coefficients).  A refactor that leaves the program's
+behaviour alone must leave every hash unchanged.
+
+The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+Other versions may round differently in the last bit and change the bytes.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from penseq.cli import main
+
+# Inline copy of the benchmark's tridiagonal besov_spread config: signal on
+# every level, so select_k keeps coefficients and the threshold path runs.
+SPREAD_CORR = {
+    "gamma": {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5},
+    "radius": 1.0,
+    "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.5, "jeps_scale": 1.0},
+    "noise": {"covariance": "tridiagonal", "rho": 0.25},
+    "signal": {"kind": "besov_spread", "placement": "even"},
+    "epsilons": [2.0 ** -j for j in range(6, 13)],
+    "epsilon": 2.0 ** -8,
+    "replicates": 100,
+    "seed": 20260811,
+}
+
+ESTIMATE_CONFIG = {
+    "gamma": {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5},
+    "radius": 1.0,
+    "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0},
+    "noise": {"covariance": "identity"},
+    "signal": {"kind": "zero"},
+    "epsilon": 2.0 ** -6,
+    "seed": 7,
+}
+
+
+def _estimate_input() -> dict:
+    # Levels 1..7: small noise everywhere plus a few large spikes per level,
+    # so every level keeps some coefficients and drops others.
+    rng = np.random.default_rng(np.random.SeedSequence(20260811))
+    levels = []
+    for j in range(1, 8):
+        level = 2.0 ** -6 * 2.0 ** (0.5 * j) * rng.standard_normal(2 ** j)
+        spikes = rng.choice(2 ** j, size=max(1, 2 ** j // 8), replace=False)
+        level[spikes] += 2.0
+        levels.append(level.tolist())
+    return {"j0": 1, "levels": levels}
+
+
+def _run_sweep_spread(tmp_path):
+    cfg = tmp_path / "spread_corr.json"
+    cfg.write_text(json.dumps(SPREAD_CORR))
+    return ["sweep", "--config", str(cfg), "--replicates", "10"]
+
+
+def _run_estimate(tmp_path):
+    cfg = tmp_path / "estimate_config.json"
+    cfg.write_text(json.dumps(ESTIMATE_CONFIG))
+    seq = tmp_path / "sequence.json"
+    seq.write_text(json.dumps(_estimate_input()))
+    return ["estimate", str(seq), "--config", str(cfg)]
+
+
+RUNS = {
+    "rates-critical": lambda tmp: ["rates", "--preset", "critical"],
+    "sweep-dense": lambda tmp: ["sweep", "--preset", "dense", "--replicates", "10"],
+    "sweep-sparse": lambda tmp: ["sweep", "--preset", "sparse", "--replicates", "4"],
+    "sweep-critical": lambda tmp: ["sweep", "--preset", "critical", "--replicates", "10"],
+    "sweep-spread-corr": _run_sweep_spread,
+    "oracle-check-sparse": lambda tmp: ["oracle-check", "--preset", "sparse",
+                                        "--instances", "240", "--replicates", "10"],
+    "estimate": _run_estimate,
+}
+
+GOLDEN = {
+    "estimate": {
+        "fit.json":
+            "182283b55cd4fff3474f7072fc11acfbc182ee2d7b6baba8aeb8735b80a0480f",
+    },
+    "oracle-check-sparse": {
+        "oracle_check.json":
+            "d1118e15ab778f470330e3c65f9c129ff0d2a7be372ece7fe87f9f1a3c81126a",
+    },
+    "rates-critical": {
+        "rate_report.json":
+            "8fb2dd45c35c5ba04c3874de3d01379172440ba6ec24587a8f725ddd36b7e464",
+        "shell_profile.csv":
+            "12063ae52ce673c47bc3be148824e7fa86ee7a1cfd331bccc2ff92ed720dee86",
+    },
+    "sweep-critical": {
+        "sweep.csv":
+            "ea76e1aa5da7a3c9ffbbbb483b44444f94bc03fc5dd0b85159f3329250c369c7",
+        "sweep.json":
+            "4213b4887c6b671c6c098c8950a13bc369803a1a2bb13e3919072e9653f4dff4",
+    },
+    "sweep-dense": {
+        "sweep.csv":
+            "f0b8ef3b9b19805ca5f1abe1a062b22c4b3a0e9687904a976dcf303047400cc0",
+        "sweep.json":
+            "625fb60ba3892767672409a99c00cee94e034d1d1e5792a344d8f36b327ffbc2",
+    },
+    "sweep-sparse": {
+        "sweep.csv":
+            "b6ee508d7650b4dc71d9a89d4ba99d167798693c7238d400fa9651325ef922b4",
+        "sweep.json":
+            "83fa38434e6adb6a8950118b613e51c69c66cd43d42b4ff4b34fb88cf03c6878",
+    },
+    "sweep-spread-corr": {
+        "sweep.csv":
+            "a4e39a747070389993e5327340b2e482c8f51ec344b4941f7752a1ad89165fe4",
+        "sweep.json":
+            "9f19ea7b4ff16a3c08abe057df4fb8969d9e2f008311cbdab71bc66f50e0f024",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_golden_hashes(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(RUNS[name](tmp_path) + ["--out", str(out)]) == 0
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(out.iterdir())}
+    assert hashes == GOLDEN[name]
