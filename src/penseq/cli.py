@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, PenseqError, ValidationError
+from .errors import NumericalError, PenseqError, ValidationError, require
 from .model import HyperParams, MultiresSequence, NoiseSpec, Zone, classify_zone
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
-from .rates import rate_control, rate_exponent, shell_profile
+from .rates import log_factor, rate_control, rate_exponent, shell_profile
 from .simulate import (SignalSpec, fit_rate_exponent, mc_risk,
                        oracle_inequality_check)
 
@@ -90,11 +88,6 @@ PRESETS = {
 }
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description (one JSON document)."""
@@ -120,68 +113,69 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _require(isinstance(doc, dict), "config must be a JSON object")
+        require(isinstance(doc, dict), "config must be a JSON object")
         known = {"schema_version", "gamma", "radius", "penalty", "noise", "signal",
                  "epsilons", "replicates", "seed", "jmax", "epsilon", "zone"}
         unknown = set(doc) - known
-        _require(not unknown, f"unknown config fields: {sorted(unknown)}")
-        _require("gamma" in doc, "config is missing 'gamma'")
-        gamma = HyperParams.from_dict(doc["gamma"])
-        radius = float(doc.get("radius", 1.0))
-        pen_doc = dict(doc.get("penalty", {}))
-        pen_doc.setdefault("beta", gamma.beta)
-        _require(float(pen_doc["beta"]) == gamma.beta,
-                 "penalty beta must match gamma beta")
-        penalty = PenaltyConfig.from_dict(pen_doc)
-        noise_doc = dict(doc.get("noise", {}))
-        nk = set(noise_doc) - {"covariance", "rho", "xi0", "xi1"}
-        _require(not nk, f"unknown noise fields: {sorted(nk)}")
-        sig_doc = dict(doc.get("signal", {}))
-        sk = set(sig_doc) - {"kind", "placement", "xi0", "rho1", "rho2"}
-        _require(not sk, f"unknown signal fields: {sorted(sk)}")
-        _require("kind" in sig_doc, "signal section is missing 'kind'")
-        eps = doc.get("epsilons", [])
-        _require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
-        zone = doc.get("zone")
-        if zone is not None:
-            try:
-                zone = Zone(zone)
-            except ValueError:
-                raise ValidationError(f"unknown zone {zone!r}") from None
-        cfg = cls(
-            gamma=gamma, radius=radius, penalty=penalty,
-            noise_covariance=noise_doc.get("covariance", "identity"),
-            noise_rho=float(noise_doc.get("rho", 0.0)),
-            noise_xi0=noise_doc.get("xi0"), noise_xi1=noise_doc.get("xi1"),
-            signal_kind=sig_doc["kind"],
-            signal_placement=sig_doc.get("placement", "even"),
-            signal_xi0=float(sig_doc.get("xi0", 1.0)),
-            signal_rho1=float(sig_doc.get("rho1", 1.05)),
-            signal_rho2=float(sig_doc.get("rho2", 1.25)),
-            epsilons=tuple(float(e) for e in eps),
-            replicates=int(doc.get("replicates", 100)),
-            seed=int(doc.get("seed", 0)),
-            jmax=doc.get("jmax"),
-            epsilon=None if doc.get("epsilon") is None else float(doc["epsilon"]),
-            zone=zone,
-        )
-        cfg.cross_validate()
+        require(not unknown, f"unknown config fields: {sorted(unknown)}")
+        require("gamma" in doc, "config is missing 'gamma'")
+        # float(), int(), Zone() and the field lookups raise ValueError or
+        # TypeError on a value of the wrong type or form
+        try:
+            gamma = HyperParams.from_dict(doc["gamma"])
+            radius = float(doc.get("radius", 1.0))
+            pen_doc = dict(doc.get("penalty", {}))
+            pen_doc.setdefault("beta", gamma.beta)
+            require(float(pen_doc["beta"]) == gamma.beta,
+                    "penalty beta must match gamma beta")
+            penalty = PenaltyConfig.from_dict(pen_doc)
+            noise_doc = dict(doc.get("noise", {}))
+            nk = set(noise_doc) - {"covariance", "rho", "xi0", "xi1"}
+            require(not nk, f"unknown noise fields: {sorted(nk)}")
+            sig_doc = dict(doc.get("signal", {}))
+            sk = set(sig_doc) - {"kind", "placement", "xi0", "rho1", "rho2"}
+            require(not sk, f"unknown signal fields: {sorted(sk)}")
+            require("kind" in sig_doc, "signal section is missing 'kind'")
+            eps = doc.get("epsilons", [])
+            require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
+            zone = None if doc.get("zone") is None else Zone(doc["zone"])
+            cfg = cls(
+                gamma=gamma, radius=radius, penalty=penalty,
+                noise_covariance=noise_doc.get("covariance", "identity"),
+                noise_rho=float(noise_doc.get("rho", 0.0)),
+                noise_xi0=noise_doc.get("xi0"), noise_xi1=noise_doc.get("xi1"),
+                signal_kind=sig_doc["kind"],
+                signal_placement=sig_doc.get("placement", "even"),
+                signal_xi0=float(sig_doc.get("xi0", 1.0)),
+                signal_rho1=float(sig_doc.get("rho1", 1.05)),
+                signal_rho2=float(sig_doc.get("rho2", 1.25)),
+                epsilons=tuple(float(e) for e in eps),
+                replicates=int(doc.get("replicates", 100)),
+                seed=int(doc.get("seed", 0)),
+                jmax=doc.get("jmax"),
+                epsilon=None if doc.get("epsilon") is None else float(doc["epsilon"]),
+                zone=zone,
+            )
+            cfg.cross_validate()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed config value: {exc}") from exc
         return cfg
 
     def cross_validate(self) -> None:
         zone = classify_zone(self.gamma, declared=self.zone)
         if self.signal_kind == "shell_sparse":
-            _require(self.gamma.p < 2, "shell_sparse signals need p < 2")
+            require(self.gamma.p < 2, "shell_sparse signals need p < 2")
         if self.signal_kind == "critical_prior":
-            _require(zone is Zone.CRITICAL,
-                     f"critical_prior signals need the Critical zone, got {zone.value}")
+            require(zone is Zone.CRITICAL,
+                    f"critical_prior signals need the Critical zone, got {zone.value}")
         for e in self.epsilons:
-            _require(0.0 < e < min(self.radius, 1.0),
-                     f"every epsilon must lie in (0, min(radius, 1)), got {e}")
+            require(0.0 < e < min(self.radius, 1.0),
+                    f"every epsilon must lie in (0, min(radius, 1)), got {e}")
         if self.epsilon is not None:
-            _require(0.0 < self.epsilon < 1.0,
-                     f"epsilon must lie in (0, 1), got {self.epsilon}")
-        _require(self.replicates >= 2, "replicates must be >= 2")
+            require(0.0 < self.epsilon < 1.0,
+                    f"epsilon must lie in (0, 1), got {self.epsilon}")
+        require(self.replicates >= 2, "replicates must be >= 2")
+        self.noise_spec(0.0)        # checks the noise fields before any work is done
 
     def noise_spec(self, epsilon: float) -> NoiseSpec:
         return NoiseSpec(epsilon=epsilon, beta=self.gamma.beta,
@@ -197,8 +191,8 @@ class ExperimentConfig:
     def single_epsilon(self) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        _require(len(self.epsilons) == 1,
-                 "this command needs a single 'epsilon' (or a one-entry epsilon grid)")
+        require(len(self.epsilons) == 1,
+                "this command needs a single 'epsilon' (or a one-entry epsilon grid)")
         return self.epsilons[0]
 
     def resolved_dict(self) -> dict:
@@ -223,14 +217,14 @@ class ExperimentConfig:
 
 def load_config(args) -> ExperimentConfig:
     if getattr(args, "preset", None):
-        _require(args.preset in PRESETS,
-                 f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
+        require(args.preset in PRESETS,
+                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
         doc = json.loads(json.dumps(PRESETS[args.preset]))
     else:
-        _require(getattr(args, "config", None) is not None,
-                 "either --config PATH or --preset NAME is required")
+        require(getattr(args, "config", None) is not None,
+                "either --config PATH or --preset NAME is required")
         path = Path(args.config)
-        _require(path.exists(), f"config file not found: {path}")
+        require(path.exists(), f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -256,7 +250,7 @@ def _out_dir(args) -> Path:
 def cmd_estimate(args) -> int:
     config = load_config(args)
     seq_path = Path(args.input)
-    _require(seq_path.exists(), f"input sequence not found: {seq_path}")
+    require(seq_path.exists(), f"input sequence not found: {seq_path}")
     y = MultiresSequence.from_json(seq_path.read_text())
     epsilon = config.single_epsilon()
     fit = fit_multiscale(y, config.penalty, config.noise_spec(epsilon))
@@ -275,37 +269,22 @@ def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
             "stderr": result.stderr_sse, "replicates": result.replicates}
 
 
-def _log_correction(config: ExperimentConfig, epsilon: float) -> float:
-    zone = classify_zone(config.gamma, declared=config.zone)
-    r = rate_exponent(config.gamma)
-    logf = 1.0 + math.log(config.radius / epsilon)
-    if zone is Zone.SPARSE:
-        return logf ** r
-    if zone is Zone.CRITICAL:
-        return logf ** (r + max(1.0 - config.gamma.p / config.gamma.q, 0.0))
-    return 1.0
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args)
-    _require(len(config.epsilons) >= 4, "sweep needs an epsilon grid of >= 4 points")
+    require(len(config.epsilons) >= 4, "sweep needs an epsilon grid of >= 4 points")
+    # the declared zone, if any, picks the log factor the fit divides out
+    zone = classify_zone(config.gamma.validate(), declared=config.zone)
+    factors = {e: log_factor(config.gamma, zone, config.radius, e) for e in config.epsilons}
     order = sorted(range(len(config.epsilons)), key=lambda i: config.epsilons[i])
-    threads = max(1, args.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda i: _sweep_point(config, config.epsilons[i], i), order))
-    else:
-        rows = [_sweep_point(config, config.epsilons[i], i) for i in order]
-    corrected = [(row["epsilon"], row["mean_sse"] / _log_correction(config, row["epsilon"]))
+    rows = [_sweep_point(config, config.epsilons[i], i) for i in order]
+    corrected = [(row["epsilon"], row["mean_sse"] / factors[row["epsilon"]])
                  for row in rows]
     slope, intercept, r_hat = fit_rate_exponent(corrected)
     r_theory = rate_exponent(config.gamma)
     summary = {"slope": slope, "intercept": intercept, "r_hat": r_hat,
                "r_theory": r_theory,
                "relative_error": abs(r_hat - r_theory) / r_theory,
-               "log_corrected": any(_log_correction(config, e) != 1.0
-                                    for e in config.epsilons)}
+               "log_corrected": any(f != 1.0 for f in factors.values())}
     out = _out_dir(args)
     csv_lines = ["epsilon,mean_sse,stderr,replicates"]
     for row in rows:
@@ -320,9 +299,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_rates(args) -> int:
     config = load_config(args)
-    zone = classify_zone(config.gamma, declared=config.zone)
-    _require(zone is not Zone.INVALID,
-             f"invalid hyper-parameters: {config.gamma.to_dict()}")
     epsilon = config.single_epsilon()
     report = rate_control(config.gamma, config.radius, epsilon)
     profile = shell_profile(config.gamma, config.radius, epsilon)
@@ -336,6 +312,9 @@ def cmd_rates(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     config = load_config(args)
+    require(config.epsilon is not None or len(config.epsilons) >= 1,
+            "oracle-check needs an 'epsilon' or a non-empty epsilon grid")
+    epsilon = config.epsilon if config.epsilon is not None else config.epsilons[0]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     instances = args.instances
     mismatches = 0
@@ -350,8 +329,6 @@ def cmd_oracle_check(args) -> int:
             checked += 1
             if not np.array_equal(proj, fit.estimate):
                 mismatches += 1
-    epsilon = config.single_epsilon() if (config.epsilon or len(config.epsilons) == 1) \
-        else config.epsilons[0]
     lhs, rhs, ratio = oracle_inequality_check(
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
@@ -382,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicates", type=int, default=None,
                        help="override config replicate count")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for epsilon-grid points")
 
     p_est = sub.add_parser("estimate", help="fit one observed sequence")
     p_est.add_argument("input", help="path to a sequence JSON file")

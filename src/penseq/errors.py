@@ -19,3 +19,9 @@ class ConfigurationError(ValidationError):
 
 class NumericalError(PenseqError):
     """Raised when a numerical routine cannot certify its result."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise ValidationError(msg) unless cond holds."""
+    if not cond:
+        raise ValidationError(msg)

@@ -14,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig, nu_schedule, pen_vector
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
-
-
 def oracle_constant(zeta: float) -> float:
     """Constant D(zeta) = 2*zeta*(zeta+1)^3 / (zeta-1)^3 of the oracle inequality."""
-    _require(zeta > 1, f"zeta must be > 1, got {zeta}")
+    require(zeta > 1, f"zeta must be > 1, got {zeta}")
     return 2.0 * zeta * (zeta + 1.0) ** 3 / (zeta - 1.0) ** 3
 
 
@@ -50,6 +45,16 @@ class MonoscaleFit:
         object.__setattr__(self, "estimate", est)
 
 
+def _penalized_objective(v: np.ndarray, cfg: PenaltyConfig, epsilon: float,
+                         nu_eff: float | None):
+    """(obj, pens) with obj[k] = sum_{i>k} |v|_(i)^2 + eps^2 * pen(k), k = 0..n."""
+    sq = np.sort(np.abs(v))[::-1] ** 2
+    cum = np.concatenate(([0.0], np.cumsum(sq)))
+    pens = pen_vector(cfg, v.size, nu_eff)
+    residual = cum[-1] - cum                      # residual[k] = sum_{i>k} |v|_(i)^2
+    return residual + (epsilon * epsilon) * pens, pens
+
+
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
              nu_eff: float | None = None) -> MonoscaleFit:
     """Minimize sum_{i>k} |y|_(i)^2 + eps^2 * pen(k) over k = 0..n.
@@ -58,15 +63,10 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     hard thresholding of y at eps * t_{k_hat}.
     """
     y = np.asarray(y, dtype=float)
-    _require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
-    _require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
-    _require(math.isfinite(float(epsilon)) and epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
-    n = y.size
-    sq = np.sort(np.abs(y))[::-1] ** 2
-    cum = np.concatenate(([0.0], np.cumsum(sq)))
-    residual = cum[-1] - cum                      # residual[k] = sum_{i>k} |y|_(i)^2
-    pens = pen_vector(cfg, n, nu_eff)
-    obj = residual + (epsilon * epsilon) * pens
+    require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
+    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
+    require(math.isfinite(float(epsilon)) and epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
+    obj, pens = _penalized_objective(y, cfg, epsilon, nu_eff)
     k_hat = int(np.argmin(obj))                   # first minimum = smallest k
     if k_hat == 0:
         threshold = math.inf
@@ -95,11 +95,11 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     smallest index set.  Returns (indices, objective).
     """
     y = np.asarray(y, dtype=float)
-    _require(y.ndim == 1 and 1 <= y.size, "y must be a non-empty vector")
-    _require(y.size <= _SUBSET_ORACLE_MAX_N,
-             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
-    _require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
-    _require(epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
+    require(y.ndim == 1 and 1 <= y.size, "y must be a non-empty vector")
+    require(y.size <= _SUBSET_ORACLE_MAX_N,
+            f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
+    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
+    require(epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
     n = y.size
     sq = y * y
     total = float(sq.sum())
@@ -129,14 +129,9 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
     theta = np.asarray(theta, dtype=float)
-    _require(theta.ndim == 1 and theta.size >= 1, "theta must be a non-empty vector")
-    _require(bool(np.all(np.isfinite(theta))), "theta contains non-finite values")
-    n = theta.size
-    sq = np.sort(np.abs(theta))[::-1] ** 2
-    cum = np.concatenate(([0.0], np.cumsum(sq)))
-    residual = cum[-1] - cum
-    pens = pen_vector(cfg, n, nu_eff)
-    return float(np.min(residual + (epsilon * epsilon) * pens))
+    require(theta.ndim == 1 and theta.size >= 1, "theta must be a non-empty vector")
+    require(bool(np.all(np.isfinite(theta))), "theta contains non-finite values")
+    return float(np.min(_penalized_objective(theta, cfg, epsilon, nu_eff)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +148,7 @@ class MultiscaleFit:
         return self.fit_j0 + len(self.fits) - 1
 
     def level_estimate(self, j: int) -> np.ndarray:
-        _require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
+        require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
         if j < self.fit_j0:
             return self.passthrough[j - self.j0]
         return self.fits[j - self.fit_j0].estimate
@@ -195,14 +190,14 @@ def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
     through unchanged.  The penalty beta must equal the noise beta, and the
     penalty xi1 must dominate the noise covariance bound.
     """
-    _require(cfg.beta == noise.beta,
-             f"penalty beta ({cfg.beta}) must match noise beta ({noise.beta})")
-    _require(cfg.xi1 >= noise.xi1 - 1e-12,
-             f"penalty xi1 ({cfg.xi1}) must dominate noise xi1 ({noise.xi1})")
+    require(cfg.beta == noise.beta,
+            f"penalty beta ({cfg.beta}) must match noise beta ({noise.beta})")
+    require(cfg.xi1 >= noise.xi1 - 1e-12,
+            f"penalty xi1 ({cfg.xi1}) must dominate noise xi1 ({noise.xi1})")
     if fit_j0 is None:
         fit_j0 = y.j0
-    _require(y.j0 <= fit_j0 <= y.jmax,
-             f"fit_j0 must lie in [{y.j0}, {y.jmax}], got {fit_j0}")
+    require(y.j0 <= fit_j0 <= y.jmax,
+            f"fit_j0 must lie in [{y.j0}, {y.jmax}], got {fit_j0}")
     passthrough = tuple(y.level(j) for j in range(y.j0, fit_j0))
     fits = []
     for j in range(fit_j0, y.jmax + 1):
@@ -214,9 +209,9 @@ def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
 
 def per_level_sse(fit: MultiscaleFit, truth: MultiresSequence) -> np.ndarray:
     """Squared error sum per level, including passthrough levels."""
-    _require(fit.j0 == truth.j0 and fit.jmax == truth.jmax,
-             f"shape mismatch: fit spans [{fit.j0}, {fit.jmax}], "
-             f"truth spans [{truth.j0}, {truth.jmax}]")
+    require(fit.j0 == truth.j0 and fit.jmax == truth.jmax,
+            f"shape mismatch: fit spans [{fit.j0}, {fit.jmax}], "
+            f"truth spans [{truth.j0}, {truth.jmax}]")
     out = np.empty(truth.jmax - truth.j0 + 1)
     for idx, j in enumerate(range(truth.j0, truth.jmax + 1)):
         diff = fit.level_estimate(j) - truth.level(j)

@@ -17,16 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 # Absolute tolerance for detecting the measure-zero critical manifold
 # alpha = (2*beta + 1) * (1/p - 1/2).
 CRITICAL_ZONE_TOL = 1e-12
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
 
 
 class Zone(Enum):
@@ -56,12 +51,12 @@ class HyperParams:
     def __post_init__(self):
         for name in ("alpha", "p", "q", "beta"):
             v = getattr(self, name)
-            _require(isinstance(v, (int, float)) and math.isfinite(float(v)),
-                     f"{name} must be a finite number, got {v!r}")
-        _require(self.alpha > 0, f"alpha must be > 0, got {self.alpha}")
-        _require(self.p > 0, f"p must be > 0, got {self.p}")
-        _require(self.q > 0, f"q must be > 0, got {self.q}")
-        _require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
+            require(isinstance(v, (int, float)) and math.isfinite(float(v)),
+                    f"{name} must be a finite number, got {v!r}")
+        require(self.alpha > 0, f"alpha must be > 0, got {self.alpha}")
+        require(self.p > 0, f"p must be > 0, got {self.p}")
+        require(self.q > 0, f"q must be > 0, got {self.q}")
+        require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
 
     @property
     def a(self) -> float:
@@ -87,11 +82,11 @@ class HyperParams:
 
     def validate(self) -> "HyperParams":
         """Raise ValidationError unless the rate hypotheses hold."""
-        _require(self.is_compact(),
-                 f"compactness requires alpha > (1/p - 1/2)_+; got alpha={self.alpha}, p={self.p}")
-        _require(self.satisfies_rate_hypotheses(),
-                 f"hyper-parameters need alpha + beta > 1/p for p < 2; "
-                 f"got alpha={self.alpha}, beta={self.beta}, p={self.p}")
+        require(self.is_compact(),
+                f"compactness requires alpha > (1/p - 1/2)_+; got alpha={self.alpha}, p={self.p}")
+        require(self.satisfies_rate_hypotheses(),
+                f"hyper-parameters need alpha + beta > 1/p for p < 2; "
+                f"got alpha={self.alpha}, beta={self.beta}, p={self.p}")
         return self
 
     def to_dict(self) -> dict:
@@ -139,19 +134,19 @@ class MultiresSequence:
     levels: tuple
 
     def __post_init__(self):
-        _require(isinstance(self.j0, int) and self.j0 >= 1,
-                 f"j0 must be an integer >= 1, got {self.j0!r}")
-        _require(len(self.levels) >= 1, "at least one level is required")
+        require(isinstance(self.j0, int) and self.j0 >= 1,
+                f"j0 must be an integer >= 1, got {self.j0!r}")
+        require(len(self.levels) >= 1, "at least one level is required")
         frozen = []
         for offset, lev in enumerate(self.levels):
             j = self.j0 + offset
             arr = np.asarray(lev, dtype=float)
-            _require(arr.ndim == 1,
-                     f"level {j} must be one-dimensional, got shape {arr.shape}")
-            _require(arr.size == 2 ** j,
-                     f"level length mismatch at level {j}: expected {2 ** j}, got {arr.size}")
-            _require(bool(np.all(np.isfinite(arr))),
-                     f"level {j} contains non-finite coefficients")
+            require(arr.ndim == 1,
+                    f"level {j} must be one-dimensional, got shape {arr.shape}")
+            require(arr.size == 2 ** j,
+                    f"level length mismatch at level {j}: expected {2 ** j}, got {arr.size}")
+            require(bool(np.all(np.isfinite(arr))),
+                    f"level {j} contains non-finite coefficients")
             arr = arr.copy()
             arr.flags.writeable = False
             frozen.append(arr)
@@ -162,7 +157,7 @@ class MultiresSequence:
         return self.j0 + len(self.levels) - 1
 
     def level(self, j: int) -> np.ndarray:
-        _require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
+        require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
         return self.levels[j - self.j0]
 
     def iter_levels(self):
@@ -176,12 +171,12 @@ class MultiresSequence:
 
     @classmethod
     def zeros(cls, j0: int, jmax: int) -> "MultiresSequence":
-        _require(jmax >= j0, f"jmax must be >= j0, got j0={j0}, jmax={jmax}")
+        require(jmax >= j0, f"jmax must be >= j0, got j0={j0}, jmax={jmax}")
         return cls(j0=j0, levels=tuple(np.zeros(2 ** j) for j in range(j0, jmax + 1)))
 
     def add(self, other: "MultiresSequence") -> "MultiresSequence":
-        _require(self.j0 == other.j0 and self.jmax == other.jmax,
-                 "sequences must share j0 and jmax")
+        require(self.j0 == other.j0 and self.jmax == other.jmax,
+                "sequences must share j0 and jmax")
         return MultiresSequence(self.j0, tuple(a + b for a, b in zip(self.levels, other.levels)))
 
     def scale(self, c: float) -> "MultiresSequence":
@@ -195,10 +190,10 @@ class MultiresSequence:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiresSequence":
-        _require(isinstance(d, dict) and "j0" in d and "levels" in d,
-                 "sequence document must have 'j0' and 'levels' fields")
+        require(isinstance(d, dict) and "j0" in d and "levels" in d,
+                "sequence document must have 'j0' and 'levels' fields")
         j0 = d["j0"]
-        _require(isinstance(j0, int), f"j0 must be an integer, got {j0!r}")
+        require(isinstance(j0, int), f"j0 must be an integer, got {j0!r}")
         return cls(j0=j0, levels=tuple(d["levels"]))
 
     @classmethod
@@ -218,8 +213,8 @@ class BesovBall:
     radius: float
 
     def __post_init__(self):
-        _require(math.isfinite(float(self.radius)) and self.radius > 0,
-                 f"radius must be a finite positive number, got {self.radius}")
+        require(math.isfinite(float(self.radius)) and self.radius > 0,
+                f"radius must be a finite positive number, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -243,25 +238,25 @@ class NoiseSpec:
     xi1: float | None = None
 
     def __post_init__(self):
-        _require(math.isfinite(float(self.epsilon)) and self.epsilon >= 0,
-                 f"epsilon must be finite and >= 0, got {self.epsilon}")
-        _require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
-        _require(self.covariance in ("identity", "tridiagonal"),
-                 f"covariance must be 'identity' or 'tridiagonal', got {self.covariance!r}")
+        require(math.isfinite(float(self.epsilon)) and self.epsilon >= 0,
+                f"epsilon must be finite and >= 0, got {self.epsilon}")
+        require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
+        require(self.covariance in ("identity", "tridiagonal"),
+                f"covariance must be 'identity' or 'tridiagonal', got {self.covariance!r}")
         if self.covariance == "identity":
-            _require(self.rho == 0.0, "identity covariance requires rho = 0")
+            require(self.rho == 0.0, "identity covariance requires rho = 0")
             lo, hi = 1.0, 1.0
         else:
-            _require(abs(self.rho) < 0.5,
-                     f"tridiagonal covariance needs |rho| < 1/2, got rho={self.rho}")
+            require(abs(self.rho) < 0.5,
+                    f"tridiagonal covariance needs |rho| < 1/2, got rho={self.rho}")
             lo, hi = 1.0 - 2.0 * abs(self.rho), 1.0 + 2.0 * abs(self.rho)
         xi0 = lo if self.xi0 is None else float(self.xi0)
         xi1 = hi if self.xi1 is None else float(self.xi1)
-        _require(xi0 > 0, f"xi0 must be > 0, got {xi0}")
-        _require(xi1 >= xi0, f"xi1 must be >= xi0, got xi0={xi0}, xi1={xi1}")
-        _require(xi0 <= lo + 1e-12 and hi <= xi1 + 1e-12,
-                 f"eigenvalue bounds must satisfy xi0 <= {lo} <= {hi} <= xi1; "
-                 f"got xi0={xi0}, xi1={xi1}")
+        require(xi0 > 0, f"xi0 must be > 0, got {xi0}")
+        require(xi1 >= xi0, f"xi1 must be >= xi0, got xi0={xi0}, xi1={xi1}")
+        require(xi0 <= lo + 1e-12 and hi <= xi1 + 1e-12,
+                f"eigenvalue bounds must satisfy xi0 <= {lo} <= {hi} <= xi1; "
+                f"got xi0={xi0}, xi1={xi1}")
         object.__setattr__(self, "xi0", xi0)
         object.__setattr__(self, "xi1", xi1)
 

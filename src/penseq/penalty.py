@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import NumericalError, ValidationError
-
-_LOG2 = math.log(2.0)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
+from .errors import NumericalError, require
 
 
 @dataclass(frozen=True)
@@ -50,13 +43,13 @@ class PenaltyConfig:
     jeps_scale: float = 1.0
 
     def __post_init__(self):
-        _require(math.isfinite(float(self.zeta)) and self.zeta > 1,
-                 f"zeta must be > 1, got {self.zeta}")
-        _require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
-        _require(self.xi1 > 0, f"xi1 must be > 0, got {self.xi1}")
-        _require(self.jeps_scale >= 1, f"jeps_scale must be >= 1, got {self.jeps_scale}")
-        _require(math.isfinite(float(self.nu)) and self.nu > 1.0,
-                 f"nu must be > 1, got {self.nu}")
+        require(math.isfinite(float(self.zeta)) and self.zeta > 1,
+                f"zeta must be > 1, got {self.zeta}")
+        require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
+        require(self.xi1 > 0, f"xi1 must be > 0, got {self.xi1}")
+        require(self.jeps_scale >= 1, f"jeps_scale must be >= 1, got {self.jeps_scale}")
+        require(math.isfinite(float(self.nu)) and self.nu > 1.0,
+                f"nu must be > 1, got {self.nu}")
 
     @property
     def nu_floor(self) -> float:
@@ -71,50 +64,52 @@ class PenaltyConfig:
     def from_dict(cls, d: dict) -> "PenaltyConfig":
         known = {"zeta", "nu", "beta", "xi1", "jeps_scale"}
         unknown = set(d) - known
-        _require(not unknown, f"unknown penalty fields: {sorted(unknown)}")
+        require(not unknown, f"unknown penalty fields: {sorted(unknown)}")
         return cls(**{k: float(v) for k, v in d.items()})
 
 
 def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:
     if nu_eff is None:
         return cfg.nu
-    _require(nu_eff >= cfg.nu, f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
+    require(nu_eff >= cfg.nu, f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
     return float(nu_eff)
 
 
 def require_complexity_condition(cfg: PenaltyConfig, nu: float) -> None:
     """Enforce nu > e^(1/(1+2*beta)), without which M'_n is not summable."""
-    _require(nu > cfg.nu_floor,
-             f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
+    require(nu > cfg.nu_floor,
+            f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
+
+
+def _penalty(cfg: PenaltyConfig, n: int, k, nu_eff: float | None):
+    """(L_{n,k}, pen(k)) for 1 <= k <= n, where k is a float or an array of them.
+
+    The one implementation of the penalty formula; callers check the range of k.
+    """
+    nu = _resolve_nu(cfg, nu_eff)
+    require(n >= 1, f"n must be >= 1, got {n}")
+    L = (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - np.log(k))
+    return L, cfg.xi1 * cfg.zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2
 
 
 def log_term(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
     """L_{n,k} = (1 + 2*beta) * log(nu_eff * n / k); strictly decreasing in k."""
-    nu = _resolve_nu(cfg, nu_eff)
-    _require(n >= 1, f"n must be >= 1, got {n}")
-    _require(1 <= k <= n, f"k must lie in 1..{n}, got {k}")
-    return (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - math.log(k))
+    require(1 <= k <= n, f"k must lie in 1..{n}, got {k}")
+    return float(_penalty(cfg, n, float(k), nu_eff)[0])
 
 
 def pen(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
     """Penalty pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2, with pen(0) = 0."""
-    _require(0 <= k <= n, f"k must lie in 0..{n}, got {k}")
+    require(0 <= k <= n, f"k must lie in 0..{n}, got {k}")
     if k == 0:
         return 0.0
-    L = log_term(cfg, n, k, nu_eff)
-    return cfg.xi1 * cfg.zeta * k * (1.0 + math.sqrt(2.0 * L)) ** 2
+    return float(_penalty(cfg, n, float(k), nu_eff)[1])
 
 
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
     """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n."""
-    nu = _resolve_nu(cfg, nu_eff)
-    _require(n >= 1, f"n must be >= 1, got {n}")
-    ks = np.arange(1, n + 1, dtype=float)
-    L = (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - np.log(ks))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = cfg.xi1 * cfg.zeta * ks * (1.0 + np.sqrt(2.0 * L)) ** 2
-    return out
+    _, pens = _penalty(cfg, n, np.arange(1, n + 1, dtype=float), nu_eff)
+    return np.concatenate(([0.0], pens))
 
 
 def threshold_lambda(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
@@ -137,9 +132,9 @@ def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:
     j_eps = jeps_scale * log2(eps^-2) is real-valued; epsilon = 0 gives
     j_eps = +inf (schedule identically nu).
     """
-    _require(j >= 1, f"j must be >= 1, got {j}")
-    _require(0 <= epsilon < 1,
-             f"epsilon must lie in [0, 1) for the schedule, got {epsilon}")
+    require(j >= 1, f"j must be >= 1, got {j}")
+    require(0 <= epsilon < 1,
+            f"epsilon must lie in [0, 1) for the schedule, got {epsilon}")
     if epsilon == 0.0:
         return cfg.nu
     j_eps = cfg.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
@@ -207,7 +202,7 @@ def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> 
     collapses to n binomial terms evaluated in log space.  n may be a large
     real quantity (levels n_j = 2^j with j beyond integer-index range).
     """
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    require(n >= 1, f"n must be >= 1, got {n}")
     nu = _resolve_nu(cfg, nu_eff)
     require_complexity_condition(cfg, nu)
     return float(np.exp(_m_prime_log(cfg, np.asarray([n], dtype=float), nu)[0]))
@@ -216,8 +211,8 @@ def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> 
 def m_prime_many(cfg: PenaltyConfig, ns, nu_eff: float | None = None) -> np.ndarray:
     """Vectorized M'_n over an array of sizes (shared nu_eff)."""
     arr = np.asarray(ns, dtype=float)
-    _require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
-    _require(bool(np.all(arr >= 1)), "all sizes must be >= 1")
+    require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
+    require(bool(np.all(arr >= 1)), "all sizes must be >= 1")
     nu = _resolve_nu(cfg, nu_eff)
     require_complexity_condition(cfg, nu)
     return np.exp(_m_prime_log(cfg, arr, nu))
@@ -229,11 +224,11 @@ def m_prime_bound_constant(beta: float, nu: float) -> float:
     C_beta = sum_{k>=1} k^(2*beta) * (e / sqrt(2*pi*k)) * (e / nu^(1+2*beta))^(k-1),
     summed until the geometric tail bound drops below 1e-15 of the partial sum.
     """
-    _require(beta >= 0, f"beta must be >= 0, got {beta}")
+    require(beta >= 0, f"beta must be >= 0, got {beta}")
     b = 1.0 + 2.0 * beta
     r0 = math.e / nu ** b
-    _require(r0 < 1.0,
-             f"series diverges: nu must exceed e^(1/(1+2*beta)) = {math.exp(1.0 / b):.6f}")
+    require(r0 < 1.0,
+            f"series diverges: nu must exceed e^(1/(1+2*beta)) = {math.exp(1.0 / b):.6f}")
     c = 2.0 * beta - 0.5
     coef = math.e / math.sqrt(2.0 * math.pi)
     total = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import require
 from .model import HyperParams, Zone, classify_zone
 from .penalty import PenaltyConfig, m_prime, nu_schedule
 from .estimator import oracle_constant
@@ -37,11 +37,6 @@ _LOG2 = math.log(2.0)
 CONTROL_BOUND_BASE = 7.0
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
-
-
 def control_function(n: float, p: float, C: float) -> float:
     """Piecewise control function r_{n,p}(C); n may be a real quantity >= 1.
 
@@ -53,9 +48,9 @@ def control_function(n: float, p: float, C: float) -> float:
     Continuous at the dense boundary C = n^(1/p); the sparse/highly-sparse
     boundary carries an order-level jump, branches are evaluated as written.
     """
-    _require(n >= 1, f"n must be >= 1, got {n}")
-    _require(p > 0, f"p must be > 0, got {p}")
-    _require(C >= 0, f"C must be >= 0, got {C}")
+    require(n >= 1, f"n must be >= 1, got {n}")
+    require(p > 0, f"p must be > 0, got {p}")
+    require(C >= 0, f"C must be >= 0, got {C}")
     if C == 0.0:
         return 0.0
     n = float(n)
@@ -86,8 +81,7 @@ def rate_exponent(gamma: HyperParams) -> float:
 
     Dense: 2a/(2a+2b+1); Sparse: (2a-2/p+1)/(2a+2b-2/p+1); Critical: 1-p/2.
     """
-    zone = classify_zone(gamma)
-    _require(zone is not Zone.INVALID, f"invalid hyper-parameters: {gamma}")
+    zone = classify_zone(gamma.validate())
     al, be, p = gamma.alpha, gamma.beta, gamma.p
     if zone is Zone.DENSE:
         return 2.0 * al / (2.0 * al + 2.0 * be + 1.0)
@@ -98,7 +92,7 @@ def rate_exponent(gamma: HyperParams) -> float:
 
 def j_star(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Real solution of 2^((alpha+beta+1/2) j) = C/eps: the large/small-signal boundary."""
-    _require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
+    require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
     return math.log2(C / epsilon) / (gamma.alpha + gamma.beta + 0.5)
 
 
@@ -108,10 +102,10 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     Defined for 0 < p < 2; the left side is strictly increasing for j >= 0
     when delta > 0, so the root is bracketed and found by Brent's method.
     """
-    _require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
-    _require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
+    require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
+    require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
     delta = gamma.a + gamma.beta
-    _require(delta > 0, f"need alpha + beta - 1/p + 1/2 > 0, got {delta}")
+    require(delta > 0, f"need alpha + beta - 1/p + 1/2 > 0, got {delta}")
     target = math.log(C / epsilon)
 
     def g(j):
@@ -135,7 +129,7 @@ def shell_sparse_peak_value(gamma: HyperParams, C: float, epsilon: float) -> flo
 
 def shell_risk(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:
     """Definitional shell risk R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j), real j >= 0."""
-    _require(j >= 0, f"j must be >= 0, got {j}")
+    require(j >= 0, f"j must be >= 0, got {j}")
     eps_j = epsilon * 2.0 ** (gamma.beta * j)
     n_j = 2.0 ** j
     c_j = C * 2.0 ** (-gamma.a * j)
@@ -151,7 +145,7 @@ def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: floa
              R+ * 2^(-2a(j-j+)) beyond, with rho = alpha - (2b+1)(1/p - 1/2)
              and phi = p*(alpha+beta+1/2)*log 2.
     """
-    _require(j >= 0, f"j must be >= 0, got {j}")
+    require(j >= 0, f"j must be >= 0, got {j}")
     al, be, p = gamma.alpha, gamma.beta, gamma.p
     js = j_star(gamma, C, epsilon)
     r_star = shell_peak_value(gamma, C, epsilon)
@@ -191,7 +185,7 @@ class RateReport:
     R_plus: float   # NaN when p >= 2
 
     def __post_init__(self):
-        _require(0.0 < self.r < 1.0, f"rate exponent must lie in (0,1), got {self.r}")
+        require(0.0 < self.r < 1.0, f"rate exponent must lie in (0,1), got {self.r}")
 
     def to_json_dict(self) -> dict:
         def clean(x):
@@ -202,25 +196,30 @@ class RateReport:
                 "R_star": clean(self.R_star), "R_plus": clean(self.R_plus)}
 
 
-def rate_control(gamma: HyperParams, C: float, epsilon: float) -> RateReport:
-    """Rate control value R(C, eps; gamma) with zone-dependent log factors.
+def log_factor(gamma: HyperParams, zone: Zone, C: float, epsilon: float) -> float:
+    """Zone log factor of the rate: 1 when Dense, (1 + log(C/eps))^r when
+    Sparse and (1 + log(C/eps))^(r + (1 - p/q)_+) when Critical.
 
-    Dense: C^(2(1-r)) eps^(2r); Sparse: times (1 + log(C/eps))^r;
-    Critical: times (1 + log(C/eps))^(r + (1 - p/q)_+).
+    The zone is an argument so that a caller can pass a declared zone (see
+    classify_zone) in place of the detected one.
     """
-    zone = classify_zone(gamma)
-    _require(zone is not Zone.INVALID, f"invalid hyper-parameters: {gamma}")
-    _require(0 < epsilon < C,
-             f"rate control needs 0 < epsilon < C, got epsilon={epsilon}, C={C}")
-    r = rate_exponent(gamma)
-    base = C ** (2.0 * (1.0 - r)) * epsilon ** (2.0 * r)
-    logf = 1.0 + math.log(C / epsilon)
     if zone is Zone.DENSE:
-        value = base
-    elif zone is Zone.SPARSE:
-        value = base * logf ** r
-    else:
-        value = base * logf ** (r + max(1.0 - gamma.p / gamma.q, 0.0))
+        return 1.0
+    r = rate_exponent(gamma)
+    logf = 1.0 + math.log(C / epsilon)
+    if zone is Zone.SPARSE:
+        return logf ** r
+    return logf ** (r + max(1.0 - gamma.p / gamma.q, 0.0))
+
+
+def rate_control(gamma: HyperParams, C: float, epsilon: float) -> RateReport:
+    """Rate control value R(C, eps; gamma) = C^(2(1-r)) eps^(2r) times the
+    zone's log_factor."""
+    zone = classify_zone(gamma.validate())
+    require(0 < epsilon < C,
+            f"rate control needs 0 < epsilon < C, got epsilon={epsilon}, C={C}")
+    r = rate_exponent(gamma)
+    value = C ** (2.0 * (1.0 - r)) * epsilon ** (2.0 * r) * log_factor(gamma, zone, C, epsilon)
     js = j_star(gamma, C, epsilon)
     if gamma.p < 2.0:
         jp = j_plus(gamma, C, epsilon)
@@ -254,8 +253,7 @@ class ShellRiskProfile:
 def shell_profile(gamma: HyperParams, C: float, epsilon: float,
                   j_step: float = 0.1, j_end: float | None = None) -> ShellRiskProfile:
     """Sample R_j on [0, j_end] (default: 5 past the last peak), step j_step."""
-    zone = classify_zone(gamma)
-    _require(zone is not Zone.INVALID, f"invalid hyper-parameters: {gamma}")
+    gamma.validate()
     if j_end is None:
         peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
         j_end = peak + 5.0
@@ -283,7 +281,7 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float,
     Levels run from 1 to j_cap (default: ceil(j_eps) + 200; beyond that the
     schedule has pushed per-level terms below any fixed relative tolerance).
     """
-    _require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
+    require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
     if xi is None:
         xi = cfg.xi1
     j_eps = cfg.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
@@ -301,11 +299,11 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float,
 def t2_control_sum(gamma: HyperParams, C: float, epsilon: float,
                    cfg: PenaltyConfig) -> float:
     """Level sum sum_j log(nu_{n,j}) * R_j, truncated once the tail is negligible."""
-    _require(0 < epsilon < min(C, 1.0),
-             f"need 0 < epsilon < min(C, 1), got epsilon={epsilon}, C={C}")
+    require(0 < epsilon < min(C, 1.0),
+            f"need 0 < epsilon < min(C, 1), got epsilon={epsilon}, C={C}")
     if gamma.p < 2.0:
-        _require(gamma.a + gamma.beta > 0,
-                 "level sum diverges: alpha + beta - 1/p + 1/2 must be positive")
+        require(gamma.a + gamma.beta > 0,
+                "level sum diverges: alpha + beta - 1/p + 1/2 must be positive")
         peak = j_plus(gamma, C, epsilon)
     else:
         peak = j_star(gamma, C, epsilon)
@@ -331,8 +329,7 @@ def risk_upper_bound(gamma: HyperParams, C: float, epsilon: float,
     risks over Besov shells via the frozen control-bound constant.  Within
     each zone the bound tracks rate_control up to constants.
     """
-    zone = classify_zone(gamma)
-    _require(zone is not Zone.INVALID, f"invalid hyper-parameters: {gamma}")
+    gamma.validate()
     t1 = t1_complexity_sum(cfg, epsilon)
     t2 = control_bound_constant(cfg) * t2_control_sum(gamma, C, epsilon, cfg)
     return oracle_constant(cfg.zeta) * (t1 + t2)
@@ -365,8 +362,8 @@ def lp_minimax_lower(n: int, p: float, C: float, epsilon: float) -> float:
     lambda_n = sqrt(2 log n).  Values are order-of-magnitude anchors, not
     sharp constants.
     """
-    _require(n >= 2, f"n must be >= 2, got {n}")
-    _require(p > 0 and C > 0 and epsilon > 0, "p, C and epsilon must be positive")
+    require(n >= 2, f"n must be >= 2, got {n}")
+    require(p > 0 and C > 0 and epsilon > 0, "p, C and epsilon must be positive")
     snr = C / epsilon
     eta = n ** (-1.0 / p) * snr
     if p >= 2.0:
@@ -388,12 +385,12 @@ def sparse_dense_identity_check(gamma: HyperParams) -> bool:
     side forcing equality on the other.  Returns True when the two sides of
     the equivalence agree (they always should; False flags a formula bug).
     """
-    _require(0 < gamma.p < 2, f"identity requires 0 < p < 2, got p={gamma.p}")
+    require(0 < gamma.p < 2, f"identity requires 0 < p < 2, got p={gamma.p}")
     al, be, p = gamma.alpha, gamma.beta, gamma.p
     # the equivalence needs the sparse-exponent denominator positive, which
     # the rate hypotheses guarantee (delta = a + beta > 1/2)
-    _require(gamma.a + gamma.beta > 0,
-             f"identity requires alpha + beta - 1/p + 1/2 > 0, got {gamma.a + gamma.beta}")
+    require(gamma.a + gamma.beta > 0,
+            f"identity requires alpha + beta - 1/p + 1/2 > 0, got {gamma.a + gamma.beta}")
     lhs = al / (al + be + 0.5) - (al - 1.0 / p + 0.5) / (al + be - 1.0 / p + 0.5)
     rhs = gamma.sparse_boundary - al
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, require
 from .model import (BesovBall, HyperParams, MultiresSequence, NoiseSpec, Zone,
                     besov_norm, classify_zone, shell_radius)
 from .penalty import PenaltyConfig, m_prime, nu_schedule
@@ -29,11 +29,6 @@ from .rates import j_plus, j_star
 SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
 _JMAX_CAP = 20
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
 
 
 def _round_half_up(x: float) -> int:
@@ -61,24 +56,24 @@ class SignalSpec:
     rho2: float = 1.25
 
     def __post_init__(self):
-        _require(self.kind in SIGNAL_KINDS,
-                 f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}")
-        _require(self.radius > 0, f"radius must be > 0, got {self.radius}")
-        _require(0 < self.epsilon < self.radius,
-                 f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
-        _require(self.placement in ("even", "head"),
-                 f"placement must be 'even' or 'head', got {self.placement!r}")
-        _require(self.xi0 > 0, f"xi0 must be > 0, got {self.xi0}")
+        require(self.kind in SIGNAL_KINDS,
+                f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}")
+        require(self.radius > 0, f"radius must be > 0, got {self.radius}")
+        require(0 < self.epsilon < self.radius,
+                f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
+        require(self.placement in ("even", "head"),
+                f"placement must be 'even' or 'head', got {self.placement!r}")
+        require(self.xi0 > 0, f"xi0 must be > 0, got {self.xi0}")
         if self.jmax is not None:
-            _require(isinstance(self.jmax, int) and 1 <= self.jmax <= _JMAX_CAP,
-                     f"jmax must be an integer in 1..{_JMAX_CAP}, got {self.jmax}")
+            require(isinstance(self.jmax, int) and 1 <= self.jmax <= _JMAX_CAP,
+                    f"jmax must be an integer in 1..{_JMAX_CAP}, got {self.jmax}")
         if self.kind == "critical_prior":
-            _require(1.0 < self.rho1 < self.rho2,
-                     f"need 1 < rho1 < rho2, got rho1={self.rho1}, rho2={self.rho2}")
+            require(1.0 < self.rho1 < self.rho2,
+                    f"need 1 < rho1 < rho2, got rho1={self.rho1}, rho2={self.rho2}")
             if self.gamma.beta > 0:
                 cap = (2.0 * self.gamma.beta + 1.0) / (2.0 * self.gamma.beta)
-                _require(self.rho2 < cap,
-                         f"rho2 must be < (2*beta+1)/(2*beta) = {cap:.4f}, got {self.rho2}")
+                require(self.rho2 < cap,
+                        f"rho2 must be < (2*beta+1)/(2*beta) = {cap:.4f}, got {self.rho2}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma.to_dict(),
@@ -140,11 +135,11 @@ def make_shell_signal(spec: SignalSpec) -> MultiresSequence:
     Either way ||theta_j||_p = C_j, so the ball constraint is met with
     equality.
     """
-    _require(spec.kind in ("shell_dense", "shell_sparse"),
-             f"make_shell_signal handles shell_dense/shell_sparse, got {spec.kind!r}")
+    require(spec.kind in ("shell_dense", "shell_sparse"),
+            f"make_shell_signal handles shell_dense/shell_sparse, got {spec.kind!r}")
     gamma = spec.gamma.validate()
     if spec.kind == "shell_sparse":
-        _require(gamma.p < 2, "shell_sparse requires p < 2")
+        require(gamma.p < 2, "shell_sparse requires p < 2")
     ball = BesovBall(gamma=gamma, radius=spec.radius)
     jmax = resolve_jmax(spec)
     j = _round_half_up(_peak_level(spec))
@@ -177,11 +172,11 @@ def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
                  * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
     and the whole signal is scaled down until membership holds.
     """
-    _require(spec.kind == "critical_prior",
-             f"make_critical_signal requires kind 'critical_prior', got {spec.kind!r}")
+    require(spec.kind == "critical_prior",
+            f"make_critical_signal requires kind 'critical_prior', got {spec.kind!r}")
     gamma = spec.gamma.validate()
-    _require(classify_zone(gamma) is Zone.CRITICAL,
-             "critical_prior requires hyper-parameters in the critical zone")
+    require(classify_zone(gamma) is Zone.CRITICAL,
+            "critical_prior requires hyper-parameters in the critical zone")
     ball = BesovBall(gamma=gamma, radius=spec.radius)
     js = _j_star_of(spec)
     j_lo = int(math.floor(spec.rho1 * js))
@@ -217,8 +212,8 @@ def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
 def make_spread_signal(spec: SignalSpec) -> MultiresSequence:
     """Besov-spread signal: every level filled evenly with an equal share
     of the ball budget, so the constraint is met with equality."""
-    _require(spec.kind == "besov_spread",
-             f"make_spread_signal requires kind 'besov_spread', got {spec.kind!r}")
+    require(spec.kind == "besov_spread",
+            f"make_spread_signal requires kind 'besov_spread', got {spec.kind!r}")
     gamma = spec.gamma.validate()
     ball = BesovBall(gamma=gamma, radius=spec.radius)
     jmax = resolve_jmax(spec)
@@ -276,7 +271,7 @@ def sample_noise(noise: NoiseSpec, jmax: int, rng_seed: int, j0: int = 1) -> Mul
     factor, an exact factorization at any level size.  Deterministic given
     the seed.
     """
-    _require(jmax >= j0, f"jmax must be >= j0, got jmax={jmax}, j0={j0}")
+    require(jmax >= j0, f"jmax must be >= j0, got jmax={jmax}, j0={j0}")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     return _sample_noise_with(rng, noise, jmax, j0)
 
@@ -307,7 +302,7 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int, config_echo: dict | None = None) -> McResult:
     """Monte Carlo risk at a fixed truth: noise draw -> fit -> squared error."""
-    _require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
+    require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
     sses = np.empty(replicates)
     per_level = np.zeros(truth.jmax - truth.j0 + 1)
     for rep in range(replicates):
@@ -347,10 +342,10 @@ def fit_rate_exponent(results) -> tuple:
     pts = [(float(e), float(m)) for e, m in results]
     eps = np.array([e for e, _ in pts])
     sse = np.array([m for _, m in pts])
-    _require(np.unique(eps).size >= 4, "need at least 4 distinct epsilon values")
-    _require(bool(np.all(eps > 0)), "epsilon values must be positive")
-    _require(eps.max() / eps.min() >= 4.0, "epsilon grid must span at least 2 octaves")
-    _require(bool(np.all(sse > 0)), "mean_sse values must be positive to take logs")
+    require(np.unique(eps).size >= 4, "need at least 4 distinct epsilon values")
+    require(bool(np.all(eps > 0)), "epsilon values must be positive")
+    require(eps.max() / eps.min() >= 4.0, "epsilon grid must span at least 2 octaves")
+    require(bool(np.all(sse > 0)), "mean_sse values must be positive to take logs")
     slope, intercept = np.polyfit(np.log2(eps), np.log2(sse), 1)
     return float(slope), float(intercept), float(slope) / 2.0
 

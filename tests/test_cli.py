@@ -52,6 +52,20 @@ class TestExperimentConfig:
             doc["penalty"]["beta"] = 0.0               # mismatch with gamma
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("gamma", "alpha", "one"),
+        (None, "replicates", "many"),
+        ("penalty", "zeta", "two"),
+        (None, "gamma", [1, 2]),
+        ("noise", "xi0", "x"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, section, field, value):
+        doc = base_config(epsilon=2.0 ** -8)
+        (doc if section is None else doc[section])[field] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "malformed config value" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_zero_sequence(self, tmp_path):
@@ -103,13 +117,10 @@ class TestSweep:
         assert eps == sorted(eps)
         assert doc["config"]["seed"] == 4242
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        out1, out2 = tmp_path / "s", tmp_path / "t"
-        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(out2),
-                     "--threads", "4"]) == 0
-        assert (out1 / "sweep.json").read_text() == (out2 / "sweep.json").read_text()
+    def test_threads_option_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "dense", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_single_epsilon_rejected(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilons=[2.0 ** -6]))
@@ -171,6 +182,12 @@ class TestOracleCheck:
         out = tmp_path / "o"
         assert main(["oracle-check", "--preset", "zero", "--out", str(out),
                      "--instances", "120", "--replicates", "5"]) == 0
+
+    def test_no_epsilon_and_empty_grid_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(epsilons=[]))
+        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path),
+                     "--instances", "12"]) == 2
+        assert "non-empty epsilon grid" in capsys.readouterr().err
 
     def test_unknown_preset(self, tmp_path):
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == 2
