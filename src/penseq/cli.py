@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,70 +40,73 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
-PRESETS = {
-    "dense": {
-        "gamma": {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5},
-        "radius": 1.0,
-        "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0, "jeps_scale": 1.0},
-        "noise": {"covariance": "identity", "rho": 0.0},
-        "signal": {"kind": "shell_dense", "placement": "even"},
-        "epsilons": [2.0 ** -j for j in range(6, 13)],
-        "epsilon": 2.0 ** -8,
-        "replicates": 100,
-        "seed": 20260811,
-    },
-    "sparse": {
-        "gamma": {"alpha": 0.75, "p": 1.0, "q": 1.0, "beta": 0.5},
-        "radius": 1.0,
-        "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0, "jeps_scale": 1.0},
-        "noise": {"covariance": "identity", "rho": 0.0},
-        "signal": {"kind": "shell_sparse", "placement": "even"},
-        "epsilons": [2.0 ** -j for j in range(6, 13)],
-        "epsilon": 2.0 ** -8,
-        "replicates": 100,
-        "seed": 20260811,
-    },
-    "zero": {
-        "gamma": {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5},
-        "radius": 1.0,
-        "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0, "jeps_scale": 1.0},
-        "noise": {"covariance": "identity", "rho": 0.0},
-        "signal": {"kind": "zero"},
-        "epsilons": [2.0 ** -j for j in range(6, 11)],
-        "epsilon": 2.0 ** -8,
-        "replicates": 200,
-        "seed": 20260811,
-    },
-    "critical": {
-        "gamma": {"alpha": 1.0, "p": 1.0, "q": 2.0, "beta": 0.5},
-        "radius": 1.0,
-        "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0, "jeps_scale": 1.0},
-        "noise": {"covariance": "identity", "rho": 0.0},
-        "signal": {"kind": "critical_prior", "rho1": 1.05, "rho2": 1.25},
-        "epsilons": [2.0 ** -j for j in range(6, 13)],
-        "epsilon": 2.0 ** -8,
-        "replicates": 100,
-        "seed": 20260811,
-    },
+# Fields every preset shares; each preset adds its gamma and signal and may
+# override the rest.
+_PRESET_BASE = {
+    "radius": 1.0,
+    "penalty": {"zeta": 2.0, "nu": 40.0, "xi1": 1.0, "jeps_scale": 1.0},
+    "noise": {"covariance": "identity", "rho": 0.0},
+    "epsilons": [2.0 ** -j for j in range(6, 13)],
+    "epsilon": 2.0 ** -8,
+    "replicates": 100,
+    "seed": 20260811,
 }
+_DENSE_GAMMA = {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5}
+
+PRESETS = {name: {**_PRESET_BASE, **own} for name, own in {
+    "dense": {"gamma": _DENSE_GAMMA,
+              "signal": {"kind": "shell_dense", "placement": "even"}},
+    "sparse": {"gamma": {"alpha": 0.75, "p": 1.0, "q": 1.0, "beta": 0.5},
+               "signal": {"kind": "shell_sparse", "placement": "even"}},
+    "zero": {"gamma": _DENSE_GAMMA, "signal": {"kind": "zero"},
+             "epsilons": [2.0 ** -j for j in range(6, 11)], "replicates": 200},
+    "critical": {"gamma": {"alpha": 1.0, "p": 1.0, "q": 2.0, "beta": 0.5},
+                 "signal": {"kind": "critical_prior", "rho1": 1.05, "rho2": 1.25}},
+}.items()}
+
+
+def _section(doc, spec: type, skip: set, name: str) -> dict:
+    """One config section as keyword arguments of the spec type it configures.
+
+    Keys, defaults and the unknown- and missing-field checks come from the
+    dataclass fields of ``spec`` less ``skip`` (the fields the rest of the
+    config supplies).  A field whose default is a float is stored as float.
+    """
+    doc = dict(doc)
+    own = [f for f in fields(spec) if f.name not in skip]
+    unknown = set(doc) - {f.name for f in own}
+    require(not unknown, f"unknown {name} fields: {sorted(unknown)}")
+    section = {}
+    for f in own:
+        require(f.name in doc or f.default is not MISSING,
+                f"{name} section is missing {f.name!r}")
+        value = doc.get(f.name, f.default)
+        section[f.name] = float(value) if isinstance(f.default, float) else value
+    return section
+
+
+def _count(value, name: str) -> int:
+    """A whole number >= 0; int() alone would truncate 2.7 to 2."""
+    number = int(value)
+    if number < 0 or (isinstance(value, float) and number != value):
+        raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (one JSON document)."""
+    """Fully resolved experiment description (one JSON document).
+
+    ``noise`` and ``signal`` hold the NoiseSpec and SignalSpec keyword
+    arguments the document sets; epsilon, beta, gamma, radius and jmax come
+    from the rest of the config.
+    """
 
     gamma: HyperParams
     radius: float
     penalty: PenaltyConfig
-    noise_covariance: str
-    noise_rho: float
-    noise_xi0: float | None
-    noise_xi1: float | None
-    signal_kind: str
-    signal_placement: str
-    signal_xi0: float
-    signal_rho1: float
-    signal_rho2: float
+    noise: dict
+    signal: dict
     epsilons: tuple
     replicates: int
     seed: int
@@ -114,57 +117,51 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         require(isinstance(doc, dict), "config must be a JSON object")
-        known = {"schema_version", "gamma", "radius", "penalty", "noise", "signal",
-                 "epsilons", "replicates", "seed", "jmax", "epsilon", "zone"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)} - {"schema_version"}
         require(not unknown, f"unknown config fields: {sorted(unknown)}")
         require("gamma" in doc, "config is missing 'gamma'")
         # float(), int(), Zone() and the field lookups raise ValueError or
-        # TypeError on a value of the wrong type or form
+        # TypeError on a value of the wrong type or form, int() of an
+        # infinity OverflowError
         try:
             gamma = HyperParams.from_dict(doc["gamma"])
             radius = float(doc.get("radius", 1.0))
-            pen_doc = dict(doc.get("penalty", {}))
-            pen_doc.setdefault("beta", gamma.beta)
-            require(float(pen_doc["beta"]) == gamma.beta,
-                    "penalty beta must match gamma beta")
-            penalty = PenaltyConfig.from_dict(pen_doc)
-            noise_doc = dict(doc.get("noise", {}))
-            nk = set(noise_doc) - {"covariance", "rho", "xi0", "xi1"}
-            require(not nk, f"unknown noise fields: {sorted(nk)}")
-            sig_doc = dict(doc.get("signal", {}))
-            sk = set(sig_doc) - {"kind", "placement", "xi0", "rho1", "rho2"}
-            require(not sk, f"unknown signal fields: {sorted(sk)}")
-            require("kind" in sig_doc, "signal section is missing 'kind'")
+            penalty = PenaltyConfig.from_dict({"beta": gamma.beta, **doc.get("penalty", {})})
+            require(penalty.beta == gamma.beta, "penalty beta must match gamma beta")
+            noise = _section(doc.get("noise", {}), NoiseSpec, {"epsilon", "beta"}, "noise")
+            signal = _section(doc.get("signal", {}), SignalSpec,
+                              {"gamma", "radius", "epsilon", "jmax"}, "signal")
             eps = doc.get("epsilons", [])
             require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
             zone = None if doc.get("zone") is None else Zone(doc["zone"])
             cfg = cls(
-                gamma=gamma, radius=radius, penalty=penalty,
-                noise_covariance=noise_doc.get("covariance", "identity"),
-                noise_rho=float(noise_doc.get("rho", 0.0)),
-                noise_xi0=noise_doc.get("xi0"), noise_xi1=noise_doc.get("xi1"),
-                signal_kind=sig_doc["kind"],
-                signal_placement=sig_doc.get("placement", "even"),
-                signal_xi0=float(sig_doc.get("xi0", 1.0)),
-                signal_rho1=float(sig_doc.get("rho1", 1.05)),
-                signal_rho2=float(sig_doc.get("rho2", 1.25)),
+                gamma=gamma, radius=radius, penalty=penalty, noise=noise, signal=signal,
                 epsilons=tuple(float(e) for e in eps),
-                replicates=int(doc.get("replicates", 100)),
-                seed=int(doc.get("seed", 0)),
+                replicates=_count(doc.get("replicates", 100), "replicates"),
+                seed=_count(doc.get("seed", 0), "seed"),
                 jmax=doc.get("jmax"),
                 epsilon=None if doc.get("epsilon") is None else float(doc["epsilon"]),
                 zone=zone,
             )
             cfg.cross_validate()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed config value: {exc}") from exc
         return cfg
 
+    @property
+    def signal_kind(self) -> str:
+        return self.signal["kind"]
+
+    @property
+    def noise_covariance(self) -> str:
+        return self.noise["covariance"]
+
+    @property
+    def noise_rho(self) -> float:
+        return self.noise["rho"]
+
     def cross_validate(self) -> None:
         zone = classify_zone(self.gamma, declared=self.zone)
-        if self.signal_kind == "shell_sparse":
-            require(self.gamma.p < 2, "shell_sparse signals need p < 2")
         if self.signal_kind == "critical_prior":
             require(zone is Zone.CRITICAL,
                     f"critical_prior signals need the Critical zone, got {zone.value}")
@@ -175,18 +172,17 @@ class ExperimentConfig:
             require(0.0 < self.epsilon < 1.0,
                     f"epsilon must lie in (0, 1), got {self.epsilon}")
         require(self.replicates >= 2, "replicates must be >= 2")
-        self.noise_spec(0.0)        # checks the noise fields before any work is done
+        # build the specs the commands will build, so bad fields fail before any work
+        self.noise_spec(0.0)
+        for e in self.epsilons + (() if self.epsilon is None else (self.epsilon,)):
+            self.signal_spec(e)
 
     def noise_spec(self, epsilon: float) -> NoiseSpec:
-        return NoiseSpec(epsilon=epsilon, beta=self.gamma.beta,
-                         covariance=self.noise_covariance, rho=self.noise_rho,
-                         xi0=self.noise_xi0, xi1=self.noise_xi1)
+        return NoiseSpec(epsilon=epsilon, beta=self.gamma.beta, **self.noise)
 
     def signal_spec(self, epsilon: float) -> SignalSpec:
-        return SignalSpec(kind=self.signal_kind, gamma=self.gamma,
-                          radius=self.radius, epsilon=epsilon, jmax=self.jmax,
-                          placement=self.signal_placement, xi0=self.signal_xi0,
-                          rho1=self.signal_rho1, rho2=self.signal_rho2)
+        return SignalSpec(gamma=self.gamma, radius=self.radius, epsilon=epsilon,
+                          jmax=self.jmax, **self.signal)
 
     def single_epsilon(self) -> float:
         if self.epsilon is not None:
@@ -196,23 +192,10 @@ class ExperimentConfig:
         return self.epsilons[0]
 
     def resolved_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "gamma": self.gamma.to_dict(),
-            "radius": self.radius,
-            "penalty": self.penalty.to_dict(),
-            "noise": {"covariance": self.noise_covariance, "rho": self.noise_rho,
-                      "xi0": self.noise_xi0, "xi1": self.noise_xi1},
-            "signal": {"kind": self.signal_kind, "placement": self.signal_placement,
-                       "xi0": self.signal_xi0, "rho1": self.signal_rho1,
-                       "rho2": self.signal_rho2},
-            "epsilons": list(self.epsilons),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "jmax": self.jmax,
-            "epsilon": self.epsilon,
-            "zone": None if self.zone is None else self.zone.value,
-        }
+        doc = asdict(self)
+        doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons),
+                   zone=None if self.zone is None else self.zone.value)
+        return doc
 
 
 def load_config(args) -> ExperimentConfig:
@@ -315,18 +298,18 @@ def cmd_oracle_check(args) -> int:
     require(config.epsilon is not None or len(config.epsilons) >= 1,
             "oracle-check needs an 'epsilon' or a non-empty epsilon grid")
     epsilon = config.epsilon if config.epsilon is not None else config.epsilons[0]
+    # the batch runs the same number of instances at each n = 1..12
+    require(args.instances > 0 and args.instances % 12 == 0,
+            f"--instances must be a positive multiple of 12, got {args.instances}")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    instances = args.instances
     mismatches = 0
-    checked = 0
     for n in range(1, 13):
-        for _ in range(instances // 12 if instances >= 12 else 1):
+        for _ in range(args.instances // 12):
             y = rng.standard_normal(n)
             fit = select_k(y, config.penalty, 1.0)
             indices, _ = subset_oracle(y, config.penalty, 1.0)
             proj = np.zeros(n)
             proj[list(indices)] = y[list(indices)]
-            checked += 1
             if not np.array_equal(proj, fit.estimate):
                 mismatches += 1
     lhs, rhs, ratio = oracle_inequality_check(
@@ -334,7 +317,7 @@ def cmd_oracle_check(args) -> int:
         config.replicates, config.seed)
     doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
            "seed": config.seed,
-           "equivalence": {"instances": checked, "mismatches": mismatches},
+           "equivalence": {"instances": args.instances, "mismatches": mismatches},
            "oracle_inequality": {"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
                                  "ratio": ratio, "holds": ratio <= 1.0}}
     _write_json(_out_dir(args) / "oracle_check.json", doc)
@@ -376,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check",
                               help="oracle equivalence batch and risk-bound check")
     p_oracle.add_argument("--instances", type=int, default=12000,
-                          help="total random instances for the equivalence batch")
+                          help="total random instances for the equivalence batch; "
+                               "a positive multiple of 12")
     common(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -265,9 +265,7 @@ class NoiseSpec:
         return self.epsilon * 2.0 ** (self.beta * j)
 
     def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "beta": self.beta,
-                "covariance": self.covariance, "rho": self.rho,
-                "xi0": self.xi0, "xi1": self.xi1}
+        return asdict(self)
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:

@@ -14,7 +14,7 @@ reproducible and independent of any execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -25,8 +25,6 @@ from .model import (BesovBall, HyperParams, MultiresSequence, NoiseSpec, Zone,
 from .penalty import PenaltyConfig, m_prime, nu_schedule
 from .estimator import fit_multiscale, ideal_risk, oracle_constant, per_level_sse
 from .rates import j_plus, j_star
-
-SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
 _JMAX_CAP = 20
 
@@ -56,8 +54,8 @@ class SignalSpec:
     rho2: float = 1.25
 
     def __post_init__(self):
-        require(self.kind in SIGNAL_KINDS,
-                f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}")
+        require(self.kind in _LEVEL_FILLERS,
+                f"unknown signal kind {self.kind!r}; expected one of {tuple(_LEVEL_FILLERS)}")
         require(self.radius > 0, f"radius must be > 0, got {self.radius}")
         require(0 < self.epsilon < self.radius,
                 f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
@@ -67,6 +65,8 @@ class SignalSpec:
         if self.jmax is not None:
             require(isinstance(self.jmax, int) and 1 <= self.jmax <= _JMAX_CAP,
                     f"jmax must be an integer in 1..{_JMAX_CAP}, got {self.jmax}")
+        if self.kind == "shell_sparse":
+            require(self.gamma.p < 2, "shell_sparse signals need p < 2")
         if self.kind == "critical_prior":
             require(1.0 < self.rho1 < self.rho2,
                     f"need 1 < rho1 < rho2, got rho1={self.rho1}, rho2={self.rho2}")
@@ -76,10 +76,7 @@ class SignalSpec:
                         f"rho2 must be < (2*beta+1)/(2*beta) = {cap:.4f}, got {self.rho2}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma.to_dict(),
-                "radius": self.radius, "epsilon": self.epsilon, "jmax": self.jmax,
-                "placement": self.placement, "xi0": self.xi0,
-                "rho1": self.rho1, "rho2": self.rho2}
+        return asdict(self)
 
 
 def _peak_level(spec: SignalSpec) -> float:
@@ -92,16 +89,12 @@ def resolve_jmax(spec: SignalSpec) -> int:
     """Stored depth: ceil of the relevant peak plus 3, capped at 20."""
     if spec.jmax is not None:
         return spec.jmax
+    depth = int(math.ceil(_peak_level(spec))) + 3
     if spec.kind == "critical_prior":
         # the level window itself may extend past j_plus + 3
-        js = _peak_level(spec)
-        hi = int(math.ceil(spec.rho2 * _j_star_of(spec)))
-        return min(max(int(math.ceil(js)) + 3, hi), _JMAX_CAP)
-    return min(int(math.ceil(_peak_level(spec))) + 3, _JMAX_CAP)
-
-
-def _j_star_of(spec: SignalSpec) -> float:
-    return j_star(spec.gamma, spec.radius, spec.epsilon)
+        window_top = int(math.ceil(spec.rho2 * j_star(spec.gamma, spec.radius, spec.epsilon)))
+        depth = max(depth, window_top)
+    return min(depth, _JMAX_CAP)
 
 
 def _spike_indices(n: int, m: int, placement: str) -> np.ndarray:
@@ -126,30 +119,16 @@ def _fit_into_ball(levels: list, ball: BesovBall) -> list:
     raise ConfigurationError("could not normalize signal into the ball")
 
 
-def make_shell_signal(spec: SignalSpec) -> MultiresSequence:
-    """Single-shell extremal signal at the rounded peak level.
+# Level fillers: each sets the zero levels 1..jmax of one signal kind in place.
 
-    shell_dense spreads equal magnitudes over all n_j coordinates of level
-    j = round(j_star); shell_sparse places m = max(1, round(n_j * eta_j^p))
-    equal spikes at level j = round(j_plus), eta_j = (C_j/eps_j) * n_j^(-1/p).
-    Either way ||theta_j||_p = C_j, so the ball constraint is met with
-    equality.
-    """
-    require(spec.kind in ("shell_dense", "shell_sparse"),
-            f"make_shell_signal handles shell_dense/shell_sparse, got {spec.kind!r}")
-    gamma = spec.gamma.validate()
-    if spec.kind == "shell_sparse":
-        require(gamma.p < 2, "shell_sparse requires p < 2")
-    ball = BesovBall(gamma=gamma, radius=spec.radius)
-    jmax = resolve_jmax(spec)
-    j = _round_half_up(_peak_level(spec))
-    j = max(j, 1)
-    if j > jmax:
+def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+    gamma = ball.gamma
+    j = max(_round_half_up(_peak_level(spec)), 1)
+    if j > len(levels):
         raise ConfigurationError(
-            f"peak level {j} exceeds jmax={jmax}; increase jmax or epsilon")
+            f"peak level {j} exceeds jmax={len(levels)}; increase jmax or epsilon")
     n = 2 ** j
     c_j = shell_radius(ball, j)
-    levels = [np.zeros(2 ** jj) for jj in range(1, jmax + 1)]
     if spec.kind == "shell_dense":
         m = n
         idx = np.arange(n)
@@ -159,37 +138,22 @@ def make_shell_signal(spec: SignalSpec) -> MultiresSequence:
         m = min(max(1, _round_half_up(n * eta_p)), n)
         idx = _spike_indices(n, m, spec.placement)
     levels[j - 1][idx] = c_j * m ** (-1.0 / gamma.p)
-    levels = _fit_into_ball(levels, ball)
-    return MultiresSequence(j0=1, levels=tuple(levels))
 
 
-def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
-    """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
-
-    Per level, n0_j coordinates carry magnitude
-    delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
-    n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
-                 * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
-    and the whole signal is scaled down until membership holds.
-    """
-    require(spec.kind == "critical_prior",
-            f"make_critical_signal requires kind 'critical_prior', got {spec.kind!r}")
-    gamma = spec.gamma.validate()
+def _critical_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+    gamma = ball.gamma
     require(classify_zone(gamma) is Zone.CRITICAL,
             "critical_prior requires hyper-parameters in the critical zone")
-    ball = BesovBall(gamma=gamma, radius=spec.radius)
-    js = _j_star_of(spec)
+    js = j_star(gamma, spec.radius, spec.epsilon)
     j_lo = int(math.floor(spec.rho1 * js))
     j_hi = int(math.ceil(spec.rho2 * js))
-    jmax = resolve_jmax(spec)
-    if j_hi > jmax:
-        raise ConfigurationError(f"level window top {j_hi} exceeds jmax={jmax}")
+    if j_hi > len(levels):
+        raise ConfigurationError(f"level window top {j_hi} exceeds jmax={len(levels)}")
     if j_hi <= j_lo:
         j_hi = j_lo + 1
     span = j_hi - j_lo
     snr = spec.radius / spec.epsilon
     log2_snr = math.log2(snr)
-    levels = [np.zeros(2 ** jj) for jj in range(1, jmax + 1)]
     placed = 0
     for j in range(j_lo + 1, j_hi + 1):
         n_j = 2 ** j
@@ -205,36 +169,61 @@ def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
         raise ConfigurationError(
             "critical construction infeasible: no level admits a spike "
             f"(C/eps={snr:.3g}, window {j_lo + 1}..{j_hi})")
-    levels = _fit_into_ball(levels, ball)
-    return MultiresSequence(j0=1, levels=tuple(levels))
 
 
-def make_spread_signal(spec: SignalSpec) -> MultiresSequence:
-    """Besov-spread signal: every level filled evenly with an equal share
-    of the ball budget, so the constraint is met with equality."""
-    require(spec.kind == "besov_spread",
-            f"make_spread_signal requires kind 'besov_spread', got {spec.kind!r}")
-    gamma = spec.gamma.validate()
-    ball = BesovBall(gamma=gamma, radius=spec.radius)
-    jmax = resolve_jmax(spec)
-    n_levels = jmax
-    levels = []
-    for j in range(1, jmax + 1):
-        budget = shell_radius(ball, j) * n_levels ** (-1.0 / gamma.q)
-        levels.append(np.full(2 ** j, budget * (2 ** j) ** (-1.0 / gamma.p)))
-    levels = _fit_into_ball(levels, ball)
-    return MultiresSequence(j0=1, levels=tuple(levels))
+def _spread_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+    # every level filled evenly with an equal share of the ball budget, so
+    # the constraint is met with equality
+    for j, level in enumerate(levels, start=1):
+        budget = shell_radius(ball, j) * len(levels) ** (-1.0 / ball.gamma.q)
+        level[:] = budget * (2 ** j) ** (-1.0 / ball.gamma.p)
+
+
+# one filler per signal kind; 'zero' leaves the levels empty
+_LEVEL_FILLERS = {"shell_dense": _shell_levels, "shell_sparse": _shell_levels,
+                   "besov_spread": _spread_levels, "critical_prior": _critical_levels,
+                   "zero": lambda spec, ball, levels: None}
 
 
 def make_signal(spec: SignalSpec) -> MultiresSequence:
-    """Dispatch on spec.kind; 'zero' yields the all-zero sequence."""
-    if spec.kind == "zero":
-        return MultiresSequence.zeros(1, resolve_jmax(spec))
-    if spec.kind in ("shell_dense", "shell_sparse"):
-        return make_shell_signal(spec)
-    if spec.kind == "critical_prior":
-        return make_critical_signal(spec)
-    return make_spread_signal(spec)
+    """The signal spec describes, on levels 1..resolve_jmax(spec).
+
+    The kind's level filler sets the levels; the result is then scaled
+    into the ball so membership holds exactly.  'zero' yields the all-zero
+    sequence.
+    """
+    ball = BesovBall(gamma=spec.gamma.validate(), radius=spec.radius)
+    levels = [np.zeros(2 ** j) for j in range(1, resolve_jmax(spec) + 1)]
+    _LEVEL_FILLERS[spec.kind](spec, ball, levels)
+    return MultiresSequence(j0=1, levels=tuple(_fit_into_ball(levels, ball)))
+
+
+def make_shell_signal(spec: SignalSpec) -> MultiresSequence:
+    """Single-shell extremal signal at the rounded peak level.
+
+    shell_dense spreads equal magnitudes over all n_j coordinates of level
+    j = round(j_star); shell_sparse places m = max(1, round(n_j * eta_j^p))
+    equal spikes at level j = round(j_plus), eta_j = (C_j/eps_j) * n_j^(-1/p).
+    Either way ||theta_j||_p = C_j, so the ball constraint is met with
+    equality.
+    """
+    require(spec.kind in ("shell_dense", "shell_sparse"),
+            f"make_shell_signal handles shell_dense/shell_sparse, got {spec.kind!r}")
+    return make_signal(spec)
+
+
+def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
+    """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
+
+    Per level, n0_j coordinates carry magnitude
+    delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
+    n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
+                 * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
+    and the whole signal is scaled down until membership holds.
+    """
+    require(spec.kind == "critical_prior",
+            f"make_critical_signal requires kind 'critical_prior', got {spec.kind!r}")
+    return make_signal(spec)
 
 
 # -- noise sampling -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -28,11 +29,48 @@ def base_config(**overrides):
     return doc
 
 
+# Numeric fields written as integers, and the echo they must give: a float
+# where the spec field's default is a float, the value as written elsewhere.
+INTEGER_VALUED = {
+    "gamma": {"alpha": 1, "p": 2, "q": 2, "beta": 0}, "radius": 1,
+    "penalty": {"zeta": 2, "nu": 40, "xi1": 3},
+    "noise": {"covariance": "tridiagonal", "rho": 0, "xi1": 3},
+    "signal": {"kind": "besov_spread", "xi0": 2},
+    "epsilons": [0.25, 0.125, 0.0625, 0.03125], "epsilon": 0.125,
+    "replicates": 3.0, "seed": 5, "jmax": 6,
+}
+INTEGER_VALUED_ECHO = (
+    '{"epsilon": 0.125, "epsilons": [0.25, 0.125, 0.0625, 0.03125], '
+    '"gamma": {"alpha": 1.0, "beta": 0.0, "p": 2.0, "q": 2.0}, "jmax": 6, '
+    '"noise": {"covariance": "tridiagonal", "rho": 0.0, "xi0": null, "xi1": 3}, '
+    '"penalty": {"beta": 0.0, "jeps_scale": 1.0, "nu": 40.0, "xi1": 3.0, "zeta": 2.0}, '
+    '"radius": 1.0, "replicates": 3, "schema_version": 1, "seed": 5, '
+    '"signal": {"kind": "besov_spread", "placement": "even", "rho1": 1.05, '
+    '"rho2": 1.25, "xi0": 2.0}, "zone": null}')
+
+# SHA-256 of json.dumps(PRESETS, sort_keys=True): the preset documents are fixed
+PRESETS_SHA256 = "aa75a09e30bededd3013ea321cd50ddce667ef46b8b8a62d9344b147574dafdf"
+
+
 class TestExperimentConfig:
     def test_presets_all_parse(self):
         for name, doc in PRESETS.items():
             cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
             assert cfg.resolved_dict()["schema_version"] == 1
+
+    def test_preset_documents_unchanged(self):
+        text = json.dumps(PRESETS, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESETS_SHA256
+
+    @pytest.mark.parametrize("doc", [*PRESETS.values(), INTEGER_VALUED],
+                             ids=[*PRESETS, "integer-valued"])
+    def test_resolved_dict_round_trip(self, doc):
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        assert ExperimentConfig.from_dict(cfg.resolved_dict()) == cfg
+
+    def test_integer_valued_echo_bytes(self):
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(INTEGER_VALUED)))
+        assert json.dumps(cfg.resolved_dict(), sort_keys=True) == INTEGER_VALUED_ECHO
 
     def test_unknown_field_rejected(self):
         from penseq import ValidationError
@@ -58,6 +96,9 @@ class TestExperimentConfig:
         ("penalty", "zeta", "two"),
         (None, "gamma", [1, 2]),
         ("noise", "xi0", "x"),
+        (None, "replicates", 2.7),
+        (None, "seed", 1.9),
+        (None, "seed", -1),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, section, field, value):
         doc = base_config(epsilon=2.0 ** -8)
@@ -89,6 +130,15 @@ class TestEstimate:
         code = main(["estimate", str(inp), "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert "level length" in capsys.readouterr().err
+
+    def test_epsilon_at_or_above_radius_exit_2(self, tmp_path, capsys):
+        seq = tmp_path / "seq.json"
+        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+        doc = base_config(radius=0.5, epsilons=[2.0 ** -6], epsilon=0.5)
+        cfg = write_config(tmp_path, doc)
+        code = main(["estimate", str(seq), "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "epsilon < radius" in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
@@ -158,6 +208,21 @@ class TestRates:
         assert np.all(np.diff(vals[:peak + 1]) > 0)
         assert np.all(np.diff(vals[peak + 1:]) < 0)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("signal", "kind", "bogus"),
+        ("signal", "placement", "weird"),
+        ("signal", "xi0", -1),
+        (None, "jmax", 2.5),
+    ])
+    def test_malformed_signal_exit_2(self, tmp_path, capsys, section, field, value):
+        # rates builds no signal, so only the load-time check can catch these
+        doc = json.loads(json.dumps(PRESETS["dense"]))
+        (doc if section is None else doc[section])[field] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "rate_report.json").exists()
+        assert field in capsys.readouterr().err
+
     def test_invalid_gamma_exit_2(self, tmp_path):
         doc = base_config(gamma={"alpha": 0.4, "p": 1.0, "q": 1.0, "beta": 0.2},
                           epsilon=2.0 ** -8)
@@ -188,6 +253,14 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path),
                      "--instances", "12"]) == 2
         assert "non-empty epsilon grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", ["-5", "0", "30"])
+    def test_instances_not_positive_multiple_of_12_exit_2(self, tmp_path, capsys, instances):
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--preset", "zero", "--out", str(out),
+                     "--instances", instances, "--replicates", "5"]) == 2
+        assert "positive multiple of 12" in capsys.readouterr().err
+        assert not (out / "oracle_check.json").exists()
 
     def test_unknown_preset(self, tmp_path):
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == 2
