@@ -17,8 +17,7 @@ from .rates import (RateReport, ShellRiskProfile, control_function, j_plus,
                     risk_upper_bound, shell_profile, shell_risk,
                     shell_risk_closed_form, sparse_dense_identity_check,
                     t1_complexity_sum)
-from .simulate import (McResult, SignalSpec, fit_rate_exponent, make_critical_signal,
-                       make_shell_signal, make_signal, mc_risk, mc_risk_for_truth,
-                       oracle_inequality_check, sample_noise)
+from .simulate import (McResult, SignalSpec, fit_rate_exponent, make_signal, mc_risk,
+                       mc_risk_for_truth, oracle_inequality_check, sample_noise)
 
 __version__ = "0.1.0"

@@ -55,6 +55,16 @@ def _penalized_objective(v: np.ndarray, cfg: PenaltyConfig, epsilon: float,
     return residual + (epsilon * epsilon) * pens, pens
 
 
+def _checked_level(y, epsilon: float) -> np.ndarray:
+    """y as a float vector; the input check of every single-level entry point."""
+    y = np.asarray(y, dtype=float)
+    require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
+    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
+    require(math.isfinite(float(epsilon)) and epsilon >= 0,
+            f"epsilon must be finite and >= 0, got {epsilon}")
+    return y
+
+
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
              nu_eff: float | None = None) -> MonoscaleFit:
     """Minimize sum_{i>k} |y|_(i)^2 + eps^2 * pen(k) over k = 0..n.
@@ -62,10 +72,7 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y = np.asarray(y, dtype=float)
-    require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
-    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
-    require(math.isfinite(float(epsilon)) and epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
+    y = _checked_level(y, epsilon)
     obj, pens = _penalized_objective(y, cfg, epsilon, nu_eff)
     k_hat = int(np.argmin(obj))                   # first minimum = smallest k
     if k_hat == 0:
@@ -94,12 +101,9 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     minimal objective, then minimal cardinality, then the lexicographically
     smallest index set.  Returns (indices, objective).
     """
-    y = np.asarray(y, dtype=float)
-    require(y.ndim == 1 and 1 <= y.size, "y must be a non-empty vector")
+    y = _checked_level(y, epsilon)
     require(y.size <= _SUBSET_ORACLE_MAX_N,
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
-    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
-    require(epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
     n = y.size
     sq = y * y
     total = float(sq.sum())
@@ -128,87 +132,56 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    theta = np.asarray(theta, dtype=float)
-    require(theta.ndim == 1 and theta.size >= 1, "theta must be a non-empty vector")
-    require(bool(np.all(np.isfinite(theta))), "theta contains non-finite values")
+    theta = _checked_level(theta, epsilon)
     return float(np.min(_penalized_objective(theta, cfg, epsilon, nu_eff)[0]))
 
 
 @dataclass(frozen=True, eq=False)
 class MultiscaleFit:
-    """Level-wise penalized fit: raw copies below fit_j0, MonoscaleFit above."""
+    """Level-wise penalized fit: one MonoscaleFit per level j0 .. jmax."""
 
     j0: int
-    fit_j0: int
-    passthrough: tuple       # of np.ndarray, levels j0 .. fit_j0-1
-    fits: tuple              # of MonoscaleFit, levels fit_j0 .. jmax
+    fits: tuple              # of MonoscaleFit
 
     @property
     def jmax(self) -> int:
-        return self.fit_j0 + len(self.fits) - 1
+        return self.j0 + len(self.fits) - 1
 
     def level_estimate(self, j: int) -> np.ndarray:
         require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
-        if j < self.fit_j0:
-            return self.passthrough[j - self.j0]
-        return self.fits[j - self.fit_j0].estimate
-
-    def estimate_sequence(self) -> MultiresSequence:
-        levels = list(self.passthrough) + [f.estimate for f in self.fits]
-        return MultiresSequence(j0=self.j0, levels=tuple(levels))
+        return self.fits[j - self.j0].estimate
 
     def to_json_dict(self) -> dict:
-        seq = self.estimate_sequence()
-        meta = [{"j": self.fit_j0 + i,
+        meta = [{"j": self.j0 + i,
                  "k_hat": f.k_hat,
                  "threshold": None if math.isinf(f.threshold) else f.threshold,
                  "objective": f.objective}
                 for i, f in enumerate(self.fits)]
-        return {"j0": self.j0, "fit_j0": self.fit_j0,
-                "levels": [arr.tolist() for arr in seq.levels],
+        # "fit_j0" is kept so fit.json keeps its layout; every level is fitted
+        return {"j0": self.j0, "fit_j0": self.j0,
+                "levels": [f.estimate.tolist() for f in self.fits],
                 "per_level": meta}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiscaleFit":
-        seq = MultiresSequence.from_json_dict({"j0": d["j0"], "levels": d["levels"]})
-        fit_j0 = d["fit_j0"]
-        passthrough = tuple(seq.level(j) for j in range(seq.j0, fit_j0))
-        fits = []
-        for m in d["per_level"]:
-            thr = math.inf if m["threshold"] is None else float(m["threshold"])
-            fits.append(MonoscaleFit(k_hat=int(m["k_hat"]), threshold=thr,
-                                     estimate=seq.level(int(m["j"])),
-                                     objective=float(m["objective"])))
-        return cls(j0=seq.j0, fit_j0=fit_j0, passthrough=passthrough, fits=tuple(fits))
 
+def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec) -> MultiscaleFit:
+    """Apply select_k at every level with eps_j and the nu schedule.
 
-def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
-                   fit_j0: int | None = None) -> MultiscaleFit:
-    """Apply select_k at every level j >= fit_j0 with eps_j and the nu schedule.
-
-    Levels below fit_j0 (default: the sequence's own j0, i.e. none) pass
-    through unchanged.  The penalty beta must equal the noise beta, and the
-    penalty xi1 must dominate the noise covariance bound.
+    The penalty beta must equal the noise beta, and the penalty xi1 must
+    dominate the noise covariance bound.
     """
     require(cfg.beta == noise.beta,
             f"penalty beta ({cfg.beta}) must match noise beta ({noise.beta})")
     require(cfg.xi1 >= noise.xi1 - 1e-12,
             f"penalty xi1 ({cfg.xi1}) must dominate noise xi1 ({noise.xi1})")
-    if fit_j0 is None:
-        fit_j0 = y.j0
-    require(y.j0 <= fit_j0 <= y.jmax,
-            f"fit_j0 must lie in [{y.j0}, {y.jmax}], got {fit_j0}")
-    passthrough = tuple(y.level(j) for j in range(y.j0, fit_j0))
     fits = []
-    for j in range(fit_j0, y.jmax + 1):
+    for j, level in y.iter_levels():
         nu_j = nu_schedule(cfg, noise.epsilon, j)
-        fits.append(select_k(y.level(j), cfg, noise.epsilon_at(j), nu_j))
-    return MultiscaleFit(j0=y.j0, fit_j0=fit_j0,
-                         passthrough=passthrough, fits=tuple(fits))
+        fits.append(select_k(level, cfg, noise.epsilon_at(j), nu_j))
+    return MultiscaleFit(j0=y.j0, fits=tuple(fits))
 
 
 def per_level_sse(fit: MultiscaleFit, truth: MultiresSequence) -> np.ndarray:
-    """Squared error sum per level, including passthrough levels."""
+    """Squared error sum per level."""
     require(fit.j0 == truth.j0 and fit.jmax == truth.jmax,
             f"shape mismatch: fit spans [{fit.j0}, {fit.jmax}], "
             f"truth spans [{truth.j0}, {truth.jmax}]")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,9 +88,6 @@ class HyperParams:
                 f"hyper-parameters need alpha + beta > 1/p for p < 2; "
                 f"got alpha={self.alpha}, beta={self.beta}, p={self.p}")
         return self
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "p": self.p, "q": self.q, "beta": self.beta}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperParams":
@@ -182,19 +179,8 @@ class MultiresSequence:
     def scale(self, c: float) -> "MultiresSequence":
         return MultiresSequence(self.j0, tuple(c * a for a in self.levels))
 
-    def to_json_dict(self) -> dict:
-        return {"j0": self.j0, "levels": [arr.tolist() for arr in self.levels]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiresSequence":
-        require(isinstance(d, dict) and "j0" in d and "levels" in d,
-                "sequence document must have 'j0' and 'levels' fields")
-        j0 = d["j0"]
-        require(isinstance(j0, int), f"j0 must be an integer, got {j0!r}")
-        return cls(j0=j0, levels=tuple(d["levels"]))
+        return json.dumps({"j0": self.j0, "levels": [arr.tolist() for arr in self.levels]})
 
     @classmethod
     def from_json(cls, text: str) -> "MultiresSequence":
@@ -202,7 +188,10 @@ class MultiresSequence:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed sequence JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        require(isinstance(doc, dict) and "j0" in doc and "levels" in doc,
+                "sequence document must have 'j0' and 'levels' fields")
+        require(isinstance(doc["j0"], int), f"j0 must be an integer, got {doc['j0']!r}")
+        return cls(j0=doc["j0"], levels=tuple(doc["levels"]))
 
 
 @dataclass(frozen=True)
@@ -263,9 +252,6 @@ class NoiseSpec:
     def epsilon_at(self, j: int | float) -> float:
         """Level noise scale eps_j = epsilon * 2^(beta*j)."""
         return self.epsilon * 2.0 ** (self.beta * j)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:

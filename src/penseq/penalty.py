@@ -56,10 +56,6 @@ class PenaltyConfig:
         """Summability floor e^(1/(1+2*beta)) for the complexity sums."""
         return math.exp(1.0 / (1.0 + 2.0 * self.beta))
 
-    def to_dict(self) -> dict:
-        return {"zeta": self.zeta, "nu": self.nu, "beta": self.beta,
-                "xi1": self.xi1, "jeps_scale": self.jeps_scale}
-
     @classmethod
     def from_dict(cls, d: dict) -> "PenaltyConfig":
         known = {"zeta", "nu", "beta", "xi1", "jeps_scale"}

@@ -37,43 +37,33 @@ _LOG2 = math.log(2.0)
 CONTROL_BOUND_BASE = 7.0
 
 
+def _control(n: float, p: float, C: float) -> tuple:
+    """(r_{n,p}(C), branch label): the value and the signal regime that gives it."""
+    require(n >= 1, f"n must be >= 1, got {n}")
+    require(p > 0, f"p must be > 0, got {p}")
+    require(C >= 0, f"C must be >= 0, got {C}")
+    n = float(n)
+    if C >= n ** (1.0 / p):
+        return n, "large-signal"
+    if p >= 2.0:
+        return n ** (1.0 - 2.0 / p) * C * C, "small-signal"
+    if C <= math.sqrt(1.0 + math.log(n)):
+        return C * C, "highly-sparse"
+    return C ** p * (1.0 + math.log(n) - p * math.log(C)) ** (1.0 - p / 2.0), "sparse"
+
+
 def control_function(n: float, p: float, C: float) -> float:
     """Piecewise control function r_{n,p}(C); n may be a real quantity >= 1.
 
     p < 2:  C^2                                  for C <= sqrt(1 + log n)
-            C^p * (1 + log(n / C^p))^(1 - p/2)   up to C = n^(1/p)
-            n                                    beyond.
-    p >= 2: n^(1 - 2/p) * C^2 up to C = n^(1/p), then n.
+            C^p * (1 + log(n / C^p))^(1 - p/2)   below C = n^(1/p)
+            n                                    from there on.
+    p >= 2: n^(1 - 2/p) * C^2 below C = n^(1/p), then n.
 
     Continuous at the dense boundary C = n^(1/p); the sparse/highly-sparse
     boundary carries an order-level jump, branches are evaluated as written.
     """
-    require(n >= 1, f"n must be >= 1, got {n}")
-    require(p > 0, f"p must be > 0, got {p}")
-    require(C >= 0, f"C must be >= 0, got {C}")
-    if C == 0.0:
-        return 0.0
-    n = float(n)
-    if p >= 2.0:
-        if C <= n ** (1.0 / p):
-            return n ** (1.0 - 2.0 / p) * C * C
-        return n
-    if C <= math.sqrt(1.0 + math.log(n)):
-        return C * C
-    if C <= n ** (1.0 / p):
-        return C ** p * (1.0 + math.log(n) - p * math.log(C)) ** (1.0 - p / 2.0)
-    return n
-
-
-def control_zone_label(n: float, p: float, C: float) -> str:
-    """Branch label of r_{n,p} at (n, C): which signal regime applies."""
-    if p >= 2.0:
-        return "large-signal" if C >= n ** (1.0 / p) else "small-signal"
-    if C >= n ** (1.0 / p):
-        return "large-signal"
-    if C <= math.sqrt(1.0 + math.log(n)):
-        return "highly-sparse"
-    return "sparse"
+    return _control(n, p, C)[0]
 
 
 def rate_exponent(gamma: HyperParams) -> float:
@@ -127,13 +117,18 @@ def shell_sparse_peak_value(gamma: HyperParams, C: float, epsilon: float) -> flo
     return C ** 2 * 2.0 ** (-2.0 * gamma.a * j_plus(gamma, C, epsilon))
 
 
+def _shell(gamma: HyperParams, C: float, epsilon: float, j: float) -> tuple:
+    """(R_j, branch label) of the level-j shell, with R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j)."""
+    eps_j = epsilon * 2.0 ** (gamma.beta * j)
+    c_j = C * 2.0 ** (-gamma.a * j)
+    value, label = _control(2.0 ** j, gamma.p, c_j / eps_j)
+    return eps_j ** 2 * value, label
+
+
 def shell_risk(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:
     """Definitional shell risk R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j), real j >= 0."""
     require(j >= 0, f"j must be >= 0, got {j}")
-    eps_j = epsilon * 2.0 ** (gamma.beta * j)
-    n_j = 2.0 ** j
-    c_j = C * 2.0 ** (-gamma.a * j)
-    return eps_j ** 2 * control_function(n_j, gamma.p, c_j / eps_j)
+    return _shell(gamma, C, epsilon, j)[0]
 
 
 def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:
@@ -166,10 +161,7 @@ def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: floa
 
 def shell_zone_label(gamma: HyperParams, C: float, epsilon: float, j: float) -> str:
     """Signal-regime label of the level-j shell (for profile output)."""
-    eps_j = epsilon * 2.0 ** (gamma.beta * j)
-    n_j = 2.0 ** j
-    c_j = C * 2.0 ** (-gamma.a * j)
-    return control_zone_label(n_j, gamma.p, c_j / eps_j)
+    return _shell(gamma, C, epsilon, j)[1]
 
 
 @dataclass(frozen=True)
@@ -244,23 +236,15 @@ class ShellRiskProfile:
             lines.append(f"{float(j):.6g},{float(v):.17g},{lab}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {"j": [float(v) for v in self.j],
-                "R_j": [float(v) for v in self.values],
-                "zone_label": list(self.labels)}
 
-
-def shell_profile(gamma: HyperParams, C: float, epsilon: float,
-                  j_step: float = 0.1, j_end: float | None = None) -> ShellRiskProfile:
-    """Sample R_j on [0, j_end] (default: 5 past the last peak), step j_step."""
+def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProfile:
+    """Sample R_j on [0, 5 past the last peak] in steps of 0.1."""
     gamma.validate()
-    if j_end is None:
-        peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
-        j_end = peak + 5.0
-    grid = np.arange(0.0, j_end + 0.5 * j_step, j_step)
-    values = np.array([shell_risk(gamma, C, epsilon, j) for j in grid])
-    labels = tuple(shell_zone_label(gamma, C, epsilon, j) for j in grid)
-    return ShellRiskProfile(j=grid, values=values, labels=labels)
+    peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
+    grid = np.arange(0.0, peak + 5.0 + 0.05, 0.1)    # half a step of slack keeps the end
+    points = [_shell(gamma, C, epsilon, j) for j in grid]
+    return ShellRiskProfile(j=grid, values=np.array([v for v, _ in points]),
+                            labels=tuple(label for _, label in points))
 
 
 # -- rate upper bound --------------------------------------------------------
@@ -274,26 +258,22 @@ def control_bound_constant(cfg: PenaltyConfig) -> float:
     return CONTROL_BOUND_BASE * cfg.zeta * cfg.xi1 * (1.0 + 2.0 * cfg.beta)
 
 
-def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float,
-                      xi: float | None = None, j_cap: int | None = None) -> float:
-    """Complexity remainder T1 = 2 * sum_j xi * M'_{n_j} * eps_j^2.
+def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
+    """Complexity remainder T1 = 2 * sum_j xi1 * M'_{n_j} * eps_j^2.
 
-    Levels run from 1 to j_cap (default: ceil(j_eps) + 200; beyond that the
-    schedule has pushed per-level terms below any fixed relative tolerance).
+    Levels run from 1 to ceil(j_eps) + 200; beyond that the schedule has
+    pushed per-level terms below any fixed relative tolerance.
     """
     require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
-    if xi is None:
-        xi = cfg.xi1
     j_eps = cfg.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
-    if j_cap is None:
-        j_cap = int(math.ceil(j_eps)) + _LEVEL_CAP_EXTRA
+    j_cap = int(math.ceil(j_eps)) + _LEVEL_CAP_EXTRA
     log_eps2 = 2.0 * math.log(epsilon)
     total = 0.0
     for j in range(1, j_cap + 1):
         nu_j = nu_schedule(cfg, epsilon, j)
         log_mp = math.log(m_prime(cfg, 2.0 ** j, nu_j))
         total += math.exp(log_mp + log_eps2 + 2.0 * cfg.beta * j * _LOG2)
-    return 2.0 * xi * total
+    return 2.0 * cfg.xi1 * total
 
 
 def t2_control_sum(gamma: HyperParams, C: float, epsilon: float,

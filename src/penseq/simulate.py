@@ -14,7 +14,7 @@ reproducible and independent of any execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -68,15 +68,14 @@ class SignalSpec:
         if self.kind == "shell_sparse":
             require(self.gamma.p < 2, "shell_sparse signals need p < 2")
         if self.kind == "critical_prior":
+            require(classify_zone(self.gamma) is Zone.CRITICAL,
+                    "critical_prior requires hyper-parameters in the critical zone")
             require(1.0 < self.rho1 < self.rho2,
                     f"need 1 < rho1 < rho2, got rho1={self.rho1}, rho2={self.rho2}")
             if self.gamma.beta > 0:
                 cap = (2.0 * self.gamma.beta + 1.0) / (2.0 * self.gamma.beta)
                 require(self.rho2 < cap,
                         f"rho2 must be < (2*beta+1)/(2*beta) = {cap:.4f}, got {self.rho2}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _peak_level(spec: SignalSpec) -> float:
@@ -122,6 +121,14 @@ def _fit_into_ball(levels: list, ball: BesovBall) -> list:
 # Level fillers: each sets the zero levels 1..jmax of one signal kind in place.
 
 def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+    """Single-shell extremal signal at the rounded peak level.
+
+    shell_dense spreads equal magnitudes over all n_j coordinates of level
+    j = round(j_star); shell_sparse places m = max(1, round(n_j * eta_j^p))
+    equal spikes at level j = round(j_plus), eta_j = (C_j/eps_j) * n_j^(-1/p).
+    Either way ||theta_j||_p = C_j, so the ball constraint is met with
+    equality.
+    """
     gamma = ball.gamma
     j = max(_round_half_up(_peak_level(spec)), 1)
     if j > len(levels):
@@ -141,9 +148,15 @@ def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
 
 
 def _critical_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+    """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
+
+    Per level, n0_j coordinates carry magnitude
+    delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
+    n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
+                 * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
+    and the whole signal is scaled down until membership holds.
+    """
     gamma = ball.gamma
-    require(classify_zone(gamma) is Zone.CRITICAL,
-            "critical_prior requires hyper-parameters in the critical zone")
     js = j_star(gamma, spec.radius, spec.epsilon)
     j_lo = int(math.floor(spec.rho1 * js))
     j_hi = int(math.ceil(spec.rho2 * js))
@@ -198,34 +211,6 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
     return MultiresSequence(j0=1, levels=tuple(_fit_into_ball(levels, ball)))
 
 
-def make_shell_signal(spec: SignalSpec) -> MultiresSequence:
-    """Single-shell extremal signal at the rounded peak level.
-
-    shell_dense spreads equal magnitudes over all n_j coordinates of level
-    j = round(j_star); shell_sparse places m = max(1, round(n_j * eta_j^p))
-    equal spikes at level j = round(j_plus), eta_j = (C_j/eps_j) * n_j^(-1/p).
-    Either way ||theta_j||_p = C_j, so the ball constraint is met with
-    equality.
-    """
-    require(spec.kind in ("shell_dense", "shell_sparse"),
-            f"make_shell_signal handles shell_dense/shell_sparse, got {spec.kind!r}")
-    return make_signal(spec)
-
-
-def make_critical_signal(spec: SignalSpec) -> MultiresSequence:
-    """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
-
-    Per level, n0_j coordinates carry magnitude
-    delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
-    n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
-                 * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
-    and the whole signal is scaled down until membership holds.
-    """
-    require(spec.kind == "critical_prior",
-            f"make_critical_signal requires kind 'critical_prior', got {spec.kind!r}")
-    return make_signal(spec)
-
-
 # -- noise sampling -----------------------------------------------------------
 
 def _tridiagonal_factor(n: int, rho: float) -> np.ndarray:
@@ -275,13 +260,6 @@ class McResult:
     mean_sse: float
     stderr_sse: float
     per_level_sse: np.ndarray
-    config: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"replicates": self.replicates, "mean_sse": self.mean_sse,
-                "stderr_sse": self.stderr_sse,
-                "per_level_sse": [float(v) for v in self.per_level_sse],
-                "config": self.config}
 
 
 def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -289,7 +267,7 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
-                      replicates: int, seed: int, config_echo: dict | None = None) -> McResult:
+                      replicates: int, seed: int) -> McResult:
     """Monte Carlo risk at a fixed truth: noise draw -> fit -> squared error."""
     require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
     sses = np.empty(replicates)
@@ -304,8 +282,7 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     mean = float(sses.mean())
     stderr = float(sses.std(ddof=1) / math.sqrt(replicates))
     return McResult(replicates=replicates, mean_sse=mean, stderr_sse=stderr,
-                    per_level_sse=per_level / replicates,
-                    config=config_echo if config_echo is not None else {})
+                    per_level_sse=per_level / replicates)
 
 
 def mc_risk(spec: SignalSpec, cfg: PenaltyConfig, noise: NoiseSpec,
@@ -316,10 +293,7 @@ def mc_risk(spec: SignalSpec, cfg: PenaltyConfig, noise: NoiseSpec,
     seeds reproduce the result bit for bit and replicates may be evaluated
     in any order.
     """
-    truth = make_signal(spec)
-    echo = {"signal": spec.to_dict(), "penalty": cfg.to_dict(),
-            "noise": noise.to_dict(), "replicates": replicates, "seed": seed}
-    return mc_risk_for_truth(truth, cfg, noise, replicates, seed, config_echo=echo)
+    return mc_risk_for_truth(make_signal(spec), cfg, noise, replicates, seed)
 
 
 def fit_rate_exponent(results) -> tuple:

@@ -223,6 +223,17 @@ class TestRates:
         assert not (tmp_path / "rate_report.json").exists()
         assert field in capsys.readouterr().err
 
+    def test_critical_prior_off_the_critical_zone_exit_2(self, tmp_path, capsys):
+        # the declared zone does not make a non-critical gamma critical: the
+        # signal would be rejected when built, so the config fails at load
+        doc = base_config(gamma={"alpha": 1.01, "p": 1.0, "q": 2.0, "beta": 0.5},
+                          epsilon=2.0 ** -8, zone="Critical")
+        doc["signal"]["kind"] = "critical_prior"
+        cfg = write_config(tmp_path, doc)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "rate_report.json").exists()
+        assert "critical zone" in capsys.readouterr().err
+
     def test_invalid_gamma_exit_2(self, tmp_path):
         doc = base_config(gamma={"alpha": 0.4, "p": 1.0, "q": 1.0, "beta": 0.2},
                           epsilon=2.0 ** -8)

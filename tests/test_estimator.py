@@ -6,7 +6,6 @@ import pytest
 from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, ValidationError,
                     empirical_risk, fit_multiscale, ideal_risk, oracle_constant,
                     pen, per_level_sse, select_k, subset_oracle, threshold_lambda)
-from penseq.estimator import MultiscaleFit
 from penseq.rates import CONTROL_BOUND_BASE, control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -227,29 +226,6 @@ class TestMultiscale:
         cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.6)
         fit_multiscale(y, cfg, noise)
 
-    def test_passthrough_levels(self):
-        rng = np.random.default_rng(29)
-        levels = tuple(rng.standard_normal(2 ** j) for j in range(1, 5))
-        y = MultiresSequence(j0=1, levels=levels)
-        noise = NoiseSpec(epsilon=0.1, beta=0.0)
-        fit = fit_multiscale(y, CFG, noise, fit_j0=3)
-        assert np.array_equal(fit.level_estimate(1), y.level(1))
-        assert np.array_equal(fit.level_estimate(2), y.level(2))
-        assert len(fit.fits) == 2
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(30)
-        levels = tuple(rng.standard_normal(2 ** j) for j in range(1, 5))
-        y = MultiresSequence(j0=1, levels=levels)
-        fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.5, beta=0.0), fit_j0=2)
-        back = MultiscaleFit.from_json_dict(fit.to_json_dict())
-        assert back.j0 == fit.j0 and back.fit_j0 == fit.fit_j0
-        for j in range(1, 5):
-            assert np.array_equal(back.level_estimate(j), fit.level_estimate(j))
-        for a, b in zip(back.fits, fit.fits):
-            assert a.k_hat == b.k_hat and a.threshold == b.threshold
-            assert a.objective == pytest.approx(b.objective, rel=1e-15)
-
 
 class TestEmpiricalRisk:
     def test_exact_fit(self):
@@ -281,6 +257,13 @@ class TestEmpiricalRisk:
         fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.1, beta=0.0))
         with pytest.raises(ValidationError):
             empirical_risk(fit, MultiresSequence.zeros(1, 5))
+
+
+@pytest.mark.parametrize("fn", [select_k, subset_oracle, ideal_risk])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+def test_bad_epsilon_rejected(fn, epsilon):
+    with pytest.raises(ValidationError):
+        fn(np.array([1.0, -2.0, 0.5]), CFG, epsilon)
 
 
 def test_oracle_constant_example():

@@ -64,7 +64,15 @@ class TestControlFunction:
             below = control_function(n, p, c * (1 - 1e-9))
             above = control_function(n, p, c * (1 + 1e-9))
             assert below == pytest.approx(above, rel=1e-6)
-            assert control_function(n, p, c) == pytest.approx(n, rel=1e-12)
+            # C = n^(1/p) itself belongs to the large-signal branch
+            assert control_function(n, p, c) == n
+        # value and label take the same branch; these shells sit exactly on
+        # the boundary, C_j / eps_j = n_j^(1/p) at j = j_star
+        for p, alpha, j in ((0.5, 2.0, 4), (1.0, 1.0, 4), (2.0, 1.0, 4), (3.0, 1.0, 3)):
+            g = HyperParams(alpha, p, 1.0, 0.5).validate()
+            eps = 2.0 ** (-(alpha + 1.0) * j)
+            assert control_function(2.0 ** j, p, (2.0 ** j) ** (1.0 / p)) == 2.0 ** j
+            assert shell_zone_label(g, 1.0, eps, j) == "large-signal"
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
@@ -267,9 +275,6 @@ class TestShellRisk:
         assert np.all(np.diff(prof.values[peak + 1:]) < 0)
         text = prof.to_csv_text()
         assert text.startswith("j,R_j,zone_label")
-        doc = prof.to_json_dict()
-        assert len(doc["j"]) == len(doc["R_j"]) == len(doc["zone_label"])
-        assert doc["R_j"][peak] == pytest.approx(float(prof.values[peak]))
 
 
 class TestOrderings:

@@ -5,10 +5,9 @@ import pytest
 
 from penseq import (BesovBall, ConfigurationError, HyperParams, MultiresSequence,
                     NoiseSpec, PenaltyConfig, SignalSpec, ValidationError,
-                    besov_norm, fit_rate_exponent, make_critical_signal,
-                    make_shell_signal, make_signal, mc_risk, mc_risk_for_truth,
-                    membership, oracle_inequality_check, sample_noise,
-                    shell_radius, threshold_lambda)
+                    besov_norm, fit_rate_exponent, make_signal, mc_risk,
+                    mc_risk_for_truth, membership, oracle_inequality_check,
+                    sample_noise, shell_radius, threshold_lambda)
 from penseq.rates import j_plus, j_star
 from penseq.simulate import resolve_jmax
 
@@ -24,14 +23,14 @@ def spec_for(kind, gamma, eps=2.0 ** -8, **kw):
 class TestShellSignals:
     def test_dense_norm_and_membership(self):
         spec = spec_for("shell_dense", DENSE_GAMMA)
-        sig = make_shell_signal(spec)
+        sig = make_signal(spec)
         ball = BesovBall(gamma=DENSE_GAMMA, radius=1.0)
         assert membership(sig, ball)
         assert besov_norm(sig, DENSE_GAMMA) == pytest.approx(1.0, rel=1e-12)
 
     def test_dense_per_coordinate_magnitude(self):
         spec = spec_for("shell_dense", DENSE_GAMMA)
-        sig = make_shell_signal(spec)
+        sig = make_signal(spec)
         js = j_star(DENSE_GAMMA, 1.0, spec.epsilon)
         j = int(math.floor(js + 0.5))
         level = sig.level(j)
@@ -46,7 +45,7 @@ class TestShellSignals:
 
     def test_sparse_spike_count_and_norm(self):
         spec = spec_for("shell_sparse", SPARSE_GAMMA)
-        sig = make_shell_signal(spec)
+        sig = make_signal(spec)
         g = SPARSE_GAMMA
         j = int(math.floor(j_plus(g, 1.0, spec.epsilon) + 0.5))
         n = 2 ** j
@@ -73,7 +72,7 @@ class TestShellSignals:
     def test_spike_magnitude_scale(self):
         # spike size stays within a small factor of eps_j * sqrt(1 + log n_j)
         spec = spec_for("shell_sparse", SPARSE_GAMMA, eps=2.0 ** -10)
-        sig = make_shell_signal(spec)
+        sig = make_signal(spec)
         g = SPARSE_GAMMA
         j = int(math.floor(j_plus(g, 1.0, spec.epsilon) + 0.5))
         level = sig.level(j)
@@ -85,11 +84,11 @@ class TestShellSignals:
     def test_peak_above_jmax_rejected(self):
         spec = spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -10, jmax=2)
         with pytest.raises(ConfigurationError):
-            make_shell_signal(spec)
+            make_signal(spec)
 
     def test_sparse_requires_p_below_two(self):
         with pytest.raises(ValidationError):
-            make_shell_signal(spec_for("shell_sparse", DENSE_GAMMA))
+            make_signal(spec_for("shell_sparse", DENSE_GAMMA))
 
     def test_jmax_default(self):
         spec = spec_for("shell_dense", DENSE_GAMMA)          # j* = 4
@@ -100,7 +99,7 @@ class TestShellSignals:
 
 class TestCriticalSignal:
     def test_membership_by_construction(self):
-        sig = make_critical_signal(spec_for("critical_prior", CRITICAL_GAMMA))
+        sig = make_signal(spec_for("critical_prior", CRITICAL_GAMMA))
         assert membership(sig, BesovBall(gamma=CRITICAL_GAMMA, radius=1.0))
 
     def test_energy_shape(self):
@@ -109,7 +108,7 @@ class TestCriticalSignal:
         ratios = []
         for k in (6, 8, 10, 12, 14):
             eps = 2.0 ** -k
-            sig = make_critical_signal(spec_for("critical_prior", g, eps=eps))
+            sig = make_signal(spec_for("critical_prior", g, eps=eps))
             energy = sum(float(a @ a) for a in sig.levels)
             snr = 1.0 / eps
             shape = eps ** 2 * snr ** g.p * math.log2(snr) ** ((1 - g.p / 2) + (1 - g.p / g.q))
@@ -118,7 +117,7 @@ class TestCriticalSignal:
 
     def test_zone_required(self):
         with pytest.raises(ValidationError):
-            make_critical_signal(spec_for("critical_prior", DENSE_GAMMA))
+            make_signal(spec_for("critical_prior", DENSE_GAMMA))
 
     def test_rho_window_validated(self):
         with pytest.raises(ValidationError):
@@ -129,7 +128,7 @@ class TestCriticalSignal:
 
     def test_single_level_degenerate_case(self):
         # a narrow window occupies one level: a sparse-shell-like signal
-        sig = make_critical_signal(spec_for("critical_prior", CRITICAL_GAMMA,
+        sig = make_signal(spec_for("critical_prior", CRITICAL_GAMMA,
                                             rho1=1.05, rho2=1.1))
         occupied = [j for j, lev in sig.iter_levels() if lev.any()]
         assert len(occupied) == 1
@@ -138,7 +137,7 @@ class TestCriticalSignal:
         # C/eps = 1.82 makes n0 = 0.98 at the only window level: no spikes fit
         g = CRITICAL_GAMMA
         with pytest.raises(ConfigurationError):
-            make_critical_signal(SignalSpec(kind="critical_prior", gamma=g,
+            make_signal(SignalSpec(kind="critical_prior", gamma=g,
                                             radius=1.0, epsilon=0.55))
 
 
@@ -246,15 +245,6 @@ class TestMcRisk:
         with pytest.raises(ValidationError):
             mc_risk(spec, cfg, NoiseSpec(epsilon=spec.epsilon, beta=0.5),
                     replicates=1, seed=0)
-
-    def test_config_echo(self):
-        cfg = PenaltyConfig(beta=0.5)
-        spec = spec_for("zero", DENSE_GAMMA)
-        res = mc_risk(spec, cfg, NoiseSpec(epsilon=spec.epsilon, beta=0.5),
-                      replicates=2, seed=11)
-        assert res.config["seed"] == 11
-        assert res.config["signal"]["kind"] == "zero"
-        assert res.config["penalty"]["nu"] == cfg.nu
 
 
 class TestFitRateExponent:
