@@ -26,14 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, PenseqError, ValidationError, require
-from .model import HyperParams, MultiresSequence, NoiseSpec, Zone, classify_zone
+from .model import HyperParams, MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
 from .rates import log_factor, rate_control, rate_exponent, shell_profile
 from .simulate import (SignalSpec, fit_rate_exponent, mc_risk,
                        oracle_inequality_check)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -112,7 +112,6 @@ class ExperimentConfig:
     seed: int
     jmax: int | None
     epsilon: float | None
-    zone: Zone | None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -120,7 +119,7 @@ class ExperimentConfig:
         unknown = set(doc) - {f.name for f in fields(cls)} - {"schema_version"}
         require(not unknown, f"unknown config fields: {sorted(unknown)}")
         require("gamma" in doc, "config is missing 'gamma'")
-        # float(), int(), Zone() and the field lookups raise ValueError or
+        # float(), int() and the field lookups raise ValueError or
         # TypeError on a value of the wrong type or form, int() of an
         # infinity OverflowError
         try:
@@ -133,7 +132,6 @@ class ExperimentConfig:
                               {"gamma", "radius", "epsilon", "jmax"}, "signal")
             eps = doc.get("epsilons", [])
             require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
-            zone = None if doc.get("zone") is None else Zone(doc["zone"])
             cfg = cls(
                 gamma=gamma, radius=radius, penalty=penalty, noise=noise, signal=signal,
                 epsilons=tuple(float(e) for e in eps),
@@ -141,7 +139,6 @@ class ExperimentConfig:
                 seed=_count(doc.get("seed", 0), "seed"),
                 jmax=doc.get("jmax"),
                 epsilon=None if doc.get("epsilon") is None else float(doc["epsilon"]),
-                zone=zone,
             )
             cfg.cross_validate()
         except (TypeError, ValueError, OverflowError) as exc:
@@ -161,10 +158,6 @@ class ExperimentConfig:
         return self.noise["rho"]
 
     def cross_validate(self) -> None:
-        zone = classify_zone(self.gamma, declared=self.zone)
-        if self.signal_kind == "critical_prior":
-            require(zone is Zone.CRITICAL,
-                    f"critical_prior signals need the Critical zone, got {zone.value}")
         for e in self.epsilons:
             require(0.0 < e < min(self.radius, 1.0),
                     f"every epsilon must lie in (0, min(radius, 1)), got {e}")
@@ -193,8 +186,7 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         doc = asdict(self)
-        doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons),
-                   zone=None if self.zone is None else self.zone.value)
+        doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons))
         return doc
 
 
@@ -255,9 +247,7 @@ def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
 def cmd_sweep(args) -> int:
     config = load_config(args)
     require(len(config.epsilons) >= 4, "sweep needs an epsilon grid of >= 4 points")
-    # the declared zone, if any, picks the log factor the fit divides out
-    zone = classify_zone(config.gamma.validate(), declared=config.zone)
-    factors = {e: log_factor(config.gamma, zone, config.radius, e) for e in config.epsilons}
+    factors = {e: log_factor(config.gamma, config.radius, e) for e in config.epsilons}
     order = sorted(range(len(config.epsilons)), key=lambda i: config.epsilons[i])
     rows = [_sweep_point(config, config.epsilons[i], i) for i in order]
     corrected = [(row["epsilon"], row["mean_sse"] / factors[row["epsilon"]])
@@ -295,9 +285,7 @@ def cmd_rates(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     config = load_config(args)
-    require(config.epsilon is not None or len(config.epsilons) >= 1,
-            "oracle-check needs an 'epsilon' or a non-empty epsilon grid")
-    epsilon = config.epsilon if config.epsilon is not None else config.epsilons[0]
+    epsilon = config.single_epsilon()
     # the batch runs the same number of instances at each n = 1..12
     require(args.instances > 0 and args.instances % 12 == 0,
             f"--instances must be a positive multiple of 12, got {args.instances}")
@@ -316,7 +304,6 @@ def cmd_oracle_check(args) -> int:
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
     doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
-           "seed": config.seed,
            "equivalence": {"instances": args.instances, "mismatches": mismatches},
            "oracle_inequality": {"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
                                  "ratio": ratio, "holds": ratio <= 1.0}}

@@ -98,19 +98,15 @@ class HyperParams:
             raise ValidationError(f"gamma is missing field {exc}") from exc
 
 
-def classify_zone(gamma: HyperParams, declared: Zone | None = None) -> Zone:
+def classify_zone(gamma: HyperParams) -> Zone:
     """Classify a hyper-parameter vector into Dense / Sparse / Critical / Invalid.
 
     Invalid means gamma fails the compactness condition or, for p < 2, the
     additional hypothesis alpha + beta > 1/p.  Equality with the critical
-    boundary is detected with absolute tolerance CRITICAL_ZONE_TOL; pass
-    ``declared`` to override the detection for a vector known to sit exactly
-    on (or off) the boundary.
+    boundary is detected with absolute tolerance CRITICAL_ZONE_TOL.
     """
     if not gamma.satisfies_rate_hypotheses():
         return Zone.INVALID
-    if declared is not None:
-        return declared
     if gamma.p >= 2.0:
         return Zone.DENSE
     gap = gamma.alpha - gamma.sparse_boundary

@@ -188,13 +188,10 @@ class RateReport:
                 "R_star": clean(self.R_star), "R_plus": clean(self.R_plus)}
 
 
-def log_factor(gamma: HyperParams, zone: Zone, C: float, epsilon: float) -> float:
+def log_factor(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Zone log factor of the rate: 1 when Dense, (1 + log(C/eps))^r when
-    Sparse and (1 + log(C/eps))^(r + (1 - p/q)_+) when Critical.
-
-    The zone is an argument so that a caller can pass a declared zone (see
-    classify_zone) in place of the detected one.
-    """
+    Sparse and (1 + log(C/eps))^(r + (1 - p/q)_+) when Critical."""
+    zone = classify_zone(gamma.validate())
     if zone is Zone.DENSE:
         return 1.0
     r = rate_exponent(gamma)
@@ -211,7 +208,7 @@ def rate_control(gamma: HyperParams, C: float, epsilon: float) -> RateReport:
     require(0 < epsilon < C,
             f"rate control needs 0 < epsilon < C, got epsilon={epsilon}, C={C}")
     r = rate_exponent(gamma)
-    value = C ** (2.0 * (1.0 - r)) * epsilon ** (2.0 * r) * log_factor(gamma, zone, C, epsilon)
+    value = C ** (2.0 * (1.0 - r)) * epsilon ** (2.0 * r) * log_factor(gamma, C, epsilon)
     js = j_star(gamma, C, epsilon)
     if gamma.p < 2.0:
         jp = j_plus(gamma, C, epsilon)
@@ -281,12 +278,7 @@ def t2_control_sum(gamma: HyperParams, C: float, epsilon: float,
     """Level sum sum_j log(nu_{n,j}) * R_j, truncated once the tail is negligible."""
     require(0 < epsilon < min(C, 1.0),
             f"need 0 < epsilon < min(C, 1), got epsilon={epsilon}, C={C}")
-    if gamma.p < 2.0:
-        require(gamma.a + gamma.beta > 0,
-                "level sum diverges: alpha + beta - 1/p + 1/2 must be positive")
-        peak = j_plus(gamma, C, epsilon)
-    else:
-        peak = j_star(gamma, C, epsilon)
+    peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
     j_cap = int(math.ceil(peak)) + _LEVEL_CAP_EXTRA
     total = 0.0
     prev = math.inf

@@ -44,9 +44,9 @@ INTEGER_VALUED_ECHO = (
     '"gamma": {"alpha": 1.0, "beta": 0.0, "p": 2.0, "q": 2.0}, "jmax": 6, '
     '"noise": {"covariance": "tridiagonal", "rho": 0.0, "xi0": null, "xi1": 3}, '
     '"penalty": {"beta": 0.0, "jeps_scale": 1.0, "nu": 40.0, "xi1": 3.0, "zeta": 2.0}, '
-    '"radius": 1.0, "replicates": 3, "schema_version": 1, "seed": 5, '
+    '"radius": 1.0, "replicates": 3, "schema_version": 2, "seed": 5, '
     '"signal": {"kind": "besov_spread", "placement": "even", "rho1": 1.05, '
-    '"rho2": 1.25, "xi0": 2.0}, "zone": null}')
+    '"rho2": 1.25, "xi0": 2.0}}')
 
 # SHA-256 of json.dumps(PRESETS, sort_keys=True): the preset documents are fixed
 PRESETS_SHA256 = "aa75a09e30bededd3013ea321cd50ddce667ef46b8b8a62d9344b147574dafdf"
@@ -56,7 +56,7 @@ class TestExperimentConfig:
     def test_presets_all_parse(self):
         for name, doc in PRESETS.items():
             cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
-            assert cfg.resolved_dict()["schema_version"] == 1
+            assert cfg.resolved_dict()["schema_version"] == 2
 
     def test_preset_documents_unchanged(self):
         text = json.dumps(PRESETS, sort_keys=True)
@@ -117,7 +117,7 @@ class TestEstimate:
         code = main(["estimate", str(inp), "--config", cfg, "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "fit.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert all(not any(level) for level in doc["fit"]["levels"])
         assert all(m["k_hat"] == 0 for m in doc["fit"]["per_level"])
         # input file untouched
@@ -224,15 +224,26 @@ class TestRates:
         assert field in capsys.readouterr().err
 
     def test_critical_prior_off_the_critical_zone_exit_2(self, tmp_path, capsys):
-        # the declared zone does not make a non-critical gamma critical: the
-        # signal would be rejected when built, so the config fails at load
+        # the signal would be rejected when built, so the config fails at load
         doc = base_config(gamma={"alpha": 1.01, "p": 1.0, "q": 2.0, "beta": 0.5},
-                          epsilon=2.0 ** -8, zone="Critical")
+                          epsilon=2.0 ** -8)
         doc["signal"]["kind"] = "critical_prior"
         cfg = write_config(tmp_path, doc)
         assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "rate_report.json").exists()
         assert "critical zone" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
+    def test_zone_key_rejected(self, tmp_path, capsys, command):
+        # the zone follows from gamma; a config cannot declare one
+        doc = json.loads(json.dumps(PRESETS["dense"]))
+        doc["zone"] = "Critical"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--replicates", "2"]) == 2
+        assert not out.exists()
+        assert "zone" in capsys.readouterr().err
 
     def test_invalid_gamma_exit_2(self, tmp_path):
         doc = base_config(gamma={"alpha": 0.4, "p": 1.0, "q": 1.0, "beta": 0.2},
@@ -250,7 +261,7 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", cfg, "--out", str(out),
                      "--instances", "240"]) == 0
         rep = json.loads((out / "oracle_check.json").read_text())
-        assert rep["seed"] == 4242
+        assert rep["config"]["seed"] == 4242
         assert rep["equivalence"]["mismatches"] == 0
         assert rep["oracle_inequality"]["ratio"] <= 1.0
 
@@ -263,7 +274,16 @@ class TestOracleCheck:
         cfg = write_config(tmp_path, base_config(epsilons=[]))
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path),
                      "--instances", "12"]) == 2
-        assert "non-empty epsilon grid" in capsys.readouterr().err
+        assert "single 'epsilon'" in capsys.readouterr().err
+
+    def test_no_epsilon_and_two_point_grid_exit_2(self, tmp_path, capsys):
+        # rates and estimate reject this config too; no command picks a grid point
+        cfg = write_config(tmp_path, base_config(epsilons=[2.0 ** -6, 2.0 ** -7]))
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out),
+                     "--instances", "12"]) == 2
+        assert "single 'epsilon'" in capsys.readouterr().err
+        assert not (out / "oracle_check.json").exists()
 
     @pytest.mark.parametrize("instances", ["-5", "0", "30"])
     def test_instances_not_positive_multiple_of_12_exit_2(self, tmp_path, capsys, instances):

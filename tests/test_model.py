@@ -152,10 +152,6 @@ class TestClassifyZone:
         assert classify_zone(near) is Zone.CRITICAL
         off = HyperParams(boundary + 1e-9, 1.0, 2.0, 0.5)
         assert classify_zone(off) is Zone.DENSE
-        assert classify_zone(off, declared=Zone.CRITICAL) is Zone.CRITICAL
-        # declared zone cannot resurrect an invalid vector
-        bad = HyperParams(0.4, 1.0, 1.0, 1.0)
-        assert classify_zone(bad, declared=Zone.SPARSE) is Zone.INVALID
 
 
 class TestMembership:
