@@ -33,7 +33,7 @@ from .rates import log_factor, rate_control, rate_exponent, shell_profile
 from .simulate import (SignalSpec, fit_rate_exponent, mc_risk,
                        oracle_inequality_check)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -116,7 +116,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         require(isinstance(doc, dict), "config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)} - {"schema_version"}
+        # the zone follows from gamma; schema_version 1 echoes it as null
+        require(doc.get("zone") is None, "'zone' follows from gamma and cannot be set")
+        unknown = set(doc) - {f.name for f in fields(cls)} - {"schema_version", "zone"}
         require(not unknown, f"unknown config fields: {sorted(unknown)}")
         require("gamma" in doc, "config is missing 'gamma'")
         # float(), int() and the field lookups raise ValueError or
@@ -186,7 +188,7 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         doc = asdict(self)
-        doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons))
+        doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons), zone=None)
         return doc
 
 
@@ -304,6 +306,7 @@ def cmd_oracle_check(args) -> int:
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
     doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
+           "seed": config.seed,
            "equivalence": {"instances": args.instances, "mismatches": mismatches},
            "oracle_inequality": {"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
                                  "ratio": ratio, "holds": ratio <= 1.0}}

@@ -157,7 +157,8 @@ class MultiscaleFit:
                  "threshold": None if math.isinf(f.threshold) else f.threshold,
                  "objective": f.objective}
                 for i, f in enumerate(self.fits)]
-        return {"j0": self.j0,
+        # "fit_j0" is kept so fit.json keeps its layout; every level is fitted
+        return {"j0": self.j0, "fit_j0": self.j0,
                 "levels": [f.estimate.tolist() for f in self.fits],
                 "per_level": meta}
 

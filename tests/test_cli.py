@@ -44,9 +44,9 @@ INTEGER_VALUED_ECHO = (
     '"gamma": {"alpha": 1.0, "beta": 0.0, "p": 2.0, "q": 2.0}, "jmax": 6, '
     '"noise": {"covariance": "tridiagonal", "rho": 0.0, "xi0": null, "xi1": 3}, '
     '"penalty": {"beta": 0.0, "jeps_scale": 1.0, "nu": 40.0, "xi1": 3.0, "zeta": 2.0}, '
-    '"radius": 1.0, "replicates": 3, "schema_version": 2, "seed": 5, '
+    '"radius": 1.0, "replicates": 3, "schema_version": 1, "seed": 5, '
     '"signal": {"kind": "besov_spread", "placement": "even", "rho1": 1.05, '
-    '"rho2": 1.25, "xi0": 2.0}}')
+    '"rho2": 1.25, "xi0": 2.0}, "zone": null}')
 
 # SHA-256 of json.dumps(PRESETS, sort_keys=True): the preset documents are fixed
 PRESETS_SHA256 = "aa75a09e30bededd3013ea321cd50ddce667ef46b8b8a62d9344b147574dafdf"
@@ -56,7 +56,7 @@ class TestExperimentConfig:
     def test_presets_all_parse(self):
         for name, doc in PRESETS.items():
             cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
-            assert cfg.resolved_dict()["schema_version"] == 2
+            assert cfg.resolved_dict()["schema_version"] == 1
 
     def test_preset_documents_unchanged(self):
         text = json.dumps(PRESETS, sort_keys=True)
@@ -117,7 +117,7 @@ class TestEstimate:
         code = main(["estimate", str(inp), "--config", cfg, "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "fit.json").read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 1
         assert all(not any(level) for level in doc["fit"]["levels"])
         assert all(m["k_hat"] == 0 for m in doc["fit"]["per_level"])
         # input file untouched
@@ -233,15 +233,13 @@ class TestRates:
         assert not (tmp_path / "rate_report.json").exists()
         assert "critical zone" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["rates", "sweep"])
-    def test_zone_key_rejected(self, tmp_path, capsys, command):
+    def test_zone_key_rejected(self, tmp_path, capsys):
         # the zone follows from gamma; a config cannot declare one
         doc = json.loads(json.dumps(PRESETS["dense"]))
         doc["zone"] = "Critical"
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--replicates", "2"]) == 2
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert "zone" in capsys.readouterr().err
 
@@ -261,7 +259,7 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", cfg, "--out", str(out),
                      "--instances", "240"]) == 0
         rep = json.loads((out / "oracle_check.json").read_text())
-        assert rep["config"]["seed"] == 4242
+        assert rep["seed"] == 4242
         assert rep["equivalence"]["mismatches"] == 0
         assert rep["oracle_inequality"]["ratio"] <= 1.0
 

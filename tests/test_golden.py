@@ -10,14 +10,11 @@ A change that moves a hash on purpose re-records them by strip-and-compare:
 take the old tree's outputs, make to them only the edits the change intends
 (delete or rename the keys it moves, bump ``schema_version``), re-serialize
 them as ``cli._write_json`` does, and check that they hash to the new tree's
-outputs.  Name the keys that moved and the hashes that changed in
-CHANGES.md.  Then print the new table with
-
-    PYTHONPATH=src python tests/test_golden.py
-
-and paste it over ``GOLDEN``.  The last re-record removed ``config.zone``,
-``fit.fit_j0`` and oracle_check.json's top-level ``seed`` and set
-``schema_version`` to 2; every CSV hash stayed as recorded.
+outputs.  Copy the new hashes from the failing assertion's diff, and name
+the keys that moved and the hashes that changed in CHANGES.md.  The
+benchmark's ``perfbench/reference.json`` holds hashes of sweep.json and
+oracle_check.json too, so a change that moves those bytes is a change
+to the benchmark and re-records its reference as well.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 Other versions may round differently in the last bit and change the bytes.
@@ -97,15 +94,15 @@ RUNS = {
 GOLDEN = {
     "estimate": {
         "fit.json":
-            "a50bc8771e4322ab5efc58c63e34c3aeadb9e5332fb8b49e53e2ce0a49aaf7b4",
+            "182283b55cd4fff3474f7072fc11acfbc182ee2d7b6baba8aeb8735b80a0480f",
     },
     "oracle-check-sparse": {
         "oracle_check.json":
-            "9ec3ede9ceefd6bde257b77bacacf1438f7323254b8658771dacba3df9454218",
+            "d1118e15ab778f470330e3c65f9c129ff0d2a7be372ece7fe87f9f1a3c81126a",
     },
     "rates-critical": {
         "rate_report.json":
-            "527648480960a0e40a9004455a01ab57611b65bde194da4fe50e9cd9b27164a2",
+            "8fb2dd45c35c5ba04c3874de3d01379172440ba6ec24587a8f725ddd36b7e464",
         "shell_profile.csv":
             "12063ae52ce673c47bc3be148824e7fa86ee7a1cfd331bccc2ff92ed720dee86",
     },
@@ -113,52 +110,33 @@ GOLDEN = {
         "sweep.csv":
             "ea76e1aa5da7a3c9ffbbbb483b44444f94bc03fc5dd0b85159f3329250c369c7",
         "sweep.json":
-            "168fc1e632b7fcc206459824277b0a1b428844a3d926865a32fbc00bb0169bb7",
+            "4213b4887c6b671c6c098c8950a13bc369803a1a2bb13e3919072e9653f4dff4",
     },
     "sweep-dense": {
         "sweep.csv":
             "f0b8ef3b9b19805ca5f1abe1a062b22c4b3a0e9687904a976dcf303047400cc0",
         "sweep.json":
-            "e991540d4079a3fe05999d52df3c925b1eab9c2e2fce8b7d65c945f665ffd1f1",
+            "625fb60ba3892767672409a99c00cee94e034d1d1e5792a344d8f36b327ffbc2",
     },
     "sweep-sparse": {
         "sweep.csv":
             "b6ee508d7650b4dc71d9a89d4ba99d167798693c7238d400fa9651325ef922b4",
         "sweep.json":
-            "998cc9d1fa5c6869d1c22868ff8d6adb49ab2474cda9104b1eba86030cfbf329",
+            "83fa38434e6adb6a8950118b613e51c69c66cd43d42b4ff4b34fb88cf03c6878",
     },
     "sweep-spread-corr": {
         "sweep.csv":
             "a4e39a747070389993e5327340b2e482c8f51ec344b4941f7752a1ad89165fe4",
         "sweep.json":
-            "bc0a78426a61534f92527ca49bb8754b28c71b612f6e0ed35596a4bf91c0b4e9",
+            "9f19ea7b4ff16a3c08abe057df4fb8969d9e2f008311cbdab71bc66f50e0f024",
     },
 }
 
 
-def output_hashes(tmp_path, name) -> dict:
-    out = tmp_path / "out"
-    assert main(RUNS[name](tmp_path) + ["--out", str(out)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_golden_hashes(tmp_path, name):
-    assert output_hashes(tmp_path, name) == GOLDEN[name]
-
-
-if __name__ == "__main__":
-    # print the GOLDEN table of the current tree, in the layout above
-    import tempfile
-    from pathlib import Path
-
-    print("GOLDEN = {")
-    for name in sorted(RUNS):
-        with tempfile.TemporaryDirectory() as tmp:
-            hashes = output_hashes(Path(tmp), name)
-        print(f'    "{name}": {{')
-        for file, digest in hashes.items():
-            print(f'        "{file}":\n            "{digest}",')
-        print("    },")
-    print("}")
+    out = tmp_path / "out"
+    assert main(RUNS[name](tmp_path) + ["--out", str(out)]) == 0
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(out.iterdir())}
+    assert hashes == GOLDEN[name]
