@@ -9,6 +9,7 @@ and the nu schedule from the penalty module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ def _checked_level(y, epsilon: float) -> np.ndarray:
     """y as a float vector; the input check of every single-level entry point."""
     y = np.asarray(y, dtype=float)
     require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
-    require(bool(np.all(np.isfinite(y))), "y contains non-finite values")
+    require(bool(np.isfinite(y).all()), "y contains non-finite values")
     require(math.isfinite(float(epsilon)) and epsilon >= 0,
             f"epsilon must be finite and >= 0, got {epsilon}")
     return y
@@ -81,9 +82,10 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
         step = pens[k_hat] - pens[k_hat - 1]
         if step < 0.0:
             # happens only for nu so close to 1 that pen loses monotonicity
+            nu = cfg.nu if nu_eff is None else nu_eff
             raise NumericalError(
-                f"penalty not increasing at k={k_hat}; nu={cfg.nu} is too small "
-                "for the hard-threshold representation")
+                f"penalty not increasing at k={k_hat} (n={y.size}, nu_eff={nu}); "
+                "nu_eff is too small for the hard-threshold representation")
         threshold = epsilon * math.sqrt(step)
     estimate = np.where(np.abs(y) > threshold, y, 0.0)
     return MonoscaleFit(k_hat=k_hat, threshold=threshold,
@@ -91,6 +93,17 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
 
 
 _SUBSET_ORACLE_MAX_N = 20
+
+
+@functools.lru_cache(maxsize=_SUBSET_ORACLE_MAX_N + 1)
+def _cardinalities(n: int) -> np.ndarray:
+    """card[m] = number of set bits of m, for every mask m < 2^n (read-only)."""
+    card = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        half = 1 << i
+        np.add(card[:half], 1, out=card[half:2 * half])
+    card.flags.writeable = False
+    return card
 
 
 def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
@@ -107,15 +120,14 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     n = y.size
     sq = y * y
     total = float(sq.sum())
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    kept = np.zeros(size)
-    card = np.zeros(size, dtype=np.int64)
+    # kept[m] = sum of sq[i] over the bits i of m, added in ascending i: the
+    # masks with top bit i are those below 2^i with sq[i] added
+    kept = np.empty(1 << n)
+    kept[0] = 0.0
     for i in range(n):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        kept[has] = kept[masks[has] ^ bit] + sq[i]
-        card[has] = card[masks[has] ^ bit] + 1
+        half = 1 << i
+        np.add(kept[:half], sq[i], out=kept[half:2 * half])
+    card = _cardinalities(n)
     pens = pen_vector(cfg, n, nu_eff)
     obj = (total - kept) + (epsilon * epsilon) * pens[card]
     best = obj.min()
@@ -176,7 +188,10 @@ def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec) ->
     fits = []
     for j, level in y.iter_levels():
         nu_j = nu_schedule(cfg, noise.epsilon, j)
-        fits.append(select_k(level, cfg, noise.epsilon_at(j), nu_j))
+        try:
+            fits.append(select_k(level, cfg, noise.epsilon_at(j), nu_j))
+        except NumericalError as err:
+            raise NumericalError(f"level j={j}: {err}") from err
     return MultiscaleFit(j0=y.j0, fits=tuple(fits))
 
 

@@ -16,6 +16,7 @@ summable over levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,10 +103,17 @@ def pen(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> floa
     return float(_penalty(cfg, n, float(k), nu_eff)[1])
 
 
+@functools.lru_cache(maxsize=128)
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
-    """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n."""
+    """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n.
+
+    Computed once per (cfg, n, nu_eff) and shared between callers, so the
+    returned array is read-only.
+    """
     _, pens = _penalty(cfg, n, np.arange(1, n + 1, dtype=float), nu_eff)
-    return np.concatenate(([0.0], pens))
+    out = np.concatenate(([0.0], pens))
+    out.flags.writeable = False
+    return out
 
 
 def threshold_lambda(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:

@@ -13,6 +13,7 @@ reproducible and independent of any execution schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -213,11 +214,17 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
 
 # -- noise sampling -----------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _tridiagonal_factor(n: int, rho: float) -> np.ndarray:
-    """Banded Cholesky factor of the unit-diagonal tridiagonal covariance."""
+    """Banded Cholesky factor of the unit-diagonal tridiagonal covariance.
+
+    Computed once per (n, rho) and shared between draws, so it is read-only.
+    """
     ab = np.vstack([np.ones(n), np.full(n, rho)])
     ab[1, -1] = 0.0
-    return cholesky_banded(ab, lower=True)
+    lo = cholesky_banded(ab, lower=True)
+    lo.flags.writeable = False
+    return lo
 
 
 def _sample_level(rng: np.random.Generator, noise: NoiseSpec, n: int) -> np.ndarray:

@@ -31,7 +31,7 @@ ZONE_PRESETS = [
 
 
 def report(num, ok, detail):
-    print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
+    print(f"[criterion {num:>02}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num} failed: {detail}"
 
 
@@ -54,6 +54,32 @@ def test_c01_exhaustive_oracle_equivalence():
     report(1, mismatches == 0,
            f"select_k vs exhaustive subset oracle: {mismatches} mismatches "
            f"over {total} instances")
+
+
+def test_c01b_exhaustive_oracle_equivalence_with_kept_coefficients():
+    # c01's N(0,1) draws lie below the smallest threshold, so they all keep
+    # nothing; y = z * t_1 * 2^U with U ~ U[-2, 1.5] spreads k_hat over 0..n
+    rng = np.random.default_rng(20261018)
+    mismatches = 0
+    total = 0
+    k_counts = np.zeros(13, dtype=int)
+    for beta in (0.0, 0.5):
+        cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=beta, xi1=1.0)
+        for n in range(1, 13):
+            t1 = math.sqrt(pen_vector(cfg, n)[1])
+            for _ in range(1000):
+                y = rng.standard_normal(n) * t1 * 2.0 ** rng.uniform(-2.0, 1.5)
+                fit = select_k(y, cfg, 1.0)
+                idx, obj = subset_oracle(y, cfg, 1.0)
+                proj = np.zeros(n)
+                proj[list(idx)] = y[list(idx)]
+                total += 1
+                k_counts[fit.k_hat] += 1
+                if not np.array_equal(proj, fit.estimate):
+                    mismatches += 1
+    report("01b", mismatches == 0 and bool(np.all(k_counts > 0)),
+           f"select_k vs exhaustive subset oracle on scaled draws: {mismatches} "
+           f"mismatches over {total} instances; k_hat counts 0..12: {k_counts.tolist()}")
 
 
 def test_c02_penalty_identities():

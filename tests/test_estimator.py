@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, ValidationError,
-                    empirical_risk, fit_multiscale, ideal_risk, oracle_constant,
-                    pen, per_level_sse, select_k, subset_oracle, threshold_lambda)
+from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
+                    ValidationError, empirical_risk, fit_multiscale, ideal_risk,
+                    oracle_constant, pen, pen_vector, per_level_sse, select_k,
+                    subset_oracle, threshold_lambda)
 from penseq.rates import CONTROL_BOUND_BASE, control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -16,6 +17,30 @@ def oracle_projection(y, cfg, epsilon, nu_eff=None):
     proj = np.zeros(len(y))
     proj[list(idx)] = np.asarray(y)[list(idx)]
     return proj, obj
+
+
+def mask_dp_oracle(y, cfg, epsilon, nu_eff=None):
+    """The first subset_oracle's mask DP, kept verbatim as the reference."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    sq = y * y
+    total = float(sq.sum())
+    size = 1 << n
+    masks = np.arange(size, dtype=np.int64)
+    kept = np.zeros(size)
+    card = np.zeros(size, dtype=np.int64)
+    for i in range(n):
+        bit = 1 << i
+        has = (masks & bit) != 0
+        kept[has] = kept[masks[has] ^ bit] + sq[i]
+        card[has] = card[masks[has] ^ bit] + 1
+    pens = pen_vector(cfg, n, nu_eff)
+    obj = (total - kept) + (epsilon * epsilon) * pens[card]
+    best = obj.min()
+    cand = np.flatnonzero(obj == best)
+    cand = cand[card[cand] == card[cand].min()]
+    indices = min(tuple(i for i in range(n) if (int(m) >> i) & 1) for m in cand)
+    return indices, float(best)
 
 
 class TestSelectK:
@@ -93,6 +118,12 @@ class TestSelectK:
         with pytest.raises(ValidationError):
             select_k(np.array([]), CFG, 1.0)
 
+    def test_nonmonotone_penalty_error_names_n_k_and_nu_eff(self):
+        # with nu_eff this close to 1, pen(64) < pen(63); the error names the
+        # nu_eff the penalty used, not cfg.nu
+        with pytest.raises(NumericalError, match=r"k=64 \(n=64, nu_eff=1\.0002\)"):
+            select_k(np.full(64, 3.0), PenaltyConfig(nu=1.0001), 1.0, nu_eff=1.0002)
+
     def test_zero_epsilon_keeps_everything_nonzero(self):
         y = np.array([1.0, 0.0, -2.0, 0.0])
         fit = select_k(y, CFG, 0.0)
@@ -143,6 +174,25 @@ class TestSubsetOracle:
         idx, obj = subset_oracle(y, CFG, 0.0)
         assert idx == (0, 2)
         assert obj == 0.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_doubling_table_matches_mask_dp_exactly(self, beta):
+        cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=beta)
+        rng = np.random.default_rng(29)
+        for n in range(1, 13):
+            t1 = math.sqrt(pen_vector(cfg, n)[1])
+            signs = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+            cases = [(rng.standard_normal(n), 1.0) for _ in range(20)]
+            cases += [(rng.standard_normal(n) * t1 * 2.0 ** rng.uniform(-2.0, 1.5), 1.0)
+                      for _ in range(20)]
+            # ties: all zero, equal magnitudes (every support of one size ties),
+            # and eps = 0 (every superset of the support ties at objective 0)
+            cases += [(np.zeros(n), 1.0)]
+            cases += [(c * t1 * signs, 1.0) for c in (0.5, 0.9, 1.0, 1.1, 1.5, 3.0)]
+            cases += [(np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n)), 0.0)
+                      for _ in range(5)]
+            for y, eps in cases:
+                assert subset_oracle(y, cfg, eps) == mask_dp_oracle(y, cfg, eps)
 
 
 class TestIdealRisk:
@@ -217,6 +267,15 @@ class TestMultiscale:
         y = MultiresSequence.zeros(1, 3)
         with pytest.raises(ValidationError):
             fit_multiscale(y, CFG, noise)
+
+    def test_numerical_error_names_the_level(self):
+        levels = [np.zeros(2 ** j) for j in range(1, 7)]
+        levels[5][:] = 3.0 / 16
+        y = MultiresSequence(j0=1, levels=tuple(levels))
+        # eps = 1/16 puts j_eps = 8 above every level, so nu_j = nu
+        with pytest.raises(NumericalError,
+                           match=r"level j=6: .*k=64 \(n=64, nu_eff=1\.0001\)"):
+            fit_multiscale(y, PenaltyConfig(nu=1.0001), NoiseSpec(epsilon=1 / 16, beta=0.0))
 
     def test_xi1_must_dominate(self):
         noise = NoiseSpec(epsilon=0.1, beta=0.0, covariance="tridiagonal", rho=0.3)

@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import penseq
 from penseq import (NumericalError, PenaltyConfig, ValidationError, log_term,
                     m_prime, m_prime_bound_constant, m_prime_many, nu_schedule,
                     pen, pen_vector, threshold_lambda, threshold_t)
@@ -103,6 +107,29 @@ class TestPen:
         pens = pen_vector(cfg, 33)
         for k in (0, 1, 17, 33):
             assert pens[k] == pytest.approx(pen(cfg, 33, k), rel=1e-15)
+
+    def test_vector_is_read_only_and_repeatable(self):
+        cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25, xi1=1.1)
+        pens = pen_vector(cfg, 33, 9.0)
+        assert pens.flags.writeable is False
+        with pytest.raises(ValueError):
+            pens[1] = 0.0
+        with pytest.raises(ValueError):
+            pens *= 2.0
+        assert np.array_equal(pen_vector(cfg, 33, 9.0), pens)
+        assert np.array_equal(pen_vector(cfg, 33), pen_vector(cfg, 33, 7.0))
+        # the cache never skips the nu_eff >= nu check
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                pen_vector(cfg, 33, 6.0)
+
+    def test_cache_adds_no_knob(self):
+        assert list(inspect.signature(pen_vector).parameters) == ["cfg", "n", "nu_eff"]
+        assert [f.name for f in dataclasses.fields(PenaltyConfig)] == \
+            ["zeta", "nu", "beta", "xi1", "jeps_scale"]
+        for path in Path(penseq.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "environ" not in text and "getenv" not in text, path.name
 
 
 class TestThresholds:

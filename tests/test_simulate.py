@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from penseq import (BesovBall, ConfigurationError, HyperParams, MultiresSequence
                     mc_risk_for_truth, membership, oracle_inequality_check,
                     sample_noise, shell_radius, threshold_lambda)
 from penseq.rates import j_plus, j_star
-from penseq.simulate import resolve_jmax
+from penseq.simulate import _tridiagonal_factor, resolve_jmax
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
 SPARSE_GAMMA = HyperParams(0.75, 1.0, 1.0, 0.5)
@@ -202,6 +203,18 @@ class TestSampleNoise:
         cov = np.cov(draws.T)
         target = np.eye(4) - 0.25 * (np.eye(4, k=1) + np.eye(4, k=-1))
         assert np.max(np.abs(cov - target)) < 0.1
+
+    def test_tridiagonal_factor_is_read_only_and_repeatable(self):
+        lo = _tridiagonal_factor(16, 0.25)
+        assert lo.flags.writeable is False
+        with pytest.raises(ValueError):
+            lo[0, 0] = 2.0
+        assert np.array_equal(_tridiagonal_factor(16, 0.25), lo)
+        assert list(inspect.signature(_tridiagonal_factor).parameters) == ["n", "rho"]
+        # L L^T is the unit-diagonal tridiagonal covariance
+        full = np.diag(lo[0]) + np.diag(lo[1, :-1], k=-1)
+        target = np.eye(16) + 0.25 * (np.eye(16, k=1) + np.eye(16, k=-1))
+        assert np.allclose(full @ full.T, target, rtol=0.0, atol=1e-14)
 
     def test_zero_epsilon(self):
         seq = sample_noise(NoiseSpec(epsilon=0.0), jmax=4, rng_seed=0)
