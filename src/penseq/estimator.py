@@ -56,13 +56,22 @@ def _penalized_objective(v: np.ndarray, cfg: PenaltyConfig, epsilon: float,
     return residual + (epsilon * epsilon) * pens, pens
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _checked_level(y, epsilon: float) -> np.ndarray:
     """y as a float vector; the input check of every single-level entry point."""
     y = np.asarray(y, dtype=float)
     require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
-    require(bool(np.isfinite(y).all()), "y contains non-finite values")
+    peak = float(np.abs(y).max())
+    require(math.isfinite(peak), "y contains non-finite values")
     require(math.isfinite(float(epsilon)) and epsilon >= 0,
             f"epsilon must be finite and >= 0, got {epsilon}")
+    # checked before anything is squared: above the limit the sum of squares overflows
+    limit = math.sqrt(_FLOAT_MAX / (2 * y.size))
+    if peak > limit:
+        raise NumericalError(
+            f"max|y| = {peak!r} exceeds {limit!r} at n={y.size}; its sum of squares overflows")
     return y
 
 
@@ -206,7 +215,3 @@ def per_level_sse(fit: MultiscaleFit, truth: MultiresSequence) -> np.ndarray:
         out[idx] = float(diff @ diff)
     return out
 
-
-def empirical_risk(fit: MultiscaleFit, truth: MultiresSequence) -> float:
-    """Total squared error ||estimate - truth||^2 over the stored levels."""
-    return float(per_level_sse(fit, truth).sum())

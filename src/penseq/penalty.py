@@ -78,56 +78,22 @@ def require_complexity_condition(cfg: PenaltyConfig, nu: float) -> None:
             f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
 
 
-def _penalty(cfg: PenaltyConfig, n: int, k, nu_eff: float | None):
-    """(L_{n,k}, pen(k)) for 1 <= k <= n, where k is a float or an array of them.
-
-    The one implementation of the penalty formula; callers check the range of k.
-    """
-    nu = _resolve_nu(cfg, nu_eff)
-    require(n >= 1, f"n must be >= 1, got {n}")
-    L = (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - np.log(k))
-    return L, cfg.xi1 * cfg.zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2
-
-
-def log_term(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
-    """L_{n,k} = (1 + 2*beta) * log(nu_eff * n / k); strictly decreasing in k."""
-    require(1 <= k <= n, f"k must lie in 1..{n}, got {k}")
-    return float(_penalty(cfg, n, float(k), nu_eff)[0])
-
-
-def pen(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
-    """Penalty pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2, with pen(0) = 0."""
-    require(0 <= k <= n, f"k must lie in 0..{n}, got {k}")
-    if k == 0:
-        return 0.0
-    return float(_penalty(cfg, n, float(k), nu_eff)[1])
-
-
 @functools.lru_cache(maxsize=128)
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
     """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n.
 
-    Computed once per (cfg, n, nu_eff) and shared between callers, so the
-    returned array is read-only.
+    The one evaluator of the penalty formula: pen(0) = 0 and, for 1 <= k <= n,
+    pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2.  Computed once per
+    (cfg, n, nu_eff) and shared between callers, so the returned array is
+    read-only.
     """
-    _, pens = _penalty(cfg, n, np.arange(1, n + 1, dtype=float), nu_eff)
-    out = np.concatenate(([0.0], pens))
+    nu = _resolve_nu(cfg, nu_eff)
+    require(n >= 1, f"n must be >= 1, got {n}")
+    k = np.arange(1, n + 1, dtype=float)
+    L = (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - np.log(k))
+    out = np.concatenate(([0.0], cfg.xi1 * cfg.zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
     out.flags.writeable = False
     return out
-
-
-def threshold_lambda(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
-    """lambda_{n,k} = sqrt(xi1*zeta) * (1 + sqrt(2 L_{n,k})); decreasing in k."""
-    L = log_term(cfg, n, k, nu_eff)
-    return math.sqrt(cfg.xi1 * cfg.zeta) * (1.0 + math.sqrt(2.0 * L))
-
-
-def threshold_t(cfg: PenaltyConfig, n: int, k: int, nu_eff: float | None = None) -> float:
-    """Hard-threshold step t_k = sqrt(pen(k) - pen(k-1))."""
-    diff = pen(cfg, n, k, nu_eff) - pen(cfg, n, k - 1, nu_eff)
-    if diff < 0.0:
-        raise NumericalError(f"penalty increment negative at k={k}: {diff}")
-    return math.sqrt(diff)
 
 
 def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:
@@ -162,21 +128,22 @@ _CHUNK_ROWS = 4096
 _MAX_TERMS = 1 << 22
 
 
-def _certified_k(b: float, r0: float, log_t1: float, n_max: float) -> int:
+def _certified_k(cfg: PenaltyConfig, nu: float, log_t1: float, n_max: float) -> int:
     # Smallest K with r0^(K+1)/(1-r0) < 1e-18 * exp(log_t1); capped at n_max.
+    r0 = math.e / nu ** (1.0 + 2.0 * cfg.beta)
     target = math.log(1e-18) + log_t1 + math.log1p(-r0)
     k_cert = max(1, int(math.ceil(target / math.log(r0))))
     if n_max <= k_cert:
         return int(n_max)
     if k_cert > _MAX_TERMS:
         raise NumericalError(
-            f"complexity sum needs {k_cert} certified terms (nu too close to its floor)")
+            f"complexity sum at n={n_max:.17g}, nu={nu!r}, beta={cfg.beta!r} needs "
+            f"{k_cert} certified terms (nu too close to its floor {cfg.nu_floor!r})")
     return k_cert
 
 
 def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
     b = 1.0 + 2.0 * cfg.beta
-    r0 = math.e / nu ** b
     log_nu = math.log(nu)
     out = np.empty(ns.size)
     for start in range(0, ns.size, _CHUNK_ROWS):
@@ -185,7 +152,7 @@ def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
         # t_1 = n^(-2*beta) * nu^(-(1+2*beta)) lower-bounds every row sum
         log_t1_min = float((-2.0 * cfg.beta) * np.log(chunk).max() - b * log_nu) \
             if cfg.beta > 0 else -b * log_nu
-        K = _certified_k(b, r0, log_t1_min, n_max)
+        K = _certified_k(cfg, nu, log_t1_min, n_max)
         ks = np.arange(1, K + 1, dtype=float)
         valid = ks[None, :] <= chunk[:, None]
         # log binom(n, k) = sum_{i<k} log(n - i) - log k!, stable for huge n
@@ -249,4 +216,5 @@ def m_prime_bound_constant(beta: float, nu: float) -> float:
             return total
         k0 += block
         if k0 > _MAX_TERMS * 256:
-            raise NumericalError("bound-constant series did not converge")
+            raise NumericalError(
+                f"bound-constant series did not converge (beta={beta!r}, nu={nu!r})")

@@ -159,11 +159,6 @@ def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: floa
     return r_plus * 2.0 ** (-2.0 * gamma.a * (j - jp))
 
 
-def shell_zone_label(gamma: HyperParams, C: float, epsilon: float, j: float) -> str:
-    """Signal-regime label of the level-j shell (for profile output)."""
-    return _shell(gamma, C, epsilon, j)[1]
-
-
 @dataclass(frozen=True)
 class RateReport:
     """Zone, rate exponent and shell-peak summary for one (gamma, C, eps)."""
@@ -347,26 +342,3 @@ def lp_minimax_lower(n: int, p: float, C: float, epsilon: float) -> float:
         return two_log_n * epsilon ** 2 * (math.floor(delta) ** p + frac ** (2.0 / p))
     return n * epsilon ** 2 * _bayes_minimax_value(p, eta)
 
-
-def sparse_dense_identity_check(gamma: HyperParams) -> bool:
-    """Self-test of the zone algebra: the exponent comparison
-
-        alpha/(alpha+beta+1/2)  >=  (alpha-1/p+1/2)/(alpha+beta-1/p+1/2)
-
-    holds exactly when alpha <= (2*beta+1)*(1/p - 1/2), with equality on one
-    side forcing equality on the other.  Returns True when the two sides of
-    the equivalence agree (they always should; False flags a formula bug).
-    """
-    require(0 < gamma.p < 2, f"identity requires 0 < p < 2, got p={gamma.p}")
-    al, be, p = gamma.alpha, gamma.beta, gamma.p
-    # the equivalence needs the sparse-exponent denominator positive, which
-    # the rate hypotheses guarantee (delta = a + beta > 1/2)
-    require(gamma.a + gamma.beta > 0,
-            f"identity requires alpha + beta - 1/p + 1/2 > 0, got {gamma.a + gamma.beta}")
-    lhs = al / (al + be + 0.5) - (al - 1.0 / p + 0.5) / (al + be - 1.0 / p + 0.5)
-    rhs = gamma.sparse_boundary - al
-
-    def sign(x):
-        return 0 if abs(x) <= 1e-12 else (1 if x > 0 else -1)
-
-    return sign(lhs) == sign(rhs)

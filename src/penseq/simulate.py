@@ -60,8 +60,7 @@ class SignalSpec:
         require(self.radius > 0, f"radius must be > 0, got {self.radius}")
         require(0 < self.epsilon < self.radius,
                 f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
-        require(self.placement in ("even", "head"),
-                f"placement must be 'even' or 'head', got {self.placement!r}")
+        require(self.placement == "even", f"placement must be 'even', got {self.placement!r}")
         require(self.xi0 > 0, f"xi0 must be > 0, got {self.xi0}")
         if self.jmax is not None:
             require(isinstance(self.jmax, int) and 1 <= self.jmax <= _JMAX_CAP,
@@ -97,9 +96,7 @@ def resolve_jmax(spec: SignalSpec) -> int:
     return min(depth, _JMAX_CAP)
 
 
-def _spike_indices(n: int, m: int, placement: str) -> np.ndarray:
-    if placement == "head":
-        return np.arange(m)
+def _spike_indices(n: int, m: int) -> np.ndarray:
     return np.floor(np.arange(m) * (n / m)).astype(int)
 
 
@@ -144,7 +141,7 @@ def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
         eps_j = spec.epsilon * 2.0 ** (gamma.beta * j)
         eta_p = (c_j / eps_j) ** gamma.p / n
         m = min(max(1, _round_half_up(n * eta_p)), n)
-        idx = _spike_indices(n, m, spec.placement)
+        idx = _spike_indices(n, m)
     levels[j - 1][idx] = c_j * m ** (-1.0 / gamma.p)
 
 
@@ -177,7 +174,7 @@ def _critical_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
         if n0 < 1:
             continue
         delta0 = spec.xi0 * spec.epsilon * 2.0 ** (gamma.beta * j) * math.sqrt(log2_snr)
-        levels[j - 1][_spike_indices(n_j, n0, spec.placement)] = delta0
+        levels[j - 1][_spike_indices(n_j, n0)] = delta0
         placed += n0
     if placed == 0:
         raise ConfigurationError(

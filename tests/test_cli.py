@@ -140,6 +140,15 @@ class TestEstimate:
         assert code == 2
         assert "epsilon < radius" in capsys.readouterr().err
 
+    def test_overflowing_input_exit_3(self, tmp_path, capsys):
+        inp = tmp_path / "seq.json"
+        inp.write_text(json.dumps({"j0": 1, "levels": [[1e200, 0.0], [0.0] * 4]}))
+        cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
+        code = main(["estimate", str(inp), "--config", cfg, "--out", str(tmp_path)])
+        assert code == 3
+        assert "level j=1: max|y| = 1e+200" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_missing_input(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
         code = main(["estimate", str(tmp_path / "nope.json"), "--config", cfg,
@@ -211,6 +220,7 @@ class TestRates:
     @pytest.mark.parametrize("section, field, value", [
         ("signal", "kind", "bogus"),
         ("signal", "placement", "weird"),
+        ("signal", "placement", "head"),
         ("signal", "xi0", -1),
         (None, "jmax", 2.5),
     ])

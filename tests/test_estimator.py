@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
-                    ValidationError, empirical_risk, fit_multiscale, ideal_risk,
-                    oracle_constant, pen, pen_vector, per_level_sse, select_k,
-                    subset_oracle, threshold_lambda)
+                    ValidationError, fit_multiscale, ideal_risk, oracle_constant,
+                    pen_vector, per_level_sse, select_k, subset_oracle)
 from penseq.rates import CONTROL_BOUND_BASE, control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -53,7 +52,7 @@ class TestSelectK:
 
     def test_single_large_spike(self):
         n = 16
-        big = 50.0 * threshold_lambda(CFG, n, 1)
+        big = 50.0 * math.sqrt(pen_vector(CFG, n)[1])
         y = np.zeros(n)
         y[0] = big
         fit = select_k(y, CFG, 1.0)
@@ -103,7 +102,7 @@ class TestSelectK:
             n = int(rng.integers(1, 200))
             y = rng.standard_normal(n) * 3.0
             fit = select_k(y, CFG, 1.0)
-            recomputed = float(np.sum((y - fit.estimate) ** 2)) + pen(CFG, n, fit.k_hat)
+            recomputed = float(np.sum((y - fit.estimate) ** 2)) + pen_vector(CFG, n)[fit.k_hat]
             assert fit.objective == pytest.approx(recomputed, rel=1e-12)
             # hard-threshold representation, no shrinkage
             kept = fit.estimate != 0
@@ -146,9 +145,9 @@ class TestSubsetOracle:
         def enumerate_objs(y):
             return {
                 (): y[0] ** 2 + y[1] ** 2,
-                (0,): y[1] ** 2 + pen(cfg, 2, 1),
-                (1,): y[0] ** 2 + pen(cfg, 2, 1),
-                (0, 1): pen(cfg, 2, 2),
+                (0,): y[1] ** 2 + pen_vector(cfg, 2)[1],
+                (1,): y[0] ** 2 + pen_vector(cfg, 2)[1],
+                (0, 1): pen_vector(cfg, 2)[2],
             }
 
         y = np.array([3.0, 0.1])
@@ -202,8 +201,8 @@ class TestIdealRisk:
     def test_single_spike_keeps(self):
         n = 8
         theta = np.zeros(n)
-        theta[3] = 10.0 * threshold_lambda(CFG, n, 1)
-        assert ideal_risk(theta, CFG, 1.0) == pytest.approx(pen(CFG, n, 1), rel=1e-13)
+        theta[3] = 10.0 * math.sqrt(pen_vector(CFG, n)[1])
+        assert ideal_risk(theta, CFG, 1.0) == pytest.approx(pen_vector(CFG, n)[1], rel=1e-13)
 
     def test_matches_subset_oracle(self):
         rng = np.random.default_rng(26)
@@ -235,7 +234,7 @@ class TestMultiscale:
         noise = NoiseSpec(epsilon=0.1, beta=0.0)
         y = MultiresSequence.zeros(1, 5)
         fit = fit_multiscale(y, CFG, noise)
-        assert empirical_risk(fit, y) == 0.0
+        assert per_level_sse(fit, y).sum() == 0.0
         for f in fit.fits:
             assert f.k_hat == 0
 
@@ -243,11 +242,11 @@ class TestMultiscale:
         noise = NoiseSpec(epsilon=0.01, beta=0.5)
         cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.5)
         levels = [np.zeros(2 ** j) for j in range(1, 6)]
-        spike = 100.0 * noise.epsilon_at(3) * threshold_lambda(cfg, 8, 1)
+        spike = 100.0 * noise.epsilon_at(3) * math.sqrt(pen_vector(cfg, 8)[1])
         levels[2][5] = spike
         truth = MultiresSequence(j0=1, levels=tuple(levels))
         fit = fit_multiscale(truth, cfg, noise)
-        assert empirical_risk(fit, truth) == 0.0
+        assert per_level_sse(fit, truth).sum() == 0.0
         assert fit.fits[2].k_hat == 1
 
     def test_white_noise_beta_zero_threshold_structure(self):
@@ -258,7 +257,7 @@ class TestMultiscale:
         fit = fit_multiscale(y, CFG, noise)
         for j, f in zip(range(1, 7), fit.fits):
             assert noise.epsilon_at(j) == noise.epsilon
-            pens = np.array([pen(CFG, 2 ** j, k) for k in range(2 ** j + 1)])
+            pens = pen_vector(CFG, 2 ** j)
             t = np.sqrt(np.diff(pens))
             assert np.all(np.diff(t) < 0) or t.size == 1
 
@@ -287,19 +286,20 @@ class TestMultiscale:
 
 
 class TestEmpiricalRisk:
+    # the empirical risk ||estimate - truth||^2 is per_level_sse(...).sum()
     def test_exact_fit(self):
         y = MultiresSequence.zeros(1, 4)
         fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.1, beta=0.0))
-        assert empirical_risk(fit, y) == 0.0
+        assert per_level_sse(fit, y).sum() == 0.0
 
     def test_single_entry(self):
         truth = MultiresSequence.zeros(1, 3)
         levels = [np.zeros(2 ** j) for j in range(1, 4)]
-        levels[1][2] = 5.0 * 0.5 * threshold_lambda(CFG, 4, 1)
+        levels[1][2] = 5.0 * 0.5 * math.sqrt(pen_vector(CFG, 4)[1])
         y = MultiresSequence(j0=1, levels=tuple(levels))
         fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.5, beta=0.0))
         v = levels[1][2]
-        assert empirical_risk(fit, truth) == pytest.approx(v * v, rel=1e-14)
+        assert per_level_sse(fit, truth).sum() == pytest.approx(v * v, rel=1e-14)
 
     def test_additivity(self):
         rng = np.random.default_rng(31)
@@ -308,14 +308,15 @@ class TestEmpiricalRisk:
         truth = MultiresSequence(j0=1, levels=tuple(rng.standard_normal(2 ** j)
                                                     for j in range(1, 6)))
         fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.3, beta=0.0))
-        per = per_level_sse(fit, truth)
-        assert empirical_risk(fit, truth) == pytest.approx(float(per.sum()), rel=1e-14)
+        # the level sums add up to ||estimate - truth||^2 over the whole sequence
+        diff = np.concatenate([f.estimate for f in fit.fits]) - np.concatenate(truth.levels)
+        assert per_level_sse(fit, truth).sum() == pytest.approx(float(diff @ diff), rel=1e-14)
 
     def test_shape_mismatch(self):
         y = MultiresSequence.zeros(1, 4)
         fit = fit_multiscale(y, CFG, NoiseSpec(epsilon=0.1, beta=0.0))
         with pytest.raises(ValidationError):
-            empirical_risk(fit, MultiresSequence.zeros(1, 5))
+            per_level_sse(fit, MultiresSequence.zeros(1, 5))
 
 
 @pytest.mark.parametrize("fn", [select_k, subset_oracle, ideal_risk])
@@ -323,6 +324,16 @@ class TestEmpiricalRisk:
 def test_bad_epsilon_rejected(fn, epsilon):
     with pytest.raises(ValidationError):
         fn(np.array([1.0, -2.0, 0.5]), CFG, epsilon)
+
+
+@pytest.mark.parametrize("fn", [select_k, subset_oracle, ideal_risk])
+def test_overflowing_input_raises_numerical_error(fn):
+    # 1e200 squares to inf; the check runs before anything is squared
+    with pytest.raises(NumericalError, match=r"max\|y\| = 1e\+200 .* n=3"):
+        fn(np.array([1e200, 1.0, -3.0]), CFG, 1.0)
+    # at the limit sqrt(float max / (2n)) the sum of squares is still finite
+    limit = math.sqrt(np.finfo(float).max / 6.0)
+    fn(np.array([limit, -limit, limit]), CFG, 1.0)
 
 
 def test_oracle_constant_example():

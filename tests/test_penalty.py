@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import penseq
-from penseq import (NumericalError, PenaltyConfig, ValidationError, log_term,
-                    m_prime, m_prime_bound_constant, m_prime_many, nu_schedule,
-                    pen, pen_vector, threshold_lambda, threshold_t)
+from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
+                    m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector)
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -21,6 +20,12 @@ SWEEP_CONFIGS = [
     for x in (1.0, 1.3)
 ]
 T_LAMBDA_BOUND = 45.0
+
+
+def log_terms(cfg, n, nu_eff=None):
+    """[L_{n,1}, ..., L_{n,n}] recovered from pen(k) = xi1*zeta*k*(1 + sqrt(2 L_{n,k}))^2."""
+    root = np.sqrt(pen_vector(cfg, n, nu_eff)[1:] / (cfg.xi1 * cfg.zeta * np.arange(1, n + 1)))
+    return (root - 1.0) ** 2 / 2.0
 
 
 def brute_force_m_prime(n, beta, nu):
@@ -44,7 +49,7 @@ class TestConfig:
     def test_complexity_condition_enforced_at_use(self):
         # nu = 2 < e is constructible (thresholds fine) but M' must reject it
         cfg = PenaltyConfig(nu=2.0, beta=0.0)
-        pen(cfg, 8, 3)
+        pen_vector(cfg, 8)
         with pytest.raises(ValidationError):
             m_prime(cfg, 8)
 
@@ -52,47 +57,40 @@ class TestConfig:
 class TestLogTerm:
     def test_hand_values(self):
         cfg = PenaltyConfig(nu=2.0, beta=0.0)
-        assert log_term(cfg, 8, 2) == pytest.approx(math.log(8.0), rel=1e-14)
+        assert log_terms(cfg, 8)[1] == pytest.approx(math.log(8.0), rel=1e-14)
         cfg = PenaltyConfig(nu=math.exp(1.0 / 3.0) * 2.0, beta=1.0)
-        assert log_term(cfg, 4, 1) == pytest.approx(3.0 * math.log(8.0) + 1.0, rel=1e-14)
+        assert log_terms(cfg, 4)[0] == pytest.approx(3.0 * math.log(8.0) + 1.0, rel=1e-14)
 
     def test_k_equals_n(self):
         for cfg in (PenaltyConfig(nu=5.0, beta=0.0), PenaltyConfig(nu=5.0, beta=0.7)):
-            assert log_term(cfg, 32, 32) == pytest.approx(
+            assert log_terms(cfg, 32)[-1] == pytest.approx(
                 (1 + 2 * cfg.beta) * math.log(5.0), rel=1e-14)
 
     def test_decreasing_and_positive(self):
         cfg = PenaltyConfig(nu=3.0, beta=0.5)
-        vals = [log_term(cfg, 64, k) for k in range(1, 65)]
+        vals = log_terms(cfg, 64)
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] >= (1 + 2 * cfg.beta) * math.log(cfg.nu) - 1e-12
-
-    def test_range_validation(self):
-        cfg = PenaltyConfig()
-        with pytest.raises(ValidationError):
-            log_term(cfg, 8, 0)
-        with pytest.raises(ValidationError):
-            log_term(cfg, 8, 9)
-        with pytest.raises(ValidationError):
-            log_term(cfg, 8, 4, nu_eff=1.0)  # nu_eff below cfg.nu
 
 
 class TestPen:
     def test_zero_model(self):
-        assert pen(PenaltyConfig(), 16, 0) == 0.0
+        assert pen_vector(PenaltyConfig(), 16)[0] == 0.0
 
     def test_hand_value(self):
         cfg = PenaltyConfig(zeta=2.0, nu=2.0, beta=0.0, xi1=1.0)
         expected = 2.0 * 8.0 * (1.0 + math.sqrt(2.0 * math.log(2.0))) ** 2
-        assert pen(cfg, 8, 8) == pytest.approx(expected, rel=1e-14)
+        assert pen_vector(cfg, 8)[8] == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(75.86, abs=0.01)
 
     def test_pen_equals_k_lambda_sq(self):
         for cfg in SWEEP_CONFIGS[::5]:
             for n in (1, 7, 64):
+                pens = pen_vector(cfg, n)
                 for k in range(1, n + 1):
-                    lam = threshold_lambda(cfg, n, k)
-                    assert pen(cfg, n, k) == pytest.approx(k * lam * lam, rel=1e-12)
+                    L = (1 + 2 * cfg.beta) * math.log(cfg.nu * n / k)
+                    lam = math.sqrt(cfg.xi1 * cfg.zeta) * (1.0 + math.sqrt(2.0 * L))
+                    assert pens[k] == pytest.approx(k * lam * lam, rel=1e-12)
 
     def test_increasing_and_concave_per_coordinate(self):
         for cfg in SWEEP_CONFIGS:
@@ -103,10 +101,19 @@ class TestPen:
             assert np.all(np.diff(per_coord) < 1e-12)
 
     def test_vector_matches_scalar(self):
-        cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25, xi1=1.1)
-        pens = pen_vector(cfg, 33)
-        for k in (0, 1, 17, 33):
-            assert pens[k] == pytest.approx(pen(cfg, 33, k), rel=1e-15)
+        # each pen(k) written out on its own with math.log / math.sqrt
+        for cfg in SWEEP_CONFIGS:
+            for nu_eff in (None, 1.7 * cfg.nu):
+                nu = cfg.nu if nu_eff is None else nu_eff
+                for n in (1, 2, 33, 300):
+                    pens = pen_vector(cfg, n, nu_eff)
+                    assert pens.shape == (n + 1,) and pens[0] == 0.0
+                    for k in range(1, n + 1):
+                        L = (1 + 2 * cfg.beta) * math.log(nu * n / k)
+                        expected = cfg.xi1 * cfg.zeta * k * (1 + math.sqrt(2 * L)) ** 2
+                        assert pens[k] == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(ValidationError):
+            pen_vector(PenaltyConfig(), 0)
 
     def test_vector_is_read_only_and_repeatable(self):
         cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25, xi1=1.1)
@@ -135,22 +142,20 @@ class TestPen:
 class TestThresholds:
     def test_lambda_hand_value(self):
         cfg = PenaltyConfig(zeta=4.0, nu=math.e, beta=0.0, xi1=1.0)
-        assert threshold_lambda(cfg, 1, 1) == pytest.approx(2.0 * (1.0 + math.sqrt(2.0)),
-                                                            rel=1e-14)
+        assert math.sqrt(pen_vector(cfg, 1)[1]) == pytest.approx(2.0 * (1.0 + math.sqrt(2.0)),
+                                                                 rel=1e-14)
 
     def test_lambda_decreasing(self):
         for cfg in SWEEP_CONFIGS[::4]:
-            lams = [threshold_lambda(cfg, 256, k) for k in range(1, 257)]
-            assert all(a > b for a, b in zip(lams, lams[1:]))
-
-    def test_t1_is_lambda1(self):
-        cfg = PenaltyConfig(zeta=2.0, nu=2.0, beta=0.0)
-        assert threshold_t(cfg, 8, 1) == pytest.approx(threshold_lambda(cfg, 8, 1), rel=1e-14)
+            lams = np.sqrt(pen_vector(cfg, 256)[1:] / np.arange(1, 257))
+            assert np.all(np.diff(lams) < 0)
 
     def test_t2_hand_value(self):
+        # n = 8, nu = 2: L_{8,1} = log 16 and L_{8,2} = log 8
         cfg = PenaltyConfig(zeta=2.0, nu=2.0, beta=0.0, xi1=1.0)
-        expected = math.sqrt(pen(cfg, 8, 2) - pen(cfg, 8, 1))
-        assert threshold_t(cfg, 8, 2) == pytest.approx(expected, rel=1e-14)
+        expected = math.sqrt(4.0 * (1.0 + math.sqrt(2.0 * math.log(8.0))) ** 2
+                             - 2.0 * (1.0 + math.sqrt(2.0 * math.log(16.0))) ** 2)
+        assert math.sqrt(np.diff(pen_vector(cfg, 8))[1]) == pytest.approx(expected, rel=1e-14)
 
     def test_telescoping(self):
         for cfg in SWEEP_CONFIGS[::3]:
@@ -235,6 +240,12 @@ class TestMPrime:
         cfg = PenaltyConfig(nu=40.0, beta=1.0)
         v = m_prime(cfg, 2.0 ** 200)
         assert 0.0 < v < 1e-100
+
+    def test_too_many_terms_error_names_inputs(self):
+        cfg = PenaltyConfig(nu=math.exp(0.5) * (1 + 1e-9), beta=0.5)
+        with pytest.raises(NumericalError,
+                           match=r"n=1099511627776, nu=1\.6487212\d*, beta=0\.5 needs"):
+            m_prime(cfg, 2 ** 40)
 
     def test_nu_eff_from_schedule(self):
         cfg = PenaltyConfig(nu=10.0, beta=0.5)

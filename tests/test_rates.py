@@ -7,10 +7,8 @@ from penseq import (HyperParams, PenaltyConfig, ValidationError, Zone,
                     classify_zone, control_function, j_plus, j_star,
                     lp_minimax_lower, rate_control, rate_exponent,
                     risk_upper_bound, shell_profile, shell_risk,
-                    shell_risk_closed_form, sparse_dense_identity_check,
-                    t1_complexity_sum)
-from penseq.rates import (RateReport, shell_peak_value, shell_sparse_peak_value,
-                          shell_zone_label)
+                    shell_risk_closed_form, t1_complexity_sum)
+from penseq.rates import RateReport, _shell, shell_peak_value, shell_sparse_peak_value
 
 LOG2 = math.log(2.0)
 
@@ -72,7 +70,7 @@ class TestControlFunction:
             g = HyperParams(alpha, p, 1.0, 0.5).validate()
             eps = 2.0 ** (-(alpha + 1.0) * j)
             assert control_function(2.0 ** j, p, (2.0 ** j) ** (1.0 / p)) == 2.0 ** j
-            assert shell_zone_label(g, 1.0, eps, j) == "large-signal"
+            assert _shell(g, 1.0, eps, j)[1] == "large-signal"
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
@@ -256,16 +254,24 @@ class TestShellRisk:
             assert shell_risk(g, C, eps, j) <= r_plus * 2.0 ** (-tau * (jp - j)) * (1 + 1e-9)
 
     def test_zone_labels(self):
-        g = HyperParams(0.75, 1.0, 1.0, 0.5)
         C, eps = 1.0, 2.0 ** -8
+
+        def label_at(g, j):
+            # the profile's label at its grid point nearest to j (step 0.1)
+            prof = shell_profile(g, C, eps)
+            i = int(np.argmin(np.abs(prof.j - j)))
+            assert abs(prof.j[i] - j) <= 0.05 + 1e-12
+            return prof.labels[i]
+
+        g = HyperParams(0.75, 1.0, 1.0, 0.5)
         js, jp = j_star(g, C, eps), j_plus(g, C, eps)
-        assert shell_zone_label(g, C, eps, js - 1.0) == "large-signal"
-        assert shell_zone_label(g, C, eps, (js + jp) / 2) == "sparse"
-        assert shell_zone_label(g, C, eps, jp + 1.0) == "highly-sparse"
+        assert label_at(g, js - 1.0) == "large-signal"
+        assert label_at(g, (js + jp) / 2) == "sparse"
+        assert label_at(g, jp + 1.0) == "highly-sparse"
         g2 = HyperParams(1.0, 2.0, 2.0, 0.5)
         js2 = j_star(g2, C, eps)
-        assert shell_zone_label(g2, C, eps, js2 - 1.0) == "large-signal"
-        assert shell_zone_label(g2, C, eps, js2 + 1.0) == "small-signal"
+        assert label_at(g2, js2 - 1.0) == "large-signal"
+        assert label_at(g2, js2 + 1.0) == "small-signal"
 
     def test_profile_shape_dense(self):
         g = HyperParams(1.0, 2.0, 2.0, 0.5)
@@ -372,26 +378,32 @@ class TestLpMinimaxLower:
 
 
 class TestSparseDenseIdentity:
+    # for p < 2 the rate exponent is the smaller of the dense and sparse
+    # exponents, the two agreeing exactly on the critical boundary
+    @staticmethod
+    def smaller_exponent(g):
+        al, be, p = g.alpha, g.beta, g.p
+        return min(2.0 * al / (2.0 * al + 2.0 * be + 1.0),
+                   (2.0 * al - 2.0 / p + 1.0) / (2.0 * al + 2.0 * be - 2.0 / p + 1.0))
+
     def test_examples(self):
-        assert sparse_dense_identity_check(HyperParams(1.0, 1.0, 2.0, 0.5))   # critical
-        assert sparse_dense_identity_check(HyperParams(0.6, 1.0, 1.0, 1.0))   # sparse
-        assert sparse_dense_identity_check(HyperParams(2.0, 1.0, 1.0, 0.4))   # dense p<2
+        for g, zone in ((HyperParams(1.0, 1.0, 2.0, 0.5), Zone.CRITICAL),
+                        (HyperParams(0.6, 1.0, 1.0, 1.0), Zone.SPARSE),
+                        (HyperParams(2.0, 1.0, 1.0, 0.4), Zone.DENSE)):
+            assert classify_zone(g) is zone
+            assert rate_exponent(g) == self.smaller_exponent(g)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 300:
+        zones = {Zone.DENSE: 0, Zone.SPARSE: 0}
+        while sum(zones.values()) < 2000:
             g = HyperParams(alpha=float(rng.uniform(0.1, 3.0)),
                             p=float(rng.uniform(0.3, 1.99)),
                             q=float(rng.uniform(0.5, 4.0)),
                             beta=float(rng.uniform(0.0, 2.0)))
-            if g.a + g.beta <= 0:
+            zone = classify_zone(g)
+            if zone not in zones:
                 continue
-            checked += 1
-            assert sparse_dense_identity_check(g)
-
-    def test_requires_p_below_two(self):
-        with pytest.raises(ValidationError):
-            sparse_dense_identity_check(HyperParams(1.0, 2.0, 2.0, 0.5))
-        with pytest.raises(ValidationError):
-            sparse_dense_identity_check(HyperParams(0.2, 0.45, 3.0, 0.9))
+            zones[zone] += 1
+            assert rate_exponent(g) == self.smaller_exponent(g)
+        assert min(zones.values()) > 0

@@ -8,7 +8,7 @@ from penseq import (BesovBall, ConfigurationError, HyperParams, MultiresSequence
                     NoiseSpec, PenaltyConfig, SignalSpec, ValidationError,
                     besov_norm, fit_rate_exponent, make_signal, mc_risk,
                     mc_risk_for_truth, membership, oracle_inequality_check,
-                    sample_noise, shell_radius, threshold_lambda)
+                    pen_vector, sample_noise, shell_radius)
 from penseq.rates import j_plus, j_star
 from penseq.simulate import _tridiagonal_factor, resolve_jmax
 
@@ -244,7 +244,7 @@ class TestMcRisk:
         cfg = PenaltyConfig(beta=0.0, nu=3.0)
         eps = 0.5
         levels = [np.zeros(2 ** j) for j in range(1, 4)]
-        levels[1][0] = eps * threshold_lambda(cfg, 4, 1)
+        levels[1][0] = eps * math.sqrt(pen_vector(cfg, 4)[1])
         truth = MultiresSequence(j0=1, levels=tuple(levels))
         noise = NoiseSpec(epsilon=eps, beta=0.0)
         a = mc_risk_for_truth(truth, cfg, noise, replicates=120, seed=3)
