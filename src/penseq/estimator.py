@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require
+from .errors import NumericalError, ValidationError, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig, nu_schedule, pen_vector
 
@@ -41,38 +41,46 @@ class MonoscaleFit:
     objective: float
 
     def __post_init__(self):
-        est = np.asarray(self.estimate, dtype=float).copy()
-        est.flags.writeable = False
+        est = np.array(self.estimate, dtype=float)
+        est.setflags(write=False)
         object.__setattr__(self, "estimate", est)
 
 
-def _penalized_objective(v: np.ndarray, cfg: PenaltyConfig, epsilon: float,
-                         nu_eff: float | None):
-    """(obj, pens) with obj[k] = sum_{i>k} |v|_(i)^2 + eps^2 * pen(k), k = 0..n."""
-    sq = np.sort(np.abs(v))[::-1] ** 2
-    cum = np.concatenate(([0.0], np.cumsum(sq)))
-    pens = pen_vector(cfg, v.size, nu_eff)
-    residual = cum[-1] - cum                      # residual[k] = sum_{i>k} |v|_(i)^2
-    return residual + (epsilon * epsilon) * pens, pens
+def _penalized_objective(a: np.ndarray, pens: np.ndarray, epsilon: float) -> np.ndarray:
+    """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..n, for a = |v|."""
+    sq = a * a
+    sq.sort()                                     # ascending squares, as squaring is monotone
+    obj = np.zeros(sq.size + 1)
+    np.add.accumulate(sq[::-1], out=obj[1:])      # running sums of the descending squares
+    np.subtract(obj[-1], obj, out=obj)            # obj[k] = sum_{i>k} |v|_(i)^2
+    obj += (epsilon * epsilon) * pens
+    return obj
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _checked_level(y, epsilon: float) -> np.ndarray:
-    """y as a float vector; the input check of every single-level entry point."""
+def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
+    """(y, |y|, pen_vector) of one level; the input check of every single-level
+    entry point.  It runs per level of every replicate: messages are built on failure."""
     y = np.asarray(y, dtype=float)
-    require(y.ndim == 1 and y.size >= 1, f"y must be a non-empty vector, got shape {y.shape}")
-    peak = float(np.abs(y).max())
-    require(math.isfinite(peak), "y contains non-finite values")
-    require(math.isfinite(float(epsilon)) and epsilon >= 0,
-            f"epsilon must be finite and >= 0, got {epsilon}")
+    if y.ndim != 1 or y.size < 1:
+        raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")
+    a = np.abs(y)
+    peak = float(a[a.argmax()])                   # nan if any entry is nan
+    if not math.isfinite(peak):
+        raise ValidationError("y contains non-finite values")
+    if not (math.isfinite(float(epsilon)) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
     # checked before anything is squared: above the limit the sum of squares overflows
     limit = math.sqrt(_FLOAT_MAX / (2 * y.size))
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={y.size}; its sum of squares overflows")
-    return y
+    pens = pen_vector(cfg, y.size, nu_eff)
+    if not math.isfinite(float(epsilon) * float(epsilon) * float(pens[-1])):
+        raise NumericalError(f"epsilon = {epsilon!r} at n={y.size}: eps^2 * pen(n) overflows")
+    return y, a, pens
 
 
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
@@ -82,23 +90,21 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y = _checked_level(y, epsilon)
-    obj, pens = _penalized_objective(y, cfg, epsilon, nu_eff)
-    k_hat = int(np.argmin(obj))                   # first minimum = smallest k
+    y, a, pens = _checked_level(y, cfg, epsilon, nu_eff)
+    obj = _penalized_objective(a, pens, epsilon)
+    k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
-        threshold = math.inf
-    else:
-        step = pens[k_hat] - pens[k_hat - 1]
-        if step < 0.0:
-            # happens only for nu so close to 1 that pen loses monotonicity
-            nu = cfg.nu if nu_eff is None else nu_eff
-            raise NumericalError(
-                f"penalty not increasing at k={k_hat} (n={y.size}, nu_eff={nu}); "
-                "nu_eff is too small for the hard-threshold representation")
-        threshold = epsilon * math.sqrt(step)
-    estimate = np.where(np.abs(y) > threshold, y, 0.0)
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
+    step = pens[k_hat] - pens[k_hat - 1]
+    if step < 0.0:
+        # happens only for nu so close to 1 that pen loses monotonicity
+        nu = cfg.nu if nu_eff is None else nu_eff
+        raise NumericalError(
+            f"penalty not increasing at k={k_hat} (n={y.size}, nu_eff={nu}); "
+            "nu_eff is too small for the hard-threshold representation")
+    threshold = epsilon * math.sqrt(step)
     return MonoscaleFit(k_hat=k_hat, threshold=threshold,
-                        estimate=estimate, objective=float(obj[k_hat]))
+                        estimate=np.where(a > threshold, y, 0.0), objective=float(obj[k_hat]))
 
 
 _SUBSET_ORACLE_MAX_N = 20
@@ -123,7 +129,7 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     minimal objective, then minimal cardinality, then the lexicographically
     smallest index set.  Returns (indices, objective).
     """
-    y = _checked_level(y, epsilon)
+    y, _, pens = _checked_level(y, cfg, epsilon, nu_eff)
     require(y.size <= _SUBSET_ORACLE_MAX_N,
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
@@ -137,7 +143,6 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
         half = 1 << i
         np.add(kept[:half], sq[i], out=kept[half:2 * half])
     card = _cardinalities(n)
-    pens = pen_vector(cfg, n, nu_eff)
     obj = (total - kept) + (epsilon * epsilon) * pens[card]
     best = obj.min()
     cand = np.flatnonzero(obj == best)
@@ -153,8 +158,8 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    theta = _checked_level(theta, epsilon)
-    return float(np.min(_penalized_objective(theta, cfg, epsilon, nu_eff)[0]))
+    _, a, pens = _checked_level(theta, cfg, epsilon, nu_eff)
+    return float(np.min(_penalized_objective(a, pens, epsilon)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,24 +189,33 @@ class MultiscaleFit:
                 "per_level": meta}
 
 
+def _level_schedule(cfg: PenaltyConfig, noise: NoiseSpec, j0: int, jmax: int) -> list:
+    """[(j, eps_j, nu_j)] for j = j0..jmax, once the penalty is checked against the noise."""
+    require(cfg.beta == noise.beta,
+            f"penalty beta ({cfg.beta}) must match noise beta ({noise.beta})")
+    require(cfg.xi1 >= noise.xi1 - 1e-12,
+            f"penalty xi1 ({cfg.xi1}) must dominate noise xi1 ({noise.xi1})")
+    return [(j, noise.epsilon_at(j), nu_schedule(cfg, noise.epsilon, j))
+            for j in range(j0, jmax + 1)]
+
+
+def _fit_level(j: int, level, cfg: PenaltyConfig, eps_j: float, nu_j: float) -> MonoscaleFit:
+    """select_k on level j; a NumericalError names the level."""
+    try:
+        return select_k(level, cfg, eps_j, nu_j)
+    except NumericalError as err:
+        raise NumericalError(f"level j={j}: {err}") from err
+
+
 def fit_multiscale(y: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec) -> MultiscaleFit:
     """Apply select_k at every level with eps_j and the nu schedule.
 
     The penalty beta must equal the noise beta, and the penalty xi1 must
     dominate the noise covariance bound.
     """
-    require(cfg.beta == noise.beta,
-            f"penalty beta ({cfg.beta}) must match noise beta ({noise.beta})")
-    require(cfg.xi1 >= noise.xi1 - 1e-12,
-            f"penalty xi1 ({cfg.xi1}) must dominate noise xi1 ({noise.xi1})")
-    fits = []
-    for j, level in y.iter_levels():
-        nu_j = nu_schedule(cfg, noise.epsilon, j)
-        try:
-            fits.append(select_k(level, cfg, noise.epsilon_at(j), nu_j))
-        except NumericalError as err:
-            raise NumericalError(f"level j={j}: {err}") from err
-    return MultiscaleFit(j0=y.j0, fits=tuple(fits))
+    schedule = zip(_level_schedule(cfg, noise, y.j0, y.jmax), y.levels)
+    return MultiscaleFit(j0=y.j0, fits=tuple(_fit_level(j, level, cfg, eps_j, nu_j)
+                                             for (j, eps_j, nu_j), level in schedule))
 
 
 def per_level_sse(fit: MultiscaleFit, truth: MultiresSequence) -> np.ndarray:
@@ -209,9 +223,6 @@ def per_level_sse(fit: MultiscaleFit, truth: MultiresSequence) -> np.ndarray:
     require(fit.j0 == truth.j0 and fit.jmax == truth.jmax,
             f"shape mismatch: fit spans [{fit.j0}, {fit.jmax}], "
             f"truth spans [{truth.j0}, {truth.jmax}]")
-    out = np.empty(truth.jmax - truth.j0 + 1)
-    for idx, j in enumerate(range(truth.j0, truth.jmax + 1)):
-        diff = fit.level_estimate(j) - truth.level(j)
-        out[idx] = float(diff @ diff)
-    return out
+    diffs = (f.estimate - theta_j for f, theta_j in zip(fit.fits, truth.levels))
+    return np.array([float(d @ d) for d in diffs])
 

@@ -23,8 +23,8 @@ from scipy.linalg import cholesky_banded
 from .errors import ConfigurationError, require
 from .model import (BesovBall, HyperParams, MultiresSequence, NoiseSpec, Zone,
                     besov_norm, classify_zone, shell_radius)
-from .penalty import PenaltyConfig, m_prime, nu_schedule
-from .estimator import fit_multiscale, ideal_risk, oracle_constant, per_level_sse
+from .penalty import PenaltyConfig, m_prime
+from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
@@ -224,34 +224,43 @@ def _tridiagonal_factor(n: int, rho: float) -> np.ndarray:
     return lo
 
 
-def _sample_level(rng: np.random.Generator, noise: NoiseSpec, n: int) -> np.ndarray:
-    g = rng.standard_normal(n)
-    if noise.covariance == "identity" or n == 1:
+def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
+    """None for identity noise, else the diagonal and subdiagonal of the
+    block-diagonal Cholesky factor over levels j0..jmax laid end to end; the
+    subdiagonal is zero across each level boundary, so levels stay independent."""
+    if noise.covariance == "identity":
+        return None
+    factors = [_tridiagonal_factor(1 << j, noise.rho) for j in range(j0, jmax + 1)]
+    sub = np.concatenate([np.append(lo[1, :-1], 0.0) for lo in factors])[:-1]
+    return np.concatenate([lo[0] for lo in factors]), sub
+
+
+def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
+    """z_j ~ N(0, Sigma_j) for levels laid end to end, from one standard-normal
+    draw of every coefficient: the normals of one draw per level in increasing j."""
+    g = rng.standard_normal(size)
+    if bands is None:
         return g
-    lo = _tridiagonal_factor(n, noise.rho)
-    z = lo[0] * g
-    z[1:] += lo[1, :-1] * g[:-1]
+    diag, sub = bands
+    z = diag * g
+    z[1:] += sub * g[:-1]
     return z
-
-
-def _sample_noise_with(rng: np.random.Generator, noise: NoiseSpec,
-                       jmax: int, j0: int = 1) -> MultiresSequence:
-    levels = []
-    for j in range(j0, jmax + 1):
-        levels.append(noise.epsilon_at(j) * _sample_level(rng, noise, 2 ** j))
-    return MultiresSequence(j0=j0, levels=tuple(levels))
 
 
 def sample_noise(noise: NoiseSpec, jmax: int, rng_seed: int, j0: int = 1) -> MultiresSequence:
     """Draw eps_j * z_j with z_j ~ N(0, Sigma_j), independent across levels.
 
-    The tridiagonal family is sampled through its (bidiagonal) Cholesky
-    factor, an exact factorization at any level size.  Deterministic given
-    the seed.
+    One standard-normal draw of every coefficient is split by level, which
+    gives the normals of one draw per level in increasing j.  The tridiagonal
+    family is sampled through its (bidiagonal) Cholesky factor, an exact
+    factorization at any level size.  Deterministic given the seed.
     """
     require(jmax >= j0, f"jmax must be >= j0, got jmax={jmax}, j0={j0}")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    return _sample_noise_with(rng, noise, jmax, j0)
+    z = _draw_noise(rng, (2 << jmax) - (1 << j0), _noise_bands(noise, j0, jmax))
+    z_levels = np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
+    return MultiresSequence(j0=j0, levels=tuple(
+        noise.epsilon_at(j) * z_j for j, z_j in enumerate(z_levels, start=j0)))
 
 
 # -- Monte Carlo risk ---------------------------------------------------------
@@ -272,15 +281,28 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int) -> McResult:
-    """Monte Carlo risk at a fixed truth: noise draw -> fit -> squared error."""
+    """Monte Carlo risk at a fixed truth: per replicate, the numbers of sample_noise ->
+    add -> fit_multiscale -> per_level_sse, from a level plan built once per call."""
     require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
+    schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
+    size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
+    plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
+            for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
     sses = np.empty(replicates)
-    per_level = np.zeros(truth.jmax - truth.j0 + 1)
+    level_sse = np.empty(len(plan))
+    per_level = np.zeros(len(plan))
     for rep in range(replicates):
-        rng = _replicate_rng(seed, rep)
-        y = truth.add(_sample_noise_with(rng, noise, truth.jmax, truth.j0))
-        fit = fit_multiscale(y, cfg, noise)
-        level_sse = per_level_sse(fit, truth)
+        z = _draw_noise(_replicate_rng(seed, rep), size, bands)
+        for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
+            y_j = z[start:start + theta_j.size]
+            y_j *= eps_j                          # y_j = theta_j + eps_j * z_j, in place
+            y_j += theta_j
+            fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+            if fit.k_hat == 0:
+                level_sse[idx] = energy           # the estimate is +0.0 everywhere
+            else:
+                diff = fit.estimate - theta_j
+                level_sse[idx] = float(diff @ diff)
         per_level += level_sse
         sses[rep] = level_sse.sum()
     mean = float(sses.mean())
@@ -328,9 +350,8 @@ def oracle_inequality_check(spec: SignalSpec, cfg: PenaltyConfig, noise: NoiseSp
     truth = make_signal(spec)
     mc = mc_risk_for_truth(truth, cfg, noise, replicates, seed)
     rhs = 0.0
-    for j, theta_j in truth.iter_levels():
-        nu_j = nu_schedule(cfg, noise.epsilon, j)
-        eps_j = noise.epsilon_at(j)
+    schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
+    for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels):
         rhs += 2.0 * cfg.xi1 * m_prime(cfg, 2 ** j, nu_j) * eps_j ** 2
         rhs += ideal_risk(theta_j, cfg, eps_j, nu_j)
     rhs *= oracle_constant(cfg.zeta)

@@ -42,6 +42,33 @@ def mask_dp_oracle(y, cfg, epsilon, nu_eff=None):
     return indices, float(best)
 
 
+# Inputs on which two supports of minimal size tie through rounding: the 1e8
+# coordinate absorbs the difference between y_0^2 and y_1^2 in the kept sum, so
+# (0, 2, 3) and (1, 2, 3) reach the same objective (see test_lexicographic_tie_break).
+ROUNDING_TIES = {
+    0.0: ([1.000000000014552, 1.0000000000582077, 1e8, 1.0000000000873115],
+          2.306811896628435e-05),
+    0.5: ([1.0000000003929017, 1.0000000004656613, 1e8, 1.000000000014552],
+          3.2526009647863515e-05),
+}
+
+
+def subset_objectives(y, cfg, epsilon):
+    """{J: C_eps(J, y)} over every subset J, with subset_oracle's operations."""
+    y = np.asarray(y, dtype=float)
+    sq = y * y
+    total = float(sq.sum())
+    pens = pen_vector(cfg, y.size)
+    out = {}
+    for m in range(1 << y.size):
+        J = tuple(i for i in range(y.size) if (m >> i) & 1)
+        kept = 0.0
+        for i in J:
+            kept = kept + sq[i]
+        out[J] = (total - kept) + (epsilon * epsilon) * pens[len(J)]
+    return out
+
+
 class TestSelectK:
     def test_zero_input(self):
         fit = select_k(np.zeros(16), CFG, 1.0)
@@ -174,6 +201,18 @@ class TestSubsetOracle:
         assert idx == (0, 2)
         assert obj == 0.0
 
+    @pytest.mark.parametrize("beta", sorted(ROUNDING_TIES))
+    def test_lexicographic_tie_break(self, beta):
+        cfg = PenaltyConfig(beta=beta)
+        y, eps = ROUNDING_TIES[beta]
+        objs = subset_objectives(y, cfg, eps)
+        best = min(objs.values())
+        size = min(len(J) for J, v in objs.items() if v == best)
+        # the input really ties: two supports of minimal size reach the minimum
+        assert [J for J, v in objs.items() if v == best and len(J) == size] == [(0, 2, 3),
+                                                                              (1, 2, 3)]
+        assert subset_oracle(y, cfg, eps) == ((0, 2, 3), best)
+
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_doubling_table_matches_mask_dp_exactly(self, beta):
         cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=beta)
@@ -190,6 +229,9 @@ class TestSubsetOracle:
             cases += [(c * t1 * signs, 1.0) for c in (0.5, 0.9, 1.0, 1.1, 1.5, 3.0)]
             cases += [(np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n)), 0.0)
                       for _ in range(5)]
+            if n == 4:
+                # supports of minimal size that tie through rounding
+                cases += [(np.array(y), eps) for y, eps in ROUNDING_TIES.values()]
             for y, eps in cases:
                 assert subset_oracle(y, cfg, eps) == mask_dp_oracle(y, cfg, eps)
 
@@ -276,6 +318,13 @@ class TestMultiscale:
                            match=r"level j=6: .*k=64 \(n=64, nu_eff=1\.0001\)"):
             fit_multiscale(y, PenaltyConfig(nu=1.0001), NoiseSpec(epsilon=1 / 16, beta=0.0))
 
+    def test_overflowing_penalty_names_the_level(self):
+        # eps_j = 0.5 * 2^(100 j): eps_6^2 = 2^1198 overflows, eps_5^2 * pen(32) does not
+        cfg = PenaltyConfig(beta=100.0)
+        with pytest.raises(NumericalError, match=r"level j=6: epsilon = .* at n=64"):
+            fit_multiscale(MultiresSequence.zeros(1, 6), cfg, NoiseSpec(epsilon=0.5, beta=100.0))
+        fit_multiscale(MultiresSequence.zeros(1, 5), cfg, NoiseSpec(epsilon=0.5, beta=100.0))
+
     def test_xi1_must_dominate(self):
         noise = NoiseSpec(epsilon=0.1, beta=0.0, covariance="tridiagonal", rho=0.3)
         y = MultiresSequence.zeros(1, 3)
@@ -334,6 +383,15 @@ def test_overflowing_input_raises_numerical_error(fn):
     # at the limit sqrt(float max / (2n)) the sum of squares is still finite
     limit = math.sqrt(np.finfo(float).max / 6.0)
     fn(np.array([limit, -limit, limit]), CFG, 1.0)
+
+
+@pytest.mark.parametrize("fn", [select_k, subset_oracle, ideal_risk])
+def test_overflowing_penalty_raises_numerical_error(fn):
+    # eps^2 = inf would make the k = 0 objective inf * 0 = nan
+    with pytest.raises(NumericalError, match=r"epsilon = 1e\+200 at n=3"):
+        fn(np.array([1.0, 2.0, 3.0]), CFG, 1e200)
+    # eps^2 * pen(3) = 1e300 * 82.9 is still finite
+    fn(np.array([1.0, 2.0, 3.0]), CFG, 1e150)
 
 
 def test_oracle_constant_example():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from penseq import (BesovBall, ConfigurationError, HyperParams, MultiresSequence,
-                    NoiseSpec, PenaltyConfig, SignalSpec, ValidationError,
-                    besov_norm, fit_rate_exponent, make_signal, mc_risk,
+                    NoiseSpec, NumericalError, PenaltyConfig, SignalSpec, ValidationError,
+                    besov_norm, fit_multiscale, fit_rate_exponent, make_signal, mc_risk,
                     mc_risk_for_truth, membership, oracle_inequality_check,
-                    pen_vector, sample_noise, shell_radius)
+                    pen_vector, per_level_sse, sample_noise, shell_radius)
 from penseq.rates import j_plus, j_star
-from penseq.simulate import _tridiagonal_factor, resolve_jmax
+from penseq.simulate import _replicate_rng, _tridiagonal_factor, resolve_jmax
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
 SPARSE_GAMMA = HyperParams(0.75, 1.0, 1.0, 0.5)
@@ -19,6 +19,41 @@ CRITICAL_GAMMA = HyperParams(1.0, 1.0, 2.0, 0.5)
 
 def spec_for(kind, gamma, eps=2.0 ** -8, **kw):
     return SignalSpec(kind=kind, gamma=gamma, radius=1.0, epsilon=eps, **kw)
+
+
+def per_level_noise(rng, noise, jmax, j0=1):
+    """The first noise sampler, one draw per level, kept verbatim as the reference."""
+    levels = []
+    for j in range(j0, jmax + 1):
+        n = 2 ** j
+        g = rng.standard_normal(n)
+        if noise.covariance == "identity" or n == 1:
+            z = g
+        else:
+            lo = _tridiagonal_factor(n, noise.rho)
+            z = lo[0] * g
+            z[1:] += lo[1, :-1] * g[:-1]
+        levels.append(noise.epsilon_at(j) * z)
+    return MultiresSequence(j0=j0, levels=tuple(levels))
+
+
+def sequence_mc_risk(truth, cfg, noise, replicates, seed):
+    """The first Monte Carlo loop, one sequence per draw and fit, kept verbatim as
+    the reference; also returns the number of coefficients kept."""
+    sses = np.empty(replicates)
+    per_level = np.zeros(truth.jmax - truth.j0 + 1)
+    kept = 0
+    for rep in range(replicates):
+        rng = _replicate_rng(seed, rep)
+        y = truth.add(per_level_noise(rng, noise, truth.jmax, truth.j0))
+        fit = fit_multiscale(y, cfg, noise)
+        kept += sum(f.k_hat for f in fit.fits)
+        level_sse = per_level_sse(fit, truth)
+        per_level += level_sse
+        sses[rep] = level_sse.sum()
+    mean = float(sses.mean())
+    stderr = float(sses.std(ddof=1) / math.sqrt(replicates))
+    return mean, stderr, per_level / replicates, kept
 
 
 class TestShellSignals:
@@ -216,6 +251,18 @@ class TestSampleNoise:
         target = np.eye(16) + 0.25 * (np.eye(16, k=1) + np.eye(16, k=-1))
         assert np.allclose(full @ full.T, target, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(epsilon=0.3, beta=0.5),
+                                       NoiseSpec(epsilon=0.3, covariance="tridiagonal", rho=0.25)])
+    def test_one_draw_equals_per_level_draws(self, noise):
+        # one draw of every normal, split by level, is bit for bit one draw per level
+        for seed in range(5):
+            one = sample_noise(noise, jmax=17, rng_seed=seed, j0=2)
+            ref = per_level_noise(np.random.default_rng(np.random.SeedSequence(seed)),
+                                  noise, jmax=17, j0=2)
+            assert one.j0 == ref.j0 and one.jmax == ref.jmax
+            for a, b in zip(one.levels, ref.levels):
+                assert np.array_equal(a, b)
+
     def test_zero_epsilon(self):
         seq = sample_noise(NoiseSpec(epsilon=0.0), jmax=4, rng_seed=0)
         for _, coeffs in seq.iter_levels():
@@ -251,6 +298,31 @@ class TestMcRisk:
         b = mc_risk_for_truth(truth, cfg, noise, replicates=240, seed=3)
         assert a.stderr_sse > 0
         assert abs(a.mean_sse - b.mean_sse) <= 3.0 * (a.stderr_sse + b.stderr_sse)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("rho", [0.0, 0.25])
+    @pytest.mark.parametrize("kind, jmax", [("besov_spread", 12), ("besov_spread", 5),
+                                            ("shell_dense", 9)])
+    def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax):
+        gamma = HyperParams(1.0, 2.0, 2.0, beta)
+        truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
+        if rho:
+            noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta, covariance="tridiagonal", rho=rho)
+        else:
+            noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta)
+        cfg = PenaltyConfig(beta=beta, xi1=noise.xi1)
+        got = mc_risk_for_truth(truth, cfg, noise, replicates=4, seed=11)
+        mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, 4, 11)
+        # the spread signal keeps coefficients, the dense shell keeps none
+        assert (kept > 0) == (kind == "besov_spread")
+        assert got.mean_sse == mean and got.stderr_sse == stderr
+        assert np.array_equal(got.per_level_sse, per_level)
+
+    def test_numerical_error_names_the_level(self):
+        # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
+        with pytest.raises(NumericalError, match=r"level j=6: max\|y\| = .* at n=64"):
+            mc_risk_for_truth(MultiresSequence.zeros(1, 6), PenaltyConfig(beta=100.0),
+                              NoiseSpec(epsilon=0.5, beta=100.0), replicates=2, seed=0)
 
     def test_replicates_validated(self):
         cfg = PenaltyConfig(beta=0.5)
