@@ -4,8 +4,8 @@ closed-form risk theory (control functions, shell risks, rate zones) and a
 Monte Carlo verification harness."""
 
 from .errors import ConfigurationError, NumericalError, PenseqError, ValidationError
-from .model import (BesovBall, HyperParams, MultiresSequence, NoiseSpec, Zone,
-                    besov_norm, classify_zone, membership, shell_radius)
+from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
+                    classify_zone, shell_radius)
 from .penalty import (PenaltyConfig, m_prime, m_prime_bound_constant, m_prime_many,
                       nu_schedule, pen_vector)
 from .estimator import (MonoscaleFit, MultiscaleFit, fit_multiscale, ideal_risk,

@@ -20,12 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, PenseqError, ValidationError, require
+from .errors import NumericalError, PenseqError, ValidationError, dataclass_kwargs, require
 from .model import HyperParams, MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
@@ -63,26 +63,6 @@ PRESETS = {name: {**_PRESET_BASE, **own} for name, own in {
     "critical": {"gamma": {"alpha": 1.0, "p": 1.0, "q": 2.0, "beta": 0.5},
                  "signal": {"kind": "critical_prior", "rho1": 1.05, "rho2": 1.25}},
 }.items()}
-
-
-def _section(doc, spec: type, skip: set, name: str) -> dict:
-    """One config section as keyword arguments of the spec type it configures.
-
-    Keys, defaults and the unknown- and missing-field checks come from the
-    dataclass fields of ``spec`` less ``skip`` (the fields the rest of the
-    config supplies).  A field whose default is a float is stored as float.
-    """
-    doc = dict(doc)
-    own = [f for f in fields(spec) if f.name not in skip]
-    unknown = set(doc) - {f.name for f in own}
-    require(not unknown, f"unknown {name} fields: {sorted(unknown)}")
-    section = {}
-    for f in own:
-        require(f.name in doc or f.default is not MISSING,
-                f"{name} section is missing {f.name!r}")
-        value = doc.get(f.name, f.default)
-        section[f.name] = float(value) if isinstance(f.default, float) else value
-    return section
 
 
 def _count(value, name: str) -> int:
@@ -129,9 +109,10 @@ class ExperimentConfig:
             radius = float(doc.get("radius", 1.0))
             penalty = PenaltyConfig.from_dict({"beta": gamma.beta, **doc.get("penalty", {})})
             require(penalty.beta == gamma.beta, "penalty beta must match gamma beta")
-            noise = _section(doc.get("noise", {}), NoiseSpec, {"epsilon", "beta"}, "noise")
-            signal = _section(doc.get("signal", {}), SignalSpec,
-                              {"gamma", "radius", "epsilon", "jmax"}, "signal")
+            noise = dataclass_kwargs(doc.get("noise", {}), NoiseSpec, "noise",
+                                     {"epsilon", "beta"})
+            signal = dataclass_kwargs(doc.get("signal", {}), SignalSpec, "signal",
+                                      {"gamma", "radius", "epsilon", "jmax"})
             eps = doc.get("epsilons", [])
             require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
             cfg = cls(

@@ -173,10 +173,6 @@ class MultiscaleFit:
     def jmax(self) -> int:
         return self.j0 + len(self.fits) - 1
 
-    def level_estimate(self, j: int) -> np.ndarray:
-        require(self.j0 <= j <= self.jmax, f"level {j} outside [{self.j0}, {self.jmax}]")
-        return self.fits[j - self.j0].estimate
-
     def to_json_dict(self) -> dict:
         meta = [{"j": self.j0 + i,
                  "k_hat": f.k_hat,

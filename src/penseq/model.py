@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError, require
+from .errors import (NumericalError, ValidationError, dataclass_kwargs, require,
+                     require_finite)
 
 # Absolute tolerance for detecting the measure-zero critical manifold
 # alpha = (2*beta + 1) * (1/p - 1/2).
@@ -30,17 +31,15 @@ class Zone(Enum):
     DENSE = "Dense"
     SPARSE = "Sparse"
     CRITICAL = "Critical"
-    INVALID = "Invalid"
 
 
 @dataclass(frozen=True)
 class HyperParams:
     """Besov smoothness / ill-posedness parameter vector (alpha, p, q, beta).
 
-    Construction only checks field domains (positivity, finiteness), so that
-    vectors violating the compactness or rate hypotheses remain representable
-    and classify as Zone.INVALID.  Use :meth:`validate` to enforce the full
-    hypotheses as a typed error.
+    Construction enforces the rate hypotheses: compactness
+    alpha > (1/p - 1/2)_+ and, for p < 2, alpha + beta > 1/p.  So every
+    instance has a rate zone and a shell exponent a > 0.
     """
 
     alpha: float
@@ -49,67 +48,35 @@ class HyperParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "p", "q", "beta"):
-            v = getattr(self, name)
-            require(isinstance(v, (int, float)) and math.isfinite(float(v)),
-                    f"{name} must be a finite number, got {v!r}")
-        require(self.alpha > 0, f"alpha must be > 0, got {self.alpha}")
+        require_finite(self, "alpha", "p", "q", "beta")
         require(self.p > 0, f"p must be > 0, got {self.p}")
         require(self.q > 0, f"q must be > 0, got {self.q}")
         require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
+        require(self.alpha > max(1.0 / self.p - 0.5, 0.0),
+                f"compactness requires alpha > (1/p - 1/2)_+; got alpha={self.alpha}, p={self.p}")
+        require(self.p >= 2.0 or self.alpha + self.beta > 1.0 / self.p,
+                f"hyper-parameters need alpha + beta > 1/p for p < 2; "
+                f"got alpha={self.alpha}, beta={self.beta}, p={self.p}")
 
     @property
     def a(self) -> float:
         """Shell-radius decay exponent a = alpha + 1/2 - 1/p."""
         return self.alpha + 0.5 - 1.0 / self.p
 
-    @property
-    def sparse_boundary(self) -> float:
-        """Critical value (2*beta+1)*(1/p - 1/2)_+ separating dense and sparse."""
-        return (2.0 * self.beta + 1.0) * max(1.0 / self.p - 0.5, 0.0)
-
-    def is_compact(self) -> bool:
-        """True iff alpha > (1/p - 1/2)_+, i.e. the ball is l2-compact."""
-        return self.alpha > max(1.0 / self.p - 0.5, 0.0)
-
-    def satisfies_rate_hypotheses(self) -> bool:
-        """Compactness plus alpha + beta > 1/p when p < 2."""
-        if not self.is_compact():
-            return False
-        if self.p < 2.0 and not (self.alpha + self.beta > 1.0 / self.p):
-            return False
-        return True
-
-    def validate(self) -> "HyperParams":
-        """Raise ValidationError unless the rate hypotheses hold."""
-        require(self.is_compact(),
-                f"compactness requires alpha > (1/p - 1/2)_+; got alpha={self.alpha}, p={self.p}")
-        require(self.satisfies_rate_hypotheses(),
-                f"hyper-parameters need alpha + beta > 1/p for p < 2; "
-                f"got alpha={self.alpha}, beta={self.beta}, p={self.p}")
-        return self
-
     @classmethod
     def from_dict(cls, d: dict) -> "HyperParams":
-        try:
-            return cls(alpha=float(d["alpha"]), p=float(d["p"]),
-                       q=float(d["q"]), beta=float(d.get("beta", 0.0)))
-        except KeyError as exc:
-            raise ValidationError(f"gamma is missing field {exc}") from exc
+        return cls(**dataclass_kwargs(d, cls, "gamma"))
 
 
 def classify_zone(gamma: HyperParams) -> Zone:
-    """Classify a hyper-parameter vector into Dense / Sparse / Critical / Invalid.
+    """Classify a hyper-parameter vector into Dense / Sparse / Critical.
 
-    Invalid means gamma fails the compactness condition or, for p < 2, the
-    additional hypothesis alpha + beta > 1/p.  Equality with the critical
-    boundary is detected with absolute tolerance CRITICAL_ZONE_TOL.
+    For p < 2 the zones meet at alpha = (2*beta+1)*(1/p - 1/2); equality is
+    detected with absolute tolerance CRITICAL_ZONE_TOL.
     """
-    if not gamma.satisfies_rate_hypotheses():
-        return Zone.INVALID
     if gamma.p >= 2.0:
         return Zone.DENSE
-    gap = gamma.alpha - gamma.sparse_boundary
+    gap = gamma.alpha - (2.0 * gamma.beta + 1.0) * (1.0 / gamma.p - 0.5)
     if abs(gap) <= CRITICAL_ZONE_TOL:
         return Zone.CRITICAL
     return Zone.DENSE if gap > 0 else Zone.SPARSE
@@ -191,18 +158,6 @@ class MultiresSequence:
 
 
 @dataclass(frozen=True)
-class BesovBall:
-    """Besov ball of sequences with parameters gamma and radius C > 0."""
-
-    gamma: HyperParams
-    radius: float
-
-    def __post_init__(self):
-        require(math.isfinite(float(self.radius)) and self.radius > 0,
-                f"radius must be a finite positive number, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Per-level Gaussian noise description.
 
@@ -237,17 +192,25 @@ class NoiseSpec:
             lo, hi = 1.0 - 2.0 * abs(self.rho), 1.0 + 2.0 * abs(self.rho)
         xi0 = lo if self.xi0 is None else float(self.xi0)
         xi1 = hi if self.xi1 is None else float(self.xi1)
+        object.__setattr__(self, "xi0", xi0)
+        object.__setattr__(self, "xi1", xi1)
+        require_finite(self, "xi0", "xi1")
         require(xi0 > 0, f"xi0 must be > 0, got {xi0}")
         require(xi1 >= xi0, f"xi1 must be >= xi0, got xi0={xi0}, xi1={xi1}")
         require(xi0 <= lo + 1e-12 and hi <= xi1 + 1e-12,
                 f"eigenvalue bounds must satisfy xi0 <= {lo} <= {hi} <= xi1; "
                 f"got xi0={xi0}, xi1={xi1}")
-        object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "xi1", xi1)
 
     def epsilon_at(self, j: int | float) -> float:
-        """Level noise scale eps_j = epsilon * 2^(beta*j)."""
-        return self.epsilon * 2.0 ** (self.beta * j)
+        """Level noise scale eps_j = epsilon * 2^(beta*j); NumericalError past the float range."""
+        try:
+            eps_j = self.epsilon * 2.0 ** (self.beta * j)
+        except OverflowError:
+            eps_j = math.inf
+        if not math.isfinite(eps_j):
+            raise NumericalError(f"level j={j}: eps_j = epsilon * 2^(beta*j) overflows "
+                                 f"at beta={self.beta}, epsilon={self.epsilon}")
+        return eps_j
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:
@@ -273,14 +236,9 @@ def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:
     return total ** (1.0 / gamma.q)
 
 
-def shell_radius(ball: BesovBall, j: int | float) -> float:
-    """Radius C_j = C * 2^(-a*j) of the level-j shell of the ball.
+def shell_radius(gamma: HyperParams, C: float, j: int | float) -> float:
+    """Radius C_j = C * 2^(-a*j) of the level-j shell of the ball of radius C.
 
-    Membership of theta in the ball implies ||theta_j||_p <= C_j for every j.
+    besov_norm(theta, gamma) <= C implies ||theta_j||_p <= C_j for every j.
     """
-    return ball.radius * 2.0 ** (-ball.gamma.a * j)
-
-
-def membership(theta: MultiresSequence, ball: BesovBall) -> bool:
-    """True iff besov_norm(theta, ball.gamma) <= ball.radius."""
-    return besov_norm(theta, ball.gamma) <= ball.radius
+    return C * 2.0 ** (-gamma.a * j)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import NumericalError, require
+from .errors import NumericalError, dataclass_kwargs, require, require_finite
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,12 @@ class PenaltyConfig:
     jeps_scale: float = 1.0
 
     def __post_init__(self):
-        require(math.isfinite(float(self.zeta)) and self.zeta > 1,
-                f"zeta must be > 1, got {self.zeta}")
+        require_finite(self, "zeta", "nu", "beta", "xi1", "jeps_scale")
+        require(self.zeta > 1, f"zeta must be > 1, got {self.zeta}")
         require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
         require(self.xi1 > 0, f"xi1 must be > 0, got {self.xi1}")
         require(self.jeps_scale >= 1, f"jeps_scale must be >= 1, got {self.jeps_scale}")
-        require(math.isfinite(float(self.nu)) and self.nu > 1.0,
-                f"nu must be > 1, got {self.nu}")
+        require(self.nu > 1.0, f"nu must be > 1, got {self.nu}")
 
     @property
     def nu_floor(self) -> float:
@@ -59,10 +58,7 @@ class PenaltyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PenaltyConfig":
-        known = {"zeta", "nu", "beta", "xi1", "jeps_scale"}
-        unknown = set(d) - known
-        require(not unknown, f"unknown penalty fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        return cls(**dataclass_kwargs(d, cls, "penalty"))
 
 
 def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import require
-from .model import HyperParams, Zone, classify_zone
+from .model import HyperParams, Zone, classify_zone, shell_radius
 from .penalty import PenaltyConfig, m_prime, nu_schedule
 from .estimator import oracle_constant
 
@@ -71,7 +71,7 @@ def rate_exponent(gamma: HyperParams) -> float:
 
     Dense: 2a/(2a+2b+1); Sparse: (2a-2/p+1)/(2a+2b-2/p+1); Critical: 1-p/2.
     """
-    zone = classify_zone(gamma.validate())
+    zone = classify_zone(gamma)
     al, be, p = gamma.alpha, gamma.beta, gamma.p
     if zone is Zone.DENSE:
         return 2.0 * al / (2.0 * al + 2.0 * be + 1.0)
@@ -89,13 +89,13 @@ def j_star(gamma: HyperParams, C: float, epsilon: float) -> float:
 def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Real solution of 2^(delta*j) * (1 + log 2^j)^(1/2) = C/eps, delta = a + beta.
 
-    Defined for 0 < p < 2; the left side is strictly increasing for j >= 0
-    when delta > 0, so the root is bracketed and found by Brent's method.
+    Defined for 0 < p < 2, where the rate hypotheses give delta > 1/2; the
+    left side is strictly increasing for j >= 0, so the root is bracketed and
+    found by Brent's method.
     """
     require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
     require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
     delta = gamma.a + gamma.beta
-    require(delta > 0, f"need alpha + beta - 1/p + 1/2 > 0, got {delta}")
     target = math.log(C / epsilon)
 
     def g(j):
@@ -120,8 +120,7 @@ def shell_sparse_peak_value(gamma: HyperParams, C: float, epsilon: float) -> flo
 def _shell(gamma: HyperParams, C: float, epsilon: float, j: float) -> tuple:
     """(R_j, branch label) of the level-j shell, with R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j)."""
     eps_j = epsilon * 2.0 ** (gamma.beta * j)
-    c_j = C * 2.0 ** (-gamma.a * j)
-    value, label = _control(2.0 ** j, gamma.p, c_j / eps_j)
+    value, label = _control(2.0 ** j, gamma.p, shell_radius(gamma, C, j) / eps_j)
     return eps_j ** 2 * value, label
 
 
@@ -186,7 +185,7 @@ class RateReport:
 def log_factor(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Zone log factor of the rate: 1 when Dense, (1 + log(C/eps))^r when
     Sparse and (1 + log(C/eps))^(r + (1 - p/q)_+) when Critical."""
-    zone = classify_zone(gamma.validate())
+    zone = classify_zone(gamma)
     if zone is Zone.DENSE:
         return 1.0
     r = rate_exponent(gamma)
@@ -199,7 +198,7 @@ def log_factor(gamma: HyperParams, C: float, epsilon: float) -> float:
 def rate_control(gamma: HyperParams, C: float, epsilon: float) -> RateReport:
     """Rate control value R(C, eps; gamma) = C^(2(1-r)) eps^(2r) times the
     zone's log_factor."""
-    zone = classify_zone(gamma.validate())
+    zone = classify_zone(gamma)
     require(0 < epsilon < C,
             f"rate control needs 0 < epsilon < C, got epsilon={epsilon}, C={C}")
     r = rate_exponent(gamma)
@@ -231,7 +230,6 @@ class ShellRiskProfile:
 
 def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProfile:
     """Sample R_j on [0, 5 past the last peak] in steps of 0.1."""
-    gamma.validate()
     peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
     grid = np.arange(0.0, peak + 5.0 + 0.05, 0.1)    # half a step of slack keeps the end
     points = [_shell(gamma, C, epsilon, j) for j in grid]
@@ -296,7 +294,6 @@ def risk_upper_bound(gamma: HyperParams, C: float, epsilon: float,
     risks over Besov shells via the frozen control-bound constant.  Within
     each zone the bound tracks rate_control up to constants.
     """
-    gamma.validate()
     t1 = t1_complexity_sum(cfg, epsilon)
     t2 = control_bound_constant(cfg) * t2_control_sum(gamma, C, epsilon, cfg)
     return oracle_constant(cfg.zeta) * (t1 + t2)

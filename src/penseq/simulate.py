@@ -4,7 +4,7 @@ Generators place deterministic extremal signals inside a Besov ball: a
 single-shell dense signal at the large/small-signal boundary level, a
 single-shell spike signal at the sparse/highly-sparse boundary level, a
 multi-level spread signal, and the multi-level near-critical configuration.
-Every generated signal satisfies membership in its declared ball.
+Every generated signal has besov_norm(theta, gamma) <= radius exactly.
 
 All randomness is driven by integer seeds through numpy SeedSequence;
 replicate streams derive from (seed, replicate index), so results are
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .errors import ConfigurationError, require
-from .model import (BesovBall, HyperParams, MultiresSequence, NoiseSpec, Zone,
-                    besov_norm, classify_zone, shell_radius)
+from .errors import ConfigurationError, require, require_finite
+from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
+                    classify_zone, shell_radius)
 from .penalty import PenaltyConfig, m_prime
 from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
@@ -57,6 +57,7 @@ class SignalSpec:
     def __post_init__(self):
         require(self.kind in _LEVEL_FILLERS,
                 f"unknown signal kind {self.kind!r}; expected one of {tuple(_LEVEL_FILLERS)}")
+        require_finite(self, "radius", "xi0", "rho1", "rho2")
         require(self.radius > 0, f"radius must be > 0, got {self.radius}")
         require(0 < self.epsilon < self.radius,
                 f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
@@ -100,17 +101,17 @@ def _spike_indices(n: int, m: int) -> np.ndarray:
     return np.floor(np.arange(m) * (n / m)).astype(int)
 
 
-def _fit_into_ball(levels: list, ball: BesovBall) -> list:
+def _fit_into_ball(levels: list, gamma: HyperParams, radius: float) -> list:
     # Rescale (by at most a few ulps in the intended case) until the weighted
-    # norm is <= the radius, so membership holds under exact comparison.
+    # norm is <= the radius under exact comparison.
     seq = MultiresSequence(j0=1, levels=tuple(levels))
-    norm = besov_norm(seq, ball.gamma)
+    norm = besov_norm(seq, gamma)
     if norm == 0.0:
         return levels
-    factor = ball.radius / norm
+    factor = radius / norm
     for _ in range(64):
         scaled = [factor * arr for arr in levels]
-        if besov_norm(MultiresSequence(j0=1, levels=tuple(scaled)), ball.gamma) <= ball.radius:
+        if besov_norm(MultiresSequence(j0=1, levels=tuple(scaled)), gamma) <= radius:
             return scaled
         factor *= 1.0 - 4.0 * np.finfo(float).eps
     raise ConfigurationError("could not normalize signal into the ball")
@@ -118,7 +119,7 @@ def _fit_into_ball(levels: list, ball: BesovBall) -> list:
 
 # Level fillers: each sets the zero levels 1..jmax of one signal kind in place.
 
-def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+def _shell_levels(spec: SignalSpec, levels: list) -> None:
     """Single-shell extremal signal at the rounded peak level.
 
     shell_dense spreads equal magnitudes over all n_j coordinates of level
@@ -127,13 +128,13 @@ def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
     Either way ||theta_j||_p = C_j, so the ball constraint is met with
     equality.
     """
-    gamma = ball.gamma
+    gamma = spec.gamma
     j = max(_round_half_up(_peak_level(spec)), 1)
     if j > len(levels):
         raise ConfigurationError(
             f"peak level {j} exceeds jmax={len(levels)}; increase jmax or epsilon")
     n = 2 ** j
-    c_j = shell_radius(ball, j)
+    c_j = shell_radius(gamma, spec.radius, j)
     if spec.kind == "shell_dense":
         m = n
         idx = np.arange(n)
@@ -145,16 +146,16 @@ def _shell_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
     levels[j - 1][idx] = c_j * m ** (-1.0 / gamma.p)
 
 
-def _critical_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+def _critical_levels(spec: SignalSpec, levels: list) -> None:
     """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
 
     Per level, n0_j coordinates carry magnitude
     delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
     n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
                  * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
-    and the whole signal is scaled down until membership holds.
+    and the whole signal is scaled down into the ball.
     """
-    gamma = ball.gamma
+    gamma = spec.gamma
     js = j_star(gamma, spec.radius, spec.epsilon)
     j_lo = int(math.floor(spec.rho1 * js))
     j_hi = int(math.ceil(spec.rho2 * js))
@@ -182,31 +183,30 @@ def _critical_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
             f"(C/eps={snr:.3g}, window {j_lo + 1}..{j_hi})")
 
 
-def _spread_levels(spec: SignalSpec, ball: BesovBall, levels: list) -> None:
+def _spread_levels(spec: SignalSpec, levels: list) -> None:
     # every level filled evenly with an equal share of the ball budget, so
     # the constraint is met with equality
     for j, level in enumerate(levels, start=1):
-        budget = shell_radius(ball, j) * len(levels) ** (-1.0 / ball.gamma.q)
-        level[:] = budget * (2 ** j) ** (-1.0 / ball.gamma.p)
+        budget = shell_radius(spec.gamma, spec.radius, j) * len(levels) ** (-1.0 / spec.gamma.q)
+        level[:] = budget * (2 ** j) ** (-1.0 / spec.gamma.p)
 
 
 # one filler per signal kind; 'zero' leaves the levels empty
 _LEVEL_FILLERS = {"shell_dense": _shell_levels, "shell_sparse": _shell_levels,
                    "besov_spread": _spread_levels, "critical_prior": _critical_levels,
-                   "zero": lambda spec, ball, levels: None}
+                   "zero": lambda spec, levels: None}
 
 
 def make_signal(spec: SignalSpec) -> MultiresSequence:
     """The signal spec describes, on levels 1..resolve_jmax(spec).
 
-    The kind's level filler sets the levels; the result is then scaled
-    into the ball so membership holds exactly.  'zero' yields the all-zero
-    sequence.
+    The kind's level filler sets the levels; the result is then scaled so
+    that besov_norm(theta, spec.gamma) <= spec.radius holds exactly.  'zero'
+    yields the all-zero sequence.
     """
-    ball = BesovBall(gamma=spec.gamma.validate(), radius=spec.radius)
     levels = [np.zeros(2 ** j) for j in range(1, resolve_jmax(spec) + 1)]
-    _LEVEL_FILLERS[spec.kind](spec, ball, levels)
-    return MultiresSequence(j0=1, levels=tuple(_fit_into_ball(levels, ball)))
+    _LEVEL_FILLERS[spec.kind](spec, levels)
+    return MultiresSequence(j0=1, levels=tuple(_fit_into_ball(levels, spec.gamma, spec.radius)))
 
 
 # -- noise sampling -----------------------------------------------------------

@@ -107,6 +107,33 @@ class TestExperimentConfig:
         assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "malformed config value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rates", "estimate"])
+    @pytest.mark.parametrize("section, field", [
+        (None, "radius"), ("signal", "xi0"), ("signal", "rho1"), ("signal", "rho2"),
+        ("penalty", "xi1"), ("penalty", "jeps_scale"), ("noise", "xi0"), ("noise", "xi1"),
+    ])
+    def test_infinite_value_exit_2(self, tmp_path, capsys, section, field, command):
+        # json reads Infinity but the output writers refuse it, so the load must
+        doc = base_config(epsilon=2.0 ** -8)
+        (doc if section is None else doc[section])[field] = float("inf")
+        seq = tmp_path / "seq.json"
+        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+        out = tmp_path / "o"
+        argv = [command, *([str(seq)] if command == "estimate" else []),
+                "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{field} must be a finite number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_gamma_field_exit_2(self, tmp_path, capsys):
+        # a misspelt key would otherwise leave beta at its default 0
+        doc = json.loads(json.dumps(PRESETS["dense"]))
+        doc["gamma"] = {"alpha": 1.0, "p": 2.0, "q": 2.0, "Beta": 0.5}
+        out = tmp_path / "o"
+        assert main(["rates", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "unknown gamma fields: ['Beta']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_zero_sequence(self, tmp_path):
@@ -149,6 +176,18 @@ class TestEstimate:
         assert "level j=1: max|y| = 1e+200" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_invalid_gamma_exit_2(self, tmp_path, capsys):
+        # estimate uses no rate theory, yet gamma must meet the rate hypotheses
+        seq = tmp_path / "seq.json"
+        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+        doc = base_config(gamma={"alpha": 0.4, "p": 1.0, "q": 1.0, "beta": 0.2},
+                          epsilon=2.0 ** -6)
+        doc["signal"]["kind"] = "zero"
+        cfg = write_config(tmp_path, doc)
+        assert main(["estimate", str(seq), "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "compactness requires" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_missing_input(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
         code = main(["estimate", str(tmp_path / "nope.json"), "--config", cfg,
@@ -184,6 +223,16 @@ class TestSweep:
     def test_single_epsilon_rejected(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilons=[2.0 ** -6]))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_level_scale_overflow_exit_3(self, tmp_path, capsys):
+        # eps_j = eps * 2^(beta*j) leaves the float range at beta = 100, j = 11
+        doc = json.loads(json.dumps(PRESETS["dense"]))
+        doc["gamma"]["beta"] = 100.0
+        doc.update(jmax=11, replicates=2)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert "level j=11: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from penseq import (BesovBall, HyperParams, MultiresSequence, NoiseSpec,
-                    ValidationError, Zone, besov_norm, classify_zone,
-                    membership, shell_radius)
+from penseq import (HyperParams, MultiresSequence, NoiseSpec, NumericalError,
+                    ValidationError, Zone, besov_norm, classify_zone, shell_radius)
 
 
 def random_sequence(rng, j0=1, jmax=5):
@@ -27,15 +26,16 @@ class TestHyperParams:
             HyperParams(alpha=float("nan"), p=2.0, q=2.0)
 
     def test_validate_raises_on_rate_hypotheses(self):
-        # compactness failure
-        g = HyperParams(alpha=0.3, p=1.0, q=1.0, beta=2.0)
-        with pytest.raises(ValidationError):
-            g.validate()
+        # construction enforces the rate hypotheses; compactness failure first
+        with pytest.raises(ValidationError) as err:
+            HyperParams(alpha=0.3, p=1.0, q=1.0, beta=2.0)
+        assert str(err.value) == "compactness requires alpha > (1/p - 1/2)_+; got alpha=0.3, p=1.0"
         # alpha + beta <= 1/p with p < 2
-        g = HyperParams(alpha=0.6, p=1.0, q=1.0, beta=0.2)
-        with pytest.raises(ValidationError):
-            g.validate()
-        HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.5).validate()
+        with pytest.raises(ValidationError) as err:
+            HyperParams(alpha=0.6, p=1.0, q=1.0, beta=0.2)
+        assert str(err.value) == ("hyper-parameters need alpha + beta > 1/p for p < 2; "
+                                  "got alpha=0.6, beta=0.2, p=1.0")
+        HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.5)
 
     def test_shell_exponent(self):
         g = HyperParams(alpha=1.0, p=2.0, q=2.0)
@@ -77,36 +77,36 @@ class TestBesovNorm:
 
 class TestShellRadius:
     def test_boundary_exponent_zero(self):
-        # alpha = 1/p - 1/2 exactly: a = 0, C_j constant
-        g = HyperParams(alpha=0.5, p=1.0, q=1.0, beta=0.0)
-        ball = BesovBall(gamma=g, radius=1.0)
-        for j in (0, 3, 17):
-            assert shell_radius(ball, j) == 1.0
+        # alpha = 1/p - 1/2 exactly would give a = 0 and a constant C_j;
+        # compactness excludes it, so every shell radius decays
+        with pytest.raises(ValidationError, match="compactness"):
+            HyperParams(alpha=0.5, p=1.0, q=1.0, beta=1.0)
+        g = HyperParams(alpha=0.5 + 1e-9, p=1.0, q=1.0, beta=1.0)
+        assert g.a > 0
+        assert shell_radius(g, 1.0, 0) == 1.0
+        assert 0.0 < 1.0 - shell_radius(g, 1.0, 17) < 1e-7
 
     def test_hand_value(self):
         g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.0)
-        ball = BesovBall(gamma=g, radius=4.0)
-        assert shell_radius(ball, 2) == pytest.approx(1.0, rel=1e-15)
+        assert shell_radius(g, 4.0, 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_geometric_decay(self):
         g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.3)
-        ball = BesovBall(gamma=g, radius=2.0)
         for j in range(6):
-            ratio = shell_radius(ball, j + 1) / shell_radius(ball, j)
+            ratio = shell_radius(g, 2.0, j + 1) / shell_radius(g, 2.0, j)
             assert ratio == pytest.approx(2.0 ** (-g.a), rel=1e-12)
 
     def test_membership_implies_shell_bound(self):
         rng = np.random.default_rng(13)
         g = HyperParams(alpha=0.9, p=1.5, q=2.5, beta=0.4)
-        ball = BesovBall(gamma=g, radius=1.0)
         for _ in range(25):
             raw = random_sequence(rng, jmax=6)
             norm = besov_norm(raw, g)
             theta = raw.scale(rng.uniform(0.1, 1.0) / norm)
-            assert membership(theta, ball)
+            assert besov_norm(theta, g) <= 1.0
             for j, coeffs in theta.iter_levels():
                 lp = float(np.sum(np.abs(coeffs) ** g.p) ** (1 / g.p))
-                assert lp <= shell_radius(ball, j) * (1 + 1e-12)
+                assert lp <= shell_radius(g, 1.0, j) * (1 + 1e-12)
 
 
 class TestClassifyZone:
@@ -116,10 +116,11 @@ class TestClassifyZone:
         assert classify_zone(HyperParams(1.0, 1.0, 2.0, 0.5)) is Zone.CRITICAL
 
     def test_invalid_cases(self):
-        # compactness violated
-        assert classify_zone(HyperParams(0.4, 1.0, 1.0, 1.0)) is Zone.INVALID
-        # alpha + beta <= 1/p
-        assert classify_zone(HyperParams(0.6, 1.0, 1.0, 0.3)) is Zone.INVALID
+        # no zone exists off the rate hypotheses: construction rejects them
+        with pytest.raises(ValidationError, match="compactness"):
+            HyperParams(0.4, 1.0, 1.0, 1.0)
+        with pytest.raises(ValidationError, match="alpha \\+ beta > 1/p"):
+            HyperParams(0.6, 1.0, 1.0, 0.3)
 
     def test_p_ge_2_never_sparse_or_critical(self):
         rng = np.random.default_rng(14)
@@ -128,23 +129,24 @@ class TestClassifyZone:
                             p=float(rng.uniform(2.0, 6.0)),
                             q=float(rng.uniform(0.5, 4.0)),
                             beta=float(rng.uniform(0.0, 2.0)))
-            assert classify_zone(g) in (Zone.DENSE, Zone.INVALID)
+            assert classify_zone(g) is Zone.DENSE
 
     def test_partition_of_valid_set(self):
         rng = np.random.default_rng(15)
         seen = set()
         for _ in range(500):
-            g = HyperParams(alpha=float(rng.uniform(0.05, 4.0)),
-                            p=float(rng.uniform(0.3, 4.0)),
-                            q=float(rng.uniform(0.5, 4.0)),
-                            beta=float(rng.uniform(0.0, 2.0)))
-            zone = classify_zone(g)
-            if g.satisfies_rate_hypotheses():
-                assert zone in (Zone.DENSE, Zone.SPARSE, Zone.CRITICAL)
-            else:
-                assert zone is Zone.INVALID
+            alpha, p, q, beta = (float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.3, 4.0)),
+                                 float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.0, 2.0)))
+            valid = alpha > max(1 / p - 0.5, 0) and (p >= 2 or alpha + beta > 1 / p)
+            try:
+                zone = classify_zone(HyperParams(alpha, p, q, beta))
+            except ValidationError:
+                assert not valid
+                seen.add(None)
+                continue
+            assert valid and zone in (Zone.DENSE, Zone.SPARSE, Zone.CRITICAL)
             seen.add(zone)
-        assert Zone.DENSE in seen and Zone.INVALID in seen
+        assert Zone.DENSE in seen and None in seen
 
     def test_critical_tolerance_and_override(self):
         boundary = 2.0 * 0.5  # (2*beta+1)*(1/p-1/2) at p=1, beta=0.5
@@ -155,20 +157,15 @@ class TestClassifyZone:
 
 
 class TestMembership:
-    def test_zero_in_any_ball(self):
-        ball = BesovBall(HyperParams(1.0, 2.0, 2.0), radius=0.01)
-        assert membership(MultiresSequence.zeros(1, 3), ball)
-
     def test_boundary_scaling(self):
         rng = np.random.default_rng(16)
         g = HyperParams(1.2, 1.0, 1.0, 0.5)
-        ball = BesovBall(gamma=g, radius=2.0)
         raw = random_sequence(rng, jmax=5)
-        theta = raw.scale(ball.radius / besov_norm(raw, g))
-        while besov_norm(theta, g) > ball.radius:
+        theta = raw.scale(2.0 / besov_norm(raw, g))
+        while besov_norm(theta, g) > 2.0:
             theta = theta.scale(1.0 - 1e-15)
-        assert membership(theta, ball)
-        assert not membership(theta.scale(1.0 + 1e-6), ball)
+        assert besov_norm(theta, g) <= 2.0
+        assert not besov_norm(theta.scale(1.0 + 1e-6), g) <= 2.0
 
 
 class TestMultiresSequence:
@@ -232,3 +229,9 @@ class TestNoiseSpec:
 
     def test_epsilon_zero_allowed(self):
         assert NoiseSpec(epsilon=0.0).epsilon_at(3) == 0.0
+
+    @pytest.mark.parametrize("epsilon, beta, j", [(0.5, 100.0, 11), (4.0, 1.0, 1023)])
+    def test_level_scale_past_float_range(self, epsilon, beta, j):
+        # the power overflows at 2^1100; 4 * 2^1023 overflows in the product
+        with pytest.raises(NumericalError, match=f"level j={j}: .*beta={beta}, epsilon={epsilon}"):
+            NoiseSpec(epsilon=epsilon, beta=beta).epsilon_at(j)

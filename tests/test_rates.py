@@ -67,7 +67,7 @@ class TestControlFunction:
         # value and label take the same branch; these shells sit exactly on
         # the boundary, C_j / eps_j = n_j^(1/p) at j = j_star
         for p, alpha, j in ((0.5, 2.0, 4), (1.0, 1.0, 4), (2.0, 1.0, 4), (3.0, 1.0, 3)):
-            g = HyperParams(alpha, p, 1.0, 0.5).validate()
+            g = HyperParams(alpha, p, 1.0, 0.5)
             eps = 2.0 ** (-(alpha + 1.0) * j)
             assert control_function(2.0 ** j, p, (2.0 ** j) ** (1.0 / p)) == 2.0 ** j
             assert _shell(g, 1.0, eps, j)[1] == "large-signal"
@@ -83,18 +83,15 @@ class TestRateExponent:
         assert rate_exponent(HyperParams(1.0, 1.0, 2.0, 0.5)) == pytest.approx(0.5)
         assert rate_exponent(HyperParams(0.6, 1.0, 1.0, 1.0)) == pytest.approx(0.2 / 2.2)
 
-    def test_invalid_rejected(self):
-        with pytest.raises(ValidationError):
-            rate_exponent(HyperParams(0.4, 1.0, 1.0, 1.0))
-
     def test_in_unit_interval(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
-            g = HyperParams(alpha=float(rng.uniform(0.05, 4.0)),
-                            p=float(rng.uniform(0.3, 4.0)),
-                            q=float(rng.uniform(0.5, 4.0)),
-                            beta=float(rng.uniform(0.0, 2.0)))
-            if classify_zone(g) is Zone.INVALID:
+            try:
+                g = HyperParams(alpha=float(rng.uniform(0.05, 4.0)),
+                                p=float(rng.uniform(0.3, 4.0)),
+                                q=float(rng.uniform(0.5, 4.0)),
+                                beta=float(rng.uniform(0.0, 2.0)))
+            except ValidationError:     # off the rate hypotheses
                 continue
             assert 0.0 < rate_exponent(g) < 1.0
 
@@ -329,11 +326,6 @@ class TestRiskUpperBound:
         slope = np.polyfit(np.log2(cs), np.log2(vals), 1)[0]
         assert slope == pytest.approx(2 * (1 - r), abs=0.05)
 
-    def test_invalid_zone_rejected(self):
-        with pytest.raises(ValidationError):
-            risk_upper_bound(HyperParams(0.4, 1.0, 1.0, 0.2), 1.0, 2.0 ** -8,
-                             PenaltyConfig(beta=0.2))
-
 
 class TestLpMinimaxLower:
     def test_capped_dense_case(self):
@@ -397,12 +389,15 @@ class TestSparseDenseIdentity:
         rng = np.random.default_rng(42)
         zones = {Zone.DENSE: 0, Zone.SPARSE: 0}
         while sum(zones.values()) < 2000:
-            g = HyperParams(alpha=float(rng.uniform(0.1, 3.0)),
-                            p=float(rng.uniform(0.3, 1.99)),
-                            q=float(rng.uniform(0.5, 4.0)),
-                            beta=float(rng.uniform(0.0, 2.0)))
+            try:
+                g = HyperParams(alpha=float(rng.uniform(0.1, 3.0)),
+                                p=float(rng.uniform(0.3, 1.99)),
+                                q=float(rng.uniform(0.5, 4.0)),
+                                beta=float(rng.uniform(0.0, 2.0)))
+            except ValidationError:     # off the rate hypotheses
+                continue
             zone = classify_zone(g)
-            if zone not in zones:
+            if zone not in zones:       # critical: a measure-zero set
                 continue
             zones[zone] += 1
             assert rate_exponent(g) == self.smaller_exponent(g)

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from penseq import (BesovBall, ConfigurationError, HyperParams, MultiresSequence,
-                    NoiseSpec, NumericalError, PenaltyConfig, SignalSpec, ValidationError,
-                    besov_norm, fit_multiscale, fit_rate_exponent, make_signal, mc_risk,
-                    mc_risk_for_truth, membership, oracle_inequality_check,
-                    pen_vector, per_level_sse, sample_noise, shell_radius)
+from penseq import (ConfigurationError, HyperParams, MultiresSequence, NoiseSpec,
+                    NumericalError, PenaltyConfig, SignalSpec, ValidationError, besov_norm,
+                    fit_multiscale, fit_rate_exponent, make_signal, mc_risk,
+                    mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
+                    sample_noise, shell_radius)
 from penseq.rates import j_plus, j_star
 from penseq.simulate import _replicate_rng, _tridiagonal_factor, resolve_jmax
 
@@ -60,8 +60,7 @@ class TestShellSignals:
     def test_dense_norm_and_membership(self):
         spec = spec_for("shell_dense", DENSE_GAMMA)
         sig = make_signal(spec)
-        ball = BesovBall(gamma=DENSE_GAMMA, radius=1.0)
-        assert membership(sig, ball)
+        assert besov_norm(sig, DENSE_GAMMA) <= 1.0
         assert besov_norm(sig, DENSE_GAMMA) == pytest.approx(1.0, rel=1e-12)
 
     def test_dense_per_coordinate_magnitude(self):
@@ -70,8 +69,7 @@ class TestShellSignals:
         js = j_star(DENSE_GAMMA, 1.0, spec.epsilon)
         j = int(math.floor(js + 0.5))
         level = sig.level(j)
-        ball = BesovBall(gamma=DENSE_GAMMA, radius=1.0)
-        expected = shell_radius(ball, j) / math.sqrt(2 ** j)
+        expected = shell_radius(DENSE_GAMMA, 1.0, j) / math.sqrt(2 ** j)
         assert np.all(level > 0)
         assert level[0] == pytest.approx(expected, rel=1e-12)
         # every other level is empty
@@ -85,7 +83,7 @@ class TestShellSignals:
         g = SPARSE_GAMMA
         j = int(math.floor(j_plus(g, 1.0, spec.epsilon) + 0.5))
         n = 2 ** j
-        c_j = shell_radius(BesovBall(gamma=g, radius=1.0), j)
+        c_j = shell_radius(g, 1.0, j)
         eps_j = spec.epsilon * 2.0 ** (g.beta * j)
         m_expected = max(1, int(math.floor((c_j / eps_j) ** g.p + 0.5)))
         level = sig.level(j)
@@ -93,7 +91,7 @@ class TestShellSignals:
         assert m == m_expected
         lp = float(np.sum(np.abs(level) ** g.p) ** (1 / g.p))
         assert lp == pytest.approx(c_j, rel=1e-12)
-        assert membership(sig, BesovBall(gamma=g, radius=1.0))
+        assert besov_norm(sig, g) <= 1.0
 
     def test_sparse_boundary_identity(self):
         # at the exact (real) boundary level, C_j / eps_j = sqrt(1 + log n_j)
@@ -136,7 +134,7 @@ class TestShellSignals:
 class TestCriticalSignal:
     def test_membership_by_construction(self):
         sig = make_signal(spec_for("critical_prior", CRITICAL_GAMMA))
-        assert membership(sig, BesovBall(gamma=CRITICAL_GAMMA, radius=1.0))
+        assert besov_norm(sig, CRITICAL_GAMMA) <= 1.0
 
     def test_energy_shape(self):
         # total l2 energy tracks eps^2 (C/eps)^p log(C/eps)^((1-p/2)+(1-p/q))
@@ -181,7 +179,7 @@ class TestSpreadAndZero:
     def test_spread_membership_and_support(self):
         spec = spec_for("besov_spread", SPARSE_GAMMA)
         sig = make_signal(spec)
-        assert membership(sig, BesovBall(gamma=SPARSE_GAMMA, radius=1.0))
+        assert besov_norm(sig, SPARSE_GAMMA) <= 1.0
         assert besov_norm(sig, SPARSE_GAMMA) == pytest.approx(1.0, rel=1e-12)
         for _, coeffs in sig.iter_levels():
             assert np.all(coeffs > 0)
@@ -323,6 +321,17 @@ class TestMcRisk:
         with pytest.raises(NumericalError, match=r"level j=6: max\|y\| = .* at n=64"):
             mc_risk_for_truth(MultiresSequence.zeros(1, 6), PenaltyConfig(beta=100.0),
                               NoiseSpec(epsilon=0.5, beta=100.0), replicates=2, seed=0)
+
+    @pytest.mark.parametrize("call", ["mc_risk_for_truth", "fit_multiscale", "sample_noise"])
+    def test_level_scale_overflow_names_the_level(self, call):
+        # 2^(100 j) leaves the float range at j = 11, before any level is fitted
+        zeros, cfg = MultiresSequence.zeros(1, 11), PenaltyConfig(beta=100.0)
+        noise = NoiseSpec(epsilon=0.5, beta=100.0)
+        run = {"mc_risk_for_truth": lambda: mc_risk_for_truth(zeros, cfg, noise, 2, 0),
+               "fit_multiscale": lambda: fit_multiscale(zeros, cfg, noise),
+               "sample_noise": lambda: sample_noise(noise, 11, 0)}[call]
+        with pytest.raises(NumericalError, match=r"level j=11: .* beta=100.0, epsilon=0.5"):
+            run()
 
     def test_replicates_validated(self):
         cfg = PenaltyConfig(beta=0.5)
