@@ -1,7 +1,6 @@
 """Exception types and the input checks shared across the package.
 
-The CLI maps these onto exit codes: ValidationError (and its
-ConfigurationError subclass) -> 2, NumericalError -> 3.
+The CLI maps these onto exit codes: ValidationError -> 2, NumericalError -> 3.
 """
 
 import math
@@ -15,10 +14,6 @@ class PenseqError(Exception):
 
 class ValidationError(PenseqError):
     """Raised when inputs violate a documented precondition or invariant."""
-
-
-class ConfigurationError(ValidationError):
-    """Raised when an experiment configuration is internally inconsistent."""
 
 
 class NumericalError(PenseqError):

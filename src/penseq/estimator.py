@@ -33,6 +33,8 @@ class MonoscaleFit:
     threshold is on the data scale (eps * t_{k_hat}); it is +inf when
     k_hat = 0, i.e. nothing is kept.  estimate keeps y_i iff |y_i| > threshold
     (strict), so with no ties at the boundary it has exactly k_hat nonzeros.
+    The fit takes ownership of the estimate array it is given and makes it
+    read-only.
     """
 
     k_hat: int
@@ -41,7 +43,7 @@ class MonoscaleFit:
     objective: float
 
     def __post_init__(self):
-        est = np.array(self.estimate, dtype=float)
+        est = np.asarray(self.estimate, dtype=float)
         est.setflags(write=False)
         object.__setattr__(self, "estimate", est)
 

@@ -94,7 +94,7 @@ class MultiresSequence:
     levels: tuple
 
     def __post_init__(self):
-        require(isinstance(self.j0, int) and self.j0 >= 1,
+        require(type(self.j0) is int and self.j0 >= 1,
                 f"j0 must be an integer >= 1, got {self.j0!r}")
         require(len(self.levels) >= 1, "at least one level is required")
         frozen = []
@@ -151,10 +151,13 @@ class MultiresSequence:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed sequence JSON: {exc}") from exc
-        require(isinstance(doc, dict) and "j0" in doc and "levels" in doc,
-                "sequence document must have 'j0' and 'levels' fields")
-        require(isinstance(doc["j0"], int), f"j0 must be an integer, got {doc['j0']!r}")
-        return cls(j0=doc["j0"], levels=tuple(doc["levels"]))
+        require(isinstance(doc, dict), "sequence document must be a JSON object")
+        kwargs = dataclass_kwargs(doc, cls, "sequence")
+        # a JSON number is an int or a float, never a bool or a string
+        require(isinstance(kwargs["levels"], list) and all(
+            isinstance(lev, list) and all(type(x) in (int, float) for x in lev)
+            for lev in kwargs["levels"]), "levels must be a list of lists of numbers")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

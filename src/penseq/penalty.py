@@ -169,17 +169,14 @@ def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> 
     collapses to n binomial terms evaluated in log space.  n may be a large
     real quantity (levels n_j = 2^j with j beyond integer-index range).
     """
-    require(n >= 1, f"n must be >= 1, got {n}")
-    nu = _resolve_nu(cfg, nu_eff)
-    require_complexity_condition(cfg, nu)
-    return float(np.exp(_m_prime_log(cfg, np.asarray([n], dtype=float), nu)[0]))
+    return float(m_prime_many(cfg, [n], nu_eff)[0])
 
 
 def m_prime_many(cfg: PenaltyConfig, ns, nu_eff: float | None = None) -> np.ndarray:
     """Vectorized M'_n over an array of sizes (shared nu_eff)."""
     arr = np.asarray(ns, dtype=float)
     require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
-    require(bool(np.all(arr >= 1)), "all sizes must be >= 1")
+    require(bool(np.all(arr >= 1)), f"all sizes must be >= 1, got {float(arr.min())}")
     nu = _resolve_nu(cfg, nu_eff)
     require_complexity_condition(cfg, nu)
     return np.exp(_m_prime_log(cfg, arr, nu))

@@ -13,14 +13,13 @@ reproducible and independent of any execution schedule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .errors import ConfigurationError, require, require_finite
+from .errors import ValidationError, require, require_finite
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
                     classify_zone, shell_radius)
 from .penalty import PenaltyConfig, m_prime
@@ -64,7 +63,7 @@ class SignalSpec:
         require(self.placement == "even", f"placement must be 'even', got {self.placement!r}")
         require(self.xi0 > 0, f"xi0 must be > 0, got {self.xi0}")
         if self.jmax is not None:
-            require(isinstance(self.jmax, int) and 1 <= self.jmax <= _JMAX_CAP,
+            require(type(self.jmax) is int and 1 <= self.jmax <= _JMAX_CAP,
                     f"jmax must be an integer in 1..{_JMAX_CAP}, got {self.jmax}")
         if self.kind == "shell_sparse":
             require(self.gamma.p < 2, "shell_sparse signals need p < 2")
@@ -101,22 +100,6 @@ def _spike_indices(n: int, m: int) -> np.ndarray:
     return np.floor(np.arange(m) * (n / m)).astype(int)
 
 
-def _fit_into_ball(levels: list, gamma: HyperParams, radius: float) -> list:
-    # Rescale (by at most a few ulps in the intended case) until the weighted
-    # norm is <= the radius under exact comparison.
-    seq = MultiresSequence(j0=1, levels=tuple(levels))
-    norm = besov_norm(seq, gamma)
-    if norm == 0.0:
-        return levels
-    factor = radius / norm
-    for _ in range(64):
-        scaled = [factor * arr for arr in levels]
-        if besov_norm(MultiresSequence(j0=1, levels=tuple(scaled)), gamma) <= radius:
-            return scaled
-        factor *= 1.0 - 4.0 * np.finfo(float).eps
-    raise ConfigurationError("could not normalize signal into the ball")
-
-
 # Level fillers: each sets the zero levels 1..jmax of one signal kind in place.
 
 def _shell_levels(spec: SignalSpec, levels: list) -> None:
@@ -131,7 +114,7 @@ def _shell_levels(spec: SignalSpec, levels: list) -> None:
     gamma = spec.gamma
     j = max(_round_half_up(_peak_level(spec)), 1)
     if j > len(levels):
-        raise ConfigurationError(
+        raise ValidationError(
             f"peak level {j} exceeds jmax={len(levels)}; increase jmax or epsilon")
     n = 2 ** j
     c_j = shell_radius(gamma, spec.radius, j)
@@ -160,7 +143,7 @@ def _critical_levels(spec: SignalSpec, levels: list) -> None:
     j_lo = int(math.floor(spec.rho1 * js))
     j_hi = int(math.ceil(spec.rho2 * js))
     if j_hi > len(levels):
-        raise ConfigurationError(f"level window top {j_hi} exceeds jmax={len(levels)}")
+        raise ValidationError(f"level window top {j_hi} exceeds jmax={len(levels)}")
     if j_hi <= j_lo:
         j_hi = j_lo + 1
     span = j_hi - j_lo
@@ -178,7 +161,7 @@ def _critical_levels(spec: SignalSpec, levels: list) -> None:
         levels[j - 1][_spike_indices(n_j, n0)] = delta0
         placed += n0
     if placed == 0:
-        raise ConfigurationError(
+        raise ValidationError(
             "critical construction infeasible: no level admits a spike "
             f"(C/eps={snr:.3g}, window {j_lo + 1}..{j_hi})")
 
@@ -206,33 +189,37 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
     """
     levels = [np.zeros(2 ** j) for j in range(1, resolve_jmax(spec) + 1)]
     _LEVEL_FILLERS[spec.kind](spec, levels)
-    return MultiresSequence(j0=1, levels=tuple(_fit_into_ball(levels, spec.gamma, spec.radius)))
+    signal = MultiresSequence(j0=1, levels=tuple(levels))
+    norm = besov_norm(signal, spec.gamma)
+    if norm == 0.0:
+        return signal
+    # Rescale (by at most a few ulps in the intended case) until the weighted
+    # norm is <= the radius under exact comparison.
+    factor = spec.radius / norm
+    for _ in range(64):
+        scaled = signal.scale(factor)
+        if besov_norm(scaled, spec.gamma) <= spec.radius:
+            return scaled
+        factor *= 1.0 - 4.0 * np.finfo(float).eps
+    raise ValidationError("could not normalize signal into the ball")
 
 
 # -- noise sampling -----------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _tridiagonal_factor(n: int, rho: float) -> np.ndarray:
-    """Banded Cholesky factor of the unit-diagonal tridiagonal covariance.
-
-    Computed once per (n, rho) and shared between draws, so it is read-only.
-    """
-    ab = np.vstack([np.ones(n), np.full(n, rho)])
-    ab[1, -1] = 0.0
-    lo = cholesky_banded(ab, lower=True)
-    lo.flags.writeable = False
-    return lo
-
-
 def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     """None for identity noise, else the diagonal and subdiagonal of the
     block-diagonal Cholesky factor over levels j0..jmax laid end to end; the
-    subdiagonal is zero across each level boundary, so levels stay independent."""
+    subdiagonal is zero across each level boundary, so levels stay independent.
+    The factorization runs front to back, so the leading 2^j block of the
+    top-level factor is the level-j factor bit for bit: one serves all levels."""
     if noise.covariance == "identity":
         return None
-    factors = [_tridiagonal_factor(1 << j, noise.rho) for j in range(j0, jmax + 1)]
-    sub = np.concatenate([np.append(lo[1, :-1], 0.0) for lo in factors])[:-1]
-    return np.concatenate([lo[0] for lo in factors]), sub
+    sizes = [1 << j for j in range(j0, jmax + 1)]
+    top = cholesky_banded(np.vstack([np.ones(sizes[-1]), np.full(sizes[-1], noise.rho)]),
+                          lower=True)
+    factor = np.concatenate([top[:, :n] for n in sizes], axis=1)
+    factor[1, np.cumsum(sizes) - 1] = 0.0
+    return factor[0], factor[1, :-1]
 
 
 def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
@@ -309,17 +296,6 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     stderr = float(sses.std(ddof=1) / math.sqrt(replicates))
     return McResult(replicates=replicates, mean_sse=mean, stderr_sse=stderr,
                     per_level_sse=per_level / replicates)
-
-
-def mc_risk(spec: SignalSpec, cfg: PenaltyConfig, noise: NoiseSpec,
-            replicates: int, seed: int) -> McResult:
-    """Monte Carlo risk with the truth generated once from spec.
-
-    Replicate r uses the RNG stream derived from (seed, r), so identical
-    seeds reproduce the result bit for bit and replicates may be evaluated
-    in any order.
-    """
-    return mc_risk_for_truth(make_signal(spec), cfg, noise, replicates, seed)
 
 
 def fit_rate_exponent(results) -> tuple:

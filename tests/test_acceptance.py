@@ -13,7 +13,7 @@ import pytest
 
 from penseq import (HyperParams, NoiseSpec, PenaltyConfig, SignalSpec,
                     fit_rate_exponent, m_prime_bound_constant, m_prime_many,
-                    mc_risk, oracle_inequality_check, pen_vector, select_k,
+                    make_signal, mc_risk_for_truth, oracle_inequality_check, pen_vector, select_k,
                     subset_oracle, t1_complexity_sum)
 from penseq.model import Zone, classify_zone
 from penseq.rates import (j_plus, j_star, rate_exponent, shell_peak_value,
@@ -205,7 +205,7 @@ def test_c07_dense_rate_recovery():
         eps = 2.0 ** -k
         spec = SignalSpec(kind="shell_dense", gamma=g, radius=1.0, epsilon=eps)
         noise = NoiseSpec(epsilon=eps, beta=0.5)
-        res = mc_risk(spec, cfg, noise, replicates=100, seed=414243 + i)
+        res = mc_risk_for_truth(make_signal(spec), cfg, noise, replicates=100, seed=414243 + i)
         rows.append((eps, res.mean_sse))
     _, _, r_hat = fit_rate_exponent(rows)
     r = rate_exponent(g)
@@ -227,7 +227,7 @@ def test_c08_sparse_rate_recovery_log_corrected():
         eps = 2.0 ** -k
         spec = SignalSpec(kind="shell_sparse", gamma=g, radius=1.0, epsilon=eps)
         noise = NoiseSpec(epsilon=eps, beta=0.5)
-        res = mc_risk(spec, cfg, noise, replicates=100, seed=515253 + i)
+        res = mc_risk_for_truth(make_signal(spec), cfg, noise, replicates=100, seed=515253 + i)
         rows.append((eps, res.mean_sse / (1.0 + math.log(1.0 / eps)) ** r))
     _, _, r_hat = fit_rate_exponent(rows)
     rel = abs(r_hat - r) / r

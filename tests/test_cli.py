@@ -99,6 +99,7 @@ class TestExperimentConfig:
         (None, "replicates", 2.7),
         (None, "seed", 1.9),
         (None, "seed", -1),
+        (None, "seed", True),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, section, field, value):
         doc = base_config(epsilon=2.0 ** -8)
@@ -188,6 +189,24 @@ class TestEstimate:
         assert "compactness requires" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"j0": 1, "levels": 5}, "levels"),
+        ({"j0": 1, "levels": "ab"}, "levels"),
+        ({"j0": 1, "levels": [[{"a": 1}, 2]]}, "levels"),
+        ({"j0": 1, "levels": [["1", "2"]]}, "levels"),
+        ({"j0": True, "levels": [[0.0, 0.0]]}, "j0"),
+        ({"j0": 1, "levels": [[0.0, 0.0]], "jmax": 1}, "jmax"),
+    ], ids=["levels-number", "levels-string", "level-object", "level-strings", "j0-bool",
+            "unknown-key"])
+    def test_malformed_sequence_exit_2(self, tmp_path, capsys, doc, field):
+        inp = tmp_path / "seq.json"
+        inp.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
+        out = tmp_path / "o"
+        assert main(["estimate", str(inp), "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path):
         cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
         code = main(["estimate", str(tmp_path / "nope.json"), "--config", cfg,
@@ -272,6 +291,7 @@ class TestRates:
         ("signal", "placement", "head"),
         ("signal", "xi0", -1),
         (None, "jmax", 2.5),
+        (None, "jmax", True),
     ])
     def test_malformed_signal_exit_2(self, tmp_path, capsys, section, field, value):
         # rates builds no signal, so only the load-time check can catch these

@@ -86,6 +86,20 @@ class TestSelectK:
         assert fit.k_hat == 1
         assert np.array_equal(fit.estimate, y)
 
+    @pytest.mark.parametrize("spike, k_hat", [(0.0, 0), (50.0, 1)])
+    def test_caller_y_left_writable_and_estimate_read_only(self, spike, k_hat):
+        # the fit freezes the estimate it builds, never the caller's y
+        y = np.zeros(16)
+        y[0] = spike * math.sqrt(pen_vector(CFG, 16)[1])
+        before = y.copy()
+        fit = select_k(y, CFG, 1.0)
+        assert fit.k_hat == k_hat
+        assert y.flags.writeable and np.array_equal(y, before)
+        assert not fit.estimate.flags.writeable
+        assert not np.shares_memory(fit.estimate, y)
+        with pytest.raises(ValueError):
+            fit.estimate[0] = 1.0
+
     def test_agrees_with_subset_oracle(self):
         rng = np.random.default_rng(21)
         for beta in (0.0, 0.5):

@@ -1,4 +1,5 @@
-"""The README's config documentation agrees with the code that loads configs."""
+"""The README's config documentation agrees with the code that loads configs,
+and its library example runs."""
 
 import json
 import re
@@ -35,3 +36,9 @@ def test_section_table_lists_the_fields_the_config_takes(section):
     # type, with defaults filled in
     taken = getattr(ExperimentConfig.from_dict(config_block()), section)
     assert table_fields(section) == list(taken)
+
+
+def test_library_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert len(blocks) == 1, "the README should show exactly one python block"
+    exec(compile(blocks[0], "README.md", "exec"), {})

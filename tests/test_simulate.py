@@ -1,16 +1,16 @@
-import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
-from penseq import (ConfigurationError, HyperParams, MultiresSequence, NoiseSpec,
+from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     NumericalError, PenaltyConfig, SignalSpec, ValidationError, besov_norm,
-                    fit_multiscale, fit_rate_exponent, make_signal, mc_risk,
+                    fit_multiscale, fit_rate_exponent, make_signal,
                     mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
                     sample_noise, shell_radius)
 from penseq.rates import j_plus, j_star
-from penseq.simulate import _replicate_rng, _tridiagonal_factor, resolve_jmax
+from penseq.simulate import _noise_bands, _replicate_rng, resolve_jmax
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
 SPARSE_GAMMA = HyperParams(0.75, 1.0, 1.0, 0.5)
@@ -22,7 +22,8 @@ def spec_for(kind, gamma, eps=2.0 ** -8, **kw):
 
 
 def per_level_noise(rng, noise, jmax, j0=1):
-    """The first noise sampler, one draw per level, kept verbatim as the reference."""
+    """The first noise sampler, one draw and one factorization per level, kept as
+    the reference."""
     levels = []
     for j in range(j0, jmax + 1):
         n = 2 ** j
@@ -30,7 +31,9 @@ def per_level_noise(rng, noise, jmax, j0=1):
         if noise.covariance == "identity" or n == 1:
             z = g
         else:
-            lo = _tridiagonal_factor(n, noise.rho)
+            ab = np.vstack([np.ones(n), np.full(n, noise.rho)])
+            ab[1, -1] = 0.0
+            lo = cholesky_banded(ab, lower=True)
             z = lo[0] * g
             z[1:] += lo[1, :-1] * g[:-1]
         levels.append(noise.epsilon_at(j) * z)
@@ -117,7 +120,7 @@ class TestShellSignals:
 
     def test_peak_above_jmax_rejected(self):
         spec = spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -10, jmax=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             make_signal(spec)
 
     def test_sparse_requires_p_below_two(self):
@@ -170,7 +173,7 @@ class TestCriticalSignal:
     def test_infeasible_rejected(self):
         # C/eps = 1.82 makes n0 = 0.98 at the only window level: no spikes fit
         g = CRITICAL_GAMMA
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             make_signal(SignalSpec(kind="critical_prior", gamma=g,
                                             radius=1.0, epsilon=0.55))
 
@@ -237,20 +240,22 @@ class TestSampleNoise:
         target = np.eye(4) - 0.25 * (np.eye(4, k=1) + np.eye(4, k=-1))
         assert np.max(np.abs(cov - target)) < 0.1
 
-    def test_tridiagonal_factor_is_read_only_and_repeatable(self):
-        lo = _tridiagonal_factor(16, 0.25)
-        assert lo.flags.writeable is False
-        with pytest.raises(ValueError):
-            lo[0, 0] = 2.0
-        assert np.array_equal(_tridiagonal_factor(16, 0.25), lo)
-        assert list(inspect.signature(_tridiagonal_factor).parameters) == ["n", "rho"]
-        # L L^T is the unit-diagonal tridiagonal covariance
-        full = np.diag(lo[0]) + np.diag(lo[1, :-1], k=-1)
-        target = np.eye(16) + 0.25 * (np.eye(16, k=1) + np.eye(16, k=-1))
-        assert np.allclose(full @ full.T, target, rtol=0.0, atol=1e-14)
+    def test_noise_bands_factor_each_level(self):
+        # per level, L L^T is the unit-diagonal tridiagonal covariance
+        diag, sub = _noise_bands(NoiseSpec(epsilon=1.0, covariance="tridiagonal", rho=0.25),
+                                 j0=2, jmax=5)
+        sub = np.append(sub, 0.0)
+        start = 0
+        for n in (4, 8, 16, 32):
+            full = np.diag(diag[start:start + n]) + np.diag(sub[start:start + n - 1], k=-1)
+            target = np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+            assert np.allclose(full @ full.T, target, rtol=0.0, atol=1e-14)
+            assert sub[start + n - 1] == 0.0          # no coupling into the next level
+            start += n
+        assert start == diag.size
 
-    @pytest.mark.parametrize("noise", [NoiseSpec(epsilon=0.3, beta=0.5),
-                                       NoiseSpec(epsilon=0.3, covariance="tridiagonal", rho=0.25)])
+    @pytest.mark.parametrize("noise", [NoiseSpec(epsilon=0.3, beta=0.5)] + [
+        NoiseSpec(epsilon=0.3, covariance="tridiagonal", rho=rho) for rho in (0.25, -0.4999, 0.49)])
     def test_one_draw_equals_per_level_draws(self, noise):
         # one draw of every normal, split by level, is bit for bit one draw per level
         for seed in range(5):
@@ -279,8 +284,8 @@ class TestMcRisk:
         cfg = PenaltyConfig(beta=0.5)
         spec = spec_for("shell_dense", DENSE_GAMMA)
         noise = NoiseSpec(epsilon=spec.epsilon, beta=0.5)
-        a = mc_risk(spec, cfg, noise, replicates=5, seed=77)
-        b = mc_risk(spec, cfg, noise, replicates=5, seed=77)
+        a = mc_risk_for_truth(make_signal(spec), cfg, noise, replicates=5, seed=77)
+        b = mc_risk_for_truth(make_signal(spec), cfg, noise, replicates=5, seed=77)
         assert a.mean_sse == b.mean_sse and a.stderr_sse == b.stderr_sse
         assert np.array_equal(a.per_level_sse, b.per_level_sse)
 
@@ -337,8 +342,8 @@ class TestMcRisk:
         cfg = PenaltyConfig(beta=0.5)
         spec = spec_for("shell_dense", DENSE_GAMMA)
         with pytest.raises(ValidationError):
-            mc_risk(spec, cfg, NoiseSpec(epsilon=spec.epsilon, beta=0.5),
-                    replicates=1, seed=0)
+            mc_risk_for_truth(make_signal(spec), cfg, NoiseSpec(epsilon=spec.epsilon, beta=0.5),
+                              replicates=1, seed=0)
 
 
 class TestFitRateExponent:
