@@ -5,6 +5,14 @@ over all theta, which reduces to choosing the number k_hat of retained order
 statistics and hard thresholding at eps * t_{k_hat}.  The multiscale fit
 applies the monoscale rule level by level with noise eps_j = eps * 2^(beta*j)
 and the nu schedule from the penalty module.
+
+The objective sum_{i>k} |y|_(i)^2 + eps^2 * pen(k) is formed without
+subtraction: coefficients with |y| <= eps * t_n can never be kept (t_k^2 =
+pen(k) - pen(k-1) never falls below t_n^2), so their squares are summed once,
+and only the coefficients above that floor are sorted and their squares
+added to that sum smallest first.  A huge coefficient therefore cannot wash
+out the small squares, and a level where nothing clears the floor is not
+sorted at all.
 """
 
 from __future__ import annotations
@@ -48,14 +56,44 @@ class MonoscaleFit:
         object.__setattr__(self, "estimate", est)
 
 
-def _penalized_objective(a: np.ndarray, pens: np.ndarray, epsilon: float) -> np.ndarray:
-    """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..n, for a = |v|."""
+# The floor eps * t_n is shrunk by 4 ulps: while it stays in the normal range
+# its three roundings (a sqrt and two products) add less than that, so a
+# coefficient at or below the shrunk floor lies below the exact one.
+_SHRINK = 1.0 - 4.0 * float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray,
+                         epsilon: float) -> np.ndarray:
+    """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..m, for a = |v|, its
+    order statistics a_(1) >= a_(2) >= ... and peak = a_(1).
+
+    pen is concave, so t_k^2 = pen(k) - pen(k-1) >= t_n^2: a coefficient with
+    |v| <= eps * t_n never lowers the objective by being kept, and the first
+    minimizer is at most m, the number of coefficients above that floor.  The
+    others are dropped before the sort; their squares sum to one term, and
+    the kept squares are added to it smallest first, so no objective is
+    formed by subtraction.  Without a positive normal floor (eps = 0, or a
+    penalty that is not increasing at n) nothing is dropped and m = n.
+    """
+    step = float(pens[-1] - pens[-2])             # t_n^2
+    cut = epsilon * math.sqrt(step) * _SHRINK if step > 0.0 else 0.0
+    rest = 0.0
+    if cut >= _TINY:
+        if peak <= cut:
+            return np.array([float(a @ a)])       # m = 0; pen(0) = 0
+        keep = a > cut
+        dropped = a[~keep]
+        rest = float(dropped @ dropped)
+        a = a[keep]
     sq = a * a
-    sq.sort()                                     # ascending squares, as squaring is monotone
-    obj = np.zeros(sq.size + 1)
-    np.add.accumulate(sq[::-1], out=obj[1:])      # running sums of the descending squares
-    np.subtract(obj[-1], obj, out=obj)            # obj[k] = sum_{i>k} |v|_(i)^2
-    obj += (epsilon * epsilon) * pens
+    sq.sort()                                     # ascending squares of the kept coefficients
+    obj = np.empty(sq.size + 1)
+    obj[0] = rest
+    obj[1:] = sq
+    np.add.accumulate(obj, out=obj)               # rest + the i smallest kept squares
+    obj = obj[::-1]                               # obj[k] = rest + the m - k smallest
+    obj += (epsilon * epsilon) * pens[:obj.size]
     return obj
 
 
@@ -63,7 +101,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
-    """(y, |y|, pen_vector) of one level; the input check of every single-level
+    """(y, |y|, max|y|, pen_vector) of one level; the input check of every single-level
     entry point.  It runs per level of every replicate: messages are built on failure."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
@@ -82,7 +120,7 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     pens = pen_vector(cfg, y.size, nu_eff)
     if not math.isfinite(float(epsilon) * float(epsilon) * float(pens[-1])):
         raise NumericalError(f"epsilon = {epsilon!r} at n={y.size}: eps^2 * pen(n) overflows")
-    return y, a, pens
+    return y, a, peak, pens
 
 
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
@@ -92,8 +130,8 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y, a, pens = _checked_level(y, cfg, epsilon, nu_eff)
-    obj = _penalized_objective(a, pens, epsilon)
+    y, a, peak, pens = _checked_level(y, cfg, epsilon, nu_eff)
+    obj = _penalized_objective(a, peak, pens, epsilon)
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
@@ -129,9 +167,11 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
 
     Enumerates all 2^n coordinate subsets (n <= 20).  Ties resolve to the
     minimal objective, then minimal cardinality, then the lexicographically
-    smallest index set.  Returns (indices, objective).
+    smallest index set.  Returns (indices, objective).  Each objective is
+    formed as total - kept, the arithmetic the rounding-tie tests pin down;
+    unlike select_k it can lose small squares next to a huge one.
     """
-    y, _, pens = _checked_level(y, cfg, epsilon, nu_eff)
+    y, _, _, pens = _checked_level(y, cfg, epsilon, nu_eff)
     require(y.size <= _SUBSET_ORACLE_MAX_N,
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
@@ -160,8 +200,8 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    _, a, pens = _checked_level(theta, cfg, epsilon, nu_eff)
-    return float(np.min(_penalized_objective(a, pens, epsilon)))
+    _, a, peak, pens = _checked_level(theta, cfg, epsilon, nu_eff)
+    return float(np.min(_penalized_objective(a, peak, pens, epsilon)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,7 +100,11 @@ class MultiresSequence:
         frozen = []
         for offset, lev in enumerate(self.levels):
             j = self.j0 + offset
-            arr = np.asarray(lev, dtype=float)
+            try:
+                arr = np.asarray(lev, dtype=float)
+            except OverflowError as exc:          # a JSON integer past the float range
+                raise ValidationError(
+                    f"level {j} has a coefficient outside the float range") from exc
             require(arr.ndim == 1,
                     f"level {j} must be one-dimensional, got shape {arr.shape}")
             require(arr.size == 2 ** j,

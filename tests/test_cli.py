@@ -196,8 +196,10 @@ class TestEstimate:
         ({"j0": 1, "levels": [["1", "2"]]}, "levels"),
         ({"j0": True, "levels": [[0.0, 0.0]]}, "j0"),
         ({"j0": 1, "levels": [[0.0, 0.0]], "jmax": 1}, "jmax"),
+        ({"j0": 1, "levels": [[10 ** 400, 0], [0] * 4]},
+         "level 1 has a coefficient outside the float range"),
     ], ids=["levels-number", "levels-string", "level-object", "level-strings", "j0-bool",
-            "unknown-key"])
+            "unknown-key", "integer-past-float-range"])
     def test_malformed_sequence_exit_2(self, tmp_path, capsys, doc, field):
         inp = tmp_path / "seq.json"
         inp.write_text(json.dumps(doc))

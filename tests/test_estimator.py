@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
                     ValidationError, fit_multiscale, ideal_risk, oracle_constant,
                     pen_vector, per_level_sse, select_k, subset_oracle)
+from penseq.estimator import _penalized_objective
 from penseq.rates import CONTROL_BOUND_BASE, control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -67,6 +71,83 @@ def subset_objectives(y, cfg, epsilon):
             kept = kept + sq[i]
         out[J] = (total - kept) + (epsilon * epsilon) * pens[len(J)]
     return out
+
+
+def unfiltered_objective(a, pens, epsilon):
+    """The level kernel before the pre-filter, kept verbatim as a reference: it
+    sorts every coefficient and forms each objective as total - prefix."""
+    sq = a * a
+    sq.sort()
+    obj = np.zeros(sq.size + 1)
+    np.add.accumulate(sq[::-1], out=obj[1:])
+    np.subtract(obj[-1], obj, out=obj)
+    obj += (epsilon * epsilon) * pens
+    return obj
+
+
+def exact_objectives(y, pens, epsilon):
+    """[C(k)] for k = 0..n in exact arithmetic: sum_{i>k} y_(i)^2 + eps^2 * pens[k],
+    on the float inputs and the float pen_vector values."""
+    sq = sorted(Fraction(float(v)) ** 2 for v in y)          # ascending
+    e2 = Fraction(float(epsilon)) ** 2
+    n = len(sq)
+    obj = [Fraction(0)] * (n + 1)
+    tail = Fraction(0)                                        # the n - k smallest squares
+    for k in range(n, -1, -1):
+        obj[k] = tail + e2 * Fraction(float(pens[k]))
+        if k:
+            tail += sq[n - k]
+    return obj
+
+
+# Every objective the kernel forms is a sum of at most n + 2 non-negative
+# rounded terms, so its relative error is below (2n + 8) unit roundoffs.
+def _tolerance(n):
+    return Fraction((2 * n + 8) * 2.0 ** -53)
+
+
+def assert_matches_exact(y, cfg, epsilon, nu_eff=None, strict=False):
+    """select_k and ideal_risk agree with the exact first minimizer, up to
+    objectives that the float evaluation cannot tell apart (none if strict)."""
+    y = np.asarray(y, dtype=float)
+    pens = pen_vector(cfg, y.size, nu_eff)
+    exact = exact_objectives(y, pens, epsilon)
+    best = min(exact)
+    k_star = exact.index(best)
+    tol = _tolerance(y.size)
+    near = [k for k, v in enumerate(exact) if v - best <= 2 * tol * best]
+    risk = Fraction(ideal_risk(y, cfg, epsilon, nu_eff))
+    assert abs(risk - best) <= tol * best
+    try:
+        fit = select_k(y, cfg, epsilon, nu_eff)
+    except NumericalError:
+        # pen decreases at the float minimizer; it must at an exact near-minimizer too
+        assert any(k and pens[k] < pens[k - 1] for k in near)
+        return None
+    k_hat = fit.k_hat
+    assert k_hat in near
+    if strict or near == [k_star]:
+        assert k_hat == k_star
+    # the first minimizer: no smaller k reaches the same exact objective
+    assert all(exact[k] != exact[k_hat] for k in range(k_hat))
+    assert abs(Fraction(fit.objective) - exact[k_hat]) <= tol * exact[k_hat]
+    return fit
+
+
+def floor_band(cfg, n, epsilon, nu_eff=None, below=10, above=2):
+    """eps * t_n, the filter floor, and its float neighbours from `below` ulps
+    under it to `above` ulps over it; none when pen is not increasing at n."""
+    pens = pen_vector(cfg, n, nu_eff)
+    if pens[-1] <= pens[-2]:
+        return []
+    floor = epsilon * math.sqrt(pens[-1] - pens[-2])
+    vals = [floor]
+    for direction, count in ((-math.inf, below), (math.inf, above)):
+        v = floor
+        for _ in range(count):
+            v = float(np.nextafter(v, direction))
+            vals.append(v)
+    return vals
 
 
 class TestSelectK:
@@ -169,6 +250,135 @@ class TestSelectK:
         fit = select_k(y, CFG, 0.0)
         assert fit.k_hat == 2
         assert np.array_equal(fit.estimate, y)
+
+
+BETAS = (0.0, 0.25, 0.5, 1.0, 2.0)
+NUS = (1.0001, 1.01, 1.5, math.e, 40.0, 1e3)
+
+
+@st.composite
+def level_inputs(draw):
+    """(y, cfg, epsilon, nu_eff): magnitudes over up to 80 decades, ties, zeros,
+    values at the filter floor and a few ulps either side, epsilon = 0 and
+    nu_eff at or next to nu, which may sit near its floor."""
+    beta = draw(st.sampled_from(BETAS))
+    cfg = PenaltyConfig(beta=beta, nu=draw(st.sampled_from(
+        NUS[::-1] + (PenaltyConfig(beta=beta).nu_floor * (1 + 1e-9),))))
+    nu_eff = draw(st.sampled_from([None, cfg.nu, float(np.nextafter(cfg.nu, math.inf)),
+                                   1.5 * cfg.nu]))
+    n = draw(st.one_of(st.integers(1, 16), st.integers(17, 1 << 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decades = draw(st.integers(0, 40))
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
+    epsilon = draw(st.sampled_from([1.0, 0.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        epsilon *= 10.0 ** rng.uniform(-decades, decades)
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.5] = y[0]                          # ties
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.3] = 0.0
+    band = floor_band(cfg, n, epsilon, nu_eff) if epsilon > 0 else []
+    if band and draw(st.booleans()):
+        at = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+        y[at] = rng.choice(band, size=int(at.sum()))
+    y *= rng.choice([-1.0, 1.0], size=n)
+    return y, cfg, epsilon, nu_eff
+
+
+class TestExactReference:
+    """select_k and ideal_risk against exact Fraction arithmetic on the float
+    pen_vector values, never against the float subset oracle."""
+
+    def test_huge_spike_among_noise(self):
+        # one coefficient near 1e9 among N(0, 81) ones: total - prefix lost
+        # every bit of the small squares to the spike's 1e18
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            n = int(rng.integers(4, 64))
+            y = 9.0 * rng.standard_normal(n)
+            y[rng.integers(n)] = 1e9 * (1.0 + rng.random())
+            assert_matches_exact(y, CFG, 1.0, strict=True)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(level_inputs())
+    @example((np.array([1.0, 0.0, -2.0, 0.0]), CFG, 0.0, None))
+    def test_property_matches_exact(self, case):
+        y, cfg, epsilon, nu_eff = case
+        assert_matches_exact(y, cfg, epsilon, nu_eff)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1 << 10])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.37, 3e-5])
+    def test_values_at_the_filter_floor(self, n, epsilon):
+        # one coefficient, or every coefficient, at each value from 10 ulps
+        # below the floor eps * t_n to 2 ulps above it
+        for v in floor_band(CFG, n, epsilon):
+            single = np.zeros(n)
+            single[0] = v
+            assert_matches_exact(single, CFG, epsilon)
+            assert_matches_exact(np.full(n, -v), CFG, epsilon)
+
+    def test_large_levels_keep_spikes(self):
+        rng = np.random.default_rng(31)
+        for beta in (0.0, 0.5):
+            cfg = PenaltyConfig(beta=beta)
+            for _ in range(4):
+                n = 1 << 10
+                y = rng.standard_normal(n)
+                spikes = rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
+                y[spikes] *= 10.0 ** rng.uniform(0.5, 6.0, spikes.size)
+                fit = assert_matches_exact(y, cfg, 1.0)
+                assert fit.k_hat > 0
+
+    def test_kernel_sorts_only_what_can_be_kept(self):
+        # 3 coefficients above eps * t_n: the kernel returns obj[0..3] only
+        n = 1 << 12
+        rng = np.random.default_rng(32)
+        y = rng.standard_normal(n)
+        y[[5, 70, 900]] = [40.0, -50.0, 1e4]
+        pens = pen_vector(CFG, n)
+        a = np.abs(y)
+        obj = _penalized_objective(a, a.max(), pens, 1.0)
+        exact = exact_objectives(y, pens, 1.0)
+        assert obj.size == 4
+        for k in range(4):
+            assert abs(Fraction(obj[k]) - exact[k]) <= _tolerance(n) * exact[k]
+        a = a[1000:1100]
+        assert _penalized_objective(a, a.max(), pen_vector(CFG, 100), 1.0).size == 1
+
+
+class TestFilterPremise:
+    """The pre-filter drops |y| <= eps * t_n because t_k^2 = pen(k) - pen(k-1)
+    never falls below t_n^2; these tests check that premise on the float
+    pen_vector values and compare with the kernel that filters nothing."""
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("nu", NUS)
+    def test_threshold_non_increasing(self, beta, nu):
+        cfg = PenaltyConfig(beta=beta, nu=nu)
+        for n in (1, 2, 3, 64, 1000, 1 << 17):
+            t2 = np.diff(pen_vector(cfg, n))
+            assert np.all(np.diff(t2) <= 0.0), (beta, nu, n)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+    def test_same_k_hat_as_unfiltered_kernel(self, beta):
+        rng = np.random.default_rng(33)
+        cfg = PenaltyConfig(beta=beta)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            epsilon = float(10.0 ** rng.uniform(-3.0, 1.0))
+            pens = pen_vector(cfg, n)
+            floor = epsilon * math.sqrt(pens[-1] - pens[-2])
+            t1 = epsilon * math.sqrt(pens[1])
+            cases = [
+                rng.standard_normal(n) * t1 * 2.0 ** rng.uniform(-2.0, 1.5),
+                rng.standard_normal(n) * epsilon,
+                floor * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, n)),
+                np.where(rng.random(n) < 0.5, floor, t1 * 1.5) * rng.choice([-1.0, 1.0], n),
+            ]
+            for y in cases:
+                legacy = int(unfiltered_objective(np.abs(y), pens, epsilon).argmin())
+                assert select_k(y, cfg, epsilon).k_hat == legacy
 
 
 class TestSubsetOracle:

@@ -94,7 +94,7 @@ RUNS = {
 GOLDEN = {
     "estimate": {
         "fit.json":
-            "182283b55cd4fff3474f7072fc11acfbc182ee2d7b6baba8aeb8735b80a0480f",
+            "bdd9b7f6d72b571c4180cdc570c687b5cfe235583a14c178866dc2e2995dca0a",
     },
     "oracle-check-sparse": {
         "oracle_check.json":
