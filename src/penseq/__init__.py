@@ -15,6 +15,6 @@ from .rates import (RateReport, ShellRiskProfile, control_function, j_plus,
                     risk_upper_bound, shell_profile, shell_risk,
                     shell_risk_closed_form, t1_complexity_sum)
 from .simulate import (McResult, SignalSpec, fit_rate_exponent, make_signal,
-                       mc_risk_for_truth, oracle_inequality_check, sample_noise)
+                       mc_risk_for_truth, oracle_inequality_check)
 
 __version__ = "0.1.0"

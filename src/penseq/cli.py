@@ -199,9 +199,12 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _out_dir(args) -> Path:
+def _write_output(args, config: ExperimentConfig, name: str, **body) -> Path:
+    """Write body to the output file name with schema_version and the resolved
+    config; return the output directory."""
     out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / name, {"schema_version": SCHEMA_VERSION,
+                             "config": config.resolved_dict(), **body})
     return out
 
 
@@ -212,9 +215,7 @@ def cmd_estimate(args) -> int:
     y = MultiresSequence.from_json(seq_path.read_text())
     epsilon = config.single_epsilon()
     fit = fit_multiscale(y, config.penalty, config.noise_spec(epsilon))
-    doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
-           "epsilon": epsilon, "fit": fit.to_json_dict()}
-    _write_json(_out_dir(args) / "fit.json", doc)
+    _write_output(args, config, "fit.json", epsilon=epsilon, fit=fit.to_json_dict())
     return EXIT_OK
 
 
@@ -240,15 +241,12 @@ def cmd_sweep(args) -> int:
                "r_theory": r_theory,
                "relative_error": abs(r_hat - r_theory) / r_theory,
                "log_corrected": any(f != 1.0 for f in factors.values())}
-    out = _out_dir(args)
+    out = _write_output(args, config, "sweep.json", rows=rows, summary=summary)
     csv_lines = ["epsilon,mean_sse,stderr,replicates"]
     for row in rows:
         csv_lines.append(f"{row['epsilon']:.17g},{row['mean_sse']:.17g},"
                          f"{row['stderr']:.17g},{row['replicates']}")
     (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
-    _write_json(out / "sweep.json",
-                {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
-                 "rows": rows, "summary": summary})
     return EXIT_OK
 
 
@@ -257,10 +255,8 @@ def cmd_rates(args) -> int:
     epsilon = config.single_epsilon()
     report = rate_control(config.gamma, config.radius, epsilon)
     profile = shell_profile(config.gamma, config.radius, epsilon)
-    out = _out_dir(args)
-    _write_json(out / "rate_report.json",
-                {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
-                 "epsilon": epsilon, "report": report.to_json_dict()})
+    out = _write_output(args, config, "rate_report.json", epsilon=epsilon,
+                        report=report.to_json_dict())
     (out / "shell_profile.csv").write_text(profile.to_csv_text())
     return EXIT_OK
 
@@ -285,12 +281,10 @@ def cmd_oracle_check(args) -> int:
     lhs, rhs, ratio = oracle_inequality_check(
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
-    doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(),
-           "seed": config.seed,
-           "equivalence": {"instances": args.instances, "mismatches": mismatches},
-           "oracle_inequality": {"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
-                                 "ratio": ratio, "holds": ratio <= 1.0}}
-    _write_json(_out_dir(args) / "oracle_check.json", doc)
+    _write_output(args, config, "oracle_check.json", seed=config.seed,
+                  equivalence={"instances": args.instances, "mismatches": mismatches},
+                  oracle_inequality={"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
+                                     "ratio": ratio, "holds": ratio <= 1.0})
     if mismatches > 0 or ratio > 1.0:
         print(f"oracle check FAILED: {mismatches} mismatches, ratio={ratio:.4g}",
               file=sys.stderr)

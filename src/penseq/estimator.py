@@ -168,15 +168,14 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     Enumerates all 2^n coordinate subsets (n <= 20).  Ties resolve to the
     minimal objective, then minimal cardinality, then the lexicographically
     smallest index set.  Returns (indices, objective).  Each objective is
-    formed as total - kept, the arithmetic the rounding-tie tests pin down;
-    unlike select_k it can lose small squares next to a huge one.
+    formed without subtraction, as the sum of the squares the subset drops,
+    so like select_k it keeps small squares next to a huge one.
     """
     y, _, _, pens = _checked_level(y, cfg, epsilon, nu_eff)
     require(y.size <= _SUBSET_ORACLE_MAX_N,
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
     sq = y * y
-    total = float(sq.sum())
     # kept[m] = sum of sq[i] over the bits i of m, added in ascending i: the
     # masks with top bit i are those below 2^i with sq[i] added
     kept = np.empty(1 << n)
@@ -185,7 +184,8 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
         half = 1 << i
         np.add(kept[:half], sq[i], out=kept[half:2 * half])
     card = _cardinalities(n)
-    obj = (total - kept) + (epsilon * epsilon) * pens[card]
+    # mask m drops the bits of full - m, so its dropped sum is kept[::-1][m]
+    obj = kept[::-1] + (epsilon * epsilon) * pens[card]
     best = obj.min()
     cand = np.flatnonzero(obj == best)
     cand = cand[card[cand] == card[cand].min()]

@@ -1,14 +1,19 @@
 """Signal generators, correlated-noise sampling and Monte Carlo risk estimation.
 
-Generators place deterministic extremal signals inside a Besov ball: a
-single-shell dense signal at the large/small-signal boundary level, a
-single-shell spike signal at the sparse/highly-sparse boundary level, a
-multi-level spread signal, and the multi-level near-critical configuration.
-Every generated signal has besov_norm(theta, gamma) <= radius exactly.
+Every test signal is a list of spike blocks (j, m, magnitude): m equal,
+evenly spaced spikes on level j.  The ball kinds take their blocks from one
+rule, m spikes with ||theta_j||_p = share * C_j: a dense single shell at the
+large/small-signal boundary level, a sparse single shell at the
+sparse/highly-sparse boundary level, and a spread signal with an equal
+share on every level.  The near-critical configuration sizes its blocks
+from epsilon instead.  Every generated signal has besov_norm(theta, gamma)
+<= radius exactly.
 
-All randomness is driven by integer seeds through numpy SeedSequence;
-replicate streams derive from (seed, replicate index), so results are
-reproducible and independent of any execution schedule.
+Noise is drawn for all levels at once, one standard-normal draw of every
+coefficient; the Monte Carlo loop is the only sampler.  All randomness is
+driven by integer seeds through numpy SeedSequence; replicate streams
+derive from (seed, replicate index), so results are reproducible and
+independent of any execution schedule.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
+_SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
 
 def _round_half_up(x: float) -> int:
@@ -54,8 +60,8 @@ class SignalSpec:
     rho2: float = 1.25
 
     def __post_init__(self):
-        require(self.kind in _LEVEL_FILLERS,
-                f"unknown signal kind {self.kind!r}; expected one of {tuple(_LEVEL_FILLERS)}")
+        require(self.kind in _SIGNAL_KINDS,
+                f"unknown signal kind {self.kind!r}; expected one of {_SIGNAL_KINDS}")
         require_finite(self, "radius", "xi0", "rho1", "rho2")
         require(self.radius > 0, f"radius must be > 0, got {self.radius}")
         require(0 < self.epsilon < self.radius,
@@ -100,95 +106,86 @@ def _spike_indices(n: int, m: int) -> np.ndarray:
     return np.floor(np.arange(m) * (n / m)).astype(int)
 
 
-# Level fillers: each sets the zero levels 1..jmax of one signal kind in place.
-
-def _shell_levels(spec: SignalSpec, levels: list) -> None:
-    """Single-shell extremal signal at the rounded peak level.
-
-    shell_dense spreads equal magnitudes over all n_j coordinates of level
-    j = round(j_star); shell_sparse places m = max(1, round(n_j * eta_j^p))
-    equal spikes at level j = round(j_plus), eta_j = (C_j/eps_j) * n_j^(-1/p).
-    Either way ||theta_j||_p = C_j, so the ball constraint is met with
-    equality.
-    """
-    gamma = spec.gamma
-    j = max(_round_half_up(_peak_level(spec)), 1)
-    if j > len(levels):
-        raise ValidationError(
-            f"peak level {j} exceeds jmax={len(levels)}; increase jmax or epsilon")
-    n = 2 ** j
-    c_j = shell_radius(gamma, spec.radius, j)
-    if spec.kind == "shell_dense":
-        m = n
-        idx = np.arange(n)
-    else:
-        eps_j = spec.epsilon * 2.0 ** (gamma.beta * j)
-        eta_p = (c_j / eps_j) ** gamma.p / n
-        m = min(max(1, _round_half_up(n * eta_p)), n)
-        idx = _spike_indices(n, m)
-    levels[j - 1][idx] = c_j * m ** (-1.0 / gamma.p)
+def _ball_block(spec: SignalSpec, j: int, m: int, share: float = 1.0) -> tuple:
+    """The spike block (j, m, magnitude) of m equal spikes at level j with
+    ||theta_j||_p = share * C_j: magnitude C_j * share * m^(-1/p)."""
+    return j, m, shell_radius(spec.gamma, spec.radius, j) * share * m ** (-1.0 / spec.gamma.p)
 
 
-def _critical_levels(spec: SignalSpec, levels: list) -> None:
+def _critical_blocks(spec: SignalSpec, jmax: int) -> list:
     """Multi-level near-critical signal on levels rho1*j_star < j <= rho2*j_star.
 
     Per level, n0_j coordinates carry magnitude
     delta0_j = c0 * xi0 * eps_j * sqrt(log2(C/eps)) with
     n0_j = floor(c1 * (C/eps)^p * 2^(-2*beta*j) * (jhi-jlo)^(-p/q)
                  * log2(C/eps)^(-p/2)); the constants start at c0 = c1 = 1
-    and the whole signal is scaled down into the ball.
+    and make_signal scales the whole signal down into the ball.
     """
     gamma = spec.gamma
     js = j_star(gamma, spec.radius, spec.epsilon)
     j_lo = int(math.floor(spec.rho1 * js))
     j_hi = int(math.ceil(spec.rho2 * js))
-    if j_hi > len(levels):
-        raise ValidationError(f"level window top {j_hi} exceeds jmax={len(levels)}")
+    if j_hi > jmax:
+        raise ValidationError(f"level window top {j_hi} exceeds jmax={jmax}")
     if j_hi <= j_lo:
         j_hi = j_lo + 1
     span = j_hi - j_lo
     snr = spec.radius / spec.epsilon
     log2_snr = math.log2(snr)
-    placed = 0
+    blocks = []
     for j in range(j_lo + 1, j_hi + 1):
-        n_j = 2 ** j
         n0 = int(math.floor(snr ** gamma.p * 2.0 ** (-2.0 * gamma.beta * j)
                             * span ** (-gamma.p / gamma.q) * log2_snr ** (-gamma.p / 2.0)))
-        n0 = min(n0, n_j)
-        if n0 < 1:
-            continue
-        delta0 = spec.xi0 * spec.epsilon * 2.0 ** (gamma.beta * j) * math.sqrt(log2_snr)
-        levels[j - 1][_spike_indices(n_j, n0)] = delta0
-        placed += n0
-    if placed == 0:
+        n0 = min(n0, 2 ** j)
+        if n0 >= 1:
+            delta0 = spec.xi0 * spec.epsilon * 2.0 ** (gamma.beta * j) * math.sqrt(log2_snr)
+            blocks.append((j, n0, delta0))
+    if not blocks:
         raise ValidationError(
             "critical construction infeasible: no level admits a spike "
             f"(C/eps={snr:.3g}, window {j_lo + 1}..{j_hi})")
+    return blocks
 
 
-def _spread_levels(spec: SignalSpec, levels: list) -> None:
-    # every level filled evenly with an equal share of the ball budget, so
-    # the constraint is met with equality
-    for j, level in enumerate(levels, start=1):
-        budget = shell_radius(spec.gamma, spec.radius, j) * len(levels) ** (-1.0 / spec.gamma.q)
-        level[:] = budget * (2 ** j) ** (-1.0 / spec.gamma.p)
+def _signal_blocks(spec: SignalSpec, jmax: int) -> list:
+    """The spike blocks (j, m, magnitude) of the signal spec describes.
 
-
-# one filler per signal kind; 'zero' leaves the levels empty
-_LEVEL_FILLERS = {"shell_dense": _shell_levels, "shell_sparse": _shell_levels,
-                   "besov_spread": _spread_levels, "critical_prior": _critical_levels,
-                   "zero": lambda spec, levels: None}
+    shell_dense is m = n_j at j = round(j_star); shell_sparse is
+    m = max(1, round(n_j * eta_j^p)) at j = round(j_plus), with
+    eta_j = (C_j/eps_j) * n_j^(-1/p); besov_spread is m = n_j at every level,
+    each with the share jmax^(-1/q) of the ball budget.  Each of these meets
+    the ball constraint with equality.
+    """
+    gamma = spec.gamma
+    if spec.kind == "zero":
+        return []
+    if spec.kind == "critical_prior":
+        return _critical_blocks(spec, jmax)
+    if spec.kind == "besov_spread":
+        share = jmax ** (-1.0 / gamma.q)
+        return [_ball_block(spec, j, 2 ** j, share) for j in range(1, jmax + 1)]
+    j = max(_round_half_up(_peak_level(spec)), 1)
+    if j > jmax:
+        raise ValidationError(f"peak level {j} exceeds jmax={jmax}; increase jmax or epsilon")
+    n = 2 ** j
+    if spec.kind == "shell_dense":
+        return [_ball_block(spec, j, n)]
+    eps_j = spec.epsilon * 2.0 ** (gamma.beta * j)
+    eta_p = (shell_radius(gamma, spec.radius, j) / eps_j) ** gamma.p / n
+    return [_ball_block(spec, j, min(max(1, _round_half_up(n * eta_p)), n))]
 
 
 def make_signal(spec: SignalSpec) -> MultiresSequence:
     """The signal spec describes, on levels 1..resolve_jmax(spec).
 
-    The kind's level filler sets the levels; the result is then scaled so
-    that besov_norm(theta, spec.gamma) <= spec.radius holds exactly.  'zero'
-    yields the all-zero sequence.
+    Each spike block (j, m, magnitude) sets m evenly spaced coordinates of
+    level j; the result is then scaled so that besov_norm(theta, spec.gamma)
+    <= spec.radius holds exactly.  'zero' yields the all-zero sequence.
     """
-    levels = [np.zeros(2 ** j) for j in range(1, resolve_jmax(spec) + 1)]
-    _LEVEL_FILLERS[spec.kind](spec, levels)
+    jmax = resolve_jmax(spec)
+    levels = [np.zeros(2 ** j) for j in range(1, jmax + 1)]
+    for j, m, magnitude in _signal_blocks(spec, jmax):
+        levels[j - 1][_spike_indices(2 ** j, m)] = magnitude
     signal = MultiresSequence(j0=1, levels=tuple(levels))
     norm = besov_norm(signal, spec.gamma)
     if norm == 0.0:
@@ -234,22 +231,6 @@ def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
     return z
 
 
-def sample_noise(noise: NoiseSpec, jmax: int, rng_seed: int, j0: int = 1) -> MultiresSequence:
-    """Draw eps_j * z_j with z_j ~ N(0, Sigma_j), independent across levels.
-
-    One standard-normal draw of every coefficient is split by level, which
-    gives the normals of one draw per level in increasing j.  The tridiagonal
-    family is sampled through its (bidiagonal) Cholesky factor, an exact
-    factorization at any level size.  Deterministic given the seed.
-    """
-    require(jmax >= j0, f"jmax must be >= j0, got jmax={jmax}, j0={j0}")
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    z = _draw_noise(rng, (2 << jmax) - (1 << j0), _noise_bands(noise, j0, jmax))
-    z_levels = np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
-    return MultiresSequence(j0=j0, levels=tuple(
-        noise.epsilon_at(j) * z_j for j, z_j in enumerate(z_levels, start=j0)))
-
-
 # -- Monte Carlo risk ---------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +249,8 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int) -> McResult:
-    """Monte Carlo risk at a fixed truth: per replicate, the numbers of sample_noise ->
-    add -> fit_multiscale -> per_level_sse, from a level plan built once per call."""
+    """Monte Carlo risk at a fixed truth: per replicate, the numbers of one noise draw
+    -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call."""
     require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)

@@ -23,11 +23,11 @@ def oracle_projection(y, cfg, epsilon, nu_eff=None):
 
 
 def mask_dp_oracle(y, cfg, epsilon, nu_eff=None):
-    """The first subset_oracle's mask DP, kept verbatim as the reference."""
+    """The first subset_oracle's mask DP, kept as the reference; each objective is
+    the complement's kept sum plus the penalty, as subset_oracle forms it."""
     y = np.asarray(y, dtype=float)
     n = y.size
     sq = y * y
-    total = float(sq.sum())
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     kept = np.zeros(size)
@@ -38,7 +38,7 @@ def mask_dp_oracle(y, cfg, epsilon, nu_eff=None):
         kept[has] = kept[masks[has] ^ bit] + sq[i]
         card[has] = card[masks[has] ^ bit] + 1
     pens = pen_vector(cfg, n, nu_eff)
-    obj = (total - kept) + (epsilon * epsilon) * pens[card]
+    obj = kept[size - 1 - masks] + (epsilon * epsilon) * pens[card]   # the complement's sum
     best = obj.min()
     cand = np.flatnonzero(obj == best)
     cand = cand[card[cand] == card[cand].min()]
@@ -46,14 +46,20 @@ def mask_dp_oracle(y, cfg, epsilon, nu_eff=None):
     return indices, float(best)
 
 
-# Inputs on which two supports of minimal size tie through rounding: the 1e8
-# coordinate absorbs the difference between y_0^2 and y_1^2 in the kept sum, so
-# (0, 2, 3) and (1, 2, 3) reach the same objective (see test_lexicographic_tie_break).
-ROUNDING_TIES = {
-    0.0: ([1.000000000014552, 1.0000000000582077, 1e8, 1.0000000000873115],
-          2.306811896628435e-05),
-    0.5: ([1.0000000003929017, 1.0000000004656613, 1e8, 1.000000000014552],
-          3.2526009647863515e-05),
+# Inputs on which two supports of minimal size tie exactly: (config, y, eps).
+# pen is concave, so with exact penalties a minimal support never keeps one of
+# two equal magnitudes without the other.  With eps^2 = 2^-1074 every objective
+# below 1 lies on the subnormal grid, where sums are exact and eps^2 * pen(k)
+# rounds to whole units of 2^-1074; rounded, the penalty steps up by c^2 from
+# 3 to 4 coefficients and by less from 2 to 3.  So the two supports that keep
+# one of the equal magnitudes c tie at the minimum, and so does the one that
+# keeps both.
+_SUB = 2.0 ** -537
+EXACT_TIES = {
+    0.0: (PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=0.05),
+          [math.sqrt(2.0) * _SUB, -math.sqrt(2.0) * _SUB, 1.0, 0.5], _SUB),
+    0.5: (PenaltyConfig(zeta=1.01, nu=1000.0, beta=0.5, xi1=0.1),
+          [2.0 * _SUB, -2.0 * _SUB, 1.0, 0.5], _SUB),
 }
 
 
@@ -61,15 +67,15 @@ def subset_objectives(y, cfg, epsilon):
     """{J: C_eps(J, y)} over every subset J, with subset_oracle's operations."""
     y = np.asarray(y, dtype=float)
     sq = y * y
-    total = float(sq.sum())
     pens = pen_vector(cfg, y.size)
     out = {}
     for m in range(1 << y.size):
         J = tuple(i for i in range(y.size) if (m >> i) & 1)
-        kept = 0.0
-        for i in J:
-            kept = kept + sq[i]
-        out[J] = (total - kept) + (epsilon * epsilon) * pens[len(J)]
+        dropped = 0.0
+        for i in range(y.size):
+            if i not in J:
+                dropped = dropped + sq[i]
+        out[J] = dropped + (epsilon * epsilon) * pens[len(J)]
     return out
 
 
@@ -299,6 +305,20 @@ class TestExactReference:
             y[rng.integers(n)] = 1e9 * (1.0 + rng.random())
             assert_matches_exact(y, CFG, 1.0, strict=True)
 
+    def test_subset_oracle_huge_spike_among_noise(self):
+        # the same family at n <= 20: each objective is the sum of the dropped
+        # squares, so the spike's square never meets the small ones
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            n = int(rng.integers(4, 21))
+            y = 9.0 * rng.standard_normal(n)
+            y[rng.integers(n)] = 1e9 * (1.0 + rng.random())
+            exact = exact_objectives(y, pen_vector(CFG, n), 1.0)
+            k_star = exact.index(min(exact))
+            indices, objective = subset_oracle(y, CFG, 1.0)
+            assert indices == tuple(sorted(np.argsort(-np.abs(y))[:k_star]))
+            assert abs(Fraction(objective) - exact[k_star]) <= _tolerance(n) * exact[k_star]
+
     @settings(max_examples=120, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(level_inputs())
@@ -425,10 +445,9 @@ class TestSubsetOracle:
         assert idx == (0, 2)
         assert obj == 0.0
 
-    @pytest.mark.parametrize("beta", sorted(ROUNDING_TIES))
+    @pytest.mark.parametrize("beta", sorted(EXACT_TIES))
     def test_lexicographic_tie_break(self, beta):
-        cfg = PenaltyConfig(beta=beta)
-        y, eps = ROUNDING_TIES[beta]
+        cfg, y, eps = EXACT_TIES[beta]
         objs = subset_objectives(y, cfg, eps)
         best = min(objs.values())
         size = min(len(J) for J, v in objs.items() if v == best)
@@ -453,11 +472,11 @@ class TestSubsetOracle:
             cases += [(c * t1 * signs, 1.0) for c in (0.5, 0.9, 1.0, 1.1, 1.5, 3.0)]
             cases += [(np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n)), 0.0)
                       for _ in range(5)]
-            if n == 4:
-                # supports of minimal size that tie through rounding
-                cases += [(np.array(y), eps) for y, eps in ROUNDING_TIES.values()]
             for y, eps in cases:
                 assert subset_oracle(y, cfg, eps) == mask_dp_oracle(y, cfg, eps)
+        # supports of minimal size that tie exactly
+        tie_cfg, y, eps = EXACT_TIES[beta]
+        assert subset_oracle(y, tie_cfg, eps) == mask_dp_oracle(y, tie_cfg, eps)
 
 
 class TestIdealRisk:
