@@ -230,6 +230,9 @@ def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
 def cmd_sweep(args) -> int:
     config = load_config(args)
     require(len(config.epsilons) >= 4, "sweep needs an epsilon grid of >= 4 points")
+    require(config.signal_kind != "zero",
+            "sweep cannot fit a rate to a zero signal: a truth with no energy has no "
+            "risk decay to fit; 'rates' and 'oracle-check' accept it")
     factors = {e: log_factor(config.gamma, config.radius, e) for e in config.epsilons}
     order = sorted(range(len(config.epsilons)), key=lambda i: config.epsilons[i])
     rows = [_sweep_point(config, config.epsilons[i], i) for i in order]
@@ -270,13 +273,14 @@ def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mismatches = 0
     for n in range(1, 13):
-        for _ in range(args.instances // 12):
-            y = rng.standard_normal(n)
+        # one draw per n: the rows are the normals of per-instance draws, in order
+        for y in rng.standard_normal((args.instances // 12, n)):
             fit = select_k(y, config.penalty, 1.0)
             indices, _ = subset_oracle(y, config.penalty, 1.0)
+            kept = list(indices)
             proj = np.zeros(n)
-            proj[list(indices)] = y[list(indices)]
-            if not np.array_equal(proj, fit.estimate):
+            proj[kept] = y[kept]
+            if not (proj == fit.estimate).all():
                 mismatches += 1
     lhs, rhs, ratio = oracle_inequality_check(
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),

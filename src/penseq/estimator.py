@@ -161,6 +161,15 @@ def _cardinalities(n: int) -> np.ndarray:
     return card
 
 
+@functools.lru_cache(maxsize=_SUBSET_ORACLE_MAX_N + 1)
+def _mask_penalties(key: tuple, n: int, nu_eff: float | None) -> np.ndarray:
+    """pen(|m|) for every mask m < 2^n, per (penalty, n, nu_eff) (read-only);
+    key is PenaltyConfig.key, so a lookup never hashes the config object."""
+    out = pen_vector(PenaltyConfig(*key), n, nu_eff)[_cardinalities(n)]
+    out.flags.writeable = False
+    return out
+
+
 def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
                   nu_eff: float | None = None):
     """Exhaustive minimizer of C_eps(J, y) = sum_{i not in J} y_i^2 + eps^2 pen(|J|).
@@ -171,8 +180,9 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     formed without subtraction, as the sum of the squares the subset drops,
     so like select_k it keeps small squares next to a huge one.
     """
-    y, _, _, pens = _checked_level(y, cfg, epsilon, nu_eff)
-    require(y.size <= _SUBSET_ORACLE_MAX_N,
+    y = _checked_level(y, cfg, epsilon, nu_eff)[0]
+    if y.size > _SUBSET_ORACLE_MAX_N:
+        raise ValidationError(
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
     sq = y * y
@@ -183,12 +193,14 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     for i in range(n):
         half = 1 << i
         np.add(kept[:half], sq[i], out=kept[half:2 * half])
-    card = _cardinalities(n)
     # mask m drops the bits of full - m, so its dropped sum is kept[::-1][m]
-    obj = kept[::-1] + (epsilon * epsilon) * pens[card]
+    obj = kept[::-1]
+    obj += (epsilon * epsilon) * _mask_penalties(cfg.key, n, nu_eff)
     best = obj.min()
-    cand = np.flatnonzero(obj == best)
-    cand = cand[card[cand] == card[cand].min()]
+    cand = (obj == best).nonzero()[0]
+    if cand.size > 1:
+        card = _cardinalities(n)
+        cand = cand[card[cand] == card[cand].min()]
     indices = min(tuple(i for i in range(n) if (int(m) >> i) & 1) for m in cand)
     return indices, float(best)
 

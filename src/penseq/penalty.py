@@ -12,6 +12,10 @@ and the data-dependent hard threshold satisfies t_k^2 = pen(k) - pen(k-1).
 The schedule nu_schedule inflates nu quadratically above the working depth
 j_eps = jeps_scale * log2(eps^-2) so that the complexity remainder stays
 summable over levels.
+
+Only the complexity sums (m_prime, m_prime_many) use SciPy (scipy.special);
+they import it when first called, so the penalty and the estimator run on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .errors import NumericalError, dataclass_kwargs, require, require_finite
+from .errors import NumericalError, ValidationError, dataclass_kwargs, require, require_finite
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,9 @@ class PenaltyConfig:
     level 0.05 for direct estimation.  Construction requires only nu > 1
     (log terms positive); the stronger condition nu > e^(1/(1+2*beta)) is
     what makes the complexity sums summable and is enforced where those are
-    computed (see :func:`require_complexity_condition`).
+    computed (see :func:`require_complexity_condition`).  ``key`` is the
+    tuple of field values: the per-level caches key on it, so a lookup
+    hashes and compares floats, not the config.
     """
 
     zeta: float = 2.0
@@ -50,6 +55,8 @@ class PenaltyConfig:
         require(self.xi1 > 0, f"xi1 must be > 0, got {self.xi1}")
         require(self.jeps_scale >= 1, f"jeps_scale must be >= 1, got {self.jeps_scale}")
         require(self.nu > 1.0, f"nu must be > 1, got {self.nu}")
+        object.__setattr__(self, "key",
+                           (self.zeta, self.nu, self.beta, self.xi1, self.jeps_scale))
 
     @property
     def nu_floor(self) -> float:
@@ -64,7 +71,8 @@ class PenaltyConfig:
 def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:
     if nu_eff is None:
         return cfg.nu
-    require(nu_eff >= cfg.nu, f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
+    if not nu_eff >= cfg.nu:                      # runs per level: the message only on failure
+        raise ValidationError(f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
     return float(nu_eff)
 
 
@@ -74,7 +82,6 @@ def require_complexity_condition(cfg: PenaltyConfig, nu: float) -> None:
             f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
 
 
-@functools.lru_cache(maxsize=128)
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
     """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n.
 
@@ -83,11 +90,16 @@ def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.nd
     (cfg, n, nu_eff) and shared between callers, so the returned array is
     read-only.
     """
-    nu = _resolve_nu(cfg, nu_eff)
+    return _pen_vector(cfg.key, n, _resolve_nu(cfg, nu_eff))
+
+
+@functools.lru_cache(maxsize=128)
+def _pen_vector(key: tuple, n: int, nu: float) -> np.ndarray:
+    zeta, _, beta, xi1, _ = key
     require(n >= 1, f"n must be >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
-    L = (1.0 + 2.0 * cfg.beta) * (math.log(nu) + math.log(n) - np.log(k))
-    out = np.concatenate(([0.0], cfg.xi1 * cfg.zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
+    L = (1.0 + 2.0 * beta) * (math.log(nu) + math.log(n) - np.log(k))
+    out = np.concatenate(([0.0], xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
     out.flags.writeable = False
     return out
 
@@ -139,6 +151,9 @@ def _certified_k(cfg: PenaltyConfig, nu: float, log_t1: float, n_max: float) -> 
 
 
 def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
+    # deferred: scipy.special is slow to import and nothing else here needs it
+    from scipy.special import gammaln, logsumexp
+
     b = 1.0 + 2.0 * cfg.beta
     log_nu = math.log(nu)
     out = np.empty(ns.size)

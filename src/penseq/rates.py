@@ -11,6 +11,10 @@ with j treated as a real variable.  R_j peaks at the large/small-signal
 boundary j_star and, for p < 2, at the sparse/highly-sparse boundary j_plus;
 away from the peaks it decays geometrically, which is what makes the
 level-wise estimator rate adaptive.
+
+Only j_plus uses SciPy (scipy.optimize, for Brent's method); it imports it
+when first called.  Everything that locates j_plus does too: sparse and
+critical signals, and the rate report and shell profile for p < 2.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import require
 from .model import HyperParams, Zone, classify_zone, shell_radius
@@ -104,6 +107,9 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     hi = math.log2(C / epsilon) / delta  # g(hi) >= 0 since the log factor is >= 1
     if hi == 0.0:
         return 0.0
+    # deferred: scipy.optimize is slow to import and nothing else here needs it
+    from scipy.optimize import brentq
+
     return float(brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
 
 

@@ -13,7 +13,9 @@ Noise is drawn for all levels at once, one standard-normal draw of every
 coefficient; the Monte Carlo loop is the only sampler.  All randomness is
 driven by integer seeds through numpy SeedSequence; replicate streams
 derive from (seed, replicate index), so results are reproducible and
-independent of any execution schedule.
+independent of any execution schedule.  Only tridiagonal noise uses SciPy:
+its banded Cholesky factor imports scipy.linalg when first built, so the
+identity-noise Monte Carlo loop runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 
 from .errors import ValidationError, require, require_finite
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
@@ -211,6 +212,9 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     top-level factor is the level-j factor bit for bit: one serves all levels."""
     if noise.covariance == "identity":
         return None
+    # deferred: scipy.linalg is slow to import and identity noise does not need it
+    from scipy.linalg import cholesky_banded
+
     sizes = [1 << j for j in range(j0, jmax + 1)]
     top = cholesky_banded(np.vstack([np.ones(sizes[-1]), np.full(sizes[-1], noise.rho)]),
                           lower=True)

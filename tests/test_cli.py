@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from penseq import MultiresSequence
+from penseq import cli
 from penseq.cli import PRESETS, ExperimentConfig, main
 
 
@@ -253,6 +254,17 @@ class TestSweep:
         out = tmp_path / "o"
         assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
         assert "level j=11: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_signal_exit_2_before_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran")
+        monkeypatch.setattr(cli, "mc_risk_for_truth", forbidden)
+        out = tmp_path / "o"
+        assert main(["sweep", "--preset", "zero", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot fit a rate to a zero signal" in err
+        assert "'rates' and 'oracle-check' accept it" in err
         assert not out.exists()
 
     def test_seed_override(self, tmp_path):

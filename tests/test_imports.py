@@ -1,0 +1,96 @@
+"""SciPy is imported only inside the three functions that call it.
+
+A fresh interpreter imports the CLI, loads every preset and a tridiagonal
+config, and runs estimate, rates and a short sweep on the dense preset: it
+must hold no scipy module afterwards.  The same interpreter then runs the
+deferred paths from a cold start (a tridiagonal Monte Carlo run, which may
+load scipy.linalg alone, then m_prime and j_plus), and their values must
+equal this process's bit for bit.
+"""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import penseq
+
+TRIDIAGONAL = {
+    "gamma": {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5},
+    "noise": {"covariance": "tridiagonal", "rho": 0.25},
+    "penalty": {"xi1": 1.5},
+    "signal": {"kind": "besov_spread"},
+    "epsilons": [2.0 ** -j for j in range(6, 10)],
+}
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def deferred_values():
+    """(the scipy subpackages other than linalg loaded after a tridiagonal
+    Monte Carlo run, [(name, float.hex)] of each value a deferred import feeds])."""
+    import sys
+
+    from penseq import (HyperParams, NoiseSpec, PenaltyConfig, SignalSpec, j_plus,
+                        m_prime, make_signal, mc_risk_for_truth)
+
+    gamma = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.5)
+    truth = make_signal(SignalSpec("besov_spread", gamma, 1.0, 2.0 ** -6, jmax=6))
+    noise = NoiseSpec(epsilon=2.0 ** -6, beta=0.5, covariance="tridiagonal", rho=0.25)
+    mc = mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=1.5), noise, 4, seed=11)
+    after_linalg = [m for m in ("scipy.special", "scipy.optimize") if m in sys.modules]
+    values = [("mc.mean_sse", mc.mean_sse), ("mc.stderr_sse", mc.stderr_sse)]
+    values += [(f"mc.per_level_sse[{i}]", float(v)) for i, v in enumerate(mc.per_level_sse)]
+    values += [("m_prime", m_prime(PenaltyConfig(), 1024)),
+               ("m_prime beta=0.5", m_prime(PenaltyConfig(beta=0.5, nu=3.0), 2.0 ** 40)),
+               ("j_plus", j_plus(HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5),
+                                 1.0, 2.0 ** -9))]
+    return after_linalg, [(name, float(v).hex()) for name, v in values]
+
+
+CHILD = textwrap.dedent(inspect.getsource(scipy_modules)) + \
+    textwrap.dedent(inspect.getsource(deferred_values)) + textwrap.dedent("""
+    import json
+    import sys
+    from pathlib import Path
+
+    import penseq
+    import penseq.cli as cli
+
+    work = Path(sys.argv[1])
+    for name in cli.PRESETS:
+        cli.load_config(cli.build_parser().parse_args(["rates", "--preset", name]))
+    cli.load_config(cli.build_parser().parse_args(
+        ["sweep", "--config", str(work / "tridiagonal.json")]))
+    runs = (["estimate", str(work / "seq.json"), "--preset", "dense"],
+            ["rates", "--preset", "dense"],
+            ["sweep", "--preset", "dense", "--replicates", "2"])
+    codes = [cli.main(argv + ["--out", str(work / argv[0])]) for argv in runs]
+    before = scipy_modules()
+    after_linalg, values = deferred_values()
+    print(json.dumps({"codes": codes, "before": before, "after_linalg": after_linalg,
+                      "values": values}))
+    """)
+
+
+def test_numpy_only_paths_import_no_scipy(tmp_path):
+    (tmp_path / "tridiagonal.json").write_text(json.dumps(TRIDIAGONAL))
+    seq = {"j0": 1, "levels": [[0.5, -0.01], [3.0, 0.02, -0.03, 0.0]]}
+    (tmp_path / "seq.json").write_text(json.dumps(seq))
+    src = str(Path(penseq.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    assert child["codes"] == [0, 0, 0]
+    assert child["before"] == []
+    assert child["after_linalg"] == []
+    after_linalg, values = deferred_values()
+    assert [list(v) for v in values] == child["values"]

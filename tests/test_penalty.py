@@ -8,7 +8,8 @@ import pytest
 
 import penseq
 from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
-                    m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector)
+                    m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector,
+                    select_k, subset_oracle)
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -129,6 +130,21 @@ class TestPen:
         for _ in range(2):
             with pytest.raises(ValidationError):
                 pen_vector(cfg, 33, 6.0)
+
+    def test_lookup_does_not_hash_the_config(self, monkeypatch):
+        cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25)
+        pens = pen_vector(cfg, 12)
+
+        def forbidden(*args):
+            raise AssertionError("a per-level lookup hashed or compared the config")
+        monkeypatch.setattr(PenaltyConfig, "__hash__", forbidden)
+        monkeypatch.setattr(PenaltyConfig, "__eq__", forbidden)
+        twin = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25)
+        assert pen_vector(twin, 12) is pens      # equal configs share one vector
+        y = np.linspace(-3.0, 3.0, 12)
+        for _ in range(2):
+            select_k(y, twin, 0.5)
+            subset_oracle(y, twin, 0.5)
 
     def test_cache_adds_no_knob(self):
         assert list(inspect.signature(pen_vector).parameters) == ["cfg", "n", "nu_eff"]
