@@ -27,4 +27,21 @@ for w in sweep-sparse sweep-spread-corr oracle-check; do
     | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["metrics"]["cli.outputs_identical"]["value"] == r["attempted"] else 1)' \
     || { echo "workload $w is not byte-identical to perfbench/reference.json"; exit 1; }
 done
+# outputs must not depend on the CPU count: a Monte Carlo run over 2^15 or
+# more coefficients shares its replicates between threads when two CPUs are
+# free, and pinned to one CPU it runs on one thread
+if command -v taskset > /dev/null; then
+  cpus=$(mktemp -d)
+  PYTHONPATH=src python3 -m penseq.cli sweep --preset sparse --replicates 4 --seed 5 \
+    --out "$cpus/any"
+  PYTHONPATH=src taskset -c 0 python3 -m penseq.cli sweep --preset sparse --replicates 4 \
+    --seed 5 --out "$cpus/one"
+  for f in sweep.json sweep.csv; do
+    cmp "$cpus/any/$f" "$cpus/one/$f" \
+      || { echo "$f differs between all CPUs and one CPU"; exit 1; }
+  done
+  rm -rf "$cpus"
+else
+  echo "ci: taskset not found; skipping the one-CPU output comparison"
+fi
 echo "ci: all checks passed"

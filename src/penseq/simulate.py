@@ -13,7 +13,12 @@ Noise is drawn for all levels at once, one standard-normal draw of every
 coefficient; the Monte Carlo loop is the only sampler.  All randomness is
 driven by integer seeds through numpy SeedSequence; replicate streams
 derive from (seed, replicate index), so results are reproducible and
-independent of any execution schedule.  Only tridiagonal noise uses SciPy:
+independent of any execution schedule.  A Monte Carlo run over at least
+2^15 coefficients shares its replicates between up to two threads (numpy's
+normal fill and large-array operations release the GIL); each replicate's
+per-level SSE lands in its own row, and the rows are reduced in replicate
+order, so every result is the same bit for bit on any number of CPUs.  Only
+tridiagonal noise uses SciPy:
 its banded Cholesky factor imports scipy.linalg when first built, so the
 identity-noise Monte Carlo loop runs on numpy alone.
 """
@@ -21,6 +26,9 @@ identity-noise Monte Carlo loop runs on numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,9 @@ from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
+# measured crossover: two threads against one, 100 zero-signal replicates, took
+# 1.01x the time at 16,382 coefficients and 0.86x at 32,766
+_THREADED_SIZE = 1 << 15
 _SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
 
@@ -223,10 +234,11 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     return factor[0], factor[1, :-1]
 
 
-def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
+def _draw_noise(rng: np.random.Generator, size: int, bands, out=None) -> np.ndarray:
     """z_j ~ N(0, Sigma_j) for levels laid end to end, from one standard-normal
-    draw of every coefficient: the normals of one draw per level in increasing j."""
-    g = rng.standard_normal(size)
+    draw of every coefficient: the normals of one draw per level in increasing j.
+    The normals are written to out when given; identity noise returns them."""
+    g = rng.standard_normal(size, out=out)
     if bands is None:
         return g
     diag, sub = bands
@@ -251,30 +263,84 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
+def _require_whole(value, name: str, least: int) -> None:
+    require(isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least, f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _replicate_threads(size: int) -> int:
+    """Threads for a Monte Carlo run over size coefficients: up to two, as
+    the CPUs the process may run on allow, from _THREADED_SIZE on."""
+    if size < _THREADED_SIZE:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                        # not every platform has it
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int) -> McResult:
     """Monte Carlo risk at a fixed truth: per replicate, the numbers of one noise draw
-    -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call."""
-    require(replicates >= 2, f"replicates must be >= 2, got {replicates}")
+    -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call.
+
+    The replicates may run on more than one thread; the result does not depend
+    on it.  If replicates fail, the error of the lowest failing one is raised.
+    """
+    _require_whole(replicates, "replicates", 2)
+    _require_whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
     plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
+    rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
+    reps = iter(range(replicates))                # next() on it is atomic under the GIL
+    failed = {}
+    stop = threading.Event()
+
+    def work():
+        buffer = np.empty(size)
+        while not stop.is_set():
+            rep = next(reps, None)
+            if rep is None:
+                return
+            try:
+                z = _draw_noise(_replicate_rng(seed, rep), size, bands, out=buffer)
+                level_sse = rows[rep]
+                for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
+                    y_j = z[start:start + theta_j.size]
+                    y_j *= eps_j                  # y_j = theta_j + eps_j * z_j, in place
+                    y_j += theta_j
+                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+                    if fit.k_hat == 0:
+                        level_sse[idx] = energy   # the estimate is +0.0 everywhere
+                    else:
+                        diff = fit.estimate - theta_j
+                        level_sse[idx] = float(diff @ diff)
+            except Exception as err:              # raised by the caller's thread below
+                failed[rep] = err
+                stop.set()
+
+    # Each thread takes the next replicate as it frees up, so a thread the host
+    # starves takes fewer.  Every replicate below a failing one was taken
+    # before it and runs to the end, so min(failed) is the lowest failure.
+    workers = []
+    try:
+        for _ in range(_replicate_threads(size) - 1):
+            worker = threading.Thread(target=work)
+            worker.start()
+            workers.append(worker)
+        work()
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
     sses = np.empty(replicates)
-    level_sse = np.empty(len(plan))
     per_level = np.zeros(len(plan))
-    for rep in range(replicates):
-        z = _draw_noise(_replicate_rng(seed, rep), size, bands)
-        for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
-            y_j = z[start:start + theta_j.size]
-            y_j *= eps_j                          # y_j = theta_j + eps_j * z_j, in place
-            y_j += theta_j
-            fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
-            if fit.k_hat == 0:
-                level_sse[idx] = energy           # the estimate is +0.0 everywhere
-            else:
-                diff = fit.estimate - theta_j
-                level_sse[idx] = float(diff @ diff)
+    for rep, level_sse in enumerate(rows):
         per_level += level_sse
         sses[rep] = level_sse.sum()
     mean = float(sses.mean())

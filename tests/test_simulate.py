@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     fit_multiscale, fit_rate_exponent, make_signal,
                     mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
                     shell_radius)
+import penseq.simulate as simulate
 from penseq.rates import j_plus, j_star
 from penseq.simulate import _draw_noise, _noise_bands, _replicate_rng, resolve_jmax
 
@@ -333,8 +337,9 @@ class TestMcRisk:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("rho", [0.0, 0.25])
     @pytest.mark.parametrize("kind, jmax", [("besov_spread", 12), ("besov_spread", 5),
-                                            ("shell_dense", 9)])
-    def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax):
+                                            ("shell_dense", 9), ("besov_spread", 15)])
+    def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax, monkeypatch):
+        # jmax = 15 is 65,534 coefficients, past the size that shares replicates
         gamma = HyperParams(1.0, 2.0, 2.0, beta)
         truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
         if rho:
@@ -342,12 +347,88 @@ class TestMcRisk:
         else:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta)
         cfg = PenaltyConfig(beta=beta, xi1=noise.xi1)
-        got = mc_risk_for_truth(truth, cfg, noise, replicates=4, seed=11)
         mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, 4, 11)
         # the spread signal keeps coefficients, the dense shell keeps none
         assert (kept > 0) == (kind == "besov_spread")
-        assert got.mean_sse == mean and got.stderr_sse == stderr
-        assert np.array_equal(got.per_level_sse, per_level)
+        for threads in (1, 2):
+            monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+            got = mc_risk_for_truth(truth, cfg, noise, replicates=4, seed=11)
+            assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+            assert np.array_equal(got.per_level_sse, per_level)
+
+    def test_replicate_threads(self):
+        assert simulate._replicate_threads(simulate._THREADED_SIZE - 1) == 1
+        assert 1 <= simulate._replicate_threads(simulate._THREADED_SIZE) <= 2
+
+    def test_threads_under_a_short_switch_interval_match_one_thread(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows:
+        # a replicate lost or run twice would move the mean or the stderr
+        gamma = HyperParams(1.0, 2.0, 2.0, 0.5)
+        truth = make_signal(spec_for("besov_spread", gamma, eps=2.0 ** -6, jmax=7))
+        noise = NoiseSpec(epsilon=2.0 ** -6, beta=0.5)
+        cfg = PenaltyConfig(beta=0.5)
+        one = mc_risk_for_truth(truth, cfg, noise, replicates=300, seed=5)
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 4)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = mc_risk_for_truth(truth, cfg, noise, replicates=300, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert one.stderr_sse > 0
+        assert four.mean_sse.hex() == one.mean_sse.hex()
+        assert four.stderr_sse.hex() == one.stderr_sse.hex()
+        assert np.array_equal(four.per_level_sse, one.per_level_sse)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_replicate_is_raised(self, threads, monkeypatch):
+        # replicate 3 starts late, so on two threads replicate 4 fails first and
+        # 3 is in flight; on one thread 4 is never taken: 3 is raised either way
+        fit_level, replicate_rng, local = simulate._fit_level, simulate._replicate_rng, \
+            threading.local()
+
+        def rng(seed, rep):
+            local.rep = rep
+            if rep == 3:
+                time.sleep(0.05)
+            return replicate_rng(seed, rep)
+
+        def fit(j, *args):
+            if local.rep in (3, 4, 7):
+                raise NumericalError(f"replicate {local.rep}")
+            return fit_level(j, *args)
+
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+        monkeypatch.setattr(simulate, "_replicate_rng", rng)
+        monkeypatch.setattr(simulate, "_fit_level", fit)
+        before = threading.active_count()
+        for _ in range(5):
+            with pytest.raises(NumericalError, match=r"^replicate 3$"):
+                mc_risk_for_truth(MultiresSequence.zeros(1, 5), PenaltyConfig(beta=0.5),
+                                  NoiseSpec(epsilon=0.1, beta=0.5), replicates=40, seed=1)
+            assert threading.active_count() == before
+
+    def test_interrupt_stops_and_joins_the_worker(self, monkeypatch):
+        # the main thread is interrupted in its first replicate; the worker
+        # finishes the replicate it holds and is joined before the interrupt
+        # propagates, far short of the 100,000 replicates asked for
+        fit_level, main, done = simulate._fit_level, threading.main_thread(), []
+
+        def fit(j, *args):
+            if threading.current_thread() is main:
+                raise KeyboardInterrupt
+            done.append(j)
+            return fit_level(j, *args)
+
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 2)
+        monkeypatch.setattr(simulate, "_fit_level", fit)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            mc_risk_for_truth(MultiresSequence.zeros(1, 3), PenaltyConfig(beta=0.5),
+                              NoiseSpec(epsilon=0.1, beta=0.5), replicates=100_000, seed=1)
+        assert threading.active_count() == before
+        assert len(done) < 3 * 50_000
 
     def test_numerical_error_names_the_level(self):
         # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
@@ -371,6 +452,22 @@ class TestMcRisk:
         with pytest.raises(ValidationError):
             mc_risk_for_truth(make_signal(spec), cfg, NoiseSpec(epsilon=spec.epsilon, beta=0.5),
                               replicates=1, seed=0)
+
+    @pytest.mark.parametrize("replicates, seed, message", [
+        (2.5, 0, r"replicates must be an integer >= 2, got 2\.5"),
+        (True, 0, r"replicates must be an integer >= 2, got True"),
+        (4, -1, r"seed must be an integer >= 0, got -1"),
+        (4, 1.5, r"seed must be an integer >= 0, got 1\.5"),
+        (4, True, r"seed must be an integer >= 0, got True"),
+    ])
+    def test_replicates_and_seed_typed(self, replicates, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            mc_risk_for_truth(MultiresSequence.zeros(1, 3), PenaltyConfig(beta=0.5),
+                              NoiseSpec(epsilon=0.1, beta=0.5), replicates, seed)
+        # an integer of any integral type is accepted
+        assert mc_risk_for_truth(MultiresSequence.zeros(1, 3), PenaltyConfig(beta=0.5),
+                                 NoiseSpec(epsilon=0.1, beta=0.5), np.int64(2),
+                                 np.int64(3)).replicates == 2
 
 
 class TestFitRateExponent:
