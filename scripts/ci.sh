@@ -44,4 +44,16 @@ if command -v taskset > /dev/null; then
 else
   echo "ci: taskset not found; skipping the one-CPU output comparison"
 fi
+# every run value is in the config an output echoes: rerunning on that
+# config writes the same bytes
+echo_dir=$(mktemp -d)
+PYTHONPATH=src python3 -m penseq.cli oracle-check --preset sparse --replicates 4 \
+  --out "$echo_dir/first"
+python3 -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1]))["config"]))' \
+  "$echo_dir/first/oracle_check.json" > "$echo_dir/config.json"
+PYTHONPATH=src python3 -m penseq.cli oracle-check --config "$echo_dir/config.json" \
+  --out "$echo_dir/again"
+cmp "$echo_dir/first/oracle_check.json" "$echo_dir/again/oracle_check.json" \
+  || { echo "oracle_check.json differs when rerun on its echoed config"; exit 1; }
+rm -rf "$echo_dir"
 echo "ci: all checks passed"

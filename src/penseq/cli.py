@@ -6,10 +6,12 @@ Subcommands:
     rates         rate report and shell-risk profile for one (gamma, C, eps)
     oracle-check  exhaustive-oracle equivalence batch + risk-bound Monte Carlo
 
-Every experiment is a single JSON config document (or a named preset);
---seed / --replicates / --out override individual fields.  Outputs embed the
-fully resolved config and a schema_version field and contain no timestamps,
-so reruns produce identical files.
+Every experiment is a single JSON config document (or a named preset).
+sweep and oracle-check take --seed / --replicates to override those fields;
+every subcommand takes --out.  rates, estimate and oracle-check run at the
+config's 'epsilon', sweep over its 'epsilons' grid.  Outputs embed the fully
+resolved config and a schema_version field and contain no timestamps, so a
+rerun on an output's echoed config writes the same files.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 acceptance-check failure.
@@ -25,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, dataclass_kwargs, require
+from .errors import (NumericalError, ValidationError, as_float, dataclass_kwargs, is_number,
+                     require)
 from .model import HyperParams, MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
@@ -39,6 +42,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+
+# oracle-check's equivalence batch: this many N(0,1) instances at each n = 1..12
+EQUIVALENCE_PER_N = 1000
 
 # Fields every preset shares; each preset adds its gamma and signal and may
 # override the rest.
@@ -67,10 +73,9 @@ PRESETS = {name: {**_PRESET_BASE, **own} for name, own in {
 
 def _count(value, name: str) -> int:
     """A whole number >= 0; int() alone would truncate 2.7 to 2 and read true as 1."""
-    number = int(value)
-    if isinstance(value, bool) or number < 0 or (isinstance(value, float) and number != value):
+    if not is_number(value) or value < 0 or int(value) != value:
         raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
-    return number
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,15 @@ class ExperimentConfig:
         unknown = set(doc) - {f.name for f in fields(cls)} - {"schema_version", "zone"}
         require(not unknown, f"unknown config fields: {sorted(unknown)}")
         require("gamma" in doc, "config is missing 'gamma'")
-        # float(), int() and the field lookups raise ValueError or
-        # TypeError on a value of the wrong type or form, int() of an
-        # infinity OverflowError
+        version = doc.get("schema_version", SCHEMA_VERSION)
+        require(type(version) is int and version == SCHEMA_VERSION,
+                f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        # as_float(), _count() and the field lookups raise ValueError or
+        # TypeError on a value of the wrong type or form, float() of an
+        # integer past the float range and int() of an infinity OverflowError
         try:
             gamma = HyperParams.from_dict(doc["gamma"])
-            radius = float(doc.get("radius", 1.0))
+            radius = as_float(doc.get("radius", 1.0), "radius")
             penalty = PenaltyConfig.from_dict({"beta": gamma.beta, **doc.get("penalty", {})})
             require(penalty.beta == gamma.beta, "penalty beta must match gamma beta")
             noise = dataclass_kwargs(doc.get("noise", {}), NoiseSpec, "noise",
@@ -115,13 +123,14 @@ class ExperimentConfig:
                                       {"gamma", "radius", "epsilon", "jmax"})
             eps = doc.get("epsilons", [])
             require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
+            epsilon = doc.get("epsilon")
             cfg = cls(
                 gamma=gamma, radius=radius, penalty=penalty, noise=noise, signal=signal,
-                epsilons=tuple(float(e) for e in eps),
+                epsilons=tuple(as_float(e, "epsilons entry") for e in eps),
                 replicates=_count(doc.get("replicates", 100), "replicates"),
                 seed=_count(doc.get("seed", 0), "seed"),
                 jmax=doc.get("jmax"),
-                epsilon=None if doc.get("epsilon") is None else float(doc["epsilon"]),
+                epsilon=None if epsilon is None else as_float(epsilon, "epsilon"),
             )
             cfg.cross_validate()
         except (TypeError, ValueError, OverflowError) as exc:
@@ -161,16 +170,24 @@ class ExperimentConfig:
                           jmax=self.jmax, **self.signal)
 
     def single_epsilon(self) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        require(len(self.epsilons) == 1,
-                "this command needs a single 'epsilon' (or a one-entry epsilon grid)")
-        return self.epsilons[0]
+        require(self.epsilon is not None,
+                "this command needs a single 'epsilon'; the 'epsilons' grid is sweep's")
+        return self.epsilon
 
     def resolved_dict(self) -> dict:
         doc = asdict(self)
         doc.update(schema_version=SCHEMA_VERSION, epsilons=list(self.epsilons), zone=None)
         return doc
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the input file path; ValidationError naming it
+    (what it is, then the path) if it is missing or cannot be read."""
+    require(path.exists(), f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(args) -> ExperimentConfig:
@@ -181,10 +198,9 @@ def load_config(args) -> ExperimentConfig:
     else:
         require(getattr(args, "config", None) is not None,
                 "either --config PATH or --preset NAME is required")
-        path = Path(args.config)
-        require(path.exists(), f"config file not found: {path}")
+        text = _read_text(Path(args.config), "config file")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed config JSON: {exc}") from exc
     if getattr(args, "seed", None) is not None:
@@ -210,9 +226,7 @@ def _write_output(args, config: ExperimentConfig, name: str, **body) -> Path:
 
 def cmd_estimate(args) -> int:
     config = load_config(args)
-    seq_path = Path(args.input)
-    require(seq_path.exists(), f"input sequence not found: {seq_path}")
-    y = MultiresSequence.from_json(seq_path.read_text())
+    y = MultiresSequence.from_json(_read_text(Path(args.input), "input sequence"))
     epsilon = config.single_epsilon()
     fit = fit_multiscale(y, config.penalty, config.noise_spec(epsilon))
     _write_output(args, config, "fit.json", epsilon=epsilon, fit=fit.to_json_dict())
@@ -267,14 +281,11 @@ def cmd_rates(args) -> int:
 def cmd_oracle_check(args) -> int:
     config = load_config(args)
     epsilon = config.single_epsilon()
-    # the batch runs the same number of instances at each n = 1..12
-    require(args.instances > 0 and args.instances % 12 == 0,
-            f"--instances must be a positive multiple of 12, got {args.instances}")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mismatches = 0
     for n in range(1, 13):
         # one draw per n: the rows are the normals of per-instance draws, in order
-        for y in rng.standard_normal((args.instances // 12, n)):
+        for y in rng.standard_normal((EQUIVALENCE_PER_N, n)):
             fit = select_k(y, config.penalty, 1.0)
             indices, _ = subset_oracle(y, config.penalty, 1.0)
             kept = list(indices)
@@ -286,7 +297,7 @@ def cmd_oracle_check(args) -> int:
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
     _write_output(args, config, "oracle_check.json", seed=config.seed,
-                  equivalence={"instances": args.instances, "mismatches": mismatches},
+                  equivalence={"instances": 12 * EQUIVALENCE_PER_N, "mismatches": mismatches},
                   oracle_inequality={"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
                                      "ratio": ratio, "holds": ratio <= 1.0})
     if mismatches > 0 or ratio > 1.0:
@@ -303,33 +314,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "Gaussian sequence models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, monte_carlo):
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--replicates", type=int, default=None,
-                       help="override config replicate count")
+        if monte_carlo:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+            p.add_argument("--replicates", type=int, default=None,
+                           help="override config replicate count")
         p.add_argument("--out", default=".", help="output directory")
 
     p_est = sub.add_parser("estimate", help="fit one observed sequence")
     p_est.add_argument("input", help="path to a sequence JSON file")
-    common(p_est)
+    common(p_est, False)
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo risk over an epsilon grid")
-    common(p_sweep)
+    common(p_sweep, True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rates = sub.add_parser("rates", help="rate report and shell-risk profile")
-    common(p_rates)
+    common(p_rates, False)
     p_rates.set_defaults(func=cmd_rates)
 
     p_oracle = sub.add_parser("oracle-check",
                               help="oracle equivalence batch and risk-bound check")
-    p_oracle.add_argument("--instances", type=int, default=12000,
-                          help="total random instances for the equivalence batch; "
-                               "a positive multiple of 12")
-    common(p_oracle)
+    common(p_oracle, True)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

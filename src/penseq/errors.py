@@ -34,12 +34,26 @@ def require_finite(obj, *names: str) -> None:
                 f"{name} must be a finite number, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """A JSON number is an int or a float, never a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def as_float(value, name: str) -> float:
+    """value as a float; TypeError naming it unless it is a number."""
+    if not is_number(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def dataclass_kwargs(doc, spec: type, name: str, skip=frozenset()) -> dict:
     """The mapping ``doc`` as keyword arguments of the dataclass ``spec``.
 
     Keys, defaults and the unknown- and missing-field checks come from the
     fields of ``spec`` less ``skip`` (fields the caller supplies); ``name``
-    labels the errors.  A field annotated ``float`` is stored as float.
+    labels the errors.  A field annotated ``float`` must be a number and is
+    stored as float; one annotated ``float | None`` must be a number or None
+    and is stored as written.
     """
     doc = dict(doc)
     own = [f for f in fields(spec) if f.name not in skip]
@@ -50,5 +64,9 @@ def dataclass_kwargs(doc, spec: type, name: str, skip=frozenset()) -> dict:
         require(f.name in doc or f.default is not MISSING,
                 f"{name} section is missing {f.name!r}")
         value = doc.get(f.name, f.default)
-        kwargs[f.name] = float(value) if f.type in (float, "float") else value
+        if f.type in (float, "float"):
+            value = as_float(value, f"{name}.{f.name}")
+        elif f.type in (float | None, "float | None") and value is not None:
+            as_float(value, f"{name}.{f.name}")
+        kwargs[f.name] = value
     return kwargs

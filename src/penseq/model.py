@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, dataclass_kwargs, require,
-                     require_finite)
+from .errors import (NumericalError, ValidationError, dataclass_kwargs, is_number,
+                     require, require_finite)
 
 # Absolute tolerance for detecting the measure-zero critical manifold
 # alpha = (2*beta + 1) * (1/p - 1/2).
@@ -157,9 +157,8 @@ class MultiresSequence:
             raise ValidationError(f"malformed sequence JSON: {exc}") from exc
         require(isinstance(doc, dict), "sequence document must be a JSON object")
         kwargs = dataclass_kwargs(doc, cls, "sequence")
-        # a JSON number is an int or a float, never a bool or a string
         require(isinstance(kwargs["levels"], list) and all(
-            isinstance(lev, list) and all(type(x) in (int, float) for x in lev)
+            isinstance(lev, list) and all(is_number(x) for x in lev)
             for lev in kwargs["levels"]), "levels must be a list of lists of numbers")
         return cls(**kwargs)
 

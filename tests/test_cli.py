@@ -109,6 +109,32 @@ class TestExperimentConfig:
         assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "malformed config value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, "1.0", "3"])
+    @pytest.mark.parametrize("section, field", [
+        ("gamma", "alpha"), ("gamma", "p"), ("gamma", "q"), ("gamma", "beta"),
+        (None, "radius"), ("penalty", "zeta"), ("penalty", "nu"), ("penalty", "beta"),
+        ("penalty", "xi1"), ("penalty", "jeps_scale"), ("noise", "rho"), ("noise", "xi0"),
+        ("noise", "xi1"), ("signal", "xi0"), ("signal", "rho1"), ("signal", "rho2"),
+        ("epsilons", 0), (None, "epsilon"), (None, "replicates"), (None, "seed"),
+    ])
+    def test_bool_or_string_number_exit_2(self, tmp_path, capsys, section, field, value):
+        # a JSON number is an int or a float: float() and int() alone would read
+        # true as 1 and "1.0" as 1.0 (jmax has its own integer check in SignalSpec)
+        doc = base_config(epsilon=2.0 ** -8)
+        (doc if section is None else doc[section])[field] = value
+        out = tmp_path / "o"
+        assert main(["rates", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "malformed config value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", ["banana", 2, 1.0, True, None])
+    def test_schema_version_other_than_1_exit_2(self, tmp_path, capsys, version):
+        doc = base_config(epsilon=2.0 ** -8, schema_version=version)
+        out = tmp_path / "o"
+        assert main(["rates", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"schema_version must be 1, got {version!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rates", "estimate"])
     @pytest.mark.parametrize("section, field", [
         (None, "radius"), ("signal", "xi0"), ("signal", "rho1"), ("signal", "rho2"),
@@ -210,11 +236,12 @@ class TestEstimate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_input(self, tmp_path):
+    def test_missing_input(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6))
         code = main(["estimate", str(tmp_path / "nope.json"), "--config", cfg,
                      "--out", str(tmp_path)])
         assert code == 2
+        assert "input sequence not found" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -306,6 +333,7 @@ class TestRates:
         ("signal", "xi0", -1),
         (None, "jmax", 2.5),
         (None, "jmax", True),
+        (None, "jmax", "6"),
     ])
     def test_malformed_signal_exit_2(self, tmp_path, capsys, section, field, value):
         # rates builds no signal, so only the load-time check can catch these
@@ -349,40 +377,101 @@ class TestOracleCheck:
         doc = base_config(epsilon=2.0 ** -6, replicates=5)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
-        assert main(["oracle-check", "--config", cfg, "--out", str(out),
-                     "--instances", "240"]) == 0
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "oracle_check.json").read_text())
         assert rep["seed"] == 4242
-        assert rep["equivalence"]["mismatches"] == 0
+        assert rep["equivalence"] == {"instances": 12000, "mismatches": 0}
         assert rep["oracle_inequality"]["ratio"] <= 1.0
 
     def test_preset_runs(self, tmp_path):
         out = tmp_path / "o"
         assert main(["oracle-check", "--preset", "zero", "--out", str(out),
-                     "--instances", "120", "--replicates", "5"]) == 0
+                     "--replicates", "5"]) == 0
 
     def test_no_epsilon_and_empty_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(epsilons=[]))
-        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path),
-                     "--instances", "12"]) == 2
+        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "single 'epsilon'" in capsys.readouterr().err
 
     def test_no_epsilon_and_two_point_grid_exit_2(self, tmp_path, capsys):
         # rates and estimate reject this config too; no command picks a grid point
         cfg = write_config(tmp_path, base_config(epsilons=[2.0 ** -6, 2.0 ** -7]))
         out = tmp_path / "o"
-        assert main(["oracle-check", "--config", cfg, "--out", str(out),
-                     "--instances", "12"]) == 2
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 2
         assert "single 'epsilon'" in capsys.readouterr().err
-        assert not (out / "oracle_check.json").exists()
-
-    @pytest.mark.parametrize("instances", ["-5", "0", "30"])
-    def test_instances_not_positive_multiple_of_12_exit_2(self, tmp_path, capsys, instances):
-        out = tmp_path / "o"
-        assert main(["oracle-check", "--preset", "zero", "--out", str(out),
-                     "--instances", instances, "--replicates", "5"]) == 2
-        assert "positive multiple of 12" in capsys.readouterr().err
         assert not (out / "oracle_check.json").exists()
 
     def test_unknown_preset(self, tmp_path):
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == 2
+
+
+class TestRunValues:
+    """Every run value comes from the config; the output echoes it whole."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--preset", "sparse", "--instances", "240"],
+        ["rates", "--preset", "dense", "--seed", "1"],
+        ["estimate", "seq.json", "--preset", "dense", "--replicates", "3"],
+    ], ids=["oracle-check-instances", "rates-seed", "estimate-replicates"])
+    def test_removed_option_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["rates", "estimate", "oracle-check"])
+    def test_no_epsilon_and_one_point_grid_exit_2(self, tmp_path, capsys, command):
+        # epsilon is the one source of a single-epsilon command's epsilon
+        seq = tmp_path / "seq.json"
+        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+        cfg = write_config(tmp_path, base_config(epsilons=[2.0 ** -6]))
+        out = tmp_path / "o"
+        argv = [command, *([str(seq)] if command == "estimate" else []),
+                "--config", cfg, "--out", str(out)]
+        assert main(argv) == 2
+        assert "needs a single 'epsilon'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--preset", "sparse"],
+        ["sweep", "--preset", "dense", "--replicates", "4"],
+        ["oracle-check", "--preset", "sparse", "--replicates", "5"],
+    ], ids=["rates", "sweep", "oracle-check"])
+    def test_rerun_on_echoed_config_reproduces_outputs(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        (report,) = first.glob("*.json")
+        echoed = write_config(tmp_path, json.loads(report.read_text())["config"])
+        assert main([argv[0], "--config", echoed, "--out", str(second)]) == 0
+        written = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in second.iterdir()) == written
+        for name in written:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+class TestInputFiles:
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(base_config(epsilon=2.0 ** -8)).encode("utf-16"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sequence_directory_exit_2(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        out = tmp_path / "o"
+        assert main(["estimate", str(seq), "--preset", "dense", "--out", str(out)]) == 2
+        assert f"cannot read input sequence {seq}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["rates", "--config", str(missing), "--out", str(tmp_path)]) == 2
+        assert f"config file not found: {missing}" in capsys.readouterr().err

@@ -87,7 +87,7 @@ RUNS = {
     "sweep-critical": lambda tmp: ["sweep", "--preset", "critical", "--replicates", "10"],
     "sweep-spread-corr": _run_sweep_spread,
     "oracle-check-sparse": lambda tmp: ["oracle-check", "--preset", "sparse",
-                                        "--instances", "240", "--replicates", "10"],
+                                        "--replicates", "10"],
     "estimate": _run_estimate,
 }
 
@@ -98,7 +98,7 @@ GOLDEN = {
     },
     "oracle-check-sparse": {
         "oracle_check.json":
-            "d1118e15ab778f470330e3c65f9c129ff0d2a7be372ece7fe87f9f1a3c81126a",
+            "319d8f9c12559907d552cc4436d840f2d44b6445c031ecd3b2befaba84ba199d",
     },
     "rates-critical": {
         "rate_report.json":

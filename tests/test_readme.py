@@ -1,13 +1,14 @@
 """The README's config documentation agrees with the code that loads configs,
-and its library example runs."""
+its CLI examples parse, and its library example runs."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from penseq.cli import ExperimentConfig
+from penseq.cli import ExperimentConfig, build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -42,3 +43,14 @@ def test_library_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README, re.S)
     assert len(blocks) == 1, "the README should show exactly one python block"
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_cli_block_lines_parse():
+    # the first code block of the CLI section; argparse exits 2 on an option
+    # the parser does not take
+    section = README[README.index("\n## CLI\n"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("penseq ")]
+    assert len(commands) == 4
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
