@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, as_float, dataclass_kwargs, is_number,
-                     require)
+from .errors import NumericalError, ValidationError, as_float, dataclass_kwargs, require, whole
 from .model import HyperParams, MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
@@ -71,13 +70,6 @@ PRESETS = {name: {**_PRESET_BASE, **own} for name, own in {
 }.items()}
 
 
-def _count(value, name: str) -> int:
-    """A whole number >= 0; int() alone would truncate 2.7 to 2 and read true as 1."""
-    if not is_number(value) or value < 0 or int(value) != value:
-        raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description (one JSON document).
@@ -109,32 +101,26 @@ class ExperimentConfig:
         version = doc.get("schema_version", SCHEMA_VERSION)
         require(type(version) is int and version == SCHEMA_VERSION,
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-        # as_float(), _count() and the field lookups raise ValueError or
-        # TypeError on a value of the wrong type or form, float() of an
-        # integer past the float range and int() of an infinity OverflowError
-        try:
-            gamma = HyperParams.from_dict(doc["gamma"])
-            radius = as_float(doc.get("radius", 1.0), "radius")
-            penalty = PenaltyConfig.from_dict({"beta": gamma.beta, **doc.get("penalty", {})})
-            require(penalty.beta == gamma.beta, "penalty beta must match gamma beta")
-            noise = dataclass_kwargs(doc.get("noise", {}), NoiseSpec, "noise",
-                                     {"epsilon", "beta"})
-            signal = dataclass_kwargs(doc.get("signal", {}), SignalSpec, "signal",
-                                      {"gamma", "radius", "epsilon", "jmax"})
-            eps = doc.get("epsilons", [])
-            require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
-            epsilon = doc.get("epsilon")
-            cfg = cls(
-                gamma=gamma, radius=radius, penalty=penalty, noise=noise, signal=signal,
-                epsilons=tuple(as_float(e, "epsilons entry") for e in eps),
-                replicates=_count(doc.get("replicates", 100), "replicates"),
-                seed=_count(doc.get("seed", 0), "seed"),
-                jmax=doc.get("jmax"),
-                epsilon=None if epsilon is None else as_float(epsilon, "epsilon"),
-            )
-            cfg.cross_validate()
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed config value: {exc}") from exc
+        gamma = HyperParams.from_dict(doc["gamma"])
+        radius = as_float(doc.get("radius", 1.0), "radius")
+        require(isinstance(doc.get("penalty", {}), dict), "penalty must be a JSON object")
+        penalty = PenaltyConfig.from_dict({"beta": gamma.beta, **doc.get("penalty", {})})
+        require(penalty.beta == gamma.beta, "penalty beta must match gamma beta")
+        noise = dataclass_kwargs(doc.get("noise", {}), NoiseSpec, "noise", {"epsilon", "beta"})
+        signal = dataclass_kwargs(doc.get("signal", {}), SignalSpec, "signal",
+                                  {"gamma", "radius", "epsilon", "jmax"})
+        eps = doc.get("epsilons", [])
+        require(isinstance(eps, (list, tuple)), "'epsilons' must be a list")
+        epsilon, jmax = doc.get("epsilon"), doc.get("jmax")
+        cfg = cls(
+            gamma=gamma, radius=radius, penalty=penalty, noise=noise, signal=signal,
+            epsilons=tuple(as_float(e, "epsilons entry") for e in eps),
+            replicates=whole(doc.get("replicates", 100), "replicates", 2),
+            seed=whole(doc.get("seed", 0), "seed", 0),
+            jmax=None if jmax is None else whole(jmax, "jmax", 1),
+            epsilon=None if epsilon is None else as_float(epsilon, "epsilon"),
+        )
+        cfg.cross_validate()
         return cfg
 
     @property
@@ -150,16 +136,10 @@ class ExperimentConfig:
         return self.noise["rho"]
 
     def cross_validate(self) -> None:
-        for e in self.epsilons:
-            require(0.0 < e < min(self.radius, 1.0),
-                    f"every epsilon must lie in (0, min(radius, 1)), got {e}")
-        if self.epsilon is not None:
-            require(0.0 < self.epsilon < 1.0,
-                    f"epsilon must lie in (0, 1), got {self.epsilon}")
-        require(self.replicates >= 2, "replicates must be >= 2")
-        # build the specs the commands will build, so bad fields fail before any work
+        # build the commands' specs, so bad fields fail before any work (SignalSpec: e < radius)
         self.noise_spec(0.0)
         for e in self.epsilons + (() if self.epsilon is None else (self.epsilon,)):
+            require(0.0 < e < 1.0, f"epsilon must lie in (0, 1), got {e}")
             self.signal_spec(e)
 
     def noise_spec(self, epsilon: float) -> NoiseSpec:

@@ -1,6 +1,10 @@
 """Exception types and the input checks shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 2, NumericalError -> 3.
+
+Every scalar input meets one of two rules, each raising ValidationError naming
+its field: as_float takes a finite real number, never a bool, and whole a
+whole number at or above a floor, of any numeric type (5.0 and np.int64(5)).
 """
 
 import math
@@ -26,24 +30,34 @@ def require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def require_finite(obj, *names: str) -> None:
-    """Raise ValidationError naming the first of obj's fields that is not a finite number."""
-    for name in names:
-        value = getattr(obj, name)
-        require(isinstance(value, numbers.Real) and math.isfinite(value),
-                f"{name} must be a finite number, got {value!r}")
-
-
 def is_number(value) -> bool:
-    """A JSON number is an int or a float, never a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number, never a bool; the exact-type test spares a float the slow ABC check."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 def as_float(value, name: str) -> float:
-    """value as a float; TypeError naming it unless it is a number."""
-    if not is_number(value):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """value as a finite float; ValidationError naming it otherwise."""
+    try:
+        if is_number(value) and math.isfinite(value):
+            return float(value)
+    except OverflowError:                         # an integer past the float range
+        pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def whole(value, name: str, least: int) -> int:
+    """value as an int: a whole number >= least of any numeric type, an integer
+    past the float range included; ValidationError naming it otherwise."""
+    if is_number(value) and least <= value < math.inf and int(value) == value:
+        return int(value)
+    raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ValidationError naming the first of obj's fields that is not a finite number."""
+    for name in names:
+        as_float(getattr(obj, name), name)
 
 
 def dataclass_kwargs(doc, spec: type, name: str, skip=frozenset()) -> dict:
@@ -51,11 +65,11 @@ def dataclass_kwargs(doc, spec: type, name: str, skip=frozenset()) -> dict:
 
     Keys, defaults and the unknown- and missing-field checks come from the
     fields of ``spec`` less ``skip`` (fields the caller supplies); ``name``
-    labels the errors.  A field annotated ``float`` must be a number and is
-    stored as float; one annotated ``float | None`` must be a number or None
-    and is stored as written.
+    labels the errors.  A field annotated ``float`` must be a finite number
+    and is stored as float; one annotated ``float | None`` must be a finite
+    number or None and is stored as written.
     """
-    doc = dict(doc)
+    require(isinstance(doc, dict), f"{name} must be a JSON object")
     own = [f for f in fields(spec) if f.name not in skip]
     unknown = set(doc) - {f.name for f in own}
     require(not unknown, f"unknown {name} fields: {sorted(unknown)}")

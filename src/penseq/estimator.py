@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, require
+from .errors import NumericalError, ValidationError, as_float, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig, nu_schedule, pen_vector
 
@@ -110,8 +110,8 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     peak = float(a[a.argmax()])                   # nan if any entry is nan
     if not math.isfinite(peak):
         raise ValidationError("y contains non-finite values")
-    if not (math.isfinite(float(epsilon)) and epsilon >= 0):
-        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if type(epsilon) is not float or not 0.0 <= epsilon < math.inf:   # else the fast path
+        require(as_float(epsilon, "epsilon") >= 0, f"epsilon must be >= 0, got {epsilon!r}")
     # checked before anything is squared: above the limit the sum of squares overflows
     limit = math.sqrt(_FLOAT_MAX / (2 * y.size))
     if peak > limit:

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, dataclass_kwargs, is_number,
-                     require, require_finite)
+from .errors import (NumericalError, ValidationError, as_float, dataclass_kwargs, is_number,
+                     require, require_finite, whole)
 
 # Absolute tolerance for detecting the measure-zero critical manifold
 # alpha = (2*beta + 1) * (1/p - 1/2).
@@ -94,8 +94,7 @@ class MultiresSequence:
     levels: tuple
 
     def __post_init__(self):
-        require(type(self.j0) is int and self.j0 >= 1,
-                f"j0 must be an integer >= 1, got {self.j0!r}")
+        object.__setattr__(self, "j0", whole(self.j0, "j0", 1))
         require(len(self.levels) >= 1, "at least one level is required")
         frozen = []
         for offset, lev in enumerate(self.levels):
@@ -155,7 +154,6 @@ class MultiresSequence:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed sequence JSON: {exc}") from exc
-        require(isinstance(doc, dict), "sequence document must be a JSON object")
         kwargs = dataclass_kwargs(doc, cls, "sequence")
         require(isinstance(kwargs["levels"], list) and all(
             isinstance(lev, list) and all(is_number(x) for x in lev)
@@ -184,8 +182,8 @@ class NoiseSpec:
     xi1: float | None = None
 
     def __post_init__(self):
-        require(math.isfinite(float(self.epsilon)) and self.epsilon >= 0,
-                f"epsilon must be finite and >= 0, got {self.epsilon}")
+        require_finite(self, "epsilon", "beta", "rho")
+        require(self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}")
         require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
         require(self.covariance in ("identity", "tridiagonal"),
                 f"covariance must be 'identity' or 'tridiagonal', got {self.covariance!r}")
@@ -196,11 +194,10 @@ class NoiseSpec:
             require(abs(self.rho) < 0.5,
                     f"tridiagonal covariance needs |rho| < 1/2, got rho={self.rho}")
             lo, hi = 1.0 - 2.0 * abs(self.rho), 1.0 + 2.0 * abs(self.rho)
-        xi0 = lo if self.xi0 is None else float(self.xi0)
-        xi1 = hi if self.xi1 is None else float(self.xi1)
-        object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "xi1", xi1)
-        require_finite(self, "xi0", "xi1")
+        for name, bound in (("xi0", lo), ("xi1", hi)):    # None: the family's exact bound
+            given = getattr(self, name)
+            object.__setattr__(self, name, bound if given is None else as_float(given, name))
+        xi0, xi1 = self.xi0, self.xi1
         require(xi0 > 0, f"xi0 must be > 0, got {xi0}")
         require(xi1 >= xi0, f"xi1 must be >= xi0, got xi0={xi0}, xi1={xi1}")
         require(xi0 <= lo + 1e-12 and hi <= xi1 + 1e-12,
@@ -208,15 +205,20 @@ class NoiseSpec:
                 f"got xi0={xi0}, xi1={xi1}")
 
     def epsilon_at(self, j: int | float) -> float:
-        """Level noise scale eps_j = epsilon * 2^(beta*j); NumericalError past the float range."""
-        try:
-            eps_j = self.epsilon * 2.0 ** (self.beta * j)
-        except OverflowError:
-            eps_j = math.inf
-        if not math.isfinite(eps_j):
-            raise NumericalError(f"level j={j}: eps_j = epsilon * 2^(beta*j) overflows "
-                                 f"at beta={self.beta}, epsilon={self.epsilon}")
-        return eps_j
+        """Level noise scale eps_j of this noise; see level_noise."""
+        return level_noise(self.epsilon, self.beta, j)
+
+
+def level_noise(epsilon: float, beta: float, j: int | float) -> float:
+    """Level noise scale eps_j = epsilon * 2^(beta*j); NumericalError past the float range."""
+    try:
+        eps_j = epsilon * 2.0 ** (beta * j)
+    except OverflowError:
+        eps_j = math.inf
+    if not math.isfinite(eps_j):
+        raise NumericalError(f"level j={j}: eps_j = epsilon * 2^(beta*j) overflows "
+                             f"at beta={beta}, epsilon={epsilon}")
+    return eps_j
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:

@@ -63,6 +63,10 @@ class PenaltyConfig:
         """Summability floor e^(1/(1+2*beta)) for the complexity sums."""
         return math.exp(1.0 / (1.0 + 2.0 * self.beta))
 
+    def j_eps(self, epsilon: float) -> float:
+        """Working depth j_eps = jeps_scale * log2(eps^-2), for 0 < epsilon < 1."""
+        return self.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
+
     @classmethod
     def from_dict(cls, d: dict) -> "PenaltyConfig":
         return cls(**dataclass_kwargs(d, cls, "penalty"))
@@ -115,7 +119,7 @@ def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:
             f"epsilon must lie in [0, 1) for the schedule, got {epsilon}")
     if epsilon == 0.0:
         return cfg.nu
-    j_eps = cfg.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
+    j_eps = cfg.j_eps(epsilon)
     if j <= j_eps:
         return cfg.nu
     return cfg.nu * (1.0 + (j - j_eps)) ** 2

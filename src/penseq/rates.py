@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require
-from .model import HyperParams, Zone, classify_zone, shell_radius
+from .errors import NumericalError, require
+from .model import HyperParams, Zone, classify_zone, level_noise, shell_radius
 from .penalty import PenaltyConfig, m_prime, nu_schedule
 from .estimator import oracle_constant
 
@@ -115,7 +115,11 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
 
 def shell_peak_value(gamma: HyperParams, C: float, epsilon: float) -> float:
     """R_star = R_{j_star} = n_{j*} eps_{j*}^2 = eps^2 * 2^((2 beta + 1) j*)."""
-    return epsilon ** 2 * 2.0 ** ((2.0 * gamma.beta + 1.0) * j_star(gamma, C, epsilon))
+    try:
+        return epsilon ** 2 * 2.0 ** ((2.0 * gamma.beta + 1.0) * j_star(gamma, C, epsilon))
+    except OverflowError:
+        raise NumericalError(f"R_star = eps^2 * 2^((2*beta+1)*j_star) overflows at "
+                             f"beta={gamma.beta}, epsilon={epsilon}") from None
 
 
 def shell_sparse_peak_value(gamma: HyperParams, C: float, epsilon: float) -> float:
@@ -125,7 +129,7 @@ def shell_sparse_peak_value(gamma: HyperParams, C: float, epsilon: float) -> flo
 
 def _shell(gamma: HyperParams, C: float, epsilon: float, j: float) -> tuple:
     """(R_j, branch label) of the level-j shell, with R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j)."""
-    eps_j = epsilon * 2.0 ** (gamma.beta * j)
+    eps_j = level_noise(epsilon, gamma.beta, j)
     value, label = _control(2.0 ** j, gamma.p, shell_radius(gamma, C, j) / eps_j)
     return eps_j ** 2 * value, label
 
@@ -235,12 +239,14 @@ class ShellRiskProfile:
 
 
 def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProfile:
-    """Sample R_j on [0, 5 past the last peak] in steps of 0.1."""
+    """Sample R_j on [0, 5 past the last peak] in steps of 0.1; NumericalError on overflow."""
     peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
     grid = np.arange(0.0, peak + 5.0 + 0.05, 0.1)    # half a step of slack keeps the end
-    points = [_shell(gamma, C, epsilon, j) for j in grid]
-    return ShellRiskProfile(j=grid, values=np.array([v for v, _ in points]),
-                            labels=tuple(label for _, label in points))
+    with np.errstate(over="ignore", invalid="ignore"):    # numpy grid points: inf, not a warning
+        values, labels = zip(*[_shell(gamma, C, epsilon, j) for j in grid])
+    if not np.isfinite(values).all():
+        raise NumericalError(f"shell risk R_j overflows at beta={gamma.beta}, epsilon={epsilon}")
+    return ShellRiskProfile(j=grid, values=np.array(values), labels=labels)
 
 
 # -- rate upper bound --------------------------------------------------------
@@ -261,8 +267,7 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
     pushed per-level terms below any fixed relative tolerance.
     """
     require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
-    j_eps = cfg.jeps_scale * 2.0 * math.log2(1.0 / epsilon)
-    j_cap = int(math.ceil(j_eps)) + _LEVEL_CAP_EXTRA
+    j_cap = int(math.ceil(cfg.j_eps(epsilon))) + _LEVEL_CAP_EXTRA
     log_eps2 = 2.0 * math.log(epsilon)
     total = 0.0
     for j in range(1, j_cap + 1):

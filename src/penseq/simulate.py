@@ -26,16 +26,15 @@ identity-noise Monte Carlo loop runs on numpy alone.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require, require_finite
+from .errors import ValidationError, require, require_finite, whole
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
-                    classify_zone, shell_radius)
+                    classify_zone, level_noise, shell_radius)
 from .penalty import PenaltyConfig, m_prime
 from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
@@ -74,15 +73,16 @@ class SignalSpec:
     def __post_init__(self):
         require(self.kind in _SIGNAL_KINDS,
                 f"unknown signal kind {self.kind!r}; expected one of {_SIGNAL_KINDS}")
-        require_finite(self, "radius", "xi0", "rho1", "rho2")
+        require(isinstance(self.gamma, HyperParams), "gamma must be a HyperParams")
+        require_finite(self, "radius", "epsilon", "xi0", "rho1", "rho2")
         require(self.radius > 0, f"radius must be > 0, got {self.radius}")
         require(0 < self.epsilon < self.radius,
                 f"need 0 < epsilon < radius, got epsilon={self.epsilon}, radius={self.radius}")
         require(self.placement == "even", f"placement must be 'even', got {self.placement!r}")
         require(self.xi0 > 0, f"xi0 must be > 0, got {self.xi0}")
         if self.jmax is not None:
-            require(type(self.jmax) is int and 1 <= self.jmax <= _JMAX_CAP,
-                    f"jmax must be an integer in 1..{_JMAX_CAP}, got {self.jmax}")
+            object.__setattr__(self, "jmax", whole(self.jmax, "jmax", 1))
+            require(self.jmax <= _JMAX_CAP, f"jmax must be <= {_JMAX_CAP}, got {self.jmax}")
         if self.kind == "shell_sparse":
             require(self.gamma.p < 2, "shell_sparse signals need p < 2")
         if self.kind == "critical_prior":
@@ -182,7 +182,7 @@ def _signal_blocks(spec: SignalSpec, jmax: int) -> list:
     n = 2 ** j
     if spec.kind == "shell_dense":
         return [_ball_block(spec, j, n)]
-    eps_j = spec.epsilon * 2.0 ** (gamma.beta * j)
+    eps_j = level_noise(spec.epsilon, gamma.beta, j)
     eta_p = (shell_radius(gamma, spec.radius, j) / eps_j) ** gamma.p / n
     return [_ball_block(spec, j, min(max(1, _round_half_up(n * eta_p)), n))]
 
@@ -263,11 +263,6 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _require_whole(value, name: str, least: int) -> None:
-    require(isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least, f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _replicate_threads(size: int) -> int:
     """Threads for a Monte Carlo run over size coefficients: up to two, as
     the CPUs the process may run on allow, from _THREADED_SIZE on."""
@@ -288,8 +283,7 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     The replicates may run on more than one thread; the result does not depend
     on it.  If replicates fail, the error of the lowest failing one is raised.
     """
-    _require_whole(replicates, "replicates", 2)
-    _require_whole(seed, "seed", 0)
+    replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
     plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))

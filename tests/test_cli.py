@@ -107,7 +107,8 @@ class TestExperimentConfig:
         (doc if section is None else doc[section])[field] = value
         cfg = write_config(tmp_path, doc)
         assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "malformed config value" in capsys.readouterr().err
+        name = field if section is None else f"{section}.{field}"
+        assert f"{name} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [True, "1.0", "3"])
     @pytest.mark.parametrize("section, field", [
@@ -119,12 +120,13 @@ class TestExperimentConfig:
     ])
     def test_bool_or_string_number_exit_2(self, tmp_path, capsys, section, field, value):
         # a JSON number is an int or a float: float() and int() alone would read
-        # true as 1 and "1.0" as 1.0 (jmax has its own integer check in SignalSpec)
+        # true as 1 and "1.0" as 1.0
         doc = base_config(epsilon=2.0 ** -8)
         (doc if section is None else doc[section])[field] = value
         out = tmp_path / "o"
         assert main(["rates", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
-        assert "malformed config value" in capsys.readouterr().err
+        name = {None: field, "epsilons": "epsilons entry"}.get(section, f"{section}.{field}")
+        assert f"{name} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("version", ["banana", 2, 1.0, True, None])
@@ -141,17 +143,18 @@ class TestExperimentConfig:
         ("penalty", "xi1"), ("penalty", "jeps_scale"), ("noise", "xi0"), ("noise", "xi1"),
     ])
     def test_infinite_value_exit_2(self, tmp_path, capsys, section, field, command):
-        # json reads Infinity but the output writers refuse it, so the load must
-        doc = base_config(epsilon=2.0 ** -8)
-        (doc if section is None else doc[section])[field] = float("inf")
-        seq = tmp_path / "seq.json"
-        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
-        out = tmp_path / "o"
-        argv = [command, *([str(seq)] if command == "estimate" else []),
-                "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert f"{field} must be a finite number, got inf" in capsys.readouterr().err
-        assert not out.exists()
+        # json reads Infinity and NaN but the output writers refuse them, so the load must
+        for value in (float("inf"), float("nan")):
+            doc = base_config(epsilon=2.0 ** -8)
+            (doc if section is None else doc[section])[field] = value
+            seq = tmp_path / "seq.json"
+            seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+            out = tmp_path / "o"
+            argv = [command, *([str(seq)] if command == "estimate" else []),
+                    "--config", write_config(tmp_path, doc), "--out", str(out)]
+            assert main(argv) == 2
+            assert f"{field} must be a finite number, got {value}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_gamma_field_exit_2(self, tmp_path, capsys):
         # a misspelt key would otherwise leave beta at its default 0
@@ -325,6 +328,17 @@ class TestRates:
         assert 0 < peak < vals.size - 1
         assert np.all(np.diff(vals[:peak + 1]) > 0)
         assert np.all(np.diff(vals[peak + 1:]) < 0)
+
+    @pytest.mark.parametrize("beta, epsilon", [(300.0, 0.5), (100.0, 1e-300)],
+                             ids=["profile-overflow", "peak-overflow"])
+    def test_overflowing_shell_risk_exit_3(self, tmp_path, capsys, beta, epsilon):
+        # eps_j and R_star past the float range: no nan rows, no OverflowError
+        doc = base_config(gamma={"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": beta},
+                          signal={"kind": "zero"}, epsilon=epsilon)
+        out = tmp_path / "o"
+        assert main(["rates", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert "overflows at beta=" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, field, value", [
         ("signal", "kind", "bogus"),

@@ -6,8 +6,13 @@ must hold no scipy module afterwards.  The same interpreter then runs the
 deferred paths from a cold start (a tridiagonal Monte Carlo run, which may
 load scipy.linalg alone, then m_prime and j_plus), and their values must
 equal this process's bit for bit.
+
+Every error the package raises is a PenseqError: no raise statement in its
+source names a builtin exception class.
 """
 
+import ast
+import builtins
 import inspect
 import json
 import os
@@ -94,3 +99,16 @@ def test_numpy_only_paths_import_no_scipy(tmp_path):
     assert child["after_linalg"] == []
     after_linalg, values = deferred_values()
     assert [list(v) for v in values] == child["values"]
+
+
+def test_no_builtin_exception_raised():
+    builtin = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = []
+    for path in sorted(Path(penseq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in builtin:
+                    found.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert found == []
