@@ -268,6 +268,8 @@ def cmd_oracle_check(args) -> int:
         for y in rng.standard_normal((EQUIVALENCE_PER_N, n)):
             fit = select_k(y, config.penalty, 1.0)
             indices, _ = subset_oracle(y, config.penalty, 1.0)
+            if not indices and fit.k_hat == 0:
+                continue                          # both estimates are all +0.0
             kept = list(indices)
             proj = np.zeros(n)
             proj[kept] = y[kept]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, as_float, require
 from .model import MultiresSequence, NoiseSpec
-from .penalty import PenaltyConfig, nu_schedule, pen_vector
+from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
 
 
 def oracle_constant(zeta: float) -> float:
@@ -63,10 +63,10 @@ _SHRINK = 1.0 - 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray,
-                         epsilon: float) -> np.ndarray:
+def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray, root: float,
+                         epsilon: float) -> np.ndarray | None:
     """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..m, for a = |v|, its
-    order statistics a_(1) >= a_(2) >= ... and peak = a_(1).
+    order statistics a_(1) >= a_(2) >= ... and peak = a_(1); root = t_n.
 
     pen is concave, so t_k^2 = pen(k) - pen(k-1) >= t_n^2: a coefficient with
     |v| <= eps * t_n never lowers the objective by being kept, and the first
@@ -74,14 +74,14 @@ def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray,
     others are dropped before the sort; their squares sum to one term, and
     the kept squares are added to it smallest first, so no objective is
     formed by subtraction.  Without a positive normal floor (eps = 0, or a
-    penalty that is not increasing at n) nothing is dropped and m = n.
+    penalty that is not increasing at n, where root = 0) nothing is dropped
+    and m = n.  None when m = 0: the only objective is then obj[0] = a @ a.
     """
-    step = float(pens[-1] - pens[-2])             # t_n^2
-    cut = epsilon * math.sqrt(step) * _SHRINK if step > 0.0 else 0.0
+    cut = epsilon * root * _SHRINK
     rest = 0.0
     if cut >= _TINY:
         if peak <= cut:
-            return np.array([float(a @ a)])       # m = 0; pen(0) = 0
+            return None
         keep = a > cut
         dropped = a[~keep]
         rest = float(dropped @ dropped)
@@ -101,8 +101,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
-    """(y, |y|, max|y|, pen_vector) of one level; the input check of every single-level
-    entry point.  It runs per level of every replicate: messages are built on failure."""
+    """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
+    single-level entry point.  It runs per level of every replicate: messages are
+    built on failure, and the level's constants come from level_penalty's record."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")
@@ -117,10 +118,10 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={y.size}; its sum of squares overflows")
-    pens = pen_vector(cfg, y.size, nu_eff)
-    if not math.isfinite(float(epsilon) * float(epsilon) * float(pens[-1])):
+    pens, root, top = level_penalty(cfg, y.size, nu_eff)
+    if not math.isfinite(float(epsilon) * float(epsilon) * top):
         raise NumericalError(f"epsilon = {epsilon!r} at n={y.size}: eps^2 * pen(n) overflows")
-    return y, a, peak, pens
+    return y, a, peak, pens, root
 
 
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
@@ -130,8 +131,10 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y, a, peak, pens = _checked_level(y, cfg, epsilon, nu_eff)
-    obj = _penalized_objective(a, peak, pens, epsilon)
+    y, a, peak, pens, root = _checked_level(y, cfg, epsilon, nu_eff)
+    obj = _penalized_objective(a, peak, pens, root, epsilon)
+    if obj is None:                               # nothing clears the floor
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a @ a))
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
@@ -196,13 +199,20 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     # mask m drops the bits of full - m, so its dropped sum is kept[::-1][m]
     obj = kept[::-1]
     obj += (epsilon * epsilon) * _mask_penalties(cfg.key, n, nu_eff)
-    best = obj.min()
-    cand = (obj == best).nonzero()[0]
-    if cand.size > 1:
-        card = _cardinalities(n)
-        cand = cand[card[cand] == card[cand].min()]
-    indices = min(tuple(i for i in range(n) if (int(m) >> i) & 1) for m in cand)
-    return indices, float(best)
+    m = int(obj.argmin())
+    best = float(obj[m])
+    ties = obj == best
+    if np.count_nonzero(ties) == 1:               # a unique minimizer needs no tie rule
+        return _bits(m), best
+    cand = ties.nonzero()[0]
+    card = _cardinalities(n)
+    cand = cand[card[cand] == card[cand].min()]
+    return min(_bits(int(c)) for c in cand), best
+
+
+def _bits(m: int) -> tuple:
+    """The index set of mask m: its set bits, ascending."""
+    return tuple(i for i in range(m.bit_length()) if (m >> i) & 1)
 
 
 def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
@@ -212,8 +222,9 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    _, a, peak, pens = _checked_level(theta, cfg, epsilon, nu_eff)
-    return float(np.min(_penalized_objective(a, peak, pens, epsilon)))
+    _, a, peak, pens, root = _checked_level(theta, cfg, epsilon, nu_eff)
+    obj = _penalized_objective(a, peak, pens, root, epsilon)
+    return float(a @ a) if obj is None else float(np.min(obj))
 
 
 @dataclass(frozen=True, eq=False)

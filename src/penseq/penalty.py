@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, dataclass_kwargs, require, require_finite
+from .errors import NumericalError, as_float, dataclass_kwargs, require, require_finite
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ class PenaltyConfig:
 def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:
     if nu_eff is None:
         return cfg.nu
-    if not nu_eff >= cfg.nu:                      # runs per level: the message only on failure
-        raise ValidationError(f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
-    return float(nu_eff)
+    if type(nu_eff) is not float or not cfg.nu <= nu_eff < math.inf:   # else the fast path
+        nu_eff = as_float(nu_eff, "nu_eff")
+        require(nu_eff >= cfg.nu, f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
+    return nu_eff
 
 
 def require_complexity_condition(cfg: PenaltyConfig, nu: float) -> None:
@@ -94,18 +95,29 @@ def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.nd
     (cfg, n, nu_eff) and shared between callers, so the returned array is
     read-only.
     """
-    return _pen_vector(cfg.key, n, _resolve_nu(cfg, nu_eff))
+    return level_penalty(cfg, n, nu_eff)[0]
+
+
+def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tuple:
+    """(pen_vector, t_n, pen(n)) of one level of size n, built once per (cfg, n, nu_eff).
+
+    t_n = sqrt(pen(n) - pen(n-1)) is the smallest threshold, or 0 when pen is
+    not increasing at n, and pen(n) is a float: the constants the estimator
+    reads on every call, so it never re-derives them.
+    """
+    return _level_penalty(cfg.key, n, _resolve_nu(cfg, nu_eff))
 
 
 @functools.lru_cache(maxsize=128)
-def _pen_vector(key: tuple, n: int, nu: float) -> np.ndarray:
+def _level_penalty(key: tuple, n: int, nu: float) -> tuple:
     zeta, _, beta, xi1, _ = key
     require(n >= 1, f"n must be >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
     L = (1.0 + 2.0 * beta) * (math.log(nu) + math.log(n) - np.log(k))
-    out = np.concatenate(([0.0], xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
-    out.flags.writeable = False
-    return out
+    pens = np.concatenate(([0.0], xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
+    pens.flags.writeable = False
+    step = float(pens[-1] - pens[-2])             # t_n^2
+    return pens, (math.sqrt(step) if step > 0.0 else 0.0), float(pens[-1])
 
 
 def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:

@@ -135,9 +135,17 @@ def _shell(gamma: HyperParams, C: float, epsilon: float, j: float) -> tuple:
 
 
 def shell_risk(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:
-    """Definitional shell risk R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j), real j >= 0."""
+    """Definitional shell risk R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j), real j >= 0;
+    NumericalError when it overflows."""
     require(j >= 0, f"j must be >= 0, got {j}")
-    return _shell(gamma, C, epsilon, j)[0]
+    try:
+        risk = _shell(gamma, C, epsilon, j)[0]
+    except OverflowError:                         # Python floats raise where numpy gives inf
+        risk = math.inf
+    if not math.isfinite(risk):
+        raise NumericalError(f"level j={j}: R_j = eps_j^2 * r(C_j / eps_j) overflows "
+                             f"at beta={gamma.beta}, epsilon={epsilon}")
+    return risk
 
 
 def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:

@@ -40,8 +40,10 @@ from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
-# measured crossover: two threads against one, 100 zero-signal replicates, took
-# 1.01x the time at 16,382 coefficients and 0.86x at 32,766
+# a truth has 2^(J+1) - 2 coefficients, so the smallest threaded run has J = 15
+# (65,534).  Two threads against one, 100 zero-signal replicates, took 1.01x
+# the time at 16,382 coefficients; at 32,766 runs read 0.86x, 1.04x and 0.60x
+# as a second CPU was free or not, too unsteady to lower the threshold
 _THREADED_SIZE = 1 << 15
 _SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 

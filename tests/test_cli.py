@@ -402,6 +402,28 @@ class TestOracleCheck:
         assert main(["oracle-check", "--preset", "zero", "--out", str(out),
                      "--replicates", "5"]) == 0
 
+    def test_reports_a_mismatch(self, tmp_path, monkeypatch, capsys):
+        # the first instance (n = 1, y ~ N(0, 1)) is kept whole by a wrong
+        # oracle while select_k keeps nothing: the keep-nothing shortcut must
+        # not hide the difference
+        real, calls = cli.subset_oracle, []
+
+        def wrong_once(y, cfg, epsilon, nu_eff=None):
+            calls.append(y)
+            indices, objective = real(y, cfg, epsilon, nu_eff)
+            return ((0,) if len(calls) == 1 else indices), objective
+
+        monkeypatch.setattr(cli, "subset_oracle", wrong_once)
+        doc = base_config(epsilon=2.0 ** -6, replicates=5)
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        penalty = ExperimentConfig.from_dict(doc).penalty
+        assert cli.select_k(calls[0], penalty, 1.0).k_hat == 0
+        rep = json.loads((out / "oracle_check.json").read_text())
+        assert rep["equivalence"] == {"instances": 12000, "mismatches": 1}
+        assert "1 mismatches" in capsys.readouterr().err
+
     def test_no_epsilon_and_empty_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(epsilons=[]))
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,7 +1,7 @@
 """The typed-error contract of every scalar input.
 
 Each field of the public constructors, of each from_dict and of the Monte
-Carlo and single-level entry points raises ValidationError naming the field
+Carlo, single-level and penalty entry points (nu_eff included) raises ValidationError naming the field
 on a value that is not a finite number (a bool, a string, None, nan, inf).
 A numpy scalar, and a whole float in an integer field, gives the same
 result as the plain Python value.
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from penseq import (HyperParams, McResult, MonoscaleFit, MultiresSequence, NoiseSpec,
-                    PenaltyConfig, SignalSpec, ValidationError, mc_risk_for_truth, select_k)
+                    PenaltyConfig, SignalSpec, ValidationError, ideal_risk, m_prime,
+                    mc_risk_for_truth, pen_vector, select_k, subset_oracle)
 from penseq.cli import PRESETS, ExperimentConfig
 
 GAMMA = {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5}
@@ -51,8 +52,17 @@ CALLS = {
     "ExperimentConfig.from_dict": (config, {"radius": 2.0, "epsilon": 0.1, "replicates": 3,
                                             "seed": 3, "jmax": 6}, ("epsilon", "jmax")),
     "mc_risk_for_truth": (mc_risk, {"replicates": 3, "seed": 3}, ()),
-    "select_k": (lambda epsilon=0.1: select_k(np.ones(4), PenaltyConfig(), epsilon),
-                 {"epsilon": 0.5}, ()),
+    "select_k": (lambda epsilon=0.1, nu_eff=None: select_k(np.ones(4), PenaltyConfig(),
+                                                           epsilon, nu_eff),
+                 {"epsilon": 0.5, "nu_eff": 50.0}, ("nu_eff",)),
+    "subset_oracle": (lambda nu_eff=None: subset_oracle(np.ones(4), PenaltyConfig(), 0.1,
+                                                        nu_eff), {"nu_eff": 50.0}, ("nu_eff",)),
+    "ideal_risk": (lambda nu_eff=None: ideal_risk(np.ones(4), PenaltyConfig(), 0.1, nu_eff),
+                   {"nu_eff": 50.0}, ("nu_eff",)),
+    "pen_vector": (lambda nu_eff=None: pen_vector(PenaltyConfig(), 4, nu_eff),
+                   {"nu_eff": 50.0}, ("nu_eff",)),
+    "m_prime": (lambda nu_eff=None: m_prime(PenaltyConfig(), 4, nu_eff),
+                {"nu_eff": 50.0}, ("nu_eff",)),
 }
 CASES = [(call, field) for call, (_, fields, _) in CALLS.items() for field in fields]
 
@@ -65,13 +75,15 @@ def contents(result):
         return result.k_hat, result.threshold, result.estimate.tolist()
     if isinstance(result, McResult):
         return result.replicates, result.mean_sse, result.stderr_sse
+    if isinstance(result, np.ndarray):
+        return result.tolist()
     return result
 
 
 @pytest.mark.parametrize("call, field", CASES, ids=[f"{c}-{f}" for c, f in CASES])
 def test_scalar_field_typed(call, field):
     run, fields, optional = CALLS[call]
-    for value in (True, "1", None, math.nan, math.inf):
+    for value in (True, "1", "x", None, math.nan, math.inf):
         if value is None and field in optional:
             continue
         with pytest.raises(ValidationError, match=field):

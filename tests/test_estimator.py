@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
-                    ValidationError, fit_multiscale, ideal_risk, oracle_constant,
+                    MonoscaleFit, ValidationError, fit_multiscale, ideal_risk, oracle_constant,
                     pen_vector, per_level_sse, select_k, subset_oracle)
-from penseq.estimator import _penalized_objective
+from penseq.estimator import _SHRINK, _TINY, _penalized_objective
+from penseq.penalty import level_penalty
 from penseq.rates import CONTROL_BOUND_BASE, control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -89,6 +91,77 @@ def unfiltered_objective(a, pens, epsilon):
     np.subtract(obj[-1], obj, out=obj)
     obj += (epsilon * epsilon) * pens
     return obj
+
+
+def reference_objective(a, peak, pens, epsilon):
+    """The level kernel before the per-level record, kept verbatim as the
+    reference of the fast paths: it derives t_n from pens on every call and
+    returns a one-element array when nothing clears the floor."""
+    step = float(pens[-1] - pens[-2])             # t_n^2
+    cut = epsilon * math.sqrt(step) * _SHRINK if step > 0.0 else 0.0
+    rest = 0.0
+    if cut >= _TINY:
+        if peak <= cut:
+            return np.array([float(a @ a)])       # m = 0; pen(0) = 0
+        keep = a > cut
+        dropped = a[~keep]
+        rest = float(dropped @ dropped)
+        a = a[keep]
+    sq = a * a
+    sq.sort()                                     # ascending squares of the kept coefficients
+    obj = np.empty(sq.size + 1)
+    obj[0] = rest
+    obj[1:] = sq
+    np.add.accumulate(obj, out=obj)               # rest + the i smallest kept squares
+    obj = obj[::-1]                               # obj[k] = rest + the m - k smallest
+    obj += (epsilon * epsilon) * pens[:obj.size]
+    return obj
+
+
+def reference_select_k(y, cfg, epsilon, nu_eff=None):
+    """select_k before the per-level record and the keep-nothing return, kept
+    verbatim after its input check (valid input only)."""
+    y = np.asarray(y, dtype=float)
+    a = np.abs(y)
+    peak = float(a[a.argmax()])
+    pens = pen_vector(cfg, y.size, nu_eff)
+    obj = reference_objective(a, peak, pens, epsilon)
+    k_hat = int(obj.argmin())                     # first minimum = smallest k
+    if k_hat == 0:
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
+    step = pens[k_hat] - pens[k_hat - 1]
+    if step < 0.0:
+        # happens only for nu so close to 1 that pen loses monotonicity
+        nu = cfg.nu if nu_eff is None else nu_eff
+        raise NumericalError(
+            f"penalty not increasing at k={k_hat} (n={y.size}, nu_eff={nu}); "
+            "nu_eff is too small for the hard-threshold representation")
+    threshold = epsilon * math.sqrt(step)
+    return MonoscaleFit(k_hat=k_hat, threshold=threshold,
+                        estimate=np.where(a > threshold, y, 0.0), objective=float(obj[k_hat]))
+
+
+def reference_ideal_risk(theta, cfg, epsilon, nu_eff=None):
+    a = np.abs(np.asarray(theta, dtype=float))
+    pens = pen_vector(cfg, a.size, nu_eff)
+    return float(np.min(reference_objective(a, float(a[a.argmax()]), pens, epsilon)))
+
+
+def assert_same_as_reference(y, cfg, epsilon, nu_eff=None):
+    """select_k and ideal_risk give the reference's results bit for bit, or its error."""
+    assert ideal_risk(y, cfg, epsilon, nu_eff) == reference_ideal_risk(y, cfg, epsilon, nu_eff)
+    try:
+        want = reference_select_k(y, cfg, epsilon, nu_eff)
+    except NumericalError as err:
+        with pytest.raises(NumericalError, match=re.escape(str(err))):
+            select_k(y, cfg, epsilon, nu_eff)
+        return
+    got = select_k(y, cfg, epsilon, nu_eff)
+    assert (got.k_hat, got.threshold, got.objective) == (want.k_hat, want.threshold,
+                                                         want.objective)
+    assert type(got.objective) is float
+    assert got.estimate.dtype == want.estimate.dtype
+    assert got.estimate.tobytes() == want.estimate.tobytes()    # signed zeros included
 
 
 def exact_objectives(y, pens, epsilon):
@@ -356,15 +429,62 @@ class TestExactReference:
         rng = np.random.default_rng(32)
         y = rng.standard_normal(n)
         y[[5, 70, 900]] = [40.0, -50.0, 1e4]
-        pens = pen_vector(CFG, n)
+        pens, root, _ = level_penalty(CFG, n)
         a = np.abs(y)
-        obj = _penalized_objective(a, a.max(), pens, 1.0)
+        obj = _penalized_objective(a, a.max(), pens, root, 1.0)
         exact = exact_objectives(y, pens, 1.0)
         assert obj.size == 4
         for k in range(4):
             assert abs(Fraction(obj[k]) - exact[k]) <= _tolerance(n) * exact[k]
+        # nothing above the floor: no objective array at all
         a = a[1000:1100]
-        assert _penalized_objective(a, a.max(), pen_vector(CFG, 100), 1.0).size == 1
+        pens, root, _ = level_penalty(CFG, 100)
+        assert _penalized_objective(a, a.max(), pens, root, 1.0) is None
+
+
+class TestFastPaths:
+    """The per-level record and the keep-nothing return move no bit: select_k and
+    ideal_risk against reference_select_k and reference_ideal_risk."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(level_inputs())
+    def test_property_same_as_reference(self, case):
+        assert_same_as_reference(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_zero_epsilon(self, n):
+        rng = np.random.default_rng(40)
+        for y in (np.zeros(n), rng.standard_normal(n),
+                  np.where(rng.random(n) < 0.5, 0.0, -rng.standard_normal(n))):
+            assert_same_as_reference(y, CFG, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 1 << 12])
+    def test_nothing_above_the_floor(self, n):
+        # zeros, noise well under eps * t_n, and every coefficient at the floor
+        rng = np.random.default_rng(41)
+        floor = floor_band(CFG, n, 1.0)[0]
+        for y in (np.zeros(n), 0.1 * rng.standard_normal(n), np.full(n, -floor)):
+            assert_same_as_reference(y, CFG, 1.0)
+            assert select_k(y, CFG, 1.0).k_hat == 0
+
+    def test_penalty_not_increasing(self):
+        # pen(64) < pen(63) at nu = 1.0001: no floor, and k_hat = 64 raises
+        cfg = PenaltyConfig(nu=1.0001)
+        pens = pen_vector(cfg, 64)
+        assert pens[-1] < pens[-2]
+        rng = np.random.default_rng(42)
+        for y in (np.zeros(64), np.full(64, 3.0), 0.5 * rng.standard_normal(64),
+                  np.where(np.arange(64) < 8, 5.0, 0.01)):
+            assert_same_as_reference(y, cfg, 1.0)
+            assert_same_as_reference(y, cfg, 1.0, 1.0002)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 1.0, 1e150])
+    def test_one_coefficient(self, epsilon):
+        for v in (0.0, -0.0, 1e-300, 0.5, -3.0, 4.0, 1e9):
+            assert_same_as_reference(np.array([v]), CFG, epsilon)
+        for v in floor_band(CFG, 1, epsilon) if epsilon > 0 else []:
+            assert_same_as_reference(np.array([v]), CFG, epsilon)
 
 
 class TestFilterPremise:

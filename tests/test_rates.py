@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from penseq import (HyperParams, PenaltyConfig, ValidationError, Zone,
+from penseq import (HyperParams, NumericalError, PenaltyConfig, ValidationError, Zone,
                     classify_zone, control_function, j_plus, j_star,
                     lp_minimax_lower, rate_control, rate_exponent,
                     risk_upper_bound, shell_profile, shell_risk,
@@ -279,6 +279,16 @@ class TestShellRisk:
         text = prof.to_csv_text()
         assert text.startswith("j,R_j,zone_label")
 
+    def test_overflow_raises_numerical_error(self):
+        # eps_6 = 0.5 * 2^600: eps_6^2 overflows although R_6 itself is small
+        g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=100.0)
+        with pytest.raises(NumericalError, match=r"level j=6: .*beta=100\.0, epsilon=0\.5"):
+            shell_risk(g, 1.0, 0.5, 6)
+        # eps_206^2 = 2^822 is finite, but R_206 = eps_206^2 * 2^206 is not
+        g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=2.0)
+        with pytest.raises(NumericalError, match=r"level j=206\.0: .*beta=2\.0, epsilon=0\.5"):
+            shell_risk(g, 1e300, 0.5, 206.0)
+
 
 class TestOrderings:
     def test_r_plus_below_r_star_dense(self):
@@ -325,6 +335,15 @@ class TestRiskUpperBound:
         vals = np.array([risk_upper_bound(g, c, eps, cfg) for c in cs])
         slope = np.polyfit(np.log2(cs), np.log2(vals), 1)[0]
         assert slope == pytest.approx(2 * (1 - r), abs=0.05)
+
+    def test_overflowing_shell_raises_numerical_error(self):
+        # j_star = 285 puts levels past j = 205 in the sum, where R_j = eps_j^2 * 2^j
+        # leaves the float range; the complexity sum T1 alone stays finite
+        g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=2.0)
+        cfg = PenaltyConfig(beta=2.0)
+        assert math.isfinite(t1_complexity_sum(cfg, 0.5))
+        with pytest.raises(NumericalError, match=r"level j=206: .*beta=2\.0, epsilon=0\.5"):
+            risk_upper_bound(g, 1e300, 0.5, cfg)
 
 
 class TestLpMinimaxLower:
