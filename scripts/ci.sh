@@ -11,10 +11,12 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-coll
 # the benchmark's own tests read ExperimentConfig; the tier-1 command collects tests/ only
 PYTHONPATH=src python -m pytest -q perfbench/tests
 
-# a short run of each workload; every invocation must match perfbench/reference.json
+# a short run of each workload; every invocation must match perfbench/reference.json.
+# Each run's result line is printed first, so the log shows peak_rss_mb and run_ref_s
 for w in sweep-sparse sweep-spread-corr oracle-check; do
-  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace 0 \
-    | tail -n 1 \
+  result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+  echo "$result"
+  echo "$result" \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' \
     || { echo "workload $w does not match perfbench/reference.json"; exit 1; }
 done
@@ -23,8 +25,9 @@ done
 # byte-identical to perfbench/reference.json (a mean_sse within tolerance is
 # not enough), and the tracer must resolve every target it wraps
 for w in sweep-sparse sweep-spread-corr oracle-check; do
-  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace 1 \
-    | tail -n 1 \
+  result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace 1 | tail -n 1)
+  echo "$result"
+  echo "$result" \
     | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["metrics"]["cli.outputs_identical"]["value"] == r["attempted"] else 1)' \
     || { echo "workload $w is not byte-identical to perfbench/reference.json"; exit 1; }
 done

@@ -152,11 +152,21 @@ _CHUNK_ROWS = 4096
 _MAX_TERMS = 1 << 22
 
 
+def _ratio(b: float, nu: float) -> tuple:
+    """(r0, log r0) for r0 = e / nu^b; from log r0 = 1 - b*log(nu) where nu^b overflows."""
+    try:
+        r0 = math.e / nu ** b
+    except OverflowError:
+        log_r0 = 1.0 - b * math.log(nu)
+        return math.exp(log_r0), log_r0
+    return r0, math.log(r0)
+
+
 def _certified_k(cfg: PenaltyConfig, nu: float, log_t1: float, n_max: float) -> int:
     # Smallest K with r0^(K+1)/(1-r0) < 1e-18 * exp(log_t1); capped at n_max.
-    r0 = math.e / nu ** (1.0 + 2.0 * cfg.beta)
+    r0, log_r0 = _ratio(1.0 + 2.0 * cfg.beta, nu)
     target = math.log(1e-18) + log_t1 + math.log1p(-r0)
-    k_cert = max(1, int(math.ceil(target / math.log(r0))))
+    k_cert = max(1, int(math.ceil(target / log_r0)))
     if n_max <= k_cert:
         return int(n_max)
     if k_cert > _MAX_TERMS:
@@ -205,27 +215,56 @@ def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> 
 
 def m_prime_many(cfg: PenaltyConfig, ns, nu_eff: float | None = None) -> np.ndarray:
     """Vectorized M'_n over an array of sizes (shared nu_eff)."""
+    return np.exp(_checked_m_prime_log(cfg, ns, nu_eff))
+
+
+def _checked_m_prime_log(cfg: PenaltyConfig, ns, nu_eff: float | None) -> np.ndarray:
+    # log M'_n after m_prime_many's checks: finite where M'_n underflows to 0
     arr = np.asarray(ns, dtype=float)
     require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
     require(bool(np.all(arr >= 1)), f"all sizes must be >= 1, got {float(arr.min())}")
     nu = _resolve_nu(cfg, nu_eff)
     require_complexity_condition(cfg, nu)
-    return np.exp(_m_prime_log(cfg, arr, nu))
+    return _m_prime_log(cfg, arr, nu)
 
 
 def m_prime_bound_constant(beta: float, nu: float) -> float:
     """Constant C_beta with M'_n <= C_beta * n^(-2*beta) / nu.
 
     C_beta = sum_{k>=1} k^(2*beta) * (e / sqrt(2*pi*k)) * (e / nu^(1+2*beta))^(k-1),
-    summed until the geometric tail bound drops below 1e-15 of the partial sum.
+    summed until the geometric tail bound drops below 1e-15 of the partial sum;
+    from the logs of its terms where they leave the float range.
     """
     require(beta >= 0, f"beta must be >= 0, got {beta}")
+    require(nu > 1.0, f"nu must be > 1, got {nu}")
     b = 1.0 + 2.0 * beta
-    r0 = math.e / nu ** b
+    r0, log_r0 = _ratio(b, nu)
     require(r0 < 1.0,
             f"series diverges: nu must exceed e^(1/(1+2*beta)) = {math.exp(1.0 / b):.6f}")
     c = 2.0 * beta - 0.5
     coef = math.e / math.sqrt(2.0 * math.pi)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _bound_series(c, r0, coef, beta, nu)
+    except (OverflowError, FloatingPointError):
+        pass
+    # c*log(k) + (k-1)*log(r0) is largest near k = c / -log(r0); beyond twice
+    # that, each term is at most sqrt(r0) times the one before
+    k_end = 2.0 * max(c / -log_r0, 1.0) + math.ceil(80.0 / (-0.5 * log_r0))
+    if k_end > _MAX_TERMS:
+        raise NumericalError(
+            f"bound-constant series needs {k_end:.3g} terms (beta={beta!r}, nu={nu!r})")
+    ks = np.arange(1.0, k_end + 1.0)
+    log_terms = c * np.log(ks) + (ks - 1.0) * log_r0
+    top = float(log_terms.max())
+    try:
+        return math.exp(math.log(coef) + top + math.log(float(np.sum(np.exp(log_terms - top)))))
+    except OverflowError:
+        raise NumericalError(
+            f"bound constant overflows at beta={beta!r}, nu={nu!r}") from None
+
+
+def _bound_series(c: float, r0: float, coef: float, beta: float, nu: float) -> float:
     total = 0.0
     k0 = 1
     block = 1 << 20

@@ -12,9 +12,10 @@ boundary j_star and, for p < 2, at the sparse/highly-sparse boundary j_plus;
 away from the peaks it decays geometrically, which is what makes the
 level-wise estimator rate adaptive.
 
-Only j_plus uses SciPy (scipy.optimize, for Brent's method); it imports it
-when first called.  Everything that locates j_plus does too: sparse and
-critical signals, and the rate report and shell profile for p < 2.
+j_plus is found by Brent's method in plain Python (_brent), so locating it
+imports no SciPy: sparse and critical signals, and the rate report and
+shell profile for p < 2, run on numpy alone.  Only the complexity sums
+(t1_complexity_sum, risk_upper_bound) load SciPy, through penalty.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, require
 from .model import HyperParams, Zone, classify_zone, level_noise, shell_radius
-from .penalty import PenaltyConfig, m_prime, nu_schedule
+from .penalty import PenaltyConfig, _checked_m_prime_log, nu_schedule
 from .estimator import oracle_constant
 
 _LOG2 = math.log(2.0)
@@ -94,7 +95,8 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
 
     Defined for 0 < p < 2, where the rate hypotheses give delta > 1/2; the
     left side is strictly increasing for j >= 0, so the root is bracketed and
-    found by Brent's method.
+    found by Brent's method (the same float as scipy.optimize.brentq with
+    these tolerances).
     """
     require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
     require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
@@ -107,10 +109,67 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     hi = math.log2(C / epsilon) / delta  # g(hi) >= 0 since the log factor is >= 1
     if hi == 0.0:
         return 0.0
-    # deferred: scipy.optimize is slow to import and nothing else here needs it
-    from scipy.optimize import brentq
+    try:
+        return _brent(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    except NumericalError as exc:
+        raise NumericalError(f"j_plus at gamma={gamma}, C={C}, epsilon={epsilon}: "
+                             f"{exc}") from None
 
-    return float(brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of SciPy's C brentq (scipy/optimize/Zeros/brentq.c):
+    the same floating-point operations in the same order, so it returns the
+    same float; maxiter is brentq's default cap.  NumericalError when f(a)
+    and f(b) have the same sign or maxiter iterations do not converge.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise NumericalError(f"f({a!r}) and f({b!r}) must differ in sign")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(f"Brent's method did not converge in {maxiter} iterations "
+                         f"on [{a!r}, {b!r}]")
 
 
 def shell_peak_value(gamma: HyperParams, C: float, epsilon: float) -> float:
@@ -279,8 +338,8 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
     log_eps2 = 2.0 * math.log(epsilon)
     total = 0.0
     for j in range(1, j_cap + 1):
-        nu_j = nu_schedule(cfg, epsilon, j)
-        log_mp = math.log(m_prime(cfg, 2.0 ** j, nu_j))
+        # in logs: M'_{n_j} underflows to 0 long before its term does at a large beta
+        log_mp = float(_checked_m_prime_log(cfg, [2.0 ** j], nu_schedule(cfg, epsilon, j))[0])
         total += math.exp(log_mp + log_eps2 + 2.0 * cfg.beta * j * _LOG2)
     return 2.0 * cfg.xi1 * total
 

@@ -1,11 +1,13 @@
-"""SciPy is imported only inside the three functions that call it.
+"""SciPy is imported only inside the two functions that call it.
 
 A fresh interpreter imports the CLI, loads every preset and a tridiagonal
-config, and runs estimate, rates and a short sweep on the dense preset: it
-must hold no scipy module afterwards.  The same interpreter then runs the
-deferred paths from a cold start (a tridiagonal Monte Carlo run, which may
-load scipy.linalg alone, then m_prime and j_plus), and their values must
-equal this process's bit for bit.
+config, and runs estimate, rates and a short sweep on the dense preset,
+rates on the sparse and critical presets and a short sweep on the sparse
+one (each locates j_plus): it must hold no scipy module afterwards.  The
+same interpreter then runs the deferred paths from a cold start (a
+tridiagonal Monte Carlo run, which may load scipy.linalg alone, then
+m_prime, which loads scipy.special, and j_plus), and their values must equal
+this process's bit for bit; scipy.optimize is never loaded.
 
 Every error the package raises is a PenseqError: no raise statement in its
 source names a builtin exception class.
@@ -74,12 +76,15 @@ CHILD = textwrap.dedent(inspect.getsource(scipy_modules)) + \
         ["sweep", "--config", str(work / "tridiagonal.json")]))
     runs = (["estimate", str(work / "seq.json"), "--preset", "dense"],
             ["rates", "--preset", "dense"],
-            ["sweep", "--preset", "dense", "--replicates", "2"])
-    codes = [cli.main(argv + ["--out", str(work / argv[0])]) for argv in runs]
+            ["sweep", "--preset", "dense", "--replicates", "2"],
+            ["rates", "--preset", "sparse"],
+            ["rates", "--preset", "critical"],
+            ["sweep", "--preset", "sparse", "--replicates", "2"])
+    codes = [cli.main(argv + ["--out", str(work / f"run{i}")]) for i, argv in enumerate(runs)]
     before = scipy_modules()
     after_linalg, values = deferred_values()
     print(json.dumps({"codes": codes, "before": before, "after_linalg": after_linalg,
-                      "values": values}))
+                      "values": values, "optimize": "scipy.optimize" in sys.modules}))
     """)
 
 
@@ -94,9 +99,10 @@ def test_numpy_only_paths_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     child = json.loads(done.stdout.splitlines()[-1])
-    assert child["codes"] == [0, 0, 0]
+    assert child["codes"] == [0] * 6
     assert child["before"] == []
     assert child["after_linalg"] == []
+    assert child["optimize"] is False
     after_linalg, values = deferred_values()
     assert [list(v) for v in values] == child["values"]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import penseq
 from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
                     m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector,
                     select_k, subset_oracle)
+from penseq.penalty import _checked_m_prime_log
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -275,6 +277,52 @@ class TestMPrime:
             ns = np.arange(1, 2049, dtype=float)
             vals = m_prime_many(cfg, ns) * ns ** (2 * beta) * nu
             assert float(np.max(vals)) <= cb
+
+
+def exact_log_m_prime(n, beta, nu):
+    """log M'_n from exact rationals, for an integral 1 + 2*beta: finite where
+    brute_force_m_prime underflows to 0."""
+    b = int(1 + 2 * beta)
+    assert b == 1 + 2 * beta
+    total = sum(math.comb(n, k) * (Fraction(k) / (Fraction(nu) * n)) ** (k * b)
+                for k in range(1, n + 1))
+    return math.log(total.numerator) - math.log(total.denominator)
+
+
+class TestLargeBeta:
+    """nu^(1+2*beta) leaves the float range at beta = 100, nu = 40; M'_n stays
+    representable in logs, and the bound constant from the logs of its terms."""
+
+    def test_m_prime_matches_brute_force(self):
+        cfg = PenaltyConfig(beta=100.0)
+        for n in (1, 2, 8):
+            assert m_prime(cfg, n) == brute_force_m_prime(n, 100.0, 40.0)
+        assert m_prime(cfg, 8) == 0.0
+
+    @pytest.mark.parametrize("beta, nu", [(100.0, 40.0), (100.0, 1e3), (30.0, 40.0)])
+    def test_log_m_prime_matches_exact_sum(self, beta, nu):
+        cfg = PenaltyConfig(beta=beta, nu=nu)
+        ns = [1, 2, 3, 8, 17]
+        got = _checked_m_prime_log(cfg, ns, None)
+        for n, v in zip(ns, got):
+            assert v == pytest.approx(exact_log_m_prime(n, beta, nu), rel=1e-13)
+
+    @pytest.mark.parametrize("beta, nu", [(100.0, 40.0), (30.0, 40.0), (30.0, 1.2)])
+    def test_bound_constant_bounds_m_prime(self, beta, nu):
+        cb = m_prime_bound_constant(beta, nu)
+        assert math.isfinite(cb) and cb >= math.e / math.sqrt(2 * math.pi)
+        for n in range(1, 18):
+            bound = math.log(cb) - 2 * beta * math.log(n) - math.log(nu)
+            assert exact_log_m_prime(n, beta, nu) <= bound
+
+    def test_bound_constant_keeps_the_first_term_alone(self):
+        # the k = 2 term is 2^199.5 * e^(1 - 201*log 40) ~ e^-602 of the first
+        assert m_prime_bound_constant(100.0, 40.0) == pytest.approx(
+            math.e / math.sqrt(2 * math.pi), rel=1e-15)
+
+    def test_bound_constant_overflow_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows at beta=1000"):
+            m_prime_bound_constant(1000.0, 1.05)
 
 
 class TestMPrimeBoundConstant:
