@@ -60,4 +60,20 @@ PYTHONPATH=src python3 -m penseq.cli oracle-check --config "$echo_dir/config.jso
 cmp "$echo_dir/first/oracle_check.json" "$echo_dir/again/oracle_check.json" \
   || { echo "oracle_check.json differs when rerun on its echoed config"; exit 1; }
 rm -rf "$echo_dir"
+# oracle-check and the rate report need no SciPy: in an interpreter where
+# every scipy import fails, each exits 0 and writes the bytes of a normal run
+blocked=$(mktemp -d)
+for cmd in oracle-check rates; do
+  args=("$cmd" --preset sparse)
+  [ "$cmd" = oracle-check ] && args+=(--replicates 4)
+  PYTHONPATH=src python3 -m penseq.cli "${args[@]}" --out "$blocked/$cmd"
+  PYTHONPATH=src python3 -c 'import sys; sys.modules["scipy"] = None
+from penseq.cli import main; sys.exit(main())' "${args[@]}" --out "$blocked/$cmd-noscipy" \
+    || { echo "$cmd fails without SciPy"; exit 1; }
+  for f in "$blocked/$cmd"/*; do
+    cmp "$f" "$blocked/$cmd-noscipy/${f##*/}" \
+      || { echo "$cmd writes other bytes without SciPy"; exit 1; }
+  done
+done
+rm -rf "$blocked"
 echo "ci: all checks passed"

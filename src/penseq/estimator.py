@@ -188,23 +188,23 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
         raise ValidationError(
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
-    sq = y * y
     # kept[m] = sum of sq[i] over the bits i of m, added in ascending i: the
     # masks with top bit i are those below 2^i with sq[i] added
     kept = np.empty(1 << n)
     kept[0] = 0.0
-    for i in range(n):
-        half = 1 << i
-        np.add(kept[:half], sq[i], out=kept[half:2 * half])
+    half = 1
+    for sq in (y * y).tolist():
+        np.add(kept[:half], sq, out=kept[half:2 * half])
+        half *= 2
     # mask m drops the bits of full - m, so its dropped sum is kept[::-1][m]
     obj = kept[::-1]
     obj += (epsilon * epsilon) * _mask_penalties(cfg.key, n, nu_eff)
     m = int(obj.argmin())
     best = float(obj[m])
-    ties = obj == best
-    if np.count_nonzero(ties) == 1:               # a unique minimizer needs no tie rule
+    # kept is obj reversed, so its first minimum is obj's last one
+    if m == kept.size - 1 - int(kept.argmin()):   # a unique minimizer needs no tie rule
         return _bits(m), best
-    cand = ties.nonzero()[0]
+    cand = (obj == best).nonzero()[0]
     card = _cardinalities(n)
     cand = cand[card[cand] == card[cand].min()]
     return min(_bits(int(c)) for c in cand), best

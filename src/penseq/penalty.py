@@ -13,9 +13,10 @@ The schedule nu_schedule inflates nu quadratically above the working depth
 j_eps = jeps_scale * log2(eps^-2) so that the complexity remainder stays
 summable over levels.
 
-Only the complexity sums (m_prime, m_prime_many) use SciPy (scipy.special);
-they import it when first called, so the penalty and the estimator run on
-numpy alone.
+Everything here runs on numpy and the standard library alone.  The
+complexity sums (m_prime, m_prime_many) take log k! and a row-wise
+log-sum-exp from step-for-step ports of SciPy's gammaln (Cephes lgam) and
+logsumexp, which give SciPy's floats bit for bit.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:
 
 _CHUNK_ROWS = 4096
 _MAX_TERMS = 1 << 22
+_BLOCK_TERMS = 1 << 20
 
 
 def _ratio(b: float, nu: float) -> tuple:
@@ -177,9 +179,6 @@ def _certified_k(cfg: PenaltyConfig, nu: float, log_t1: float, n_max: float) -> 
 
 
 def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
-    # deferred: scipy.special is slow to import and nothing else here needs it
-    from scipy.special import gammaln, logsumexp
-
     b = 1.0 + 2.0 * cfg.beta
     log_nu = math.log(nu)
     out = np.empty(ns.size)
@@ -191,16 +190,85 @@ def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
             if cfg.beta > 0 else -b * log_nu
         K = _certified_k(cfg, nu, log_t1_min, n_max)
         ks = np.arange(1, K + 1, dtype=float)
-        valid = ks[None, :] <= chunk[:, None]
-        # log binom(n, k) = sum_{i<k} log(n - i) - log k!, stable for huge n
-        diffs = chunk[:, None] - (ks[None, :] - 1.0)
-        log_binom = np.cumsum(np.log(np.where(valid, diffs, 1.0)), axis=1) \
-            - gammaln(ks + 1.0)[None, :]
-        log_terms = log_binom - ks[None, :] * b * (
-            log_nu + np.log(chunk)[:, None] - np.log(ks)[None, :])
-        log_terms = np.where(valid, log_terms, -np.inf)
-        out[start:start + _CHUNK_ROWS] = logsumexp(log_terms, axis=1)
+        log_fact = _log_factorials(K)              # SciPy's gammaln(ks + 1), ported
+        # rows are independent: a block of them holds about 2^20 terms at a time
+        rows = max(1, _BLOCK_TERMS // K)
+        for lo in range(0, chunk.size, rows):
+            block = chunk[lo:lo + rows]
+            valid = ks[None, :] <= block[:, None]
+            # log binom(n, k) = sum_{i<k} log(n - i) - log k!, stable for huge n
+            diffs = block[:, None] - (ks[None, :] - 1.0)
+            log_binom = np.cumsum(np.log(np.where(valid, diffs, 1.0)), axis=1) \
+                - log_fact[None, :]
+            log_terms = log_binom - ks[None, :] * b * (
+                log_nu + np.log(block)[:, None] - np.log(ks)[None, :])
+            log_terms = np.where(valid, log_terms, -np.inf)
+            # SciPy's logsumexp(log_terms, axis=1), ported
+            out[start + lo:start + lo + block.size] = _logsumexp_rows(log_terms)
     return out
+
+
+# Cephes lgam, which is SciPy's gammaln, at integers x >= 13: Stirling's
+# series, with a correction term up to x = 1e8
+_LS2PI = 0.91893853320467274178                 # log(sqrt(2*pi))
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LOG_SMALL_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) at integers x >= 2, the same floats as scipy.special.gammaln.
+
+    A port of Cephes lgam: below x = 13 the log of the exact factorial (x-1)!,
+    above it Stirling's series.  Every log is libm's (math.log), as in Cephes;
+    numpy's vectorised log differs from it in the last bit at some integers.
+    numpy's separate products and sums round as the C code does.
+    """
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full(x.size, _LGAM_A[0])          # Cephes polevl(p, A, 4)
+    for a in _LGAM_A[1:]:
+        poly = poly * p + a
+    three = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    q += np.where(x < 1000.0, poly, np.where(x <= 1e8, three, 0.0)) / x
+    small = x < 13.0
+    q[small] = _LOG_SMALL_FACTORIALS[x[small].astype(int) - 1]
+    return q
+
+
+_log_fact = np.zeros(0)      # [log 1!, ..., log K!] up to the largest K asked for
+
+
+def _log_factorials(K: int) -> np.ndarray:
+    """[log 1!, ..., log K!] (read-only): each entry is computed once per process."""
+    # two threads growing it at once each build a correct table; one is kept
+    global _log_fact
+    table = _log_fact
+    if table.size < K:
+        table = np.concatenate((table, _lgam(np.arange(table.size + 2.0, K + 2.0))))
+        table.flags.writeable = False
+        _log_fact = table
+    return table[:K]
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)), the same floats as scipy.special.logsumexp.
+
+    SciPy's steps for real input whose rows each hold a finite maximum: the
+    maxima are taken out of the sum and counted, so
+    out = log1p(sum(exp(a - max)) / count) + log(count) + max.  a is a
+    temporary and is overwritten.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=float)
+    a[top] = -np.inf
+    s = np.exp(a - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> float:
@@ -265,9 +333,11 @@ def m_prime_bound_constant(beta: float, nu: float) -> float:
 
 
 def _bound_series(c: float, r0: float, coef: float, beta: float, nu: float) -> float:
+    # blocks double from 16 terms up to 2^20: a fast-decaying series stops
+    # after a few dozen terms, a slow one sums 2^20 at a time
     total = 0.0
     k0 = 1
-    block = 1 << 20
+    block = 16
     while True:
         ks = np.arange(k0, k0 + block, dtype=float)
         total += float(np.sum(coef * ks ** c * r0 ** (ks - 1.0)))
@@ -278,6 +348,7 @@ def _bound_series(c: float, r0: float, coef: float, beta: float, nu: float) -> f
         if q < 1.0 and last * q / (1.0 - q) < 1e-15 * total:
             return total
         k0 += block
+        block = min(2 * block, _BLOCK_TERMS)
         if k0 > _MAX_TERMS * 256:
             raise NumericalError(
                 f"bound-constant series did not converge (beta={beta!r}, nu={nu!r})")

@@ -12,10 +12,9 @@ boundary j_star and, for p < 2, at the sparse/highly-sparse boundary j_plus;
 away from the peaks it decays geometrically, which is what makes the
 level-wise estimator rate adaptive.
 
-j_plus is found by Brent's method in plain Python (_brent), so locating it
-imports no SciPy: sparse and critical signals, and the rate report and
-shell profile for p < 2, run on numpy alone.  Only the complexity sums
-(t1_complexity_sum, risk_upper_bound) load SciPy, through penalty.
+j_plus is found by Brent's method in plain Python (_brent), and the
+complexity sums (t1_complexity_sum, risk_upper_bound) come from penalty's
+numpy-only M'_n, so nothing here imports SciPy.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
-"""SciPy is imported only inside the two functions that call it.
+"""Only tridiagonal noise imports SciPy, and only scipy.linalg.
 
 A fresh interpreter imports the CLI, loads every preset and a tridiagonal
 config, and runs estimate, rates and a short sweep on the dense preset,
-rates on the sparse and critical presets and a short sweep on the sparse
-one (each locates j_plus): it must hold no scipy module afterwards.  The
-same interpreter then runs the deferred paths from a cold start (a
-tridiagonal Monte Carlo run, which may load scipy.linalg alone, then
-m_prime, which loads scipy.special, and j_plus), and their values must equal
-this process's bit for bit; scipy.optimize is never loaded.
+rates on the sparse and critical presets, a short sweep on the sparse one
+(each locates j_plus) and a short oracle-check on the sparse one (the
+complexity sums), then calls m_prime, m_prime_many, t1_complexity_sum and
+risk_upper_bound directly: it must hold no scipy module afterwards.  The
+same interpreter then runs a tridiagonal Monte Carlo run from a cold start,
+which may load scipy.linalg and what it imports, and nothing else of SciPy:
+the complexity sums called after it load no further module.  Every value
+must equal this process's bit for bit.
 
 Every error the package raises is a PenseqError: no raise statement in its
 source names a builtin exception class.
 """
-
 import ast
 import builtins
 import inspect
@@ -38,30 +39,40 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
-def deferred_values():
-    """(the scipy subpackages other than linalg loaded after a tridiagonal
-    Monte Carlo run, [(name, float.hex)] of each value a deferred import feeds])."""
-    import sys
+def complexity_values():
+    """[(name, float.hex)] of the complexity sums, each called directly."""
+    from penseq import (HyperParams, PenaltyConfig, m_prime, m_prime_many, risk_upper_bound,
+                        t1_complexity_sum)
 
+    cfg = PenaltyConfig(beta=0.5, nu=3.0)
+    values = [("m_prime", m_prime(PenaltyConfig(), 1024)),
+              ("m_prime beta=0.5", m_prime(cfg, 2.0 ** 40))]
+    values += [(f"m_prime_many[{i}]", v) for i, v in enumerate(m_prime_many(cfg, [1, 7, 4096]))]
+    values += [("t1_complexity_sum", t1_complexity_sum(cfg, 2.0 ** -6)),
+               ("risk_upper_bound", risk_upper_bound(
+                   HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5), 1.0, 2.0 ** -9, cfg))]
+    return [(name, float(v).hex()) for name, v in values]
+
+
+def tridiagonal_values():
+    """[(name, float.hex)] of a tridiagonal Monte Carlo run and of j_plus."""
     from penseq import (HyperParams, NoiseSpec, PenaltyConfig, SignalSpec, j_plus,
-                        m_prime, make_signal, mc_risk_for_truth)
+                        make_signal, mc_risk_for_truth)
 
     gamma = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=0.5)
     truth = make_signal(SignalSpec("besov_spread", gamma, 1.0, 2.0 ** -6, jmax=6))
     noise = NoiseSpec(epsilon=2.0 ** -6, beta=0.5, covariance="tridiagonal", rho=0.25)
     mc = mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=1.5), noise, 4, seed=11)
-    after_linalg = [m for m in ("scipy.special", "scipy.optimize") if m in sys.modules]
     values = [("mc.mean_sse", mc.mean_sse), ("mc.stderr_sse", mc.stderr_sse)]
     values += [(f"mc.per_level_sse[{i}]", float(v)) for i, v in enumerate(mc.per_level_sse)]
-    values += [("m_prime", m_prime(PenaltyConfig(), 1024)),
-               ("m_prime beta=0.5", m_prime(PenaltyConfig(beta=0.5, nu=3.0), 2.0 ** 40)),
-               ("j_plus", j_plus(HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5),
+    values += [("j_plus", j_plus(HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5),
                                  1.0, 2.0 ** -9))]
-    return after_linalg, [(name, float(v).hex()) for name, v in values]
+    return [(name, float(v).hex()) for name, v in values]
 
 
-CHILD = textwrap.dedent(inspect.getsource(scipy_modules)) + \
-    textwrap.dedent(inspect.getsource(deferred_values)) + textwrap.dedent("""
+CHILD = "".join(textwrap.dedent(inspect.getsource(f)) + "\n"
+                for f in (scipy_modules, complexity_values, tridiagonal_values)) + \
+    textwrap.dedent("""
     import json
     import sys
     from pathlib import Path
@@ -79,12 +90,16 @@ CHILD = textwrap.dedent(inspect.getsource(scipy_modules)) + \
             ["sweep", "--preset", "dense", "--replicates", "2"],
             ["rates", "--preset", "sparse"],
             ["rates", "--preset", "critical"],
-            ["sweep", "--preset", "sparse", "--replicates", "2"])
+            ["sweep", "--preset", "sparse", "--replicates", "2"],
+            ["oracle-check", "--preset", "sparse", "--replicates", "4"])
     codes = [cli.main(argv + ["--out", str(work / f"run{i}")]) for i, argv in enumerate(runs)]
+    values = complexity_values()
     before = scipy_modules()
-    after_linalg, values = deferred_values()
+    values += tridiagonal_values()
+    after_linalg = scipy_modules()
+    values += complexity_values()
     print(json.dumps({"codes": codes, "before": before, "after_linalg": after_linalg,
-                      "values": values, "optimize": "scipy.optimize" in sys.modules}))
+                      "after_sums": scipy_modules(), "values": values}))
     """)
 
 
@@ -99,11 +114,18 @@ def test_numpy_only_paths_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     child = json.loads(done.stdout.splitlines()[-1])
-    assert child["codes"] == [0] * 6
+    assert child["codes"] == [0] * 7
     assert child["before"] == []
-    assert child["after_linalg"] == []
-    assert child["optimize"] is False
-    after_linalg, values = deferred_values()
+    # what a fresh interpreter holds after importing scipy.linalg alone
+    linalg = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(inspect.getsource(scipy_modules))
+         + "import json, sys, scipy.linalg\nprint(json.dumps(scipy_modules()))"],
+        capture_output=True, text=True, timeout=120)
+    assert linalg.returncode == 0, linalg.stderr
+    assert child["after_linalg"] == json.loads(linalg.stdout)
+    assert "scipy.special" not in child["after_sums"]
+    assert child["after_sums"] == child["after_linalg"]
+    values = complexity_values() + tridiagonal_values() + complexity_values()
     assert [list(v) for v in values] == child["values"]
 
 

@@ -1,17 +1,20 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 import penseq
 from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
                     m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector,
                     select_k, subset_oracle)
-from penseq.penalty import _checked_m_prime_log
+from penseq.penalty import (_CHUNK_ROWS, _certified_k, _checked_m_prime_log, _lgam,
+                            _log_factorials, _logsumexp_rows, _m_prime_log)
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -341,3 +344,100 @@ class TestMPrimeBoundConstant:
     def test_near_floor_stress(self):
         val = m_prime_bound_constant(0.0, math.exp(1.0000001))
         assert math.isfinite(val) and val > 1e3
+
+
+def scipy_m_prime_log(cfg, ns, nu):
+    """penalty._m_prime_log as it was with scipy.special, verbatim: the reference."""
+    b = 1.0 + 2.0 * cfg.beta
+    log_nu = math.log(nu)
+    out = np.empty(ns.size)
+    for start in range(0, ns.size, _CHUNK_ROWS):
+        chunk = ns[start:start + _CHUNK_ROWS]
+        n_max = float(chunk.max())
+        # t_1 = n^(-2*beta) * nu^(-(1+2*beta)) lower-bounds every row sum
+        log_t1_min = float((-2.0 * cfg.beta) * np.log(chunk).max() - b * log_nu) \
+            if cfg.beta > 0 else -b * log_nu
+        K = _certified_k(cfg, nu, log_t1_min, n_max)
+        ks = np.arange(1, K + 1, dtype=float)
+        valid = ks[None, :] <= chunk[:, None]
+        # log binom(n, k) = sum_{i<k} log(n - i) - log k!, stable for huge n
+        diffs = chunk[:, None] - (ks[None, :] - 1.0)
+        log_binom = np.cumsum(np.log(np.where(valid, diffs, 1.0)), axis=1) \
+            - gammaln(ks + 1.0)[None, :]
+        log_terms = log_binom - ks[None, :] * b * (
+            log_nu + np.log(chunk)[:, None] - np.log(ks)[None, :])
+        log_terms = np.where(valid, log_terms, -np.inf)
+        out[start:start + _CHUNK_ROWS] = logsumexp(log_terms, axis=1)
+    return out
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestScipyPorts:
+    """The complexity sums run on numpy and the standard library alone, and
+    give SciPy's floats: every comparison is of float.hex, bit for bit."""
+
+    def test_log_factorials_match_gammaln(self):
+        k = np.arange(1.0, 200_001.0)
+        assert hexes(_log_factorials(k.size)) == hexes(gammaln(k + 1.0))
+
+    def test_lgam_branch_edges_match_gammaln(self):
+        # exact factorial below 13, the polynomial correction below 1000,
+        # the three-term one up to 1e8 and none above
+        x = np.array([2.0, 3.0, 12.0, 13.0, 14.0, 999.0, 1000.0, 1001.0, 3e6,
+                      1e8 - 1.0, 1e8, 1e8 + 1.0, 2.0 ** 40])
+        assert hexes(_lgam(x)) == hexes(gammaln(x))
+
+    def test_log_factorial_table_grows_to_the_same_floats(self, monkeypatch):
+        monkeypatch.setattr(penseq.penalty, "_log_fact", np.zeros(0))
+        for K in (3, 40, 12, 1500):
+            assert hexes(_log_factorials(K)) == hexes(gammaln(np.arange(2.0, K + 2.0)))
+
+    def test_logsumexp_rows_match_scipy(self):
+        rng = np.random.default_rng(1917)
+        for width in (1, 2, 7, 64, 129, 3000, 4099):
+            for scale in (1e-3, 1.0, 40.0, 700.0):
+                a = rng.normal(0.0, scale, (24, width))
+                a[rng.random(a.shape) < 0.3] = -np.inf
+                a[:, 0] = np.where(np.isinf(a[:, 0]), 0.25, a[:, 0])    # a finite maximum
+                if width > 2:
+                    a[::2, 2] = a[::2].max(axis=1)            # tied maxima
+                    a[::3] = np.round(a[::3])
+                expected = hexes(logsumexp(a, axis=1))
+                assert hexes(_logsumexp_rows(a.copy())) == expected
+
+    def test_m_prime_log_matches_the_scipy_version(self):
+        sizes = (np.arange(1.0, 3000.0), 2.0 ** np.arange(1, 60),
+                 np.random.default_rng(19).uniform(1.0, 1e6, 500))
+        checked = 0
+        for beta in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 30.0):
+            for nu in (1.2, 1.5, 2.0, 3.0, 10.0, 40.0, 400.0):
+                cfg = PenaltyConfig(beta=beta, nu=nu)
+                if nu <= cfg.nu_floor:
+                    continue
+                for ns in sizes:
+                    assert hexes(_m_prime_log(cfg, ns, nu)) == \
+                        hexes(scipy_m_prime_log(cfg, ns, nu)), (beta, nu, ns.size)
+                    checked += ns.size
+        assert checked == 142_320
+
+    def test_wide_chunk_is_summed_in_blocks(self):
+        # 1024 rows with K = 4045 terms each: unblocked, each of the (rows x K)
+        # temporaries took 33 MB and the peak was 260 MB
+        cfg = PenaltyConfig(nu=2.75)
+        ns = np.round(np.geomspace(1.0, 1e9, 1024))
+        assert _certified_k(cfg, 2.75, -math.log(2.75), 1e9) == 4045
+        tracemalloc.start()
+        try:
+            got = _m_prime_log(cfg, ns, 2.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # at beta = 0, K depends on the largest n alone: with the row n = 1e9
+        # in each group, the reference sums every row with the same K unblocked
+        expected = np.concatenate([scipy_m_prime_log(cfg, np.append(group, 1e9), 2.75)[:-1]
+                                   for group in np.split(ns, 16)])
+        assert hexes(got) == hexes(expected)
