@@ -60,18 +60,22 @@ PYTHONPATH=src python3 -m penseq.cli oracle-check --config "$echo_dir/config.jso
 cmp "$echo_dir/first/oracle_check.json" "$echo_dir/again/oracle_check.json" \
   || { echo "oracle_check.json differs when rerun on its echoed config"; exit 1; }
 rm -rf "$echo_dir"
-# oracle-check and the rate report need no SciPy: in an interpreter where
-# every scipy import fails, each exits 0 and writes the bytes of a normal run
+# oracle-check, the rate report and a tridiagonal sweep need no SciPy: in an
+# interpreter where every scipy import fails, each exits 0 and writes the
+# bytes of a normal run
 blocked=$(mktemp -d)
-for cmd in oracle-check rates; do
-  args=("$cmd" --preset sparse)
-  [ "$cmd" = oracle-check ] && args+=(--replicates 4)
-  PYTHONPATH=src python3 -m penseq.cli "${args[@]}" --out "$blocked/$cmd"
+runs=("oracle-check --preset sparse --replicates 4"
+      "rates --preset sparse"
+      "sweep --config perfbench/configs/sweep_spread_corr.json --replicates 4")
+for i in "${!runs[@]}"; do
+  read -ra args <<< "${runs[$i]}"
+  cmd=${args[0]}
+  PYTHONPATH=src python3 -m penseq.cli "${args[@]}" --out "$blocked/$i"
   PYTHONPATH=src python3 -c 'import sys; sys.modules["scipy"] = None
-from penseq.cli import main; sys.exit(main())' "${args[@]}" --out "$blocked/$cmd-noscipy" \
+from penseq.cli import main; sys.exit(main())' "${args[@]}" --out "$blocked/$i-noscipy" \
     || { echo "$cmd fails without SciPy"; exit 1; }
-  for f in "$blocked/$cmd"/*; do
-    cmp "$f" "$blocked/$cmd-noscipy/${f##*/}" \
+  for f in "$blocked/$i"/*; do
+    cmp "$f" "$blocked/$i-noscipy/${f##*/}" \
       || { echo "$cmd writes other bytes without SciPy"; exit 1; }
   done
 done

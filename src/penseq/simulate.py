@@ -17,10 +17,9 @@ independent of any execution schedule.  A Monte Carlo run over at least
 2^15 coefficients shares its replicates between up to two threads (numpy's
 normal fill and large-array operations release the GIL); each replicate's
 per-level SSE lands in its own row, and the rows are reduced in replicate
-order, so every result is the same bit for bit on any number of CPUs.  Only
-tridiagonal noise uses SciPy:
-its banded Cholesky factor imports scipy.linalg when first built, so the
-identity-noise Monte Carlo loop runs on numpy alone.
+order, so every result is the same bit for bit on any number of CPUs.
+Tridiagonal noise takes its Cholesky factor from a standard-library port of
+LAPACK's banded factorisation, so every Monte Carlo run is numpy alone.
 """
 
 from __future__ import annotations
@@ -217,6 +216,33 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
 
 # -- noise sampling -----------------------------------------------------------
 
+def _tridiagonal_cholesky(rho: float, n: int) -> np.ndarray:
+    """The lower Cholesky factor of the n x n matrix with unit diagonal and rho
+    beside it, in LAPACK's lower band layout: row 0 the diagonal, row 1 the
+    subdiagonal with its last entry 0.
+
+    A port of LAPACK's unblocked dpbtf2 at kd = 1, the same floats as
+    scipy.linalg.cholesky_banded over OpenBLAS: d_i = sqrt(a_i),
+    l_i = rho * (1/d_i) (dscal multiplies by the reciprocal) and
+    a_(i+1) = 1 - l_i^2 rounded once (dsyr's fused multiply-add), which the
+    exact integer ratio of l_i gives.  Once a_(i+1) == a_i every later entry
+    repeats, so the rest of both rows is filled in one step.
+    """
+    factor = np.zeros((2, n))
+    a = 1.0
+    for i in range(n - 1):
+        d = math.sqrt(a)
+        sub = rho * (1.0 / d)
+        num, den = sub.as_integer_ratio()
+        a, last = (den * den - num * num) / (den * den), a
+        factor[0, i], factor[1, i] = d, sub
+        if a == last:                             # the fixed point: d and l repeat
+            factor[0, i + 1:], factor[1, i + 1:-1] = d, sub
+            return factor
+    factor[0, n - 1] = math.sqrt(a)
+    return factor
+
+
 def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     """None for identity noise, else the diagonal and subdiagonal of the
     block-diagonal Cholesky factor over levels j0..jmax laid end to end; the
@@ -225,12 +251,8 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     top-level factor is the level-j factor bit for bit: one serves all levels."""
     if noise.covariance == "identity":
         return None
-    # deferred: scipy.linalg is slow to import and identity noise does not need it
-    from scipy.linalg import cholesky_banded
-
     sizes = [1 << j for j in range(j0, jmax + 1)]
-    top = cholesky_banded(np.vstack([np.ones(sizes[-1]), np.full(sizes[-1], noise.rho)]),
-                          lower=True)
+    top = _tridiagonal_cholesky(noise.rho, sizes[-1])
     factor = np.concatenate([top[:, :n] for n in sizes], axis=1)
     factor[1, np.cumsum(sizes) - 1] = 0.0
     return factor[0], factor[1, :-1]

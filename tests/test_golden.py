@@ -17,7 +17,10 @@ oracle_check.json too, so a change that moves those bytes is a change
 to the benchmark and re-records its reference as well.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-Other versions may round differently in the last bit and change the bytes.
+Other versions of numpy or of the C math library may round differently in
+the last bit and change the bytes.  The tridiagonal sweep's hashes do not
+depend on the BLAS build: its Cholesky factor is a standard-library port
+that gives the floats OpenBLAS's LAPACK gave when they were recorded.
 """
 
 import hashlib

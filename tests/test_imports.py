@@ -1,15 +1,14 @@
-"""Only tridiagonal noise imports SciPy, and only scipy.linalg.
+"""No path imports SciPy.
 
 A fresh interpreter imports the CLI, loads every preset and a tridiagonal
 config, and runs estimate, rates and a short sweep on the dense preset,
 rates on the sparse and critical presets, a short sweep on the sparse one
-(each locates j_plus) and a short oracle-check on the sparse one (the
-complexity sums), then calls m_prime, m_prime_many, t1_complexity_sum and
-risk_upper_bound directly: it must hold no scipy module afterwards.  The
-same interpreter then runs a tridiagonal Monte Carlo run from a cold start,
-which may load scipy.linalg and what it imports, and nothing else of SciPy:
-the complexity sums called after it load no further module.  Every value
-must equal this process's bit for bit.
+(each locates j_plus), a short oracle-check on the sparse one (the
+complexity sums), and a short sweep and an estimate on the tridiagonal
+config (the banded Cholesky factor).  It then calls m_prime, m_prime_many,
+t1_complexity_sum and risk_upper_bound directly and runs a tridiagonal Monte
+Carlo run: it must hold no scipy module afterwards, and every value must
+equal this process's bit for bit.
 
 Every error the package raises is a PenseqError: no raise statement in its
 source names a builtin exception class.
@@ -32,6 +31,7 @@ TRIDIAGONAL = {
     "penalty": {"xi1": 1.5},
     "signal": {"kind": "besov_spread"},
     "epsilons": [2.0 ** -j for j in range(6, 10)],
+    "epsilon": 2.0 ** -6,
 }
 
 
@@ -83,23 +83,20 @@ CHILD = "".join(textwrap.dedent(inspect.getsource(f)) + "\n"
     work = Path(sys.argv[1])
     for name in cli.PRESETS:
         cli.load_config(cli.build_parser().parse_args(["rates", "--preset", name]))
-    cli.load_config(cli.build_parser().parse_args(
-        ["sweep", "--config", str(work / "tridiagonal.json")]))
+    tridiagonal = str(work / "tridiagonal.json")
+    cli.load_config(cli.build_parser().parse_args(["sweep", "--config", tridiagonal]))
     runs = (["estimate", str(work / "seq.json"), "--preset", "dense"],
             ["rates", "--preset", "dense"],
             ["sweep", "--preset", "dense", "--replicates", "2"],
             ["rates", "--preset", "sparse"],
             ["rates", "--preset", "critical"],
             ["sweep", "--preset", "sparse", "--replicates", "2"],
-            ["oracle-check", "--preset", "sparse", "--replicates", "4"])
+            ["oracle-check", "--preset", "sparse", "--replicates", "4"],
+            ["sweep", "--config", tridiagonal, "--replicates", "2"],
+            ["estimate", str(work / "seq.json"), "--config", tridiagonal])
     codes = [cli.main(argv + ["--out", str(work / f"run{i}")]) for i, argv in enumerate(runs)]
-    values = complexity_values()
-    before = scipy_modules()
-    values += tridiagonal_values()
-    after_linalg = scipy_modules()
-    values += complexity_values()
-    print(json.dumps({"codes": codes, "before": before, "after_linalg": after_linalg,
-                      "after_sums": scipy_modules(), "values": values}))
+    values = complexity_values() + tridiagonal_values()
+    print(json.dumps({"codes": codes, "scipy": scipy_modules(), "values": values}))
     """)
 
 
@@ -114,18 +111,9 @@ def test_numpy_only_paths_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     child = json.loads(done.stdout.splitlines()[-1])
-    assert child["codes"] == [0] * 7
-    assert child["before"] == []
-    # what a fresh interpreter holds after importing scipy.linalg alone
-    linalg = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(inspect.getsource(scipy_modules))
-         + "import json, sys, scipy.linalg\nprint(json.dumps(scipy_modules()))"],
-        capture_output=True, text=True, timeout=120)
-    assert linalg.returncode == 0, linalg.stderr
-    assert child["after_linalg"] == json.loads(linalg.stdout)
-    assert "scipy.special" not in child["after_sums"]
-    assert child["after_sums"] == child["after_linalg"]
-    values = complexity_values() + tridiagonal_values() + complexity_values()
+    assert child["codes"] == [0] * 9
+    assert child["scipy"] == []
+    values = complexity_values() + tridiagonal_values()
     assert [list(v) for v in values] == child["values"]
 
 

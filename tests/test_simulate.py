@@ -16,7 +16,8 @@ from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     shell_radius)
 import penseq.simulate as simulate
 from penseq.rates import j_plus, j_star
-from penseq.simulate import _draw_noise, _noise_bands, _replicate_rng, resolve_jmax
+from penseq.simulate import (_draw_noise, _noise_bands, _replicate_rng,
+                             _tridiagonal_cholesky, resolve_jmax)
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
 SPARSE_GAMMA = HyperParams(0.75, 1.0, 1.0, 0.5)
@@ -232,6 +233,19 @@ def test_make_signal_golden_hash():
         "0a525096fd85ca8ece2ad55148ac2af72cbe31124966d3943704f3e07e68dc61"
 
 
+# rho from both ends of (-1/2, 1/2), the signed zeros and a tiny rho
+CHOLESKY_RHOS = [0.0, -0.0, 1e-300, 0.25, 0.4999999, -0.4999999, 0.5 - 1e-10,
+                 -(0.5 - 1e-10)] + np.random.default_rng(20).uniform(-0.5, 0.5, 24).tolist()
+
+
+def lapack_factor(rho, n):
+    """cholesky_banded's lower band factor of the n x n unit-diagonal tridiagonal
+    matrix, its last subdiagonal entry (LAPACK leaves it as given) set to 0."""
+    factor = cholesky_banded(np.vstack([np.ones(n), np.full(n, rho)]), lower=True)
+    factor[1, -1] = 0.0
+    return factor
+
+
 def draw_levels(noise, jmax, seed, j0=1):
     """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop draws it, split by level."""
     z = _draw_noise(_replicate_rng(seed, 0), (2 << jmax) - (1 << j0),
@@ -285,6 +299,22 @@ class TestSampleNoise:
             assert sub[start + n - 1] == 0.0          # no coupling into the next level
             start += n
         assert start == diag.size
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 512, 1 << 17])
+    def test_tridiagonal_cholesky_matches_lapack(self, n):
+        # the port gives cholesky_banded's floats bit for bit (signed zeros included)
+        for rho in CHOLESKY_RHOS:
+            assert _tridiagonal_cholesky(rho, n).tobytes() == lapack_factor(rho, n).tobytes(), \
+                (rho, n)
+
+    def test_tridiagonal_cholesky_reaches_both_exits(self):
+        # CHOLESKY_RHOS reach the fixed point early (0.25, a few dozen entries) and
+        # never within n = 2^17 (-(1/2 - 1e-10)), where every entry is computed
+        early = _tridiagonal_cholesky(0.25, 1 << 17)
+        assert np.all(early[:, 64:-1] == early[:, -2:-1])
+        late = _tridiagonal_cholesky(-(0.5 - 1e-10), 1 << 17)
+        assert late[0, -1] != late[0, -2] and late[1, -2] != late[1, -3]
+        assert {0.25, -(0.5 - 1e-10)} <= set(CHOLESKY_RHOS)
 
     @pytest.mark.parametrize("noise", [NoiseSpec(epsilon=1.0)] + [
         NoiseSpec(epsilon=1.0, covariance="tridiagonal", rho=rho) for rho in (0.25, -0.4999, 0.49)])
