@@ -8,6 +8,8 @@ cd "$(dirname "$0")/.."
 
 # --durations shows where the tier-1 time goes; it adds output only
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
+# the size of src/ that the ROADMAP tracks
+wc -l src/penseq/*.py | tail -1
 # the benchmark's own tests read ExperimentConfig; the tier-1 command collects tests/ only
 PYTHONPATH=src python -m pytest -q perfbench/tests
 

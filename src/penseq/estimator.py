@@ -30,6 +30,7 @@ from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
 
 def oracle_constant(zeta: float) -> float:
     """Constant D(zeta) = 2*zeta*(zeta+1)^3 / (zeta-1)^3 of the oracle inequality."""
+    zeta = as_float(zeta, "zeta")
     require(zeta > 1, f"zeta must be > 1, got {zeta}")
     return 2.0 * zeta * (zeta + 1.0) ** 3 / (zeta - 1.0) ** 3
 

@@ -16,7 +16,9 @@ summable over levels.
 Everything here runs on numpy and the standard library alone.  The
 complexity sums (m_prime, m_prime_many) take log k! and a row-wise
 log-sum-exp from step-for-step ports of SciPy's gammaln (Cephes lgam) and
-logsumexp, which give SciPy's floats bit for bit.
+logsumexp, which give SciPy's floats bit for bit.  Their bound constant
+(m_prime_bound_constant) sums its series in one loop, each term divided by
+the largest, so only the final product can leave the float range.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, as_float, dataclass_kwargs, require, require_finite
+from .errors import NumericalError, as_float, dataclass_kwargs, require, require_finite, whole
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,15 @@ def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tu
     not increasing at n, and pen(n) is a float: the constants the estimator
     reads on every call, so it never re-derives them.
     """
+    # checked before the cache, where True would hash like 1 and find n = 1's entry
+    if type(n) is not int or n < 1:               # else the fast path
+        n = whole(n, "n", 1)
     return _level_penalty(cfg.key, n, _resolve_nu(cfg, nu_eff))
 
 
 @functools.lru_cache(maxsize=128)
 def _level_penalty(key: tuple, n: int, nu: float) -> tuple:
     zeta, _, beta, xi1, _ = key
-    require(n >= 1, f"n must be >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
     L = (1.0 + 2.0 * beta) * (math.log(nu) + math.log(n) - np.log(k))
     pens = np.concatenate(([0.0], xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
@@ -190,7 +194,7 @@ def _m_prime_log(cfg: PenaltyConfig, ns: np.ndarray, nu: float) -> np.ndarray:
             if cfg.beta > 0 else -b * log_nu
         K = _certified_k(cfg, nu, log_t1_min, n_max)
         ks = np.arange(1, K + 1, dtype=float)
-        log_fact = _log_factorials(K)              # SciPy's gammaln(ks + 1), ported
+        log_fact = _lgam(ks + 1.0)                 # SciPy's gammaln(ks + 1), ported
         # rows are independent: a block of them holds about 2^20 terms at a time
         rows = max(1, _BLOCK_TERMS // K)
         for lo in range(0, chunk.size, rows):
@@ -239,21 +243,6 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     return q
 
 
-_log_fact = np.zeros(0)      # [log 1!, ..., log K!] up to the largest K asked for
-
-
-def _log_factorials(K: int) -> np.ndarray:
-    """[log 1!, ..., log K!] (read-only): each entry is computed once per process."""
-    # two threads growing it at once each build a correct table; one is kept
-    global _log_fact
-    table = _log_fact
-    if table.size < K:
-        table = np.concatenate((table, _lgam(np.arange(table.size + 2.0, K + 2.0))))
-        table.flags.writeable = False
-        _log_fact = table
-    return table[:K]
-
-
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)), the same floats as scipy.special.logsumexp.
 
@@ -278,7 +267,7 @@ def m_prime(cfg: PenaltyConfig, n: int | float, nu_eff: float | None = None) -> 
     collapses to n binomial terms evaluated in log space.  n may be a large
     real quantity (levels n_j = 2^j with j beyond integer-index range).
     """
-    return float(m_prime_many(cfg, [n], nu_eff)[0])
+    return float(m_prime_many(cfg, [as_float(n, "n")], nu_eff)[0])
 
 
 def m_prime_many(cfg: PenaltyConfig, ns, nu_eff: float | None = None) -> np.ndarray:
@@ -291,6 +280,7 @@ def _checked_m_prime_log(cfg: PenaltyConfig, ns, nu_eff: float | None) -> np.nda
     arr = np.asarray(ns, dtype=float)
     require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
     require(bool(np.all(arr >= 1)), f"all sizes must be >= 1, got {float(arr.min())}")
+    require(bool(np.all(arr < math.inf)), f"all sizes must be finite, got {float(arr.max())}")
     nu = _resolve_nu(cfg, nu_eff)
     require_complexity_condition(cfg, nu)
     return _m_prime_log(cfg, arr, nu)
@@ -299,10 +289,14 @@ def _checked_m_prime_log(cfg: PenaltyConfig, ns, nu_eff: float | None) -> np.nda
 def m_prime_bound_constant(beta: float, nu: float) -> float:
     """Constant C_beta with M'_n <= C_beta * n^(-2*beta) / nu.
 
-    C_beta = sum_{k>=1} k^(2*beta) * (e / sqrt(2*pi*k)) * (e / nu^(1+2*beta))^(k-1),
-    summed until the geometric tail bound drops below 1e-15 of the partial sum;
-    from the logs of its terms where they leave the float range.
+    C_beta = sum_{k>=1} k^(2*beta) * (e / sqrt(2*pi*k)) * (e / nu^(1+2*beta))^(k-1).
+    One loop sums the terms divided by the largest, exp(log-term - top), in
+    blocks; it stops once, past the peak, the geometric tail bound drops below
+    1e-15 of the partial sum.  NumericalError where C_beta leaves the float
+    range or needs more than 2^30 terms.
     """
+    beta = as_float(beta, "beta")
+    nu = as_float(nu, "nu")
     require(beta >= 0, f"beta must be >= 0, got {beta}")
     require(nu > 1.0, f"nu must be > 1, got {nu}")
     b = 1.0 + 2.0 * beta
@@ -310,45 +304,28 @@ def m_prime_bound_constant(beta: float, nu: float) -> float:
     require(r0 < 1.0,
             f"series diverges: nu must exceed e^(1/(1+2*beta)) = {math.exp(1.0 / b):.6f}")
     c = 2.0 * beta - 0.5
-    coef = math.e / math.sqrt(2.0 * math.pi)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _bound_series(c, r0, coef, beta, nu)
-    except (OverflowError, FloatingPointError):
-        pass
-    # c*log(k) + (k-1)*log(r0) is largest near k = c / -log(r0); beyond twice
-    # that, each term is at most sqrt(r0) times the one before
-    k_end = 2.0 * max(c / -log_r0, 1.0) + math.ceil(80.0 / (-0.5 * log_r0))
-    if k_end > _MAX_TERMS:
-        raise NumericalError(
-            f"bound-constant series needs {k_end:.3g} terms (beta={beta!r}, nu={nu!r})")
-    ks = np.arange(1.0, k_end + 1.0)
-    log_terms = c * np.log(ks) + (ks - 1.0) * log_r0
-    top = float(log_terms.max())
-    try:
-        return math.exp(math.log(coef) + top + math.log(float(np.sum(np.exp(log_terms - top)))))
-    except OverflowError:
-        raise NumericalError(
-            f"bound constant overflows at beta={beta!r}, nu={nu!r}") from None
-
-
-def _bound_series(c: float, r0: float, coef: float, beta: float, nu: float) -> float:
-    # blocks double from 16 terms up to 2^20: a fast-decaying series stops
-    # after a few dozen terms, a slow one sums 2^20 at a time
-    total = 0.0
-    k0 = 1
-    block = 16
+    # the log-term c*log(k) + (k-1)*log(r0) is concave and peaks at k = c / -log(r0),
+    # so its largest value at an integer k >= 1, top, is at one of the two beside it
+    k_peak = max(c / -log_r0, 1.0)
+    top = max(c * math.log(k) + (k - 1.0) * log_r0
+              for k in (math.floor(k_peak), math.ceil(k_peak)))
+    total, k0, block = 0.0, 1, 16      # blocks double up to 2^20 terms
     while True:
-        ks = np.arange(k0, k0 + block, dtype=float)
-        total += float(np.sum(coef * ks ** c * r0 ** (ks - 1.0)))
-        k_last = k0 + block - 1
-        # ratio of consecutive terms is at most q beyond k_last
-        q = r0 * ((k_last + 1.0) / k_last) ** max(c, 0.0)
-        last = coef * k_last ** c * r0 ** (k_last - 1.0)
-        if q < 1.0 and last * q / (1.0 - q) < 1e-15 * total:
-            return total
-        k0 += block
-        block = min(2 * block, _BLOCK_TERMS)
-        if k0 > _MAX_TERMS * 256:
+        if max(k0, k_peak) > _MAX_TERMS * 256:
             raise NumericalError(
                 f"bound-constant series did not converge (beta={beta!r}, nu={nu!r})")
+        ks = np.arange(k0, k0 + block, dtype=float)
+        terms = np.exp(c * np.log(ks) + (ks - 1.0) * log_r0 - top)
+        total += float(np.sum(terms))
+        k_last = k0 + block - 1
+        if k_last >= k_peak:
+            # past the peak, the ratio of consecutive terms beyond k_last is at most q
+            q = math.exp(log_r0 + max(c, 0.0) * math.log1p(1.0 / k_last))
+            if q < 1.0 and terms[-1] * q / (1.0 - q) < 1e-15 * total:
+                break
+        k0 += block
+        block = min(2 * block, _BLOCK_TERMS)
+    try:
+        return math.exp(math.log(math.e / math.sqrt(2.0 * math.pi)) + top + math.log(total))
+    except OverflowError:
+        raise NumericalError(f"bound constant overflows at beta={beta!r}, nu={nu!r}") from None

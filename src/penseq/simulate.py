@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require, require_finite, whole
+from .errors import ValidationError, as_float, require, require_finite, whole
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
                     classify_zone, level_noise, shell_radius)
 from .penalty import PenaltyConfig, m_prime
@@ -373,7 +373,7 @@ def fit_rate_exponent(results) -> tuple:
     Needs at least 4 distinct epsilon values spanning at least 2 octaves;
     r_hat = slope / 2 estimates the rate exponent.
     """
-    pts = [(float(e), float(m)) for e, m in results]
+    pts = [(as_float(e, "epsilon"), as_float(m, "mean_sse")) for e, m in results]
     eps = np.array([e for e, _ in pts])
     sse = np.array([m for _, m in pts])
     require(np.unique(eps).size >= 4, "need at least 4 distinct epsilon values")

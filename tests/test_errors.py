@@ -1,7 +1,8 @@
 """The typed-error contract of every scalar input.
 
 Each field of the public constructors, of each from_dict and of the Monte
-Carlo, single-level and penalty entry points (nu_eff included) raises ValidationError naming the field
+Carlo, single-level and penalty entry points (nu_eff and n included) and of the
+bound constant raises ValidationError naming the field
 on a value that is not a finite number (a bool, a string, None, nan, inf).
 A numpy scalar, and a whole float in an integer field, gives the same
 result as the plain Python value.
@@ -14,12 +15,13 @@ import pytest
 
 from penseq import (HyperParams, McResult, MonoscaleFit, MultiresSequence, NoiseSpec,
                     PenaltyConfig, SignalSpec, ValidationError, ideal_risk, m_prime,
-                    mc_risk_for_truth, pen_vector, select_k, subset_oracle)
+                    m_prime_bound_constant, mc_risk_for_truth, pen_vector, select_k,
+                    subset_oracle)
 from penseq.cli import PRESETS, ExperimentConfig
 
 GAMMA = {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5}
 PENALTY = {"zeta": 2.0, "nu": 40.0, "beta": 0.0, "xi1": 1.0, "jeps_scale": 1.0}
-INTEGER = {"replicates", "seed", "jmax", "j0"}
+INTEGER = {"replicates", "seed", "jmax", "j0", "n"}
 
 
 def signal(**kw):
@@ -59,10 +61,12 @@ CALLS = {
                                                         nu_eff), {"nu_eff": 50.0}, ("nu_eff",)),
     "ideal_risk": (lambda nu_eff=None: ideal_risk(np.ones(4), PenaltyConfig(), 0.1, nu_eff),
                    {"nu_eff": 50.0}, ("nu_eff",)),
-    "pen_vector": (lambda nu_eff=None: pen_vector(PenaltyConfig(), 4, nu_eff),
-                   {"nu_eff": 50.0}, ("nu_eff",)),
-    "m_prime": (lambda nu_eff=None: m_prime(PenaltyConfig(), 4, nu_eff),
-                {"nu_eff": 50.0}, ("nu_eff",)),
+    "pen_vector": (lambda n=4, nu_eff=None: pen_vector(PenaltyConfig(), n, nu_eff),
+                   {"n": 4, "nu_eff": 50.0}, ("nu_eff",)),
+    "m_prime": (lambda n=4, nu_eff=None: m_prime(PenaltyConfig(), n, nu_eff),
+                {"n": 4, "nu_eff": 50.0}, ("nu_eff",)),
+    "m_prime_bound_constant": (lambda beta=0.5, nu=40.0: m_prime_bound_constant(beta, nu),
+                               {"beta": 0.5, "nu": 40.0}, ()),
 }
 CASES = [(call, field) for call, (_, fields, _) in CALLS.items() for field in fields]
 

@@ -761,3 +761,6 @@ def test_oracle_constant_example():
     assert oracle_constant(2.0) == pytest.approx(108.0, rel=1e-15)
     with pytest.raises(ValidationError):
         oracle_constant(1.0)
+    for zeta in (math.inf, math.nan, True, "2"):
+        with pytest.raises(ValidationError, match="zeta must be a finite number"):
+            oracle_constant(zeta)

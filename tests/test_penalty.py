@@ -14,7 +14,7 @@ from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
                     m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector,
                     select_k, subset_oracle)
 from penseq.penalty import (_CHUNK_ROWS, _certified_k, _checked_m_prime_log, _lgam,
-                            _log_factorials, _logsumexp_rows, _m_prime_log)
+                            _logsumexp_rows, _m_prime_log)
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -26,6 +26,11 @@ SWEEP_CONFIGS = [
     for x in (1.0, 1.3)
 ]
 T_LAMBDA_BOUND = 45.0
+
+
+# beta = 1 just above its floor e^(1/3): the bound constant's terms peak near
+# k = 1.5 / (3e-4) = 5000, far past the series' first 16-term block
+PEAK_PAST_FIRST_BLOCK = (1.0, math.exp(1.0 / 3.0) * (1 + 1e-4))
 
 
 def log_terms(cfg, n, nu_eff=None):
@@ -310,7 +315,9 @@ class TestLargeBeta:
         for n, v in zip(ns, got):
             assert v == pytest.approx(exact_log_m_prime(n, beta, nu), rel=1e-13)
 
-    @pytest.mark.parametrize("beta, nu", [(100.0, 40.0), (30.0, 40.0), (30.0, 1.2)])
+    @pytest.mark.parametrize("beta, nu", [(100.0, 40.0), (30.0, 40.0), (30.0, 1.2),
+                                          pytest.param(*PEAK_PAST_FIRST_BLOCK,
+                                                       id="1.0-near-floor")])
     def test_bound_constant_bounds_m_prime(self, beta, nu):
         cb = m_prime_bound_constant(beta, nu)
         assert math.isfinite(cb) and cb >= math.e / math.sqrt(2 * math.pi)
@@ -333,6 +340,14 @@ class TestMPrimeBoundConstant:
         # only the k = 1 term survives
         assert m_prime_bound_constant(0.0, 1e9) == pytest.approx(
             math.e / math.sqrt(2 * math.pi), rel=1e-6)
+
+    def test_peak_past_the_first_block_matches_fsum(self):
+        beta, nu = PEAK_PAST_FIRST_BLOCK
+        r0 = math.e / nu ** 3
+        # beyond k = 2e5 the terms are below 1e-18
+        terms = [math.e / math.sqrt(2 * math.pi) * k ** 1.5 * r0 ** (k - 1)
+                 for k in range(1, 200_001)]
+        assert m_prime_bound_constant(beta, nu) == pytest.approx(math.fsum(terms), rel=1e-13)
 
     def test_divergence_rejected(self):
         with pytest.raises(ValidationError):
@@ -381,7 +396,7 @@ class TestScipyPorts:
 
     def test_log_factorials_match_gammaln(self):
         k = np.arange(1.0, 200_001.0)
-        assert hexes(_log_factorials(k.size)) == hexes(gammaln(k + 1.0))
+        assert hexes(_lgam(k + 1.0)) == hexes(gammaln(k + 1.0))
 
     def test_lgam_branch_edges_match_gammaln(self):
         # exact factorial below 13, the polynomial correction below 1000,
@@ -390,10 +405,11 @@ class TestScipyPorts:
                       1e8 - 1.0, 1e8, 1e8 + 1.0, 2.0 ** 40])
         assert hexes(_lgam(x)) == hexes(gammaln(x))
 
-    def test_log_factorial_table_grows_to_the_same_floats(self, monkeypatch):
-        monkeypatch.setattr(penseq.penalty, "_log_fact", np.zeros(0))
+    def test_log_factorials_of_each_length_match_gammaln(self):
+        # [log 1!, ..., log K!] as _m_prime_log builds it for each chunk
         for K in (3, 40, 12, 1500):
-            assert hexes(_log_factorials(K)) == hexes(gammaln(np.arange(2.0, K + 2.0)))
+            ks = np.arange(1.0, K + 1.0)
+            assert hexes(_lgam(ks + 1.0)) == hexes(gammaln(ks + 1.0))
 
     def test_logsumexp_rows_match_scipy(self):
         rng = np.random.default_rng(1917)

@@ -516,6 +516,11 @@ class TestFitRateExponent:
             fit_rate_exponent([(0.5, 1.0), (0.4, 0.5), (0.45, 0.25), (0.42, 0.1)])
         with pytest.raises(ValidationError):
             fit_rate_exponent([(0.5, 1.0), (0.25, 0.0), (0.125, 0.25), (0.0625, 0.1)])
+        # checked before the fit: LAPACK would fail on inf, and nan is not "not positive"
+        with pytest.raises(ValidationError, match="epsilon must be a finite number"):
+            fit_rate_exponent([(0.5, 1.0), (0.25, 0.5), (0.125, 0.25), (math.inf, 0.1)])
+        with pytest.raises(ValidationError, match="mean_sse must be a finite number"):
+            fit_rate_exponent([(0.5, 1.0), (0.25, math.nan), (0.125, 0.25), (0.0625, 0.1)])
 
 
 class TestOracleInequality:
