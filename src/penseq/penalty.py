@@ -31,6 +31,11 @@ import numpy as np
 
 from .errors import NumericalError, as_float, dataclass_kwargs, require, require_finite, whole
 
+# Up to this beta, (1+2*beta) times a log below 1.5e3 (of nu, n or k) times a
+# term index below 2^30 stays inside the float range, as the complexity sums
+# and their bound constant need
+_BETA_MAX = 1e290
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -38,11 +43,11 @@ class PenaltyConfig:
 
     nu defaults to 40 = 2/0.05, the false-discovery-rate calibration at
     level 0.05 for direct estimation.  Construction requires only nu > 1
-    (log terms positive); the stronger condition nu > e^(1/(1+2*beta)) is
-    what makes the complexity sums summable and is enforced where those are
-    computed (see :func:`require_complexity_condition`).  ``key`` is the
-    tuple of field values: the per-level caches key on it, so a lookup
-    hashes and compares floats, not the config.
+    (log terms positive) and 0 <= beta <= 1e290; the stronger condition
+    nu > e^(1/(1+2*beta)) is what makes the complexity sums summable and is
+    enforced where those are computed (see :func:`_summable_ratio`).
+    ``key`` is the tuple of field values: the per-level caches key on it, so
+    a lookup hashes and compares floats, not the config.
     """
 
     zeta: float = 2.0
@@ -54,7 +59,8 @@ class PenaltyConfig:
     def __post_init__(self):
         require_finite(self, "zeta", "nu", "beta", "xi1", "jeps_scale")
         require(self.zeta > 1, f"zeta must be > 1, got {self.zeta}")
-        require(self.beta >= 0, f"beta must be >= 0, got {self.beta}")
+        require(0 <= self.beta <= _BETA_MAX,
+                f"beta must lie in [0, {_BETA_MAX:g}], got {self.beta}")
         require(self.xi1 > 0, f"xi1 must be > 0, got {self.xi1}")
         require(self.jeps_scale >= 1, f"jeps_scale must be >= 1, got {self.jeps_scale}")
         require(self.nu > 1.0, f"nu must be > 1, got {self.nu}")
@@ -82,12 +88,6 @@ def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:
         nu_eff = as_float(nu_eff, "nu_eff")
         require(nu_eff >= cfg.nu, f"nu_eff must be >= nu = {cfg.nu}, got {nu_eff}")
     return nu_eff
-
-
-def require_complexity_condition(cfg: PenaltyConfig, nu: float) -> None:
-    """Enforce nu > e^(1/(1+2*beta)), without which M'_n is not summable."""
-    require(nu > cfg.nu_floor,
-            f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
 
 
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
@@ -158,19 +158,30 @@ _MAX_TERMS = 1 << 22
 _BLOCK_TERMS = 1 << 20
 
 
-def _ratio(b: float, nu: float) -> tuple:
-    """(r0, log r0) for r0 = e / nu^b; from log r0 = 1 - b*log(nu) where nu^b overflows."""
+def _summable_ratio(cfg: PenaltyConfig, nu: float) -> tuple:
+    """(r0, log r0) for r0 = e / nu^(1+2*beta), the ratio by which the terms
+    of M'_n and of its bound constant decay.
+
+    ValidationError unless nu > e^(1/(1+2*beta)), the summability condition of
+    both sums; a few ulps above that floor r0 can still round to 1, so r0 < 1
+    is part of the check.  log r0 comes from 1 - (1+2*beta)*log(nu) where
+    nu^(1+2*beta) overflows.
+    """
+    b = 1.0 + 2.0 * cfg.beta
     try:
         r0 = math.e / nu ** b
+        log_r0 = math.log(r0)
     except OverflowError:
         log_r0 = 1.0 - b * math.log(nu)
-        return math.exp(log_r0), log_r0
-    return r0, math.log(r0)
+        r0 = math.exp(log_r0)
+    require(nu > cfg.nu_floor and r0 < 1.0,
+            f"complexity sums need nu > e^(1/(1+2*beta)) = {cfg.nu_floor:.6f}, got {nu}")
+    return r0, log_r0
 
 
 def _certified_k(cfg: PenaltyConfig, nu: float, log_t1: float, n_max: float) -> int:
     # Smallest K with r0^(K+1)/(1-r0) < 1e-18 * exp(log_t1); capped at n_max.
-    r0, log_r0 = _ratio(1.0 + 2.0 * cfg.beta, nu)
+    r0, log_r0 = _summable_ratio(cfg, nu)
     target = math.log(1e-18) + log_t1 + math.log1p(-r0)
     k_cert = max(1, int(math.ceil(target / log_r0)))
     if n_max <= k_cert:
@@ -276,14 +287,18 @@ def m_prime_many(cfg: PenaltyConfig, ns, nu_eff: float | None = None) -> np.ndar
 
 
 def _checked_m_prime_log(cfg: PenaltyConfig, ns, nu_eff: float | None) -> np.ndarray:
-    # log M'_n after m_prime_many's checks: finite where M'_n underflows to 0
+    # log M'_n after m_prime_many's checks: finite where M'_n underflows to 0;
+    # _certified_k checks nu against the summability condition
+    if not (isinstance(ns, np.ndarray) and ns.dtype.kind in "fiu"):
+        # each size meets the number rule; a float or integer array holds numbers only
+        require(isinstance(ns, (list, tuple, np.ndarray)),
+                f"ns must be a sequence of sizes, got {ns!r}")
+        ns = [as_float(n, "ns") for n in ns]
     arr = np.asarray(ns, dtype=float)
     require(arr.ndim == 1 and arr.size >= 1, "ns must be a non-empty 1-d array")
-    require(bool(np.all(arr >= 1)), f"all sizes must be >= 1, got {float(arr.min())}")
-    require(bool(np.all(arr < math.inf)), f"all sizes must be finite, got {float(arr.max())}")
-    nu = _resolve_nu(cfg, nu_eff)
-    require_complexity_condition(cfg, nu)
-    return _m_prime_log(cfg, arr, nu)
+    require(bool(np.all(arr >= 1)), f"ns must hold sizes >= 1, got {float(arr.min())}")
+    require(bool(np.all(arr < math.inf)), f"ns must hold finite sizes, got {float(arr.max())}")
+    return _m_prime_log(cfg, arr, _resolve_nu(cfg, nu_eff))
 
 
 def m_prime_bound_constant(beta: float, nu: float) -> float:
@@ -293,16 +308,12 @@ def m_prime_bound_constant(beta: float, nu: float) -> float:
     One loop sums the terms divided by the largest, exp(log-term - top), in
     blocks; it stops once, past the peak, the geometric tail bound drops below
     1e-15 of the partial sum.  NumericalError where C_beta leaves the float
-    range or needs more than 2^30 terms.
+    range or needs more than 2^30 terms.  beta and nu are checked as
+    PenaltyConfig's fields, and by the summability condition of M'_n.
     """
-    beta = as_float(beta, "beta")
-    nu = as_float(nu, "nu")
-    require(beta >= 0, f"beta must be >= 0, got {beta}")
-    require(nu > 1.0, f"nu must be > 1, got {nu}")
-    b = 1.0 + 2.0 * beta
-    r0, log_r0 = _ratio(b, nu)
-    require(r0 < 1.0,
-            f"series diverges: nu must exceed e^(1/(1+2*beta)) = {math.exp(1.0 / b):.6f}")
+    cfg = PenaltyConfig(beta=beta, nu=nu)
+    beta, nu = float(cfg.beta), float(cfg.nu)
+    _, log_r0 = _summable_ratio(cfg, nu)
     c = 2.0 * beta - 0.5
     # the log-term c*log(k) + (k-1)*log(r0) is concave and peaks at k = c / -log(r0),
     # so its largest value at an integer k >= 1, top, is at one of the two beside it

@@ -12,9 +12,9 @@ boundary j_star and, for p < 2, at the sparse/highly-sparse boundary j_plus;
 away from the peaks it decays geometrically, which is what makes the
 level-wise estimator rate adaptive.
 
-j_plus is found by Brent's method in plain Python (_brent), and the
-complexity sums (t1_complexity_sum, risk_upper_bound) come from penalty's
-numpy-only M'_n, so nothing here imports SciPy.
+j_plus is found by bisection down to adjacent floats, and the complexity
+sums (t1_complexity_sum, risk_upper_bound) come from penalty's numpy-only
+M'_n, so nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -92,10 +92,11 @@ def j_star(gamma: HyperParams, C: float, epsilon: float) -> float:
 def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Real solution of 2^(delta*j) * (1 + log 2^j)^(1/2) = C/eps, delta = a + beta.
 
-    Defined for 0 < p < 2, where the rate hypotheses give delta > 1/2; the
-    left side is strictly increasing for j >= 0, so the root is bracketed and
-    found by Brent's method (the same float as scipy.optimize.brentq with
-    these tolerances).
+    Defined for 0 < p < 2, where the rate hypotheses give delta > 1/2.  In logs
+    the equation reads g(j) = 0 with g strictly increasing on j >= 0, g(0) <= 0
+    and g(log2(C/eps) / delta) >= 0, since the log factor is >= 1.  Bisection
+    keeps g(lo) < 0 <= g(hi) until no float lies between lo and hi and returns
+    hi, the first float at which g is not negative (0.0 when C = eps).
     """
     require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
     require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
@@ -105,70 +106,15 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     def g(j):
         return delta * j * _LOG2 + 0.5 * math.log1p(j * _LOG2) - target
 
-    hi = math.log2(C / epsilon) / delta  # g(hi) >= 0 since the log factor is >= 1
-    if hi == 0.0:
-        return 0.0
-    try:
-        return _brent(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-    except NumericalError as exc:
-        raise NumericalError(f"j_plus at gamma={gamma}, C={C}, epsilon={epsilon}: "
-                             f"{exc}") from None
-
-
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
-
-
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of SciPy's C brentq (scipy/optimize/Zeros/brentq.c):
-    the same floating-point operations in the same order, so it returns the
-    same float; maxiter is brentq's default cap.  NumericalError when f(a)
-    and f(b) have the same sign or maxiter iterations do not converge.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise NumericalError(f"f({a!r}) and f({b!r}) must differ in sign")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
+    lo, hi = 0.0, math.log2(C / epsilon) / delta
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if g(mid) < 0.0:
+            lo = mid
         else:
-            spre = scur = sbis              # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NumericalError(f"Brent's method did not converge in {maxiter} iterations "
-                         f"on [{a!r}, {b!r}]")
+            hi = mid
 
 
 def shell_peak_value(gamma: HyperParams, C: float, epsilon: float) -> float:

@@ -1,8 +1,9 @@
 """The typed-error contract of every scalar input.
 
 Each field of the public constructors, of each from_dict and of the Monte
-Carlo, single-level and penalty entry points (nu_eff and n included) and of the
-bound constant raises ValidationError naming the field
+Carlo, single-level and penalty entry points (nu_eff, n and each size in
+m_prime_many's ns included) and of the bound constant raises ValidationError
+naming the field
 on a value that is not a finite number (a bool, a string, None, nan, inf).
 A numpy scalar, and a whole float in an integer field, gives the same
 result as the plain Python value.
@@ -15,7 +16,7 @@ import pytest
 
 from penseq import (HyperParams, McResult, MonoscaleFit, MultiresSequence, NoiseSpec,
                     PenaltyConfig, SignalSpec, ValidationError, ideal_risk, m_prime,
-                    m_prime_bound_constant, mc_risk_for_truth, pen_vector, select_k,
+                    m_prime_bound_constant, m_prime_many, mc_risk_for_truth, pen_vector, select_k,
                     subset_oracle)
 from penseq.cli import PRESETS, ExperimentConfig
 
@@ -65,6 +66,8 @@ CALLS = {
                    {"n": 4, "nu_eff": 50.0}, ("nu_eff",)),
     "m_prime": (lambda n=4, nu_eff=None: m_prime(PenaltyConfig(), n, nu_eff),
                 {"n": 4, "nu_eff": 50.0}, ("nu_eff",)),
+    "m_prime_many": (lambda ns=4.0, nu_eff=None: m_prime_many(PenaltyConfig(), [ns], nu_eff),
+                     {"ns": 4.0, "nu_eff": 50.0}, ("nu_eff",)),
     "m_prime_bound_constant": (lambda beta=0.5, nu=40.0: m_prime_bound_constant(beta, nu),
                                {"beta": 0.5, "nu": 40.0}, ()),
 }

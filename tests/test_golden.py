@@ -10,11 +10,15 @@ A change that moves a hash on purpose re-records them by strip-and-compare:
 take the old tree's outputs, make to them only the edits the change intends
 (delete or rename the keys it moves, bump ``schema_version``), re-serialize
 them as ``cli._write_json`` does, and check that they hash to the new tree's
-outputs.  Copy the new hashes from the failing assertion's diff, and name
-the keys that moved and the hashes that changed in CHANGES.md.  The
-benchmark's ``perfbench/reference.json`` holds hashes of sweep.json and
-oracle_check.json too, so a change that moves those bytes is a change
-to the benchmark and re-records its reference as well.
+outputs.  A change that moves *values* re-records by value substitution in
+the same way: load the old tree's output, put in the new tree's value for
+each value that moved (j_plus and R_plus, say, when the root search
+changes), re-serialize, and check that the hash equals the new tree's, so
+no other byte moved.  Copy the new hashes from the failing assertion's diff,
+and name the keys or values that moved and the hashes that changed in
+CHANGES.md.  The benchmark's ``perfbench/reference.json`` holds hashes of
+sweep.json and oracle_check.json too, so a change that moves those bytes is
+a change to the benchmark and re-records its reference as well.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 Other versions of numpy or of the C math library may round differently in
@@ -105,7 +109,7 @@ GOLDEN = {
     },
     "rates-critical": {
         "rate_report.json":
-            "8fb2dd45c35c5ba04c3874de3d01379172440ba6ec24587a8f725ddd36b7e464",
+            "93c0a7c64b6418043027dde449553fe018c2d1080162b696f90774961949d9a0",
         "shell_profile.csv":
             "12063ae52ce673c47bc3be148824e7fa86ee7a1cfd331bccc2ff92ed720dee86",
     },

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -354,6 +355,33 @@ class TestMPrimeBoundConstant:
             m_prime_bound_constant(0.0, math.e)
         with pytest.raises(ValidationError):
             m_prime_bound_constant(0.5, 1.2)
+
+    @pytest.mark.parametrize("beta, nu", [
+        *[(beta, math.exp(1.0 / (1.0 + 2.0 * beta))) for beta in (0.0, 0.1, 0.25, 0.5, 2.0, 3.0)],
+        (0.23312336194594274, 1.9778560579919273),     # one float above the floor, r0 = 1.0
+    ])
+    def test_both_sums_reject_nu_at_the_floor(self, beta, nu):
+        # M'_n and its bound constant share one summability check, so both
+        # reject nu at its floor at once, also where r0 rounds below 1 there
+        # (beta = 0.1, 0.5, 2) and where it rounds to 1 above it (the last case)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"nu > e\^\(1/\(1\+2\*beta\)\)"):
+            m_prime(PenaltyConfig(beta=beta, nu=nu), 4)
+        with pytest.raises(ValidationError, match=r"nu > e\^\(1/\(1\+2\*beta\)\)"):
+            m_prime_bound_constant(beta, nu)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("beta", [3e306, 1e307, 1e308])
+    def test_absurd_beta_rejected(self, beta):
+        # past the limit 1 + 2*beta times the sums' logs leaves the float range
+        with pytest.raises(ValidationError, match="beta"):
+            PenaltyConfig(beta=beta)
+        with pytest.raises(ValidationError, match="beta"):
+            m_prime_bound_constant(beta, 40.0)
+
+    def test_large_beta_values_unchanged(self):
+        assert m_prime_bound_constant(1e6, 2.0) == float.fromhex("0x1.1035e4829785cp+1")
+        assert m_prime_bound_constant(1e6, 40.0) == float.fromhex("0x1.159db309e65ffp+0")
 
     @pytest.mark.slow
     def test_near_floor_stress(self):

@@ -9,8 +9,7 @@ from penseq import (HyperParams, NumericalError, PenaltyConfig, ValidationError,
                     risk_upper_bound, shell_profile, shell_risk,
                     shell_risk_closed_form, t1_complexity_sum)
 from penseq.cli import PRESETS, ExperimentConfig
-from penseq.rates import (RateReport, _brent, _shell, shell_peak_value,
-                          shell_sparse_peak_value)
+from penseq.rates import RateReport, _shell, shell_peak_value, shell_sparse_peak_value
 
 LOG2 = math.log(2.0)
 
@@ -200,18 +199,12 @@ class TestCriticalIndices:
             j_plus(HyperParams(1.0, 2.0, 2.0, 0.5), 1.0, 0.1)   # p >= 2
 
 
-def brentq_j_plus(gamma, C, eps):
-    """j_plus as SciPy solves it: the same g and bracket, by scipy.optimize.brentq."""
-    from scipy.optimize import brentq
-
+def j_plus_equation(gamma, C, eps):
+    """j_plus's equation in logs, g(j) = 0, with g built from gamma.a + gamma.beta
+    as j_plus builds it."""
     delta = gamma.a + gamma.beta
     target = math.log(C / eps)
-
-    def g(j):
-        return delta * j * LOG2 + 0.5 * math.log1p(j * LOG2) - target
-
-    hi = math.log2(C / eps) / delta
-    return float(brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)), g, hi
+    return lambda j: delta * j * LOG2 + 0.5 * math.log1p(j * LOG2) - target
 
 
 def gamma_with_delta(delta):
@@ -219,77 +212,41 @@ def gamma_with_delta(delta):
     return HyperParams(alpha=delta + 0.5, p=1.0, q=1.0, beta=0.0)
 
 
-class TestBrentPort:
-    """j_plus's Brent solver returns scipy.optimize.brentq's float, bit for bit."""
+def test_j_plus_is_the_first_float_past_the_sign_change():
+    # seeded brackets, the edges of the bracket, and every epsilon of the presets
+    # that place signals at j_plus; brentq is the reference only to its tolerance
+    from scipy.optimize import brentq
 
-    def test_random_brackets_match_brentq(self):
-        rng = np.random.default_rng(20261019)
-        deltas = 6.0 - rng.uniform(0.0, 5.5, 20_000)        # (0.5, 6]
-        log2_ratios = rng.uniform(0.0, 80.0, 20_000)         # C/eps up to 2^80
-        mismatches = []
-        for delta, u in zip(deltas.tolist(), log2_ratios.tolist()):
-            gamma, eps = gamma_with_delta(delta), 2.0 ** -u
-            want, g, hi = brentq_j_plus(gamma, 1.0, eps)
-            got = j_plus(gamma, 1.0, eps)
-            if got.hex() != want.hex() or _brent(g, 0.0, hi, 1e-13, 8.9e-16) != got:
-                mismatches.append((delta, u, got.hex(), want.hex()))
-        assert mismatches == []
-
-    @pytest.mark.parametrize("delta, C, eps", [
-        (1.25, 1.0, 1.0),                    # C/eps = 1: hi = 0, the root is 0
+    rng = np.random.default_rng(20261019)
+    deltas = 6.0 - rng.uniform(0.0, 5.5, 20_000)        # (0.5, 6]
+    log2_ratios = rng.uniform(0.0, 80.0, 20_000)         # C/eps up to 2^80
+    cases = [(gamma_with_delta(delta), 1.0, 2.0 ** -u)
+             for delta, u in zip(deltas.tolist(), log2_ratios.tolist())]
+    cases += [(gamma_with_delta(delta), C, eps) for delta, C, eps in [
+        (1.25, 1.0, 1.0),                    # C/eps = 1: the root is 0
         (1.25, 1.0 + 1e-15, 1.0),
         (1.25, 1e300, 1.0),
         (6.0, 1e300, 1e-8),
         (0.5 + 1e-12, 1.0, 2.0 ** -20),
-        (0.5 + 1e-12, 1e300, 1.0),
-    ])
-    def test_edge_brackets_match_brentq(self, delta, C, eps):
-        gamma = gamma_with_delta(delta)
-        want = brentq_j_plus(gamma, C, eps)[0]
-        assert j_plus(gamma, C, eps).hex() == want.hex()
-        if C == eps:
-            assert j_plus(gamma, C, eps) == 0.0
-
-    @pytest.mark.parametrize("name", ["sparse", "critical"])
-    def test_preset_inputs_match_brentq(self, name):
+        (0.5 + 1e-12, 1e300, 1.0),           # j_plus = 1982.7, 2.3e-13 between floats
+    ]]
+    for name in ("sparse", "critical"):
         cfg = ExperimentConfig.from_dict(PRESETS[name])
-        for eps in cfg.epsilons + (cfg.epsilon,):
-            want = brentq_j_plus(cfg.gamma, cfg.radius, eps)[0]
-            assert j_plus(cfg.gamma, cfg.radius, eps).hex() == want.hex()
-
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: (x - 1.0) ** 9 + 1e-3 * (x - 1.0) - 1e-6, 0.0, 3.0),   # flat near the root
-        (lambda x: math.exp(20.0 * x) - 1e3, -1.0, 2.0),
-        (lambda x: math.atan(50.0 * (x - 0.7)), -3.0, 5.0),
-        (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),                 # bisection only
-    ], ids=["cubic", "cos", "flat", "steep", "atan", "jump"])
-    @pytest.mark.parametrize("xtol, rtol", [(1e-13, 8.9e-16), (2e-12, 8.9e-16), (1e-4, 1e-6)])
-    def test_other_functions_match_brentq(self, f, a, b, xtol, rtol):
-        # interpolation, extrapolation and bisection steps in other proportions than g's
-        from scipy.optimize import brentq
-
-        want = float(brentq(f, a, b, xtol=xtol, rtol=rtol))
-        assert _brent(f, a, b, xtol, rtol).hex() == want.hex()
-
-    def test_iteration_cap_raises_numerical_error(self):
-        _, g, hi = brentq_j_plus(gamma_with_delta(1.25), 1.0, 2.0 ** -30)
-        with pytest.raises(NumericalError, match="did not converge in 3 iterations"):
-            _brent(g, 0.0, hi, 1e-13, 8.9e-16, maxiter=3)
-        # a jump, not a root: bisection needs ~50 halvings to reach xtol
-        with pytest.raises(NumericalError, match="did not converge"):
-            _brent(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, 1e-13, 8.9e-16, maxiter=20)
-        with pytest.raises(NumericalError, match="must differ in sign"):
-            _brent(lambda x: x + 1.0, 0.0, 1.0, 1e-13, 8.9e-16)
-
-    def test_j_plus_names_its_inputs_when_brent_fails(self, monkeypatch):
-        import penseq.rates as rates
-
-        monkeypatch.setattr(rates, "_brent",
-                            lambda f, a, b, xtol, rtol: _brent(f, a, b, xtol, rtol, maxiter=1))
-        with pytest.raises(NumericalError, match=r"j_plus at gamma=.*C=1\.0, epsilon=0\.001"):
-            j_plus(gamma_with_delta(1.25), 1.0, 1e-3)
+        cases += [(cfg.gamma, cfg.radius, eps) for eps in cfg.epsilons + (cfg.epsilon,)]
+    failures = []
+    for gamma, C, eps in cases:
+        jp = j_plus(gamma, C, eps)
+        if C == eps:
+            ok = jp == 0.0
+        else:
+            g = j_plus_equation(gamma, C, eps)
+            hi = math.log2(C / eps) / (gamma.a + gamma.beta)
+            want = brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+            ok = (g(math.nextafter(jp, 0.0)) < 0.0 <= g(jp)
+                  and abs(jp - want) <= 1e-13 + 8.9e-16 * want + math.ulp(jp))
+        if not ok:
+            failures.append((gamma, C, eps, jp))
+    assert failures == []
 
 
 class TestShellRisk:

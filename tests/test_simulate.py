@@ -15,6 +15,7 @@ from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
                     shell_radius)
 import penseq.simulate as simulate
+from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
 from penseq.simulate import (_draw_noise, _noise_bands, _replicate_rng,
                              _tridiagonal_cholesky, resolve_jmax)
@@ -139,6 +140,19 @@ class TestShellSignals:
         assert resolve_jmax(spec) == 7
         spec = spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -40)
         assert resolve_jmax(spec) == 20                      # capped
+
+    @pytest.mark.parametrize("preset, levels, jmaxes", [
+        ("sparse", [6, 8, 9, 10, 11, 12, 14, 9], [10, 11, 12, 14, 15, 16, 17, 12]),
+        ("critical", [5, 6, 7, 8, 9, 10, 10, 7], [8, 9, 10, 11, 12, 13, 14, 10]),
+    ], ids=["sparse", "critical"])
+    def test_preset_levels_read_from_j_plus(self, preset, levels, jmaxes):
+        # what the benchmarked outputs read of j_plus, at each epsilon of the
+        # preset and at its single epsilon: a root search that moves a signal
+        # level or a depth fails here, not only against the benchmark's hashes
+        cfg = ExperimentConfig.from_dict(PRESETS[preset])
+        specs = [cfg.signal_spec(eps) for eps in cfg.epsilons + (cfg.epsilon,)]
+        assert [simulate._round_half_up(simulate._peak_level(s)) for s in specs] == levels
+        assert [resolve_jmax(s) for s in specs] == jmaxes
 
 
 class TestCriticalSignal:
