@@ -212,41 +212,54 @@ def gamma_with_delta(delta):
     return HyperParams(alpha=delta + 0.5, p=1.0, q=1.0, beta=0.0)
 
 
-def test_j_plus_is_the_first_float_past_the_sign_change():
-    # seeded brackets, the edges of the bracket, and every epsilon of the presets
-    # that place signals at j_plus; brentq is the reference only to its tolerance
+def j_plus_misses(gamma, C, eps):
+    """None if j_plus is the first float past g's sign change (0.0 at C = eps) and
+    within brentq's tolerance plus one ulp of brentq's root; else the inputs and j_plus."""
     from scipy.optimize import brentq
 
-    rng = np.random.default_rng(20261019)
-    deltas = 6.0 - rng.uniform(0.0, 5.5, 20_000)        # (0.5, 6]
-    log2_ratios = rng.uniform(0.0, 80.0, 20_000)         # C/eps up to 2^80
-    cases = [(gamma_with_delta(delta), 1.0, 2.0 ** -u)
-             for delta, u in zip(deltas.tolist(), log2_ratios.tolist())]
-    cases += [(gamma_with_delta(delta), C, eps) for delta, C, eps in [
+    jp = j_plus(gamma, C, eps)
+    if C == eps:
+        return None if jp == 0.0 else (gamma, C, eps, jp)
+    g = j_plus_equation(gamma, C, eps)
+    hi = math.log2(C / eps) / (gamma.a + gamma.beta)
+    want = brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    if (g(math.nextafter(jp, 0.0)) < 0.0 <= g(jp)
+            and abs(jp - want) <= 1e-13 + 8.9e-16 * want + math.ulp(jp)):
+        return None
+    return (gamma, C, eps, jp)
+
+
+class TestBrentPort:
+    """j_plus against scipy.optimize.brentq, the reference it once matched bit for bit:
+    the bisection lands on the first float past the sign change, within brentq's
+    tolerance (plus one ulp) of brentq's root."""
+
+    def test_random_brackets_match_brentq(self):
+        rng = np.random.default_rng(20261019)
+        deltas = 6.0 - rng.uniform(0.0, 5.5, 20_000)        # (0.5, 6]
+        log2_ratios = rng.uniform(0.0, 80.0, 20_000)         # C/eps up to 2^80
+        misses = [j_plus_misses(gamma_with_delta(delta), 1.0, 2.0 ** -u)
+                  for delta, u in zip(deltas.tolist(), log2_ratios.tolist())]
+        assert [m for m in misses if m is not None] == []
+
+    @pytest.mark.parametrize("delta, C, eps", [
         (1.25, 1.0, 1.0),                    # C/eps = 1: the root is 0
         (1.25, 1.0 + 1e-15, 1.0),
         (1.25, 1e300, 1.0),
         (6.0, 1e300, 1e-8),
         (0.5 + 1e-12, 1.0, 2.0 ** -20),
         (0.5 + 1e-12, 1e300, 1.0),           # j_plus = 1982.7, 2.3e-13 between floats
-    ]]
-    for name in ("sparse", "critical"):
+    ])
+    def test_edge_brackets_match_brentq(self, delta, C, eps):
+        assert j_plus_misses(gamma_with_delta(delta), C, eps) is None
+
+    @pytest.mark.parametrize("name", ["sparse", "critical"])
+    def test_preset_inputs_match_brentq(self, name):
+        # every epsilon of the presets that place signals at j_plus
         cfg = ExperimentConfig.from_dict(PRESETS[name])
-        cases += [(cfg.gamma, cfg.radius, eps) for eps in cfg.epsilons + (cfg.epsilon,)]
-    failures = []
-    for gamma, C, eps in cases:
-        jp = j_plus(gamma, C, eps)
-        if C == eps:
-            ok = jp == 0.0
-        else:
-            g = j_plus_equation(gamma, C, eps)
-            hi = math.log2(C / eps) / (gamma.a + gamma.beta)
-            want = brentq(g, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-            ok = (g(math.nextafter(jp, 0.0)) < 0.0 <= g(jp)
-                  and abs(jp - want) <= 1e-13 + 8.9e-16 * want + math.ulp(jp))
-        if not ok:
-            failures.append((gamma, C, eps, jp))
-    assert failures == []
+        misses = [j_plus_misses(cfg.gamma, cfg.radius, eps)
+                  for eps in cfg.epsilons + (cfg.epsilon,)]
+        assert [m for m in misses if m is not None] == []
 
 
 class TestShellRisk:
