@@ -50,6 +50,25 @@ if command -v taskset > /dev/null; then
 else
   echo "ci: taskset not found; skipping the one-CPU output comparison"
 fi
+# outputs must not depend on the BLAS thread count: numpy's dot product of more
+# than 10,000 elements runs OpenBLAS's threaded kernel, whose last bit depends
+# on it. Each run goes once with OpenBLAS's default (one thread per CPU) and
+# once with OPENBLAS_NUM_THREADS=1
+blas=$(mktemp -d)
+runs=("sweep --preset sparse --replicates 4"
+      "sweep --config perfbench/configs/sweep_spread_corr.json --replicates 4"
+      "oracle-check --preset sparse --replicates 4")
+for i in "${!runs[@]}"; do
+  read -ra args <<< "${runs[$i]}"
+  env -u OPENBLAS_NUM_THREADS -u GOTO_NUM_THREADS -u OMP_NUM_THREADS PYTHONPATH=src \
+    python3 -m penseq.cli "${args[@]}" --out "$blas/$i-default"
+  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m penseq.cli "${args[@]}" --out "$blas/$i-one"
+  for f in "$blas/$i-default"/*; do
+    cmp "$f" "$blas/$i-one/${f##*/}" \
+      || { echo "${args[0]} writes other bytes with one BLAS thread"; exit 1; }
+  done
+done
+rm -rf "$blas"
 # every run value is in the config an output echoes: rerunning on that
 # config writes the same bytes
 echo_dir=$(mktemp -d)

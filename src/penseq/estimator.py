@@ -27,6 +27,8 @@ from .errors import NumericalError, ValidationError, as_float, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
 
+_FLOAT = np.dtype(float)
+
 
 def oracle_constant(zeta: float) -> float:
     """Constant D(zeta) = 2*zeta*(zeta+1)^3 / (zeta-1)^3 of the oracle inequality."""
@@ -52,9 +54,11 @@ class MonoscaleFit:
     objective: float
 
     def __post_init__(self):
-        est = np.asarray(self.estimate, dtype=float)
+        est = self.estimate
+        if type(est) is not np.ndarray or est.dtype is not _FLOAT:   # else already float
+            est = np.asarray(est, dtype=float)
+            object.__setattr__(self, "estimate", est)
         est.setflags(write=False)
-        object.__setattr__(self, "estimate", est)
 
 
 # The floor eps * t_n is shrunk by 4 ulps: while it stays in the normal range
@@ -105,8 +109,10 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
     single-level entry point.  It runs per level of every replicate: messages are
     built on failure, and the level's constants come from level_penalty's record."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
+    if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # else already float
+        y = np.asarray(y, dtype=float)
+    n = y.size
+    if y.ndim != 1 or n < 1:
         raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")
     a = np.abs(y)
     peak = float(a[a.argmax()])                   # nan if any entry is nan
@@ -115,13 +121,13 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     if type(epsilon) is not float or not 0.0 <= epsilon < math.inf:   # else the fast path
         require(as_float(epsilon, "epsilon") >= 0, f"epsilon must be >= 0, got {epsilon!r}")
     # checked before anything is squared: above the limit the sum of squares overflows
-    limit = math.sqrt(_FLOAT_MAX / (2 * y.size))
+    limit = math.sqrt(_FLOAT_MAX / (2 * n))
     if peak > limit:
         raise NumericalError(
-            f"max|y| = {peak!r} exceeds {limit!r} at n={y.size}; its sum of squares overflows")
-    pens, root, top = level_penalty(cfg, y.size, nu_eff)
+            f"max|y| = {peak!r} exceeds {limit!r} at n={n}; its sum of squares overflows")
+    pens, root, top = level_penalty(cfg, n, nu_eff)
     if not math.isfinite(float(epsilon) * float(epsilon) * top):
-        raise NumericalError(f"epsilon = {epsilon!r} at n={y.size}: eps^2 * pen(n) overflows")
+        raise NumericalError(f"epsilon = {epsilon!r} at n={n}: eps^2 * pen(n) overflows")
     return y, a, peak, pens, root
 
 
@@ -135,7 +141,7 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     y, a, peak, pens, root = _checked_level(y, cfg, epsilon, nu_eff)
     obj = _penalized_objective(a, peak, pens, root, epsilon)
     if obj is None:                               # nothing clears the floor
-        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a @ a))
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a.dot(a)))
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
@@ -165,12 +171,20 @@ def _cardinalities(n: int) -> np.ndarray:
     return card
 
 
+# Row i holds bit i of every mask below 2^_LOW_BITS, as 0.0 or 1.0 (read-only):
+# subset_oracle sums the subset sums of its low bits in one reduction over it.
+_LOW_BITS = 8
+_BIT_ROWS = ((np.arange(1 << _LOW_BITS) >> np.arange(_LOW_BITS)[:, None]) & 1).astype(float)
+_BIT_ROWS.setflags(write=False)
+
+
 @functools.lru_cache(maxsize=_SUBSET_ORACLE_MAX_N + 1)
-def _mask_penalties(key: tuple, n: int, nu_eff: float | None) -> np.ndarray:
-    """pen(|m|) for every mask m < 2^n, per (penalty, n, nu_eff) (read-only);
-    key is PenaltyConfig.key, so a lookup never hashes the config object."""
-    out = pen_vector(PenaltyConfig(*key), n, nu_eff)[_cardinalities(n)]
-    out.flags.writeable = False
+def _dropped_penalties(key: tuple, n: int, nu_eff: float | None, e2: float) -> np.ndarray:
+    """e2 * pen(n - |d|) for every mask d < 2^n of dropped coordinates, per
+    (penalty, n, nu_eff, eps^2) (read-only); key is PenaltyConfig.key, so a
+    lookup never hashes the config object."""
+    out = e2 * pen_vector(PenaltyConfig(*key), n, nu_eff)[n - _cardinalities(n)]
+    out.setflags(write=False)
     return out
 
 
@@ -189,31 +203,36 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
         raise ValidationError(
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
-    # kept[m] = sum of sq[i] over the bits i of m, added in ascending i: the
-    # masks with top bit i are those below 2^i with sq[i] added
-    kept = np.empty(1 << n)
-    kept[0] = 0.0
-    half = 1
-    for sq in (y * y).tolist():
-        np.add(kept[:half], sq, out=kept[half:2 * half])
+    # obj[d] = C_eps(J, y) for the J that drops the bits of d: the squares of
+    # those bits added in ascending i, plus eps^2 pen(n - |d|).  The low bits are
+    # one reduction down the rows of _BIT_ROWS * sq, which adds in that order (a
+    # product by 1.0 or 0.0 and a sum with +0.0 are exact); each higher bit i
+    # doubles the table, as the masks with top bit i are those below 2^i with
+    # sq[i] added.
+    sq = y * y
+    low = min(n, _LOW_BITS)
+    half = 1 << low
+    obj = np.empty(1 << n)
+    np.add.reduce(_BIT_ROWS[:low, :half] * sq[:low, None], axis=0, out=obj[:half])
+    for s in sq[low:].tolist():
+        np.add(obj[:half], s, out=obj[half:2 * half])
         half *= 2
-    # mask m drops the bits of full - m, so its dropped sum is kept[::-1][m]
-    obj = kept[::-1]
-    obj += (epsilon * epsilon) * _mask_penalties(cfg.key, n, nu_eff)
-    m = int(obj.argmin())
-    best = float(obj[m])
-    # kept is obj reversed, so its first minimum is obj's last one
-    if m == kept.size - 1 - int(kept.argmin()):   # a unique minimizer needs no tie rule
-        return _bits(m), best
+    obj += _dropped_penalties(cfg.key, n, nu_eff, epsilon * epsilon)
+    d = int(obj.argmin())
+    best = float(obj[d])
+    full = obj.size - 1
+    rest = obj[d + 1:]                            # d is the first minimizer
+    if d == full or rest[rest.argmin()] > best:   # a unique one needs no tie rule
+        return _bits(full ^ d), best
     cand = (obj == best).nonzero()[0]
     card = _cardinalities(n)
-    cand = cand[card[cand] == card[cand].min()]
-    return min(_bits(int(c)) for c in cand), best
+    cand = cand[card[cand] == card[cand].max()]   # the fewest kept: the most dropped
+    return min(_bits(full ^ int(c)) for c in cand), best
 
 
 def _bits(m: int) -> tuple:
     """The index set of mask m: its set bits, ascending."""
-    return tuple(i for i in range(m.bit_length()) if (m >> i) & 1)
+    return tuple(i for i in range(m.bit_length()) if (m >> i) & 1) if m else ()
 
 
 def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
@@ -225,7 +244,7 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     """
     _, a, peak, pens, root = _checked_level(theta, cfg, epsilon, nu_eff)
     obj = _penalized_objective(a, peak, pens, root, epsilon)
-    return float(a @ a) if obj is None else float(np.min(obj))
+    return float(a.dot(a)) if obj is None else float(np.min(obj))
 
 
 @dataclass(frozen=True, eq=False)

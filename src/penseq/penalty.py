@@ -41,8 +41,10 @@ _BETA_MAX = 1e290
 class PenaltyConfig:
     """Parameters (zeta, nu, beta, xi1, jeps_scale) of the penalty family.
 
-    nu defaults to 40 = 2/0.05, the false-discovery-rate calibration at
-    level 0.05 for direct estimation.  Construction requires only nu > 1
+    nu defaults to 40 = 2/0.05, after a false-discovery-rate level of 0.05;
+    it is not calibrated to that level: with the default zeta = 2, noise-only
+    and sparse-spike draws at eps = 1 (n = 64 to 16,384) gave no false
+    discovery at all (ROADMAP item 6).  Construction requires only nu > 1
     (log terms positive) and 0 <= beta <= 1e290; the stronger condition
     nu > e^(1/(1+2*beta)) is what makes the complexity sums summable and is
     enforced where those are computed (see :func:`_summable_ratio`).

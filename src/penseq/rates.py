@@ -20,6 +20,7 @@ M'_n, so nothing here imports SciPy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,8 @@ def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProf
 
 _LEVEL_TAIL_REL = 1e-12
 _LEVEL_CAP_EXTRA = 200
+# n_j = 2^j is a finite float up to this level
+_LAST_FLOAT_LEVEL = sys.float_info.max_exp - 1
 
 
 def control_bound_constant(cfg: PenaltyConfig) -> float:
@@ -280,6 +283,10 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
     """
     require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
     j_cap = int(math.ceil(cfg.j_eps(epsilon))) + _LEVEL_CAP_EXTRA
+    if j_cap > _LAST_FLOAT_LEVEL:
+        raise NumericalError(
+            f"epsilon = {epsilon!r}: the complexity sum runs to level j = {j_cap}, but "
+            f"n_j = 2^j overflows from j = {_LAST_FLOAT_LEVEL + 1}")
     log_eps2 = 2.0 * math.log(epsilon)
     total = 0.0
     for j in range(1, j_cap + 1):

@@ -17,7 +17,12 @@ independent of any execution schedule.  A Monte Carlo run over at least
 2^15 coefficients shares its replicates between up to two threads (numpy's
 normal fill and large-array operations release the GIL); each replicate's
 per-level SSE lands in its own row, and the rows are reduced in replicate
-order, so every result is the same bit for bit on any number of CPUs.
+order, so the number of replicate threads moves no bit.  The BLAS thread
+count can: numpy's dot product (`@`) of more than 10,000 elements runs
+OpenBLAS's threaded kernel, whose last bit depends on OPENBLAS_NUM_THREADS,
+and levels of 2^14 or more coefficients pass through it.  The presets write
+the same bytes either way (scripts/ci.sh compares them); set
+OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
 Tridiagonal noise takes its Cholesky factor from a standard-library port of
 LAPACK's banded factorisation, so every Monte Carlo run is numpy alone.
 """

@@ -229,6 +229,24 @@ def floor_band(cfg, n, epsilon, nu_eff=None, below=10, above=2):
     return vals
 
 
+class TestMonoscaleFit:
+    @pytest.mark.parametrize("estimate", [[1, 0, -2], (1.0, 0, -2), np.array([1, 0, -2]),
+                                          np.array([1.0, 0.0, -2.0], dtype=np.float32)])
+    def test_converts_to_a_read_only_float_estimate(self, estimate):
+        fit = MonoscaleFit(2, 0.5, estimate, 0.25)
+        assert type(fit.estimate) is np.ndarray and fit.estimate.dtype == np.float64
+        assert fit.estimate.tolist() == [1.0, 0.0, -2.0]
+        assert not fit.estimate.flags.writeable
+        with pytest.raises(ValueError):
+            fit.estimate[0] = 3.0
+
+    def test_takes_a_float_array_as_it_is(self):
+        estimate = np.array([1.0, 0.0, -2.0])
+        fit = MonoscaleFit(2, 0.5, estimate, 0.25)
+        assert fit.estimate is estimate
+        assert not estimate.flags.writeable
+
+
 class TestSelectK:
     def test_zero_input(self):
         fit = select_k(np.zeros(16), CFG, 1.0)
@@ -597,6 +615,21 @@ class TestSubsetOracle:
         # supports of minimal size that tie exactly
         tie_cfg, y, eps = EXACT_TIES[beta]
         assert subset_oracle(y, tie_cfg, eps) == mask_dp_oracle(y, tie_cfg, eps)
+        # the low 8 bits are summed in one reduction and the rest by doubling: n up
+        # to 14 crosses that boundary; eps off {0, 1}, an explicit nu_eff and
+        # magnitudes of 10^+-150 each give other roundings of the sums and of
+        # eps^2 * pen
+        for n in range(1, 15):
+            for nu_eff in (None, 97.0):
+                t1 = math.sqrt(pen_vector(cfg, n, nu_eff)[1])
+                for scale in (1e-150, 1.0, 1e150):
+                    for eps in (0.3 * scale, 2.5 * scale):
+                        cases = [rng.standard_normal(n) * eps for _ in range(2)]
+                        cases += [rng.standard_normal(n) * eps * t1 * 2.0 ** rng.uniform(-2.0, 1.5)
+                                  for _ in range(3)]
+                        for y in cases:
+                            assert (subset_oracle(y, cfg, eps, nu_eff)
+                                    == mask_dp_oracle(y, cfg, eps, nu_eff))
 
 
 class TestIdealRisk:

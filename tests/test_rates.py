@@ -416,6 +416,19 @@ class TestRiskUpperBound:
         assert math.isfinite(t1) and t1 >= 0.0
         assert t1_complexity_sum(cfg, 0.25) <= t1
 
+    def test_t1_levels_past_the_float_range_raise_numerical_error(self):
+        # j_cap = 2 * 412 + 200 = 1024 is the first level where n_j = 2^j overflows;
+        # at 2^-411 the sum stops at j = 1022
+        cfg = PenaltyConfig()
+        g = HyperParams(alpha=1.0, p=2.0, q=2.0)
+        assert t1_complexity_sum(cfg, 2.0 ** -411) == float.fromhex("0x1.5a753a0ac9f5bp-817")
+        assert math.isfinite(risk_upper_bound(g, 1.0, 2.0 ** -411, cfg))
+        message = r"epsilon = 9\.45\d*e-125: .* j = 1024, .*overflows from j = 1024"
+        with pytest.raises(NumericalError, match=message):
+            t1_complexity_sum(cfg, 2.0 ** -412)
+        with pytest.raises(NumericalError, match=message):
+            risk_upper_bound(g, 1.0, 2.0 ** -412, cfg)
+
     def test_overflowing_shell_raises_numerical_error(self):
         # j_star = 285 puts levels past j = 205 in the sum, where R_j = eps_j^2 * 2^j
         # leaves the float range; the complexity sum T1 alone stays finite
