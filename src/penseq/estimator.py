@@ -109,8 +109,7 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
     single-level entry point.  It runs per level of every replicate: messages are
     built on failure, and the level's constants come from level_penalty's record."""
-    if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # else already float
-        y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = y.size
     if y.ndim != 1 or n < 1:
         raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")
@@ -171,10 +170,12 @@ def _cardinalities(n: int) -> np.ndarray:
     return card
 
 
-# Row i holds bit i of every mask below 2^_LOW_BITS, as 0.0 or 1.0 (read-only):
-# subset_oracle sums the subset sums of its low bits in one reduction over it.
+# Row i holds bit i of every mask below 2^_LOW_BITS (the bits of one byte), as
+# 0.0 or 1.0 (read-only): subset_oracle sums the subset sums of its low bits in
+# one reduction over it.
 _LOW_BITS = 8
-_BIT_ROWS = ((np.arange(1 << _LOW_BITS) >> np.arange(_LOW_BITS)[:, None]) & 1).astype(float)
+_BIT_ROWS = np.unpackbits(np.arange(1 << _LOW_BITS, dtype=np.uint8)[None], axis=0,
+                          bitorder="little").astype(float)
 _BIT_ROWS.setflags(write=False)
 
 

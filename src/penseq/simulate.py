@@ -21,8 +21,8 @@ order, so the number of replicate threads moves no bit.  The BLAS thread
 count can: numpy's dot product (`@`) of more than 10,000 elements runs
 OpenBLAS's threaded kernel, whose last bit depends on OPENBLAS_NUM_THREADS,
 and levels of 2^14 or more coefficients pass through it.  The presets write
-the same bytes either way (scripts/ci.sh compares them); set
-OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
+the same bytes either way (scripts/ci.sh compares them), other inputs need
+not; set OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
 Tridiagonal noise takes its Cholesky factor from a standard-library port of
 LAPACK's banded factorisation, so every Monte Carlo run is numpy alone.
 """
