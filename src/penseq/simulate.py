@@ -13,11 +13,17 @@ Noise is drawn for all levels at once, one standard-normal draw of every
 coefficient; the Monte Carlo loop is the only sampler.  All randomness is
 driven by integer seeds through numpy SeedSequence; replicate streams
 derive from (seed, replicate index), so results are reproducible and
-independent of any execution schedule.  A Monte Carlo run over at least
-2^15 coefficients shares its replicates between up to two threads (numpy's
-normal fill and large-array operations release the GIL); each replicate's
-per-level SSE lands in its own row, and the rows are reduced in replicate
-order, so the number of replicate threads moves no bit.  The BLAS thread
+independent of any execution schedule.  The loop takes its replicates in
+blocks of consecutive ones, up to 2^12 coefficients to a block: each
+replicate still draws from its own stream, into its row of the block, and
+the noise filter and y = theta + eps_j * z then run once over the whole
+block, so small truths pay numpy's per-call cost once per block rather than
+once per replicate.  A Monte Carlo run over at least 2^15 coefficients
+(one replicate to a block) shares its blocks between up to two threads
+(numpy's normal fill and large-array operations release the GIL); each
+replicate's per-level SSE lands in its own row, and the rows are reduced in
+replicate order, so neither the block size nor the number of threads moves
+a bit.  The BLAS thread
 count can: numpy's dot product (`@`) of more than 10,000 elements runs
 OpenBLAS's threaded kernel, whose last bit depends on OPENBLAS_NUM_THREADS,
 and levels of 2^14 or more coefficients pass through it.  The presets write
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_float, require, require_finite, whole
+from .errors import NumericalError, ValidationError, as_float, require, require_finite, whole
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
                     classify_zone, level_noise, shell_radius)
 from .penalty import PenaltyConfig, m_prime
@@ -49,6 +55,13 @@ _JMAX_CAP = 20
 # the time at 16,382 coefficients; at 32,766 runs read 0.86x, 1.04x and 0.60x
 # as a second CPU was free or not, too unsteady to lower the threshold
 _THREADED_SIZE = 1 << 15
+# The Monte Carlo loop draws, filters and scales the noise of up to this many
+# coefficients at once, a block of max(1, _BLOCK_COEFS // size) replicates, so
+# numpy's per-call cost is paid once per block.  It lies below _THREADED_SIZE,
+# so a threaded run keeps one replicate per block.  Over 100 sweep-spread-corr
+# invocations in one interpreter, blocks of 2^13 coefficients raised the peak
+# RSS by 0.3-0.4 MB and blocks of 2^12 by under 0.1 MB
+_BLOCK_COEFS = 1 << 12
 _SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
 
@@ -263,17 +276,24 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     return factor[0], factor[1, :-1]
 
 
-def _draw_noise(rng: np.random.Generator, size: int, bands, out=None) -> np.ndarray:
+def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
     """z_j ~ N(0, Sigma_j) for levels laid end to end, from one standard-normal
     draw of every coefficient: the normals of one draw per level in increasing j.
-    The normals are written to out when given; identity noise returns them."""
-    g = rng.standard_normal(size, out=out)
-    if bands is None:
-        return g
+    One replicate's noise; the Monte Carlo loop forms the same numbers a block of
+    replicates at a time."""
+    g = rng.standard_normal(size)
+    return g if bands is None else _correlate(g, bands, np.empty(size))
+
+
+def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
+    """out = L g for the factor L of _noise_bands, row by row when g holds a block
+    of draws (the subdiagonal never reaches across a row); g is overwritten."""
     diag, sub = bands
-    z = diag * g
-    z[1:] += sub * g[:-1]
-    return z
+    np.multiply(diag, g, out=out)
+    lag = g[..., :-1]
+    lag *= sub
+    out[..., 1:] += lag
+    return out
 
 
 # -- Monte Carlo risk ---------------------------------------------------------
@@ -309,45 +329,95 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     """Monte Carlo risk at a fixed truth: per replicate, the numbers of one noise draw
     -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call.
 
-    The replicates may run on more than one thread; the result does not depend
-    on it.  If replicates fail, the error of the lowest failing one is raised.
+    Replicates run in blocks of consecutive ones, max(1, _BLOCK_COEFS // size) to
+    a block: each replicate draws its normals from its own stream into its row
+    of the block, the noise filter and y = theta + eps_j * z run once over the
+    whole block, and then each replicate's levels are fitted in turn.  The
+    blocks may run on more than one thread.  The result depends on neither.  If
+    replicates fail, the error of the lowest failing one is raised.
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
-    plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
+    plan = [(j, (1 << j) - (1 << truth.j0), (2 << j) - (1 << truth.j0), theta_j, eps_j, nu_j,
+             float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
+    # y = theta + eps_j * z is formed over the block a run of levels at a time:
+    # the levels in the first _BLOCK_COEFS coefficients as one run, each eps_j
+    # repeated over its level, then every later level alone
+    head = [level for level in plan if level[2] <= _BLOCK_COEFS]
+    runs = [(start, end, eps_j, theta_j)
+            for _, start, end, theta_j, eps_j, *_ in plan[len(head):]]
+    if head:
+        _, _, ends, thetas, epss, *_ = zip(*head)
+        runs.insert(0, (0, ends[-1], np.repeat(epss, [theta_j.size for theta_j in thetas]),
+                        np.concatenate(thetas)))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
-    reps = iter(range(replicates))                # next() on it is atomic under the GIL
+    block = max(1, _BLOCK_COEFS // size)
+    firsts = iter(range(0, replicates, block))    # next() on it is atomic under the GIL
     failed = {}
     stop = threading.Event()
 
+    def fit_replicate(y: np.ndarray, level_sse: np.ndarray, overflowed: bool) -> None:
+        """Fit the levels of one replicate's y in turn; overflowed says that y may
+        hold a value past the float range, which then names its level."""
+        for idx, (j, start, end, theta_j, eps_j, nu_j, energy) in enumerate(plan):
+            y_j = y[start:end]
+            if overflowed and not np.isfinite(y_j).all():
+                raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
+                                     f"at n={theta_j.size}, eps_j={eps_j!r}")
+            fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+            if fit.k_hat == 0:
+                level_sse[idx] = energy           # the estimate is +0.0 everywhere
+            else:
+                diff = fit.estimate - theta_j
+                level_sse[idx] = float(diff @ diff)
+
+    def run_block(first: int, normals: np.ndarray, z: np.ndarray) -> None:
+        """The replicates of the block from first on; a failure is recorded for the
+        lowest failing one, after every replicate below it in the block has run."""
+        count, error = min(block, replicates - first), None
+        try:
+            for row in range(count):
+                _replicate_rng(seed, first + row).standard_normal(size, out=normals[row])
+        except Exception as err:                  # raised after the rows before it are fitted
+            count, error = row, err
+        normals, z = normals[:count], z[:count]
+        if bands is not None:
+            _correlate(normals, bands, z)
+        overflows = []
+        with np.errstate(over="call", call=lambda *_: overflows.append(True)):
+            for start, end, scale, theta in runs:
+                y = z[:, start:end]
+                y *= scale                        # y_j = theta_j + eps_j * z_j, in place
+                y += theta
+        for row in range(count):
+            try:
+                fit_replicate(z[row], rows[first + row], bool(overflows))
+            except Exception as err:              # raised by the caller's thread below
+                count, error = row, err
+                break
+        if error is not None:
+            failed[first + count] = error
+            stop.set()
+
     def work():
-        buffer = np.empty(size)
+        normals = np.empty((block, size))
+        z = normals if bands is None else np.empty((block, size))
         while not stop.is_set():
-            rep = next(reps, None)
-            if rep is None:
+            first = next(firsts, None)
+            if first is None:
                 return
             try:
-                z = _draw_noise(_replicate_rng(seed, rep), size, bands, out=buffer)
-                level_sse = rows[rep]
-                for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
-                    y_j = z[start:start + theta_j.size]
-                    y_j *= eps_j                  # y_j = theta_j + eps_j * z_j, in place
-                    y_j += theta_j
-                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
-                    if fit.k_hat == 0:
-                        level_sse[idx] = energy   # the estimate is +0.0 everywhere
-                    else:
-                        diff = fit.estimate - theta_j
-                        level_sse[idx] = float(diff @ diff)
-            except Exception as err:              # raised by the caller's thread below
-                failed[rep] = err
+                run_block(first, normals, z)
+            except Exception as err:              # a step shared by the whole block failed
+                failed[first] = err
                 stop.set()
 
-    # Each thread takes the next replicate as it frees up, so a thread the host
+    # Each thread takes the next block as it frees up, so a thread the host
     # starves takes fewer.  Every replicate below a failing one was taken
-    # before it and runs to the end, so min(failed) is the lowest failure.
+    # before it, in an earlier block or earlier in the same one, and runs to
+    # the end, so min(failed) is the lowest failure.
     workers = []
     try:
         for _ in range(_replicate_threads(size) - 1):

@@ -14,6 +14,7 @@ from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     fit_multiscale, fit_rate_exponent, make_signal,
                     mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
                     shell_radius)
+import penseq.estimator as estimator
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
@@ -46,6 +47,17 @@ def per_level_noise(rng, noise, jmax, j0=1):
             z[1:] += lo[1, :-1] * g[:-1]
         levels.append(noise.epsilon_at(j) * z)
     return MultiresSequence(j0=j0, levels=tuple(levels))
+
+
+class ConstantNormals:
+    """A stand-in for a replicate's generator whose normals all equal value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, size, out):
+        out.fill(self.value)
+        return out
 
 
 def sequence_mc_risk(truth, cfg, noise, replicates, seed):
@@ -391,14 +403,41 @@ class TestMcRisk:
         else:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta)
         cfg = PenaltyConfig(beta=beta, xi1=noise.xi1)
-        mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, 4, 11)
-        # the spread signal keeps coefficients, the dense shell keeps none
-        assert (kept > 0) == (kind == "besov_spread")
-        for threads in (1, 2):
-            monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-            got = mc_risk_for_truth(truth, cfg, noise, replicates=4, seed=11)
-            assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
-            assert np.array_equal(got.per_level_sse, per_level)
+        # 4 replicates in blocks of the default size, then 7 in blocks of 3: two
+        # full blocks and a short last one
+        for replicates, block_coefs in ((4, simulate._BLOCK_COEFS), (7, 3 * truth.size)):
+            monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
+            mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, replicates, 11)
+            # the spread signal keeps coefficients, the dense shell keeps none
+            assert (kept > 0) == (kind == "besov_spread")
+            for threads in (1, 2):
+                monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+                got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
+                assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+                assert np.array_equal(got.per_level_sse, per_level)
+
+    @pytest.mark.parametrize("jmax, threads, replicates", [(7, 1, 100), (7, 2, 100), (15, 2, 6)])
+    def test_one_select_k_call_per_replicate_and_level(self, jmax, threads, replicates,
+                                                        monkeypatch):
+        # the count the benchmark reads: 254 coefficients run in blocks of 16
+        # replicates, the last one short, and 65,534 in blocks of one
+        gamma = HyperParams(1.0, 2.0, 2.0, 0.5)
+        truth = make_signal(spec_for("besov_spread", gamma, eps=2.0 ** -10, jmax=jmax))
+        noise = NoiseSpec(epsilon=2.0 ** -10, beta=0.5, covariance="tridiagonal", rho=0.25)
+        select_k, sizes = estimator.select_k, []
+
+        def counting(y, *args):
+            fit = select_k(y, *args)
+            sizes.append(fit.estimate.size)
+            return fit
+
+        monkeypatch.setattr(estimator, "select_k", counting)
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+        mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
+                          replicates=replicates, seed=2)
+        assert sorted(sizes) == sorted(2 ** j for j in range(1, jmax + 1)
+                                       for _ in range(replicates))
+        assert sum(sizes) == replicates * truth.size
 
     def test_replicate_threads(self):
         assert simulate._replicate_threads(simulate._THREADED_SIZE - 1) == 1
@@ -427,36 +466,78 @@ class TestMcRisk:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lowest_failing_replicate_is_raised(self, threads, monkeypatch):
-        # replicate 3 starts late, so on two threads replicate 4 fails first and
-        # 3 is in flight; on one thread 4 is never taken: 3 is raised either way
-        fit_level, replicate_rng, local = simulate._fit_level, simulate._replicate_rng, \
-            threading.local()
+        # replicate 3 starts late, so with one replicate per block on two threads
+        # replicate 4 fails first and 3 is in flight; on one thread 4 is never
+        # taken: 3 is raised either way.  Two per block put 3 and 4 in different
+        # blocks, and the default block holds all 40 replicates, so there the
+        # failing replicates share one.  Each replicate's normals all equal its
+        # index, so a level names the replicate it belongs to
+        truth, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
 
         def rng(seed, rep):
-            local.rep = rep
             if rep == 3:
                 time.sleep(0.05)
-            return replicate_rng(seed, rep)
+            return ConstantNormals(rep)
 
-        def fit(j, *args):
-            if local.rep in (3, 4, 7):
-                raise NumericalError(f"replicate {local.rep}")
-            return fit_level(j, *args)
+        def fit(j, level, cfg, eps_j, nu_j):
+            rep = round(level[0] / eps_j)
+            if rep in (3, 4, 7):
+                raise NumericalError(f"replicate {rep}")
+            return fit_level(j, level, cfg, eps_j, nu_j)
 
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         monkeypatch.setattr(simulate, "_replicate_rng", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         before = threading.active_count()
-        for _ in range(5):
-            with pytest.raises(NumericalError, match=r"^replicate 3$"):
-                mc_risk_for_truth(MultiresSequence.zeros(1, 5), PenaltyConfig(beta=0.5),
-                                  NoiseSpec(epsilon=0.1, beta=0.5), replicates=40, seed=1)
-            assert threading.active_count() == before
+        for block_coefs in (truth.size, 2 * truth.size, simulate._BLOCK_COEFS):
+            monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
+            for _ in range(5):
+                with pytest.raises(NumericalError, match=r"^replicate 3$"):
+                    mc_risk_for_truth(truth, PenaltyConfig(beta=0.5),
+                                      NoiseSpec(epsilon=0.1, beta=0.5), replicates=40, seed=1)
+                assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failing, message", [
+        ({"draw"}, r"^draw 5$"), ({"draw", "fit"}, r"^replicate 3$"),
+        ({"filter", "fit"}, r"^filter$")])
+    def test_failures_outside_the_fits_are_raised(self, failing, message, threads,
+                                                   monkeypatch):
+        # all 40 replicates share one block: a failed draw is raised once the
+        # replicates below it are fitted, and a failed noise filter, a step of
+        # the whole block, before any fit
+        truth, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
+        noise = NoiseSpec(epsilon=0.1, beta=0.5, covariance="tridiagonal", rho=0.25)
+
+        def rng(seed, rep):
+            if "draw" in failing and rep == 5:
+                raise RuntimeError("draw 5")
+            return ConstantNormals(rep)
+
+        def fit(j, level, cfg, eps_j, nu_j):
+            # a level's first coefficient is filtered by 1.0 alone: eps_j * rep
+            if "fit" in failing and round(level[0] / eps_j) == 3:
+                raise NumericalError("replicate 3")
+            return fit_level(j, level, cfg, eps_j, nu_j)
+
+        def correlate(g, bands, out):
+            raise RuntimeError("filter")
+
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+        monkeypatch.setattr(simulate, "_replicate_rng", rng)
+        monkeypatch.setattr(simulate, "_fit_level", fit)
+        if "filter" in failing:
+            monkeypatch.setattr(simulate, "_correlate", correlate)
+        before = threading.active_count()
+        with pytest.raises(Exception, match=message):
+            mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
+                              replicates=40, seed=1)
+        assert threading.active_count() == before
 
     def test_interrupt_stops_and_joins_the_worker(self, monkeypatch):
         # the main thread is interrupted in its first replicate; the worker
-        # finishes the replicate it holds and is joined before the interrupt
-        # propagates, far short of the 100,000 replicates asked for
+        # finishes the block of replicates it holds and is joined before the
+        # interrupt propagates, far short of the 100,000 replicates asked for
         fit_level, main, done = simulate._fit_level, threading.main_thread(), []
 
         def fit(j, *args):
@@ -473,6 +554,32 @@ class TestMcRisk:
                               NoiseSpec(epsilon=0.1, beta=0.5), replicates=100_000, seed=1)
         assert threading.active_count() == before
         assert len(done) < 3 * 50_000
+
+    def test_noise_overflow_names_the_level(self):
+        # eps_11 = 0.9 * 2^1023 is finite, eps_11 * z overflows for |z| > 2.23
+        with pytest.raises(NumericalError, match=r"^level j=11: y_j = theta_j \+ eps_j \* z_j "
+                           r"overflows at n=2048, eps_j=8\.0\d+e\+307$"):
+            mc_risk_for_truth(MultiresSequence.zeros(11, 11), PenaltyConfig(beta=93.0),
+                              NoiseSpec(epsilon=0.9, beta=93.0), 2, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("normals, message", [
+        ((0, 3, 3, 0, 3), r"epsilon = .* at n=2048: eps\^2 \* pen\(n\) overflows"),
+        ((3, 0, 3, 0, 3), r"y_j = theta_j \+ eps_j \* z_j overflows at n=2048"),
+    ])
+    def test_noise_overflow_in_a_block_is_raised_in_replicate_order(
+            self, normals, message, threads, monkeypatch):
+        # replicate r's normals all equal normals[r]: at eps_11 = 0.9 * 2^1023
+        # every fit fails, and 3 * eps_11 overflows before the fit.  The overflow
+        # is found for the whole first block of 4 before any fit, yet the error
+        # of the lowest failing replicate is raised
+        monkeypatch.setattr(simulate, "_replicate_rng",
+                            lambda seed, rep: ConstantNormals(normals[rep]))
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+        monkeypatch.setattr(simulate, "_BLOCK_COEFS", 4 * 2048)
+        with pytest.raises(NumericalError, match=r"^level j=11: " + message):
+            mc_risk_for_truth(MultiresSequence.zeros(11, 11), PenaltyConfig(beta=93.0),
+                              NoiseSpec(epsilon=0.9, beta=93.0), len(normals), 0)
 
     def test_numerical_error_names_the_level(self):
         # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
