@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, as_float, require
 from .model import MultiresSequence, NoiseSpec
-from .penalty import PenaltyConfig, _level_penalty, _resolve_nu, nu_schedule, pen_vector
+from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
 
 _FLOAT = np.dtype(float)
 
@@ -68,17 +68,6 @@ _SHRINK = 1.0 - 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _floor(peak: float, epsilon: float, root: float) -> float | None:
-    """The floor eps * t_n below which no coefficient is kept, for root = t_n and
-    peak = max|v|: None when peak is at or below it (nothing clears the floor, and
-    the objective is minimized at k = 0 by ||v||^2), 0.0 when it is not a positive
-    normal float (eps = 0, or a penalty that is not increasing at n, where root = 0)."""
-    cut = epsilon * root * _SHRINK
-    if cut < _TINY:
-        return 0.0
-    return None if peak <= cut else cut
-
-
 def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray, root: float,
                          epsilon: float) -> np.ndarray | None:
     """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..m, for a = |v|, its
@@ -89,14 +78,15 @@ def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray, root: flo
     minimizer is at most m, the number of coefficients above that floor.  The
     others are dropped before the sort; their squares sum to one term, and
     the kept squares are added to it smallest first, so no objective is
-    formed by subtraction.  Without a positive normal floor nothing is dropped
+    formed by subtraction.  Without a positive normal floor (eps = 0, or a
+    penalty that is not increasing at n, where root = 0) nothing is dropped
     and m = n.  None when m = 0: the only objective is then obj[0] = a @ a.
     """
-    cut = _floor(peak, epsilon, root)
-    if cut is None:
-        return None
+    cut = epsilon * root * _SHRINK
     rest = 0.0
-    if cut:
+    if cut >= _TINY:
+        if peak <= cut:
+            return None
         keep = a > cut
         dropped = a[~keep]
         rest = float(dropped @ dropped)
@@ -118,8 +108,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
     single-level entry point.  It runs per level of every replicate: messages are
-    built on failure, and the level's constants come from level_penalty's cached
-    record, read directly (n = y.size is a positive int; nu_eff is checked)."""
+    built on failure, and the level's constants come from level_penalty's record."""
     y = np.asarray(y, dtype=float)
     n = y.size
     if y.ndim != 1 or n < 1:
@@ -135,7 +124,7 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={n}; its sum of squares overflows")
-    pens, root, top = _level_penalty(cfg.key, n, _resolve_nu(cfg, nu_eff))
+    pens, root, top = level_penalty(cfg, n, nu_eff)
     if not math.isfinite(float(epsilon) * float(epsilon) * top):
         raise NumericalError(f"epsilon = {epsilon!r} at n={n}: eps^2 * pen(n) overflows")
     return y, a, peak, pens, root
@@ -149,9 +138,9 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     hard thresholding of y at eps * t_{k_hat}.
     """
     y, a, peak, pens, root = _checked_level(y, cfg, epsilon, nu_eff)
-    if _floor(peak, epsilon, root) is None:       # nothing clears the floor
-        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a.dot(a)))
     obj = _penalized_objective(a, peak, pens, root, epsilon)
+    if obj is None:                               # nothing clears the floor
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a.dot(a)))
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))

@@ -276,13 +276,23 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     return factor[0], factor[1, :-1]
 
 
-def _draw_noise(rng: np.random.Generator, size: int, bands) -> np.ndarray:
-    """z_j ~ N(0, Sigma_j) for levels laid end to end, from one standard-normal
-    draw of every coefficient: the normals of one draw per level in increasing j.
-    One replicate's noise; the Monte Carlo loop forms the same numbers a block of
-    replicates at a time."""
-    g = rng.standard_normal(size)
-    return g if bands is None else _correlate(g, bands, np.empty(size))
+def _draw_block(seed: int, first: int, normals: np.ndarray, bands, z: np.ndarray):
+    """z_j ~ N(0, Sigma_j) for levels laid end to end, for replicates first,
+    first + 1, ... in the rows of a block: each row of normals is one
+    standard-normal draw of every coefficient from its replicate's own stream,
+    the normals of one draw per level in increasing j, and is filtered into the
+    same row of z.  Returns the rows drawn, filtered (normals itself for
+    identity noise), and the error of the draw that failed after them, or None."""
+    error = None
+    for row, out in enumerate(normals):
+        try:
+            _replicate_rng(seed, first + row).standard_normal(out.size, out=out)
+        except Exception as err:
+            normals, error = normals[:row], err
+            break
+    if bands is None:
+        return normals, error
+    return _correlate(normals, bands, z[:len(normals)]), error
 
 
 def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
@@ -339,19 +349,8 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
-    plan = [(j, (1 << j) - (1 << truth.j0), (2 << j) - (1 << truth.j0), theta_j, eps_j, nu_j,
-             float(theta_j @ theta_j))
+    plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
-    # y = theta + eps_j * z is formed over the block a run of levels at a time:
-    # the levels in the first _BLOCK_COEFS coefficients as one run, each eps_j
-    # repeated over its level, then every later level alone
-    head = [level for level in plan if level[2] <= _BLOCK_COEFS]
-    runs = [(start, end, eps_j, theta_j)
-            for _, start, end, theta_j, eps_j, *_ in plan[len(head):]]
-    if head:
-        _, _, ends, thetas, epss, *_ = zip(*head)
-        runs.insert(0, (0, ends[-1], np.repeat(epss, [theta_j.size for theta_j in thetas]),
-                        np.concatenate(thetas)))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
     block = max(1, _BLOCK_COEFS // size)
     firsts = iter(range(0, replicates, block))    # next() on it is atomic under the GIL
@@ -361,8 +360,8 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     def fit_replicate(y: np.ndarray, level_sse: np.ndarray, overflowed: bool) -> None:
         """Fit the levels of one replicate's y in turn; overflowed says that y may
         hold a value past the float range, which then names its level."""
-        for idx, (j, start, end, theta_j, eps_j, nu_j, energy) in enumerate(plan):
-            y_j = y[start:end]
+        for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
+            y_j = y[start:start + theta_j.size]
             if overflowed and not np.isfinite(y_j).all():
                 raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
                                      f"at n={theta_j.size}, eps_j={eps_j!r}")
@@ -376,21 +375,16 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     def run_block(first: int, normals: np.ndarray, z: np.ndarray) -> None:
         """The replicates of the block from first on; a failure is recorded for the
         lowest failing one, after every replicate below it in the block has run."""
-        count, error = min(block, replicates - first), None
-        try:
-            for row in range(count):
-                _replicate_rng(seed, first + row).standard_normal(size, out=normals[row])
-        except Exception as err:                  # raised after the rows before it are fitted
-            count, error = row, err
-        normals, z = normals[:count], z[:count]
-        if bands is not None:
-            _correlate(normals, bands, z)
+        count = min(block, replicates - first)
+        # a failed draw is raised once the rows drawn before it are fitted
+        z, error = _draw_block(seed, first, normals[:count], bands, z[:count])
+        count = len(z)
         overflows = []
         with np.errstate(over="call", call=lambda *_: overflows.append(True)):
-            for start, end, scale, theta in runs:
-                y = z[:, start:end]
-                y *= scale                        # y_j = theta_j + eps_j * z_j, in place
-                y += theta
+            for _, start, theta_j, eps_j, *_ in plan:
+                y_j = z[:, start:start + theta_j.size]
+                y_j *= eps_j                      # y_j = theta_j + eps_j * z_j, in place
+                y_j += theta_j
         for row in range(count):
             try:
                 fit_replicate(z[row], rows[first + row], bool(overflows))

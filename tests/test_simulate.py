@@ -18,7 +18,7 @@ import penseq.estimator as estimator
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
-from penseq.simulate import (_draw_noise, _noise_bands, _replicate_rng,
+from penseq.simulate import (_draw_block, _noise_bands, _replicate_rng,
                              _tridiagonal_cholesky, resolve_jmax)
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
@@ -274,8 +274,10 @@ def lapack_factor(rho, n):
 
 def draw_levels(noise, jmax, seed, j0=1):
     """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop draws it, split by level."""
-    z = _draw_noise(_replicate_rng(seed, 0), (2 << jmax) - (1 << j0),
-                    _noise_bands(noise, j0, jmax))
+    size = (2 << jmax) - (1 << j0)
+    (z,), error = _draw_block(seed, 0, np.empty((1, size)), _noise_bands(noise, j0, jmax),
+                              np.empty((1, size)))
+    assert error is None
     return np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
 
 
