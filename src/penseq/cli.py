@@ -13,8 +13,8 @@ config's 'epsilon', sweep over its 'epsilons' grid.  Outputs embed the fully
 resolved config and a schema_version field and contain no timestamps, so a
 rerun on an output's echoed config writes the same files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 acceptance-check failure.
+Exit codes: 0 success, 2 validation error (an --out that cannot be written
+included), 3 numerical failure, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .model import HyperParams, MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig
 from .estimator import fit_multiscale, select_k, subset_oracle
 from .rates import log_factor, rate_control, rate_exponent, shell_profile
-from .simulate import (SignalSpec, fit_rate_exponent, make_signal, mc_risk_for_truth,
-                       oracle_inequality_check)
+from .simulate import (SignalSpec, check_rate_grid, fit_rate_exponent, make_signal,
+                       mc_risk_for_truth, oracle_inequality_check)
 
 SCHEMA_VERSION = 1
 
@@ -190,17 +190,22 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _write_text(path: Path, text: str) -> None:
+    """Write text to the output file path, making its directory; ValidationError
+    naming the path if it cannot be written."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _write_output(args, config: ExperimentConfig, name: str, **body) -> Path:
     """Write body to the output file name with schema_version and the resolved
     config; return the output directory."""
     out = Path(args.out) if args.out else Path(".")
-    _write_json(out / name, {"schema_version": SCHEMA_VERSION,
-                             "config": config.resolved_dict(), **body})
+    doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(), **body}
+    _write_text(out / name, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return out
 
 
@@ -223,7 +228,7 @@ def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
 
 def cmd_sweep(args) -> int:
     config = load_config(args)
-    require(len(config.epsilons) >= 4, "sweep needs an epsilon grid of >= 4 points")
+    check_rate_grid(config.epsilons)              # the fit's rule, before any Monte Carlo
     require(config.signal_kind != "zero",
             "sweep cannot fit a rate to a zero signal: a truth with no energy has no "
             "risk decay to fit; 'rates' and 'oracle-check' accept it")
@@ -243,7 +248,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         csv_lines.append(f"{row['epsilon']:.17g},{row['mean_sse']:.17g},"
                          f"{row['stderr']:.17g},{row['replicates']}")
-    (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
+    _write_text(out / "sweep.csv", "\n".join(csv_lines) + "\n")
     return EXIT_OK
 
 
@@ -254,7 +259,7 @@ def cmd_rates(args) -> int:
     profile = shell_profile(config.gamma, config.radius, epsilon)
     out = _write_output(args, config, "rate_report.json", epsilon=epsilon,
                         report=report.to_json_dict())
-    (out / "shell_profile.csv").write_text(profile.to_csv_text())
+    _write_text(out / "shell_profile.csv", profile.to_csv_text())
     return EXIT_OK
 
 

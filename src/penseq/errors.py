@@ -5,11 +5,15 @@ The CLI maps these onto exit codes: ValidationError -> 2, NumericalError -> 3.
 Every scalar input meets one of two rules, each raising ValidationError naming
 its field: as_float takes a finite real number, never a bool, and whole a
 whole number at or above a floor, of any numeric type (5.0 and np.int64(5)).
+Every array input meets real_array: real numbers of any numeric type, never a
+bool, complex number, string or other object.
 """
 
 import math
 import numbers
 from dataclasses import MISSING, fields
+
+import numpy as np
 
 
 class PenseqError(Exception):
@@ -52,6 +56,21 @@ def whole(value, name: str, least: int) -> int:
     if is_number(value) and least <= value < math.inf and int(value) == value:
         return int(value)
     raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array of real numbers of any numeric type, never a bool,
+    complex number, string or other object; ValidationError naming it otherwise,
+    and naming an integer past the float range."""
+    try:
+        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(map(is_number, arr.flat)):
+            return np.asarray(arr, dtype=float)
+    except OverflowError:                         # an integer past the float range
+        raise ValidationError(f"{name} has a coefficient outside the float range") from None
+    except ValueError:                            # nested arrays numpy cannot lay out
+        pass
+    raise ValidationError(f"{name} must hold real numbers only, got {value!r:.60}")
 
 
 def require_finite(obj, *names: str) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, as_float, require
+from .errors import NumericalError, ValidationError, as_float, real_array, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
 
@@ -109,7 +109,8 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
     single-level entry point.  It runs per level of every replicate: messages are
     built on failure, and the level's constants come from level_penalty's record."""
-    y = np.asarray(y, dtype=float)
+    if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # the loop's views skip it
+        y = real_array(y, "y")
     n = y.size
     if y.ndim != 1 or n < 1:
         raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")

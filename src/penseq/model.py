@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (NumericalError, ValidationError, as_float, dataclass_kwargs, is_number,
-                     require, require_finite, whole)
+                     real_array, require, require_finite, whole)
 
 # Absolute tolerance for detecting the measure-zero critical manifold
 # alpha = (2*beta + 1) * (1/p - 1/2).
@@ -99,11 +99,7 @@ class MultiresSequence:
         frozen = []
         for offset, lev in enumerate(self.levels):
             j = self.j0 + offset
-            try:
-                arr = np.asarray(lev, dtype=float)
-            except OverflowError as exc:          # a JSON integer past the float range
-                raise ValidationError(
-                    f"level {j} has a coefficient outside the float range") from exc
+            arr = real_array(lev, f"level {j}")
             require(arr.ndim == 1,
                     f"level {j} must be one-dimensional, got shape {arr.shape}")
             require(arr.size == 2 ** j,

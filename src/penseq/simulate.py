@@ -31,6 +31,11 @@ the same bytes either way (scripts/ci.sh compares them), other inputs need
 not; set OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
 Tridiagonal noise takes its Cholesky factor from a standard-library port of
 LAPACK's banded factorisation, so every Monte Carlo run is numpy alone.
+
+A failed Monte Carlo run raises its lowest failing replicate's error, on any
+block size and thread count: a block fits its replicates in order and raises
+its first error, a failed draw is raised after the rows drawn before it, and
+an overflow while forming y_j = theta_j + eps_j * z_j is named by level.
 """
 
 from __future__ import annotations
@@ -343,8 +348,8 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     a block: each replicate draws its normals from its own stream into its row
     of the block, the noise filter and y = theta + eps_j * z run once over the
     whole block, and then each replicate's levels are fitted in turn.  The
-    blocks may run on more than one thread.  The result depends on neither.  If
-    replicates fail, the error of the lowest failing one is raised.
+    blocks may run on more than one thread.  The result depends on neither, nor
+    does the error a failed run raises (see the module docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
@@ -357,61 +362,47 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     failed = {}
     stop = threading.Event()
 
-    def fit_replicate(y: np.ndarray, level_sse: np.ndarray, overflowed: bool) -> None:
-        """Fit the levels of one replicate's y in turn; overflowed says that y may
-        hold a value past the float range, which then names its level."""
-        for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
-            y_j = y[start:start + theta_j.size]
-            if overflowed and not np.isfinite(y_j).all():
-                raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
-                                     f"at n={theta_j.size}, eps_j={eps_j!r}")
-            fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
-            if fit.k_hat == 0:
-                level_sse[idx] = energy           # the estimate is +0.0 everywhere
-            else:
-                diff = fit.estimate - theta_j
-                level_sse[idx] = float(diff @ diff)
-
     def run_block(first: int, normals: np.ndarray, z: np.ndarray) -> None:
-        """The replicates of the block from first on; a failure is recorded for the
-        lowest failing one, after every replicate below it in the block has run."""
-        count = min(block, replicates - first)
-        # a failed draw is raised once the rows drawn before it are fitted
-        z, error = _draw_block(seed, first, normals[:count], bands, z[:count])
-        count = len(z)
-        overflows = []
-        with np.errstate(over="call", call=lambda *_: overflows.append(True)):
+        """Fit the replicates of the block from first on, in order."""
+        z, error = _draw_block(seed, first, normals[:replicates - first], bands, z)
+        with np.errstate(over="ignore"):          # an overflow is named by its level below
             for _, start, theta_j, eps_j, *_ in plan:
                 y_j = z[:, start:start + theta_j.size]
                 y_j *= eps_j                      # y_j = theta_j + eps_j * z_j, in place
                 y_j += theta_j
-        for row in range(count):
-            try:
-                fit_replicate(z[row], rows[first + row], bool(overflows))
-            except Exception as err:              # raised by the caller's thread below
-                count, error = row, err
-                break
+        for y, level_sse in zip(z, rows[first:]):
+            for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
+                y_j = y[start:start + theta_j.size]
+                try:
+                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+                except ValidationError:
+                    if np.isfinite(y_j).all():    # theta_j, eps_j and z_j are finite
+                        raise
+                    raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
+                                         f"at n={theta_j.size}, eps_j={eps_j!r}") from None
+                if fit.k_hat == 0:
+                    level_sse[idx] = energy       # the estimate is +0.0 everywhere
+                else:
+                    diff = fit.estimate - theta_j
+                    level_sse[idx] = float(diff @ diff)
         if error is not None:
-            failed[first + count] = error
-            stop.set()
+            raise error
 
     def work():
         normals = np.empty((block, size))
         z = normals if bands is None else np.empty((block, size))
-        while not stop.is_set():
-            first = next(firsts, None)
-            if first is None:
+        for first in firsts:
+            if stop.is_set():
                 return
             try:
                 run_block(first, normals, z)
-            except Exception as err:              # a step shared by the whole block failed
+            except Exception as err:              # raised by the caller's thread below
                 failed[first] = err
                 stop.set()
 
     # Each thread takes the next block as it frees up, so a thread the host
-    # starves takes fewer.  Every replicate below a failing one was taken
-    # before it, in an earlier block or earlier in the same one, and runs to
-    # the end, so min(failed) is the lowest failure.
+    # starves takes fewer.  Every block below a failing one was taken before
+    # it and runs to its end, so min(failed) names the lowest failure.
     workers = []
     try:
         for _ in range(_replicate_threads(size) - 1):
@@ -436,18 +427,25 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                     per_level_sse=per_level / replicates)
 
 
-def fit_rate_exponent(results) -> tuple:
-    """Least squares of log2(mean_sse) on log2(epsilon): (slope, intercept, r_hat).
-
-    Needs at least 4 distinct epsilon values spanning at least 2 octaves;
-    r_hat = slope / 2 estimates the rate exponent.
-    """
-    pts = [(as_float(e, "epsilon"), as_float(m, "mean_sse")) for e, m in results]
-    eps = np.array([e for e, _ in pts])
-    sse = np.array([m for _, m in pts])
+def check_rate_grid(epsilons) -> np.ndarray:
+    """The epsilon grid of a rate fit as an array: at least 4 distinct, positive,
+    finite values spanning at least 2 octaves; ValidationError otherwise."""
+    eps = np.array([as_float(e, "epsilon") for e in epsilons])
     require(np.unique(eps).size >= 4, "need at least 4 distinct epsilon values")
     require(bool(np.all(eps > 0)), "epsilon values must be positive")
     require(eps.max() / eps.min() >= 4.0, "epsilon grid must span at least 2 octaves")
+    return eps
+
+
+def fit_rate_exponent(results) -> tuple:
+    """Least squares of log2(mean_sse) on log2(epsilon): (slope, intercept, r_hat).
+
+    The epsilon values must meet check_rate_grid; r_hat = slope / 2 estimates
+    the rate exponent.
+    """
+    pts = [(as_float(e, "epsilon"), as_float(m, "mean_sse")) for e, m in results]
+    eps = check_rate_grid(e for e, _ in pts)
+    sse = np.array([m for _, m in pts])
     require(bool(np.all(sse > 0)), "mean_sse values must be positive to take logs")
     slope, intercept = np.polyfit(np.log2(eps), np.log2(sse), 1)
     return float(slope), float(intercept), float(slope) / 2.0

@@ -297,6 +297,23 @@ class TestSweep:
         assert "'rates' and 'oracle-check' accept it" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilons, message", [
+        ([2.0 ** -12, 2.0 ** -12, 2.0 ** -11, 2.0 ** -11, 2.0 ** -12],
+         "need at least 4 distinct epsilon values"),
+        ([2.0 ** -12, 2.0 ** -11.5, 2.0 ** -11.2, 2.0 ** -11],
+         "epsilon grid must span at least 2 octaves"),
+    ], ids=["two-distinct", "one-octave"])
+    def test_grid_the_fit_rejects_exit_2_before_monte_carlo(self, tmp_path, capsys,
+                                                              monkeypatch, epsilons, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran")
+        monkeypatch.setattr(cli, "mc_risk_for_truth", forbidden)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(epsilons=epsilons))
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "o"
@@ -511,3 +528,24 @@ class TestInputFiles:
         missing = tmp_path / "nope.json"
         assert main(["rates", "--config", str(missing), "--out", str(tmp_path)]) == 2
         assert f"config file not found: {missing}" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, out", [
+        ("estimate", "file/sub"), ("sweep", "file"), ("rates", "file/sub"),
+        ("oracle-check", "file"), ("sweep", "csv-taken"), ("rates", "csv-taken")])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, out):
+        # out is an existing file, a path below one, or a directory where the
+        # CSV file's name is taken by a directory
+        seq = tmp_path / "seq.json"
+        seq.write_text(MultiresSequence.zeros(1, 4).to_json())
+        (tmp_path / "file").write_text("")
+        csv = {"sweep": "sweep.csv", "rates": "shell_profile.csv"}.get(command)
+        if out == "csv-taken":
+            (tmp_path / out / csv).mkdir(parents=True)
+        cfg = write_config(tmp_path, base_config(epsilon=2.0 ** -6, replicates=2))
+        argv = [command, *([str(seq)] if command == "estimate" else []),
+                "--config", cfg, "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        target = tmp_path / out / (csv if out == "csv-taken" else "")
+        assert f"cannot write output file {target}" in capsys.readouterr().err

@@ -6,7 +6,9 @@ m_prime_many's ns included) and of the bound constant raises ValidationError
 naming the field
 on a value that is not a finite number (a bool, a string, None, nan, inf).
 A numpy scalar, and a whole float in an integer field, gives the same
-result as the plain Python value.
+result as the plain Python value.  Each array input (y of the single-level
+entry points, a level of a MultiresSequence) raises ValidationError on
+anything but real numbers, and takes real numbers of any numeric type.
 """
 
 import math
@@ -111,3 +113,37 @@ def test_scalar_field_typed(call, field):
 def test_seed_past_the_float_range_accepted():
     assert mc_risk(seed=10 ** 400).replicates == 2
     assert config(seed=10 ** 400).seed == 10 ** 400
+
+
+# y -> what a single-level entry point's ValidationError says about it
+ARRAYS = {
+    "text": ("abc", "must hold real numbers"),
+    "ragged": ([[1.0], [2.0, 3.0]], "must hold real numbers"),
+    "dict": ({"a": 1}, "must hold real numbers"),
+    "huge-int": ([10 ** 400, 1.0], "has a coefficient outside the float range"),
+    "complex": (np.array([1 + 2j, 3.0]), "must hold real numbers"),
+    "bool": (np.array([True, False]), "must hold real numbers"),
+    "bool-in-list": ([1.0, True], "must hold real numbers"),
+    "mixed-shapes": ([np.zeros((2, 2)), np.zeros((2, 3))], "must hold real numbers"),
+}
+
+
+@pytest.mark.parametrize("call", [select_k, subset_oracle, ideal_risk])
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_input_typed(call, name):
+    y, message = ARRAYS[name]
+    with pytest.raises(ValidationError, match=f"^y {message}"):
+        call(y, PenaltyConfig(), 0.1)
+    # real numbers of any numeric type give the float64 result
+    ints = np.array([3, 0, 1], dtype=np.int8)
+    assert contents(call(ints, PenaltyConfig(), 0.1)) == contents(
+        call(ints.astype(float), PenaltyConfig(), 0.1))
+
+
+@pytest.mark.parametrize("name", ["text", "huge-int", "complex", "bool", "bool-in-list"])
+def test_sequence_level_typed(name):
+    level, message = ARRAYS[name]
+    with pytest.raises(ValidationError, match=f"^level 1 {message}"):
+        MultiresSequence(1, (level,))
+    for level in (np.array([1, 2], dtype=np.int8), np.array([1.5, 2], dtype=np.float32)):
+        assert contents(MultiresSequence(1, (level,))) == (1, [level.astype(float).tolist()])

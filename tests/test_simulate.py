@@ -395,23 +395,34 @@ class TestMcRisk:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("rho", [0.0, 0.25])
     @pytest.mark.parametrize("kind, jmax", [("besov_spread", 12), ("besov_spread", 5),
-                                            ("shell_dense", 9), ("besov_spread", 15)])
+                                            ("shell_dense", 9), ("besov_spread", 15),
+                                            ("near_threshold", 4)])
     def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax, monkeypatch):
         # jmax = 15 is 65,534 coefficients, past the size that shares replicates
         gamma = HyperParams(1.0, 2.0, 2.0, beta)
-        truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
         if rho:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta, covariance="tridiagonal", rho=rho)
         else:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta)
         cfg = PenaltyConfig(beta=beta, xi1=noise.xi1)
-        # 4 replicates in blocks of the default size, then 7 in blocks of 3: two
-        # full blocks and a short last one
-        for replicates, block_coefs in ((4, simulate._BLOCK_COEFS), (7, 3 * truth.size)):
+        first = 4
+        if kind == "near_threshold":
+            # level jmax alone, with spikes at its first threshold, so the SSE
+            # varies between replicates; 128 of them in one block check that
+            # the level's SSE is summed in replicate order
+            ((_, eps_j, nu_j),) = estimator._level_schedule(cfg, noise, jmax, jmax)
+            level = np.zeros(2 ** jmax)
+            level[::4] = eps_j * math.sqrt(pen_vector(cfg, 2 ** jmax, nu_j)[1])
+            truth, first = MultiresSequence(jmax, (level,)), 128
+        else:
+            truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
+        # first replicates in blocks of the default size, then 7 in blocks of 3:
+        # two full blocks and a short last one
+        for replicates, block_coefs in ((first, simulate._BLOCK_COEFS), (7, 3 * truth.size)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, replicates, 11)
-            # the spread signal keeps coefficients, the dense shell keeps none
-            assert (kept > 0) == (kind == "besov_spread")
+            # the spread signal and the spikes keep coefficients, the dense shell none
+            assert (kept > 0) == (kind != "shell_dense")
             for threads in (1, 2):
                 monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
                 got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
