@@ -8,8 +8,16 @@ cd "$(dirname "$0")/.."
 
 # --durations shows where the tier-1 time goes; it adds output only
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
-# the size of src/ that the ROADMAP tracks
+# the size of src/ and the peak RSS of one sparse sweep in a fresh interpreter,
+# which the ROADMAP tracks; printed only, not checked
 wc -l src/penseq/*.py | tail -1
+rss_dir=$(mktemp -d)
+PYTHONPATH=src python3 -c 'import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "penseq.cli", "sweep", "--preset", "sparse",
+                "--replicates", "20", "--out", sys.argv[1]], check=True)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"peak RSS of sweep --preset sparse --replicates 20: {mb:.1f} MB")' "$rss_dir"
+rm -rf "$rss_dir"
 # the benchmark's own tests read ExperimentConfig; the tier-1 command collects tests/ only
 PYTHONPATH=src python -m pytest -q perfbench/tests
 

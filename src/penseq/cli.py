@@ -14,7 +14,8 @@ resolved config and a schema_version field and contain no timestamps, so a
 rerun on an output's echoed config writes the same files.
 
 Exit codes: 0 success, 2 validation error (an --out that cannot be written
-included), 3 numerical failure, 4 acceptance-check failure.
+included; such a run leaves none of its files), 3 numerical failure,
+4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -190,23 +191,29 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write text to the output file path, making its directory; ValidationError
-    naming the path if it cannot be written."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
-
-
-def _write_output(args, config: ExperimentConfig, name: str, **body) -> Path:
-    """Write body to the output file name with schema_version and the resolved
-    config; return the output directory."""
-    out = Path(args.out) if args.out else Path(".")
+def _json_text(config: ExperimentConfig, **body) -> str:
+    """body as an output document, with schema_version and the resolved config."""
     doc = {"schema_version": SCHEMA_VERSION, "config": config.resolved_dict(), **body}
-    _write_text(out / name, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return out
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_outputs(args, texts: dict) -> None:
+    """Write each text of texts (file name -> text) into the output directory,
+    making it.  The texts are formed before the first write, so a run either
+    writes them all or, when one cannot be written, removes those this call
+    wrote and raises ValidationError naming the file."""
+    out = Path(args.out) if args.out else Path(".")
+    written = []
+    for name, text in texts.items():
+        path = out / name
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            for done in written:
+                done.unlink(missing_ok=True)
+            raise ValidationError(f"cannot write output file {path}: {exc}") from exc
+        written.append(path)
 
 
 def cmd_estimate(args) -> int:
@@ -214,7 +221,8 @@ def cmd_estimate(args) -> int:
     y = MultiresSequence.from_json(_read_text(Path(args.input), "input sequence"))
     epsilon = config.single_epsilon()
     fit = fit_multiscale(y, config.penalty, config.noise_spec(epsilon))
-    _write_output(args, config, "fit.json", epsilon=epsilon, fit=fit.to_json_dict())
+    _write_outputs(args, {"fit.json": _json_text(config, epsilon=epsilon,
+                                                  fit=fit.to_json_dict())})
     return EXIT_OK
 
 
@@ -243,12 +251,12 @@ def cmd_sweep(args) -> int:
                "r_theory": r_theory,
                "relative_error": abs(r_hat - r_theory) / r_theory,
                "log_corrected": any(f != 1.0 for f in factors.values())}
-    out = _write_output(args, config, "sweep.json", rows=rows, summary=summary)
     csv_lines = ["epsilon,mean_sse,stderr,replicates"]
     for row in rows:
         csv_lines.append(f"{row['epsilon']:.17g},{row['mean_sse']:.17g},"
                          f"{row['stderr']:.17g},{row['replicates']}")
-    _write_text(out / "sweep.csv", "\n".join(csv_lines) + "\n")
+    _write_outputs(args, {"sweep.json": _json_text(config, rows=rows, summary=summary),
+                          "sweep.csv": "\n".join(csv_lines) + "\n"})
     return EXIT_OK
 
 
@@ -257,9 +265,9 @@ def cmd_rates(args) -> int:
     epsilon = config.single_epsilon()
     report = rate_control(config.gamma, config.radius, epsilon)
     profile = shell_profile(config.gamma, config.radius, epsilon)
-    out = _write_output(args, config, "rate_report.json", epsilon=epsilon,
-                        report=report.to_json_dict())
-    _write_text(out / "shell_profile.csv", profile.to_csv_text())
+    _write_outputs(args, {"rate_report.json": _json_text(config, epsilon=epsilon,
+                                                         report=report.to_json_dict()),
+                          "shell_profile.csv": profile.to_csv_text()})
     return EXIT_OK
 
 
@@ -283,10 +291,11 @@ def cmd_oracle_check(args) -> int:
     lhs, rhs, ratio = oracle_inequality_check(
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
-    _write_output(args, config, "oracle_check.json", seed=config.seed,
-                  equivalence={"instances": 12 * EQUIVALENCE_PER_N, "mismatches": mismatches},
-                  oracle_inequality={"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
-                                     "ratio": ratio, "holds": ratio <= 1.0})
+    _write_outputs(args, {"oracle_check.json": _json_text(
+        config, seed=config.seed,
+        equivalence={"instances": 12 * EQUIVALENCE_PER_N, "mismatches": mismatches},
+        oracle_inequality={"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
+                           "ratio": ratio, "holds": ratio <= 1.0})})
     if mismatches > 0 or ratio > 1.0:
         print(f"oracle check FAILED: {mismatches} mismatches, ratio={ratio:.4g}",
               file=sys.stderr)

@@ -34,10 +34,20 @@ def require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _real_type(t: type) -> bool:
+    # the exact-type test spares a float the slow ABC check
+    return t in (float, int) or issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def is_number(value) -> bool:
-    """A real number, never a bool; the exact-type test spares a float the slow ABC check."""
-    return type(value) in (float, int) or (isinstance(value, numbers.Real)
-                                           and not isinstance(value, bool))
+    """A real number, never a bool."""
+    return _real_type(type(value))
+
+
+def all_numbers(values) -> bool:
+    """Every one of values is a real number, never a bool; each distinct type is
+    checked once, not each value."""
+    return all(map(_real_type, set(map(type, values))))
 
 
 def as_float(value, name: str) -> float:
@@ -64,7 +74,7 @@ def real_array(value, name: str) -> np.ndarray:
     and naming an integer past the float range."""
     try:
         arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-        if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(map(is_number, arr.flat)):
+        if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all_numbers(arr.flat):
             return np.asarray(arr, dtype=float)
     except OverflowError:                         # an integer past the float range
         raise ValidationError(f"{name} has a coefficient outside the float range") from None

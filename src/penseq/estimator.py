@@ -11,8 +11,9 @@ subtraction: coefficients with |y| <= eps * t_n can never be kept (t_k^2 =
 pen(k) - pen(k-1) never falls below t_n^2), so their squares are summed once,
 and only the coefficients above that floor are sorted and their squares
 added to that sum smallest first.  A huge coefficient therefore cannot wash
-out the small squares, and a level where nothing clears the floor is not
-sorted at all.
+out the small squares.  A level where nothing clears the floor is not sorted
+at all, and it forms no |y| and no pen(0..n): its maximum comes from argmax
+and argmin, its objective is y @ y, and the floor needs only t_n and pen(n).
 """
 
 from __future__ import annotations
@@ -68,54 +69,59 @@ _SHRINK = 1.0 - 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _penalized_objective(a: np.ndarray, peak: float, pens: np.ndarray, root: float,
-                         epsilon: float) -> np.ndarray | None:
-    """obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k), k = 0..m, for a = |v|, its
-    order statistics a_(1) >= a_(2) >= ... and peak = a_(1); root = t_n.
+def _penalized_objective(y: np.ndarray, peak: float, root: float, epsilon: float,
+                         cfg: PenaltyConfig, nu_eff: float | None):
+    """(obj, |y|, pen_vector) with obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k),
+    k = 0..m, for a = |y|, its order statistics a_(1) >= a_(2) >= ...,
+    peak = a_(1) and root = t_n.
 
     pen is concave, so t_k^2 = pen(k) - pen(k-1) >= t_n^2: a coefficient with
-    |v| <= eps * t_n never lowers the objective by being kept, and the first
+    |y| <= eps * t_n never lowers the objective by being kept, and the first
     minimizer is at most m, the number of coefficients above that floor.  The
     others are dropped before the sort; their squares sum to one term, and
     the kept squares are added to it smallest first, so no objective is
     formed by subtraction.  Without a positive normal floor (eps = 0, or a
     penalty that is not increasing at n, where root = 0) nothing is dropped
-    and m = n.  None when m = 0: the only objective is then obj[0] = a @ a.
+    and m = n.  None when m = 0, before |y| or the vector is formed: the only
+    objective is then obj[0] = y @ y.
     """
     cut = epsilon * root * _SHRINK
+    if cut >= _TINY and peak <= cut:
+        return None
+    a = np.abs(y)
+    kept = a
     rest = 0.0
     if cut >= _TINY:
-        if peak <= cut:
-            return None
         keep = a > cut
         dropped = a[~keep]
         rest = float(dropped @ dropped)
-        a = a[keep]
-    obj = np.empty(a.size + 1)
+        kept = a[keep]
+    obj = np.empty(kept.size + 1)
     obj[0] = rest
     sq = obj[1:]
-    np.multiply(a, a, out=sq)
+    np.multiply(kept, kept, out=sq)
     sq.sort()                                     # ascending squares of the kept coefficients
     np.add.accumulate(obj, out=obj)               # rest + the i smallest kept squares
     obj = obj[::-1]                               # obj[k] = rest + the m - k smallest
+    pens = pen_vector(cfg, y.size, nu_eff)
     obj += (epsilon * epsilon) * pens[:obj.size]
-    return obj
+    return obj, a, pens
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
-    """(y, |y|, max|y|, pen_vector, t_n) of one level; the input check of every
-    single-level entry point.  It runs per level of every replicate: messages are
-    built on failure, and the level's constants come from level_penalty's record."""
+    """(y, max|y|, t_n) of one level; the input check of every single-level entry
+    point.  It runs per level of every replicate: messages are built on failure,
+    and the level's constants come from level_penalty's record."""
     if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # the loop's views skip it
         y = real_array(y, "y")
     n = y.size
     if y.ndim != 1 or n < 1:
         raise ValidationError(f"y must be a non-empty vector, got shape {y.shape}")
-    a = np.abs(y)
-    peak = float(a[a.argmax()])                   # nan if any entry is nan
+    # argmax and argmin find the first nan, so peak is nan if any entry is
+    peak = max(y.item(y.argmax()), -y.item(y.argmin()))
     if not math.isfinite(peak):
         raise ValidationError("y contains non-finite values")
     if type(epsilon) is not float or not 0.0 <= epsilon < math.inf:   # else the fast path
@@ -125,10 +131,10 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={n}; its sum of squares overflows")
-    pens, root, top = level_penalty(cfg, n, nu_eff)
+    root, top = level_penalty(cfg, n, nu_eff)
     if not math.isfinite(float(epsilon) * float(epsilon) * top):
         raise NumericalError(f"epsilon = {epsilon!r} at n={n}: eps^2 * pen(n) overflows")
-    return y, a, peak, pens, root
+    return y, peak, root
 
 
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
@@ -138,10 +144,11 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y, a, peak, pens, root = _checked_level(y, cfg, epsilon, nu_eff)
-    obj = _penalized_objective(a, peak, pens, root, epsilon)
-    if obj is None:                               # nothing clears the floor
-        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(a.dot(a)))
+    y, peak, root = _checked_level(y, cfg, epsilon, nu_eff)
+    found = _penalized_objective(y, peak, root, epsilon, cfg, nu_eff)
+    if found is None:                             # nothing clears the floor
+        return MonoscaleFit(0, math.inf, np.zeros(y.size), float(y.dot(y)))
+    obj, a, pens = found
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
@@ -244,9 +251,9 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    _, a, peak, pens, root = _checked_level(theta, cfg, epsilon, nu_eff)
-    obj = _penalized_objective(a, peak, pens, root, epsilon)
-    return float(a.dot(a)) if obj is None else float(np.min(obj))
+    theta, peak, root = _checked_level(theta, cfg, epsilon, nu_eff)
+    found = _penalized_objective(theta, peak, root, epsilon, cfg, nu_eff)
+    return float(theta.dot(theta)) if found is None else float(np.min(found[0]))
 
 
 @dataclass(frozen=True, eq=False)

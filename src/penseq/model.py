@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, as_float, dataclass_kwargs, is_number,
+from .errors import (NumericalError, ValidationError, all_numbers, as_float, dataclass_kwargs,
                      real_array, require, require_finite, whole)
 
 # Absolute tolerance for detecting the measure-zero critical manifold
@@ -82,12 +82,26 @@ def classify_zone(gamma: HyperParams) -> Zone:
     return Zone.DENSE if gap > 0 else Zone.SPARSE
 
 
+def _frozen_level(j: int, arr: np.ndarray) -> np.ndarray:
+    """arr as level j of a sequence, made read-only; ValidationError unless it
+    is a finite vector of 2^j coefficients."""
+    require(arr.ndim == 1, f"level {j} must be one-dimensional, got shape {arr.shape}")
+    require(arr.size == 2 ** j,
+            f"level length mismatch at level {j}: expected {2 ** j}, got {arr.size}")
+    require(bool(np.all(np.isfinite(arr))), f"level {j} contains non-finite coefficients")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MultiresSequence:
     """Ragged coefficient array theta = (theta_j)_{j0 <= j <= jmax}, n_j = 2^j.
 
     Levels above jmax are implicitly zero.  Instances are immutable: level
-    arrays are stored read-only.
+    arrays are stored read-only.  The constructor copies the levels it is
+    given, so the caller's arrays stay its own; the arrays that zeros, add,
+    scale and simulate.make_signal build are adopted as they are, with the
+    same checks and no second copy.
     """
 
     j0: int
@@ -96,20 +110,20 @@ class MultiresSequence:
     def __post_init__(self):
         object.__setattr__(self, "j0", whole(self.j0, "j0", 1))
         require(len(self.levels) >= 1, "at least one level is required")
-        frozen = []
-        for offset, lev in enumerate(self.levels):
-            j = self.j0 + offset
-            arr = real_array(lev, f"level {j}")
-            require(arr.ndim == 1,
-                    f"level {j} must be one-dimensional, got shape {arr.shape}")
-            require(arr.size == 2 ** j,
-                    f"level length mismatch at level {j}: expected {2 ** j}, got {arr.size}")
-            require(bool(np.all(np.isfinite(arr))),
-                    f"level {j} contains non-finite coefficients")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "levels", tuple(frozen))
+        object.__setattr__(self, "levels", tuple(
+            _frozen_level(j, real_array(lev, f"level {j}").copy())
+            for j, lev in enumerate(self.levels, self.j0)))
+
+    @classmethod
+    def _adopt(cls, j0: int, levels) -> "MultiresSequence":
+        """The sequence with these levels, float64 arrays that the caller has just
+        built and shares with no one: checked like the constructor's input and
+        made read-only in place, not copied."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "j0", j0)
+        object.__setattr__(seq, "levels", tuple(
+            _frozen_level(j, arr) for j, arr in enumerate(levels, j0)))
+        return seq
 
     @property
     def jmax(self) -> int:
@@ -130,16 +144,18 @@ class MultiresSequence:
 
     @classmethod
     def zeros(cls, j0: int, jmax: int) -> "MultiresSequence":
+        j0 = whole(j0, "j0", 1)
         require(jmax >= j0, f"jmax must be >= j0, got j0={j0}, jmax={jmax}")
-        return cls(j0=j0, levels=tuple(np.zeros(2 ** j) for j in range(j0, jmax + 1)))
+        return cls._adopt(j0, [np.zeros(2 ** j) for j in range(j0, jmax + 1)])
 
     def add(self, other: "MultiresSequence") -> "MultiresSequence":
         require(self.j0 == other.j0 and self.jmax == other.jmax,
                 "sequences must share j0 and jmax")
-        return MultiresSequence(self.j0, tuple(a + b for a, b in zip(self.levels, other.levels)))
+        return self._adopt(self.j0, [a + b for a, b in zip(self.levels, other.levels)])
 
     def scale(self, c: float) -> "MultiresSequence":
-        return MultiresSequence(self.j0, tuple(c * a for a in self.levels))
+        c = as_float(c, "c")
+        return self._adopt(self.j0, [c * a for a in self.levels])
 
     def to_json(self) -> str:
         return json.dumps({"j0": self.j0, "levels": [arr.tolist() for arr in self.levels]})
@@ -152,7 +168,7 @@ class MultiresSequence:
             raise ValidationError(f"malformed sequence JSON: {exc}") from exc
         kwargs = dataclass_kwargs(doc, cls, "sequence")
         require(isinstance(kwargs["levels"], list) and all(
-            isinstance(lev, list) and all(is_number(x) for x in lev)
+            isinstance(lev, list) and all_numbers(lev)
             for lev in kwargs["levels"]), "levels must be a list of lists of numbers")
         return cls(**kwargs)
 
@@ -220,10 +236,12 @@ def level_noise(epsilon: float, beta: float, j: int | float) -> float:
 def _lp_norm(x: np.ndarray, p: float) -> float:
     if x.size == 0:
         return 0.0
-    ax = np.abs(x)
+    ax = np.abs(x)                                # the one temporary: powers are taken in place
     if p == 2.0:
-        return float(np.sqrt(np.sum(ax * ax)))
-    return float(np.sum(ax ** p) ** (1.0 / p))
+        ax *= ax
+        return float(np.sqrt(np.sum(ax)))
+    ax **= p
+    return float(np.sum(ax) ** (1.0 / p))
 
 
 def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:

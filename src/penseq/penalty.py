@@ -95,20 +95,24 @@ def _resolve_nu(cfg: PenaltyConfig, nu_eff: float | None) -> float:
 def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.ndarray:
     """Vector [pen(0), pen(1), ..., pen(n)] for a single level of size n.
 
-    The one evaluator of the penalty formula: pen(0) = 0 and, for 1 <= k <= n,
-    pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2.  Computed once per
-    (cfg, n, nu_eff) and shared between callers, so the returned array is
-    read-only.
+    pen(0) = 0 and, for 1 <= k <= n, pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2.
+    Computed once per (cfg, n, nu_eff) and shared between callers, so the
+    returned array is read-only.  The estimator asks for it only on a level
+    with a coefficient above its floor; see level_penalty.
     """
-    return level_penalty(cfg, n, nu_eff)[0]
+    if type(n) is not int or n < 1:               # else the fast path
+        n = whole(n, "n", 1)
+    return _pen_vector(cfg.key, n, _resolve_nu(cfg, nu_eff))
 
 
 def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tuple:
-    """(pen_vector, t_n, pen(n)) of one level of size n, built once per (cfg, n, nu_eff).
+    """(t_n, pen(n)) of one level of size n as floats, built once per (cfg, n, nu_eff).
 
     t_n = sqrt(pen(n) - pen(n-1)) is the smallest threshold, or 0 when pen is
-    not increasing at n, and pen(n) is a float: the constants the estimator
-    reads on every call, so it never re-derives them.
+    not increasing at n: the constants the estimator reads on every call.  They
+    come from the formula at k = n-1 and k = n alone, the same floats as the
+    last entries of pen_vector, so a level where nothing clears the floor
+    eps * t_n never builds the vector.
     """
     # checked before the cache, where True would hash like 1 and find n = 1's entry
     if type(n) is not int or n < 1:               # else the fast path
@@ -116,15 +120,28 @@ def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tu
     return _level_penalty(cfg.key, n, _resolve_nu(cfg, nu_eff))
 
 
+def _penalties(key: tuple, n: int, nu: float, k: np.ndarray) -> np.ndarray:
+    """pen(k) at a level of size n for the sizes k >= 1: the one evaluator of the
+    penalty formula.  It acts elementwise, so pen(k) has the same bits whichever
+    other sizes share the array."""
+    zeta, _, beta, xi1, _ = key
+    L = (1.0 + 2.0 * beta) * (math.log(nu) + math.log(n) - np.log(k))
+    return xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2
+
+
+@functools.lru_cache(maxsize=128)
+def _pen_vector(key: tuple, n: int, nu: float) -> np.ndarray:
+    pens = np.concatenate(([0.0], _penalties(key, n, nu, np.arange(1, n + 1, dtype=float))))
+    pens.flags.writeable = False
+    return pens
+
+
 @functools.lru_cache(maxsize=128)
 def _level_penalty(key: tuple, n: int, nu: float) -> tuple:
-    zeta, _, beta, xi1, _ = key
-    k = np.arange(1, n + 1, dtype=float)
-    L = (1.0 + 2.0 * beta) * (math.log(nu) + math.log(n) - np.log(k))
-    pens = np.concatenate(([0.0], xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2))
-    pens.flags.writeable = False
-    step = float(pens[-1] - pens[-2])             # t_n^2
-    return pens, (math.sqrt(step) if step > 0.0 else 0.0), float(pens[-1])
+    last = _penalties(key, n, nu, np.arange(max(n - 1, 1), n + 1, dtype=float))
+    top = float(last[-1])
+    step = top - (float(last[0]) if n > 1 else 0.0)   # t_n^2
+    return (math.sqrt(step) if step > 0.0 else 0.0), top
 
 
 def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:

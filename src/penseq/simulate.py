@@ -222,7 +222,7 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
     levels = [np.zeros(2 ** j) for j in range(1, jmax + 1)]
     for j, m, magnitude in _signal_blocks(spec, jmax):
         levels[j - 1][_spike_indices(2 ** j, m)] = magnitude
-    signal = MultiresSequence(j0=1, levels=tuple(levels))
+    signal = MultiresSequence._adopt(1, levels)
     norm = besov_norm(signal, spec.gamma)
     if norm == 0.0:
         return signal

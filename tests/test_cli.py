@@ -536,7 +536,8 @@ class TestOutputFiles:
         ("oracle-check", "file"), ("sweep", "csv-taken"), ("rates", "csv-taken")])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, command, out):
         # out is an existing file, a path below one, or a directory where the
-        # CSV file's name is taken by a directory
+        # CSV file's name is taken by a directory; there the JSON written
+        # before the CSV is removed again
         seq = tmp_path / "seq.json"
         seq.write_text(MultiresSequence.zeros(1, 4).to_json())
         (tmp_path / "file").write_text("")
@@ -549,3 +550,5 @@ class TestOutputFiles:
         assert main(argv) == 2
         target = tmp_path / out / (csv if out == "csv-taken" else "")
         assert f"cannot write output file {target}" in capsys.readouterr().err
+        if out == "csv-taken":
+            assert [p.name for p in (tmp_path / out).iterdir()] == [csv]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
                     MonoscaleFit, ValidationError, fit_multiscale, ideal_risk, oracle_constant,
                     pen_vector, per_level_sse, select_k, subset_oracle)
+from penseq import penalty
 from penseq.estimator import _SHRINK, _TINY, _penalized_objective
 from penseq.penalty import level_penalty
 from penseq.rates import CONTROL_BOUND_BASE, control_function
@@ -447,17 +449,17 @@ class TestExactReference:
         rng = np.random.default_rng(32)
         y = rng.standard_normal(n)
         y[[5, 70, 900]] = [40.0, -50.0, 1e4]
-        pens, root, _ = level_penalty(CFG, n)
-        a = np.abs(y)
-        obj = _penalized_objective(a, a.max(), pens, root, 1.0)
+        root, _ = level_penalty(CFG, n)
+        obj, a, pens = _penalized_objective(y, np.abs(y).max(), root, 1.0, CFG, None)
+        assert (a == np.abs(y)).all() and pens is pen_vector(CFG, n)
         exact = exact_objectives(y, pens, 1.0)
         assert obj.size == 4
         for k in range(4):
             assert abs(Fraction(obj[k]) - exact[k]) <= _tolerance(n) * exact[k]
         # nothing above the floor: no objective array at all
-        a = a[1000:1100]
-        pens, root, _ = level_penalty(CFG, 100)
-        assert _penalized_objective(a, a.max(), pens, root, 1.0) is None
+        y = y[1000:1100]
+        root, _ = level_penalty(CFG, 100)
+        assert _penalized_objective(y, np.abs(y).max(), root, 1.0, CFG, None) is None
 
 
 class TestFastPaths:
@@ -485,6 +487,39 @@ class TestFastPaths:
         for y in (np.zeros(n), 0.1 * rng.standard_normal(n), np.full(n, -floor)):
             assert_same_as_reference(y, CFG, 1.0)
             assert select_k(y, CFG, 1.0).k_hat == 0
+
+    def test_keep_nothing_builds_no_vector(self):
+        # a noise-only level of 2^17 reads t_n and pen(n) alone: no pen(0..n) is
+        # built and, but for the estimate's zeros, nothing of its size
+        cfg = PenaltyConfig(zeta=2.25)            # a config no other test uses
+        y = np.random.default_rng(43).standard_normal(1 << 17)
+        built = penalty._pen_vector.cache_info().misses
+        tracemalloc.start()
+        try:
+            fit = select_k(y, cfg, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ideal_risk(y, cfg, 1.0)
+        assert fit.k_hat == 0 and penalty._pen_vector.cache_info().misses == built
+        assert peak < 1.5 * y.nbytes
+        y[5] = 1e3                                # a level that keeps something adds one
+        assert select_k(y, cfg, 1.0).k_hat == 1
+        assert penalty._pen_vector.cache_info().misses == built + 1
+
+    @pytest.mark.parametrize("offset", [1, 3])
+    @pytest.mark.parametrize("n", [9_999, 10_001, 1 << 14])
+    def test_keep_nothing_objective_is_y_dot_y(self, n, offset):
+        # y @ y adds the products |y_i| * |y_i| in the order |y| @ |y| does, on
+        # both sides of OpenBLAS's threaded dot (over 10,000 elements) and for
+        # views that start at an odd element
+        y = 0.5 * np.random.default_rng(44).standard_normal(n + offset)
+        y = y[offset:]
+        a = np.abs(y)
+        assert a.max() < floor_band(CFG, n, 1.0)[0]  # nothing clears the floor
+        fit = select_k(y, CFG, 1.0)
+        assert fit.k_hat == 0 and fit.objective == float(a.dot(a))
+        assert ideal_risk(y, CFG, 1.0) == float(a.dot(a))
 
     def test_penalty_not_increasing(self):
         # pen(64) < pen(63) at nu = 1.0001: no floor, and k_hat = 64 raises

@@ -9,7 +9,7 @@ behaviour alone must leave every hash unchanged.
 A change that moves a hash on purpose re-records them by strip-and-compare:
 take the old tree's outputs, make to them only the edits the change intends
 (delete or rename the keys it moves, bump ``schema_version``), re-serialize
-them as ``cli._write_output`` does, and check that they hash to the new tree's
+them as ``cli._json_text`` does, and check that they hash to the new tree's
 outputs.  A change that moves *values* re-records by value substitution in
 the same way: load the old tree's output, put in the new tree's value for
 each value that moved (j_plus and R_plus, say, when the root search

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ class TestShellSignals:
         sig = make_signal(spec)
         assert besov_norm(sig, DENSE_GAMMA) <= 1.0
         assert besov_norm(sig, DENSE_GAMMA) == pytest.approx(1.0, rel=1e-12)
+
+    def test_sparse_signal_is_not_copied_again(self):
+        # make_signal adopts the levels it builds and their scaled copy, and the
+        # norm takes its powers in place: a signal of 262,142 coefficients peaks
+        # at 2.5x its bytes, and a second copy of each built array would make it 4x
+        spec = spec_for("shell_sparse", SPARSE_GAMMA, eps=2.0 ** -12)
+        make_signal(spec)                         # the level search's caches
+        tracemalloc.start()
+        try:
+            sig = make_signal(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.size == 262_142
+        assert peak <= 3 * sum(level.nbytes for level in sig.levels)
 
     def test_dense_per_coordinate_magnitude(self):
         spec = spec_for("shell_dense", DENSE_GAMMA)
