@@ -43,16 +43,19 @@ for w in sweep-sparse sweep-spread-corr oracle-check; do
 done
 # outputs must not depend on the CPU count: a Monte Carlo run over 2^15 or
 # more coefficients shares its replicates between threads when two CPUs are
-# free, and pinned to one CPU it runs on one thread
+# free, each thread with its own generator, and pinned to one CPU it runs on
+# one thread.  The second seed has two 32-bit words
 if command -v taskset > /dev/null; then
   cpus=$(mktemp -d)
-  PYTHONPATH=src python3 -m penseq.cli sweep --preset sparse --replicates 4 --seed 5 \
-    --out "$cpus/any"
-  PYTHONPATH=src taskset -c 0 python3 -m penseq.cli sweep --preset sparse --replicates 4 \
-    --seed 5 --out "$cpus/one"
-  for f in sweep.json sweep.csv; do
-    cmp "$cpus/any/$f" "$cpus/one/$f" \
-      || { echo "$f differs between all CPUs and one CPU"; exit 1; }
+  for seed in 5 4294967301; do
+    PYTHONPATH=src python3 -m penseq.cli sweep --preset sparse --replicates 4 --seed "$seed" \
+      --out "$cpus/any-$seed"
+    PYTHONPATH=src taskset -c 0 python3 -m penseq.cli sweep --preset sparse --replicates 4 \
+      --seed "$seed" --out "$cpus/one-$seed"
+    for f in sweep.json sweep.csv; do
+      cmp "$cpus/any-$seed/$f" "$cpus/one-$seed/$f" \
+        || { echo "$f differs between all CPUs and one CPU at seed $seed"; exit 1; }
+    done
   done
   rm -rf "$cpus"
 else

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, as_float, real_array, require
 from .model import MultiresSequence, NoiseSpec
-from .penalty import PenaltyConfig, level_penalty, nu_schedule, pen_vector
+from .penalty import (PenaltyConfig, _level_record, _pen_vector, _resolve_nu, nu_schedule,
+                      pen_vector)
 
 _FLOAT = np.dtype(float)
 
@@ -38,7 +39,7 @@ def oracle_constant(zeta: float) -> float:
     return 2.0 * zeta * (zeta + 1.0) ** 3 / (zeta - 1.0) ** 3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MonoscaleFit:
     """Result of the penalized fit on one level.
 
@@ -54,12 +55,13 @@ class MonoscaleFit:
     estimate: np.ndarray
     objective: float
 
-    def __post_init__(self):
-        est = self.estimate
-        if type(est) is not np.ndarray or est.dtype is not _FLOAT:   # else already float
-            est = np.asarray(est, dtype=float)
-            object.__setattr__(self, "estimate", est)
-        est.setflags(write=False)
+    def __init__(self, k_hat: int, threshold: float, estimate: np.ndarray, objective: float):
+        # one construction per fitted level: the fields are written in one update
+        if type(estimate) is not np.ndarray or estimate.dtype is not _FLOAT:   # else already float
+            estimate = np.asarray(estimate, dtype=float)
+        estimate.setflags(write=False)
+        self.__dict__.update(k_hat=k_hat, threshold=threshold, estimate=estimate,
+                             objective=objective)
 
 
 # The floor eps * t_n is shrunk by 4 ulps: while it stays in the normal range
@@ -103,18 +105,16 @@ def _penalized_objective(y: np.ndarray, peak: float, root: float, epsilon: float
     sq.sort()                                     # ascending squares of the kept coefficients
     np.add.accumulate(obj, out=obj)               # rest + the i smallest kept squares
     obj = obj[::-1]                               # obj[k] = rest + the m - k smallest
-    pens = pen_vector(cfg, y.size, nu_eff)
+    pens = _pen_vector(cfg.key, y.size, _resolve_nu(cfg, nu_eff))   # pen_vector's cache
     obj += (epsilon * epsilon) * pens[:obj.size]
     return obj, a, pens
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
-    """(y, max|y|, t_n) of one level; the input check of every single-level entry
-    point.  It runs per level of every replicate: messages are built on failure,
-    and the level's constants come from level_penalty's record."""
+    """(y, max|y|, t_n, nu) of one level, nu being nu_eff (or cfg.nu) once checked;
+    the input check of every single-level entry point.  It runs per level of every
+    replicate: messages are built on failure, and the level's constants come from
+    one cached record per (penalty, n, nu)."""
     if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # the loop's views skip it
         y = real_array(y, "y")
     n = y.size
@@ -126,15 +126,19 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
         raise ValidationError("y contains non-finite values")
     if type(epsilon) is not float or not 0.0 <= epsilon < math.inf:   # else the fast path
         require(as_float(epsilon, "epsilon") >= 0, f"epsilon must be >= 0, got {epsilon!r}")
+    nu = cfg.nu if nu_eff is None else nu_eff
+    checked = type(nu) is float and cfg.nu <= nu < math.inf           # else checked below
+    root, top, limit = _level_record(cfg.key, n, nu if checked else cfg.nu)
     # checked before anything is squared: above the limit the sum of squares overflows
-    limit = math.sqrt(_FLOAT_MAX / (2 * n))
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={n}; its sum of squares overflows")
-    root, top = level_penalty(cfg, n, nu_eff)
+    if not checked:
+        nu = _resolve_nu(cfg, nu_eff)
+        root, top, _ = _level_record(cfg.key, n, nu)
     if not math.isfinite(float(epsilon) * float(epsilon) * top):
         raise NumericalError(f"epsilon = {epsilon!r} at n={n}: eps^2 * pen(n) overflows")
-    return y, peak, root
+    return y, peak, root, nu
 
 
 def select_k(y, cfg: PenaltyConfig, epsilon: float,
@@ -144,20 +148,20 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y, peak, root = _checked_level(y, cfg, epsilon, nu_eff)
-    found = _penalized_objective(y, peak, root, epsilon, cfg, nu_eff)
-    if found is None:                             # nothing clears the floor
+    y, peak, root, nu = _checked_level(y, cfg, epsilon, nu_eff)
+    cut = epsilon * root * _SHRINK                # _penalized_objective's floor test, inline
+    if cut >= _TINY and peak <= cut:              # nothing clears the floor
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(y.dot(y)))
-    obj, a, pens = found
+    obj, a, pens = _penalized_objective(y, peak, root, epsilon, cfg, nu)
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return MonoscaleFit(0, math.inf, np.zeros(y.size), float(obj[0]))
     step = pens[k_hat] - pens[k_hat - 1]
     if step < 0.0:
         # happens only for nu so close to 1 that pen loses monotonicity
-        nu = cfg.nu if nu_eff is None else nu_eff
         raise NumericalError(
-            f"penalty not increasing at k={k_hat} (n={y.size}, nu_eff={nu}); "
+            f"penalty not increasing at k={k_hat} (n={y.size}, "
+            f"nu_eff={cfg.nu if nu_eff is None else nu_eff}); "
             "nu_eff is too small for the hard-threshold representation")
     threshold = epsilon * math.sqrt(step)
     return MonoscaleFit(k_hat=k_hat, threshold=threshold,
@@ -251,8 +255,8 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    theta, peak, root = _checked_level(theta, cfg, epsilon, nu_eff)
-    found = _penalized_objective(theta, peak, root, epsilon, cfg, nu_eff)
+    theta, peak, root, nu = _checked_level(theta, cfg, epsilon, nu_eff)
+    found = _penalized_objective(theta, peak, root, epsilon, cfg, nu)
     return float(theta.dot(theta)) if found is None else float(np.min(found[0]))
 
 

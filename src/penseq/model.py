@@ -93,6 +93,15 @@ def _frozen_level(j: int, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _own_copy(lev, name: str) -> np.ndarray:
+    """lev as a float64 array that shares no memory with it: real_array's result,
+    copied only when that is the caller's own array or a view of it."""
+    arr = real_array(lev, name)
+    if isinstance(lev, np.ndarray) and np.may_share_memory(arr, lev):
+        arr = arr.copy()
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MultiresSequence:
     """Ragged coefficient array theta = (theta_j)_{j0 <= j <= jmax}, n_j = 2^j.
@@ -111,7 +120,7 @@ class MultiresSequence:
         object.__setattr__(self, "j0", whole(self.j0, "j0", 1))
         require(len(self.levels) >= 1, "at least one level is required")
         object.__setattr__(self, "levels", tuple(
-            _frozen_level(j, real_array(lev, f"level {j}").copy())
+            _frozen_level(j, _own_copy(lev, f"level {j}"))
             for j, lev in enumerate(self.levels, self.j0)))
 
     @classmethod

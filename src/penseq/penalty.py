@@ -117,7 +117,7 @@ def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tu
     # checked before the cache, where True would hash like 1 and find n = 1's entry
     if type(n) is not int or n < 1:               # else the fast path
         n = whole(n, "n", 1)
-    return _level_penalty(cfg.key, n, _resolve_nu(cfg, nu_eff))
+    return _level_record(cfg.key, n, _resolve_nu(cfg, nu_eff))[:2]
 
 
 def _penalties(key: tuple, n: int, nu: float, k: np.ndarray) -> np.ndarray:
@@ -136,12 +136,18 @@ def _pen_vector(key: tuple, n: int, nu: float) -> np.ndarray:
     return pens
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 @functools.lru_cache(maxsize=128)
-def _level_penalty(key: tuple, n: int, nu: float) -> tuple:
+def _level_record(key: tuple, n: int, nu: float) -> tuple:
+    """(t_n, pen(n), limit) of a level of size n: level_penalty's pair and the
+    largest max|y| whose sum of squares over n coefficients stays finite, the
+    estimator's per-level constants in one record."""
     last = _penalties(key, n, nu, np.arange(max(n - 1, 1), n + 1, dtype=float))
     top = float(last[-1])
     step = top - (float(last[0]) if n > 1 else 0.0)   # t_n^2
-    return (math.sqrt(step) if step > 0.0 else 0.0), top
+    return (math.sqrt(step) if step > 0.0 else 0.0), top, math.sqrt(_FLOAT_MAX / (2 * n))
 
 
 def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:

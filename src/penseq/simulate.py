@@ -10,10 +10,15 @@ from epsilon instead.  Every generated signal has besov_norm(theta, gamma)
 <= radius exactly.
 
 Noise is drawn for all levels at once, one standard-normal draw of every
-coefficient; the Monte Carlo loop is the only sampler.  All randomness is
-driven by integer seeds through numpy SeedSequence; replicate streams
-derive from (seed, replicate index), so results are reproducible and
-independent of any execution schedule.  The loop takes its replicates in
+coefficient; the Monte Carlo loop is the only sampler.  Replicate rep of a
+run with seed s draws from PCG64 seeded by
+SeedSequence(entropy=s, spawn_key=(rep,)), so results are reproducible and
+independent of any execution schedule.  The loop seeds that stream through a
+port of numpy's seeding, computed for all of a run's replicates at once, and
+sets the state of one generator per thread before each replicate's draw;
+TestReplicateStreams in tests/test_simulate.py checks the port against numpy,
+and the one-generator-per-replicate reference loop there matches the loop bit
+for bit.  The loop takes its replicates in
 blocks of consecutive ones, up to 2^12 coefficients to a block: each
 replicate still draws from its own stream, into its row of the block, and
 the noise filter and y = theta + eps_j * z then run once over the whole
@@ -281,17 +286,94 @@ def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
     return factor[0], factor[1, :-1]
 
 
-def _draw_block(seed: int, first: int, normals: np.ndarray, bands, z: np.ndarray):
+# -- replicate streams -------------------------------------------------------
+#
+# Replicate rep of a run with seed s draws from PCG64 (O'Neill 2014) seeded by
+# SeedSequence(entropy=s, spawn_key=(rep,)) (NEP 19).  Building those objects
+# takes 12-20 us a replicate, so the loop seeds the stream through a port of
+# numpy's seeding: SeedSequence's hash of the entropy words into a pool of four
+# 32-bit words and of the pool into four 64-bit words, then pcg64_set_seed,
+# which seeds the state with the first two and the increment with the last two.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875         # the hash of the words into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED         # the hash of the pool into the output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hashmix(value, const: int, mult: int) -> tuple:
+    """SeedSequence's hash of a 32-bit word (an int or a uint64 array of them) and
+    the hash constant that follows const."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint64 arrays of them)."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _stream_words(seed: int, reps) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(4, np.uint64)
+    in row i for the i-th rep of reps, for reps below 2^32 (one spawn word each).
+
+    The seed's 32-bit words, any number of them, are hashed into the pool once,
+    zero-padded to the pool's four words as numpy pads an entropy with a spawn
+    key; then the replicate word of every rep is mixed in at once, in uint64
+    arithmetic whose low 32 bits are SeedSequence's uint32 arithmetic.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        hashed, const = _hashmix(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[4:] + [np.asarray(reps, dtype=np.uint64)]:
+        for dst in range(4):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    out, const = [], _INIT_B
+    for i in range(8):
+        hashed, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(hashed)
+    # two 32-bit words make one 64-bit word, low word first
+    return np.stack([out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)], axis=1)
+
+
+def _stream(gen: np.random.Generator, words: np.ndarray, rep: int) -> np.random.Generator:
+    """gen, its PCG64 set to the stream of row rep of words, _stream_words' array.
+    A port of pcg64_set_seed: state 0, inc = (w2 * 2^64 + w3) * 2 + 1, one LCG
+    step, the state plus w0 * 2^64 + w1, one more step."""
+    w0, w1, w2, w3 = words[rep].tolist()
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, "inc": inc}}
+    return gen
+
+
+def _draw_block(gen: np.random.Generator, words: np.ndarray, first: int, normals: np.ndarray,
+                bands, z: np.ndarray):
     """z_j ~ N(0, Sigma_j) for levels laid end to end, for replicates first,
     first + 1, ... in the rows of a block: each row of normals is one
     standard-normal draw of every coefficient from its replicate's own stream,
-    the normals of one draw per level in increasing j, and is filtered into the
-    same row of z.  Returns the rows drawn, filtered (normals itself for
-    identity noise), and the error of the draw that failed after them, or None."""
+    drawn by gen (see _stream), the normals of one draw per level in increasing
+    j, and is filtered into the same row of z.  Returns the rows drawn, filtered
+    (normals itself for identity noise), and the error of the draw that failed
+    after them, or None."""
     error = None
     for row, out in enumerate(normals):
         try:
-            _replicate_rng(seed, first + row).standard_normal(out.size, out=out)
+            _stream(gen, words, first + row).standard_normal(out.size, out=out)
         except Exception as err:
             normals, error = normals[:row], err
             break
@@ -323,10 +405,6 @@ class McResult:
     per_level_sse: np.ndarray
 
 
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
 def _replicate_threads(size: int) -> int:
     """Threads for a Monte Carlo run over size coefficients: up to two, as
     the CPUs the process may run on allow, from _THREADED_SIZE on."""
@@ -356,15 +434,16 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
     plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
+    words = _stream_words(seed, np.arange(replicates))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
     block = max(1, _BLOCK_COEFS // size)
     firsts = iter(range(0, replicates, block))    # next() on it is atomic under the GIL
     failed = {}
     stop = threading.Event()
 
-    def run_block(first: int, normals: np.ndarray, z: np.ndarray) -> None:
+    def run_block(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
         """Fit the replicates of the block from first on, in order."""
-        z, error = _draw_block(seed, first, normals[:replicates - first], bands, z)
+        z, error = _draw_block(gen, words, first, normals[:replicates - first], bands, z)
         with np.errstate(over="ignore"):          # an overflow is named by its level below
             for _, start, theta_j, eps_j, *_ in plan:
                 y_j = z[:, start:start + theta_j.size]
@@ -389,13 +468,14 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
             raise error
 
     def work():
+        gen = np.random.Generator(np.random.PCG64(0))   # this thread's; seeded per replicate
         normals = np.empty((block, size))
         z = normals if bands is None else np.empty((block, size))
         for first in firsts:
             if stop.is_set():
                 return
             try:
-                run_block(first, normals, z)
+                run_block(gen, first, normals, z)
             except Exception as err:              # raised by the caller's thread below
                 failed[first] = err
                 stop.set()

@@ -90,6 +90,10 @@ def _run_estimate(tmp_path):
 RUNS = {
     "rates-critical": lambda tmp: ["rates", "--preset", "critical"],
     "sweep-dense": lambda tmp: ["sweep", "--preset", "dense", "--replicates", "10"],
+    # a seed of two 32-bit words (2^32 + 5): each grid point's stream is seeded
+    # from more than one word of entropy
+    "sweep-dense-wide-seed": lambda tmp: ["sweep", "--preset", "dense", "--seed", "4294967301",
+                                          "--replicates", "8"],
     "sweep-sparse": lambda tmp: ["sweep", "--preset", "sparse", "--replicates", "4"],
     "sweep-critical": lambda tmp: ["sweep", "--preset", "critical", "--replicates", "10"],
     "sweep-spread-corr": _run_sweep_spread,
@@ -124,6 +128,12 @@ GOLDEN = {
             "f0b8ef3b9b19805ca5f1abe1a062b22c4b3a0e9687904a976dcf303047400cc0",
         "sweep.json":
             "625fb60ba3892767672409a99c00cee94e034d1d1e5792a344d8f36b327ffbc2",
+    },
+    "sweep-dense-wide-seed": {
+        "sweep.csv":
+            "eca6b8890bcfba6f635d356933ab90dd5ef155afdb3af253a87b76e69a956e9c",
+        "sweep.json":
+            "03140ae91fadcc904345ec87588f4a6da47629697e9baf1153deb96474e0d5d9",
     },
     "sweep-sparse": {
         "sweep.csv":

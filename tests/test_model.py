@@ -184,6 +184,21 @@ class TestMultiresSequence:
         with pytest.raises(ValueError):
             seq.level(2)[0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["list", "float", "view", "int", "subclass"])
+    def test_levels_are_copies_of_the_input(self, kind):
+        # each stored level owns its memory and is read-only; the caller's input
+        # stays writable, whether the level was converted or copied
+        base = np.arange(16.0)
+        given = {"list": base[:4].tolist(), "float": base[:4].copy(), "view": base[::4],
+                 "int": np.arange(4), "subclass": base[:4].copy().view(np.memmap)}[kind]
+        level = MultiresSequence(2, [given]).level(2)
+        assert np.array_equal(level, [0.0, 1.0, 2.0, 3.0] if kind != "view" else base[::4])
+        assert not level.flags.writeable
+        if kind != "list":
+            assert not np.shares_memory(level, given) and given.flags.writeable
+            given[0] = 99
+            assert level[0] == 0.0
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(17)
         seq = random_sequence(rng, j0=2, jmax=4)

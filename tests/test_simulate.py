@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky_banded
 
 from penseq import (HyperParams, MultiresSequence, NoiseSpec,
@@ -19,7 +21,7 @@ import penseq.estimator as estimator
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
-from penseq.simulate import (_draw_block, _noise_bands, _replicate_rng,
+from penseq.simulate import (_draw_block, _noise_bands, _stream, _stream_words,
                              _tridiagonal_cholesky, resolve_jmax)
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
@@ -29,6 +31,11 @@ CRITICAL_GAMMA = HyperParams(1.0, 1.0, 2.0, 0.5)
 
 def spec_for(kind, gamma, eps=2.0 ** -8, **kw):
     return SignalSpec(kind=kind, gamma=gamma, radius=1.0, epsilon=eps, **kw)
+
+
+def replicate_rng(seed, rep):
+    """Replicate rep's stream as numpy seeds it: the reference of the loop's port."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
 def per_level_noise(rng, noise, jmax, j0=1):
@@ -68,7 +75,7 @@ def sequence_mc_risk(truth, cfg, noise, replicates, seed):
     per_level = np.zeros(truth.jmax - truth.j0 + 1)
     kept = 0
     for rep in range(replicates):
-        rng = _replicate_rng(seed, rep)
+        rng = replicate_rng(seed, rep)
         y = truth.add(per_level_noise(rng, noise, truth.jmax, truth.j0))
         fit = fit_multiscale(y, cfg, noise)
         kept += sum(f.k_hat for f in fit.fits)
@@ -291,10 +298,43 @@ def lapack_factor(rho, n):
 def draw_levels(noise, jmax, seed, j0=1):
     """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop draws it, split by level."""
     size = (2 << jmax) - (1 << j0)
-    (z,), error = _draw_block(seed, 0, np.empty((1, size)), _noise_bands(noise, j0, jmax),
+    (z,), error = _draw_block(np.random.default_rng(0), _stream_words(seed, [0]), 0,
+                              np.empty((1, size)), _noise_bands(noise, j0, jmax),
                               np.empty((1, size)))
     assert error is None
     return np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
+
+
+# seeds of one to four 32-bit words, and replicates at both ends of one spawn word
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 64 + 3, 2 ** 100 + 12345, 20260811]
+STREAM_REPS = list(range(300)) + [2 ** 31, 2 ** 32 - 1]
+
+
+def assert_stream_is_numpys(gen, words, index, seed, rep):
+    """_stream sets gen to replicate rep's numpy-seeded state, and both draw the same."""
+    ref = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    assert _stream(gen, words, index).bit_generator.state == ref.state, (seed, rep)
+    assert np.array_equal(gen.standard_normal(5), np.random.Generator(ref).standard_normal(5))
+
+
+class TestReplicateStreams:
+    """The loop's port of SeedSequence -> PCG64 seeding against the installed numpy."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_port_matches_numpy(self, seed):
+        # one generator serves every replicate, as one serves each thread of the
+        # loop; a 32-bit draw between them leaves a buffered word that must not leak
+        gen = np.random.default_rng(0)
+        words = _stream_words(seed, STREAM_REPS)
+        for index, rep in enumerate(STREAM_REPS):
+            assert_stream_is_numpys(gen, words, index, seed, rep)
+            gen.integers(1 << 31, dtype=np.uint32)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 160), st.integers(0, 2 ** 32 - 1))
+    def test_property_port_matches_numpy(self, seed, rep):
+        assert_stream_is_numpys(np.random.default_rng(0), _stream_words(seed, [rep]), 0,
+                                seed, rep)
 
 
 class TestSampleNoise:
@@ -367,7 +407,7 @@ class TestSampleNoise:
         # level; eps = 1 and beta = 0 make the reference's level scale exactly 1
         for seed in range(5):
             one = draw_levels(noise, jmax=17, seed=seed, j0=2)
-            ref = per_level_noise(_replicate_rng(seed, 0), noise, jmax=17, j0=2)
+            ref = per_level_noise(replicate_rng(seed, 0), noise, jmax=17, j0=2)
             assert len(one) == len(ref.levels) == 16
             for a, b in zip(one, ref.levels):
                 assert np.array_equal(a, b)
@@ -503,7 +543,7 @@ class TestMcRisk:
         # index, so a level names the replicate it belongs to
         truth, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
 
-        def rng(seed, rep):
+        def rng(gen, words, rep):
             if rep == 3:
                 time.sleep(0.05)
             return ConstantNormals(rep)
@@ -515,7 +555,7 @@ class TestMcRisk:
             return fit_level(j, level, cfg, eps_j, nu_j)
 
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-        monkeypatch.setattr(simulate, "_replicate_rng", rng)
+        monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         before = threading.active_count()
         for block_coefs in (truth.size, 2 * truth.size, simulate._BLOCK_COEFS):
@@ -538,7 +578,7 @@ class TestMcRisk:
         truth, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
         noise = NoiseSpec(epsilon=0.1, beta=0.5, covariance="tridiagonal", rho=0.25)
 
-        def rng(seed, rep):
+        def rng(gen, words, rep):
             if "draw" in failing and rep == 5:
                 raise RuntimeError("draw 5")
             return ConstantNormals(rep)
@@ -553,7 +593,7 @@ class TestMcRisk:
             raise RuntimeError("filter")
 
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-        monkeypatch.setattr(simulate, "_replicate_rng", rng)
+        monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         if "filter" in failing:
             monkeypatch.setattr(simulate, "_correlate", correlate)
@@ -602,8 +642,8 @@ class TestMcRisk:
         # every fit fails, and 3 * eps_11 overflows before the fit.  The overflow
         # is found for the whole first block of 4 before any fit, yet the error
         # of the lowest failing replicate is raised
-        monkeypatch.setattr(simulate, "_replicate_rng",
-                            lambda seed, rep: ConstantNormals(normals[rep]))
+        monkeypatch.setattr(simulate, "_stream",
+                            lambda gen, words, rep: ConstantNormals(normals[rep]))
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         monkeypatch.setattr(simulate, "_BLOCK_COEFS", 4 * 2048)
         with pytest.raises(NumericalError, match=r"^level j=11: " + message):
