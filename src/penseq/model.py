@@ -242,15 +242,21 @@ def level_noise(epsilon: float, beta: float, j: int | float) -> float:
     return eps_j
 
 
-def _lp_norm(x: np.ndarray, p: float) -> float:
-    if x.size == 0:
-        return 0.0
+def _lp_norm(x: np.ndarray, p: float) -> tuple:
+    """(v, s) with ||x||_p = v * 2^s.  s = 0 while |x|^p, its sum and root stay well
+    inside the normal float range; else the one temporary |x| is first scaled in
+    place by 2^-s, s the exponent of max|x|, which is exact for p = 1 and p = 2."""
     ax = np.abs(x)                                # the one temporary: powers are taken in place
+    s = math.frexp(ax.max())[1]
+    if (p + 1.0) * abs(s) + x.size.bit_length() / min(p, 1.0) < 960.0:
+        s = 0
+    else:
+        np.ldexp(ax, -s, out=ax)
     if p == 2.0:
         ax *= ax
-        return float(np.sqrt(np.sum(ax)))
+        return float(np.sqrt(np.sum(ax))), s
     ax **= p
-    return float(np.sum(ax) ** (1.0 / p))
+    return float(np.sum(ax) ** (1.0 / p)), s
 
 
 def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:
@@ -258,13 +264,28 @@ def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:
 
     The weight exponent a = alpha + 1/2 - 1/p; beta plays no role.  The sum
     runs over the stored levels (levels above jmax are zero by convention).
+    Where a level norm or term would leave the normal float range, the sum
+    runs instead on level norms m * 2^e, m in [0.5, 1), shifted by one power
+    of two; NumericalError names the largest level when the norm overflows.
     """
+    a, q = gamma.a, gamma.q
+    norms = [(j, *_lp_norm(coeffs, gamma.p)) for j, coeffs in theta.iter_levels()]
+    norms = [(j, *math.frexp(v), s) for j, v, s in norms if v > 0.0]     # v = m * 2^e
     total = 0.0
-    for j, coeffs in theta.iter_levels():
-        lp = _lp_norm(coeffs, gamma.p)
-        if lp > 0.0:
-            total += 2.0 ** (gamma.a * gamma.q * j) * lp ** gamma.q
-    return total ** (1.0 / gamma.q)
+    if all(not s and q * (a * j + abs(e) + 1.0) < 960.0 for j, _, e, s in norms):
+        for j, m, e, _ in norms:                  # every weight, power and term a normal float
+            total += 2.0 ** (a * q * j) * math.ldexp(m, e) ** q
+        return total ** (1.0 / q)
+    shifts = [math.ceil(a * j) + e + s for j, _, e, s in norms]
+    t = max(shifts)
+    for j, m, e, s in norms:                      # each term below 1, the largest above 4^-q
+        total += (m * 2.0 ** (a * j - (t - e - s))) ** q
+    try:
+        return math.ldexp(total ** (1.0 / q), t)
+    except OverflowError:
+        raise NumericalError(f"level j={norms[shifts.index(t)][0]}: the Besov norm, at least "
+                             f"2^(a*j) * ||theta_j||_p, overflows at alpha={gamma.alpha}, "
+                             f"p={gamma.p}") from None
 
 
 def shell_radius(gamma: HyperParams, C: float, j: int | float) -> float:

@@ -98,26 +98,11 @@ def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.nd
     pen(0) = 0 and, for 1 <= k <= n, pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2.
     Computed once per (cfg, n, nu_eff) and shared between callers, so the
     returned array is read-only.  The estimator asks for it only on a level
-    with a coefficient above its floor; see level_penalty.
+    with a coefficient above its floor eps * t_n; see _level_record.
     """
     if type(n) is not int or n < 1:               # else the fast path
         n = whole(n, "n", 1)
     return _pen_vector(cfg.key, n, _resolve_nu(cfg, nu_eff))
-
-
-def level_penalty(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> tuple:
-    """(t_n, pen(n)) of one level of size n as floats, built once per (cfg, n, nu_eff).
-
-    t_n = sqrt(pen(n) - pen(n-1)) is the smallest threshold, or 0 when pen is
-    not increasing at n: the constants the estimator reads on every call.  They
-    come from the formula at k = n-1 and k = n alone, the same floats as the
-    last entries of pen_vector, so a level where nothing clears the floor
-    eps * t_n never builds the vector.
-    """
-    # checked before the cache, where True would hash like 1 and find n = 1's entry
-    if type(n) is not int or n < 1:               # else the fast path
-        n = whole(n, "n", 1)
-    return _level_record(cfg.key, n, _resolve_nu(cfg, nu_eff))[:2]
 
 
 def _penalties(key: tuple, n: int, nu: float, k: np.ndarray) -> np.ndarray:
@@ -141,9 +126,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 @functools.lru_cache(maxsize=128)
 def _level_record(key: tuple, n: int, nu: float) -> tuple:
-    """(t_n, pen(n), limit) of a level of size n: level_penalty's pair and the
-    largest max|y| whose sum of squares over n coefficients stays finite, the
-    estimator's per-level constants in one record."""
+    """(t_n, pen(n), limit) of a level of size n: the smallest threshold
+    sqrt(pen(n) - pen(n-1)) (0 where pen is not increasing at n), pen(n), both the
+    bits of pen_vector's last entries without building it, and the largest max|y|
+    whose sum of squares over n coefficients stays finite."""
     last = _penalties(key, n, nu, np.arange(max(n - 1, 1), n + 1, dtype=float))
     top = float(last[-1])
     step = top - (float(last[0]) if n > 1 else 0.0)   # t_n^2

@@ -13,8 +13,8 @@ away from the peaks it decays geometrically, which is what makes the
 level-wise estimator rate adaptive.
 
 j_plus is found by bisection down to adjacent floats, and the complexity
-sums (t1_complexity_sum, risk_upper_bound) come from penalty's numpy-only
-M'_n, so nothing here imports SciPy.
+sum t1_complexity_sum comes from penalty's numpy-only M'_n, so nothing here
+imports SciPy.
 """
 
 from __future__ import annotations
@@ -28,17 +28,8 @@ import numpy as np
 from .errors import NumericalError, require
 from .model import HyperParams, Zone, classify_zone, level_noise, shell_radius
 from .penalty import PenaltyConfig, _checked_m_prime_log, nu_schedule
-from .estimator import oracle_constant
 
 _LOG2 = math.log(2.0)
-
-# Empirical constant in the ideal-risk control bound
-#   ideal_risk(theta, eps) <= CONTROL_BOUND_BASE * zeta * xi1 * (1+2*beta)
-#                             * log(nu) * eps^2 * r_{n,p}(||theta||_p / eps).
-# Calibrated once over n in {16..4096}, p in {0.5, 1, 1.5, 2, 3},
-# beta in {0, 0.5, 1}, nu in {1.1*e^(1/(1+2b)), 10, 40, 100} and extremal
-# equal-spike signals (max observed 5.62, frozen with headroom).
-CONTROL_BOUND_BASE = 7.0
 
 
 def _control(n: float, p: float, C: float) -> tuple:
@@ -262,17 +253,9 @@ def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProf
     return ShellRiskProfile(j=grid, values=np.array(values), labels=labels)
 
 
-# -- rate upper bound --------------------------------------------------------
-
-_LEVEL_TAIL_REL = 1e-12
 _LEVEL_CAP_EXTRA = 200
 # n_j = 2^j is a finite float up to this level
 _LAST_FLOAT_LEVEL = sys.float_info.max_exp - 1
-
-
-def control_bound_constant(cfg: PenaltyConfig) -> float:
-    """Frozen constant c(cfg) of the ideal-risk control bound (see CONTROL_BOUND_BASE)."""
-    return CONTROL_BOUND_BASE * cfg.zeta * cfg.xi1 * (1.0 + 2.0 * cfg.beta)
 
 
 def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
@@ -294,78 +277,3 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
         log_mp = float(_checked_m_prime_log(cfg, [2.0 ** j], nu_schedule(cfg, epsilon, j))[0])
         total += math.exp(log_mp + log_eps2 + 2.0 * cfg.beta * j * _LOG2)
     return 2.0 * cfg.xi1 * total
-
-
-def t2_control_sum(gamma: HyperParams, C: float, epsilon: float,
-                   cfg: PenaltyConfig) -> float:
-    """Level sum sum_j log(nu_{n,j}) * R_j, truncated once the tail is negligible."""
-    require(0 < epsilon < min(C, 1.0),
-            f"need 0 < epsilon < min(C, 1), got epsilon={epsilon}, C={C}")
-    peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
-    j_cap = int(math.ceil(peak)) + _LEVEL_CAP_EXTRA
-    total = 0.0
-    prev = math.inf
-    for j in range(1, j_cap + 1):
-        term = math.log(nu_schedule(cfg, epsilon, j)) * shell_risk(gamma, C, epsilon, j)
-        total += term
-        if j > peak + 1 and 0.0 < term < prev:
-            q = term / prev
-            if term * q / (1.0 - q) < _LEVEL_TAIL_REL * total:
-                break
-        prev = term
-    return total
-
-
-def risk_upper_bound(gamma: HyperParams, C: float, epsilon: float,
-                     cfg: PenaltyConfig) -> float:
-    """Computable risk bound D * [T1 + c * sum_j log(nu_{n,j}) R_j].
-
-    T1 is the complexity remainder, the second term bounds the summed ideal
-    risks over Besov shells via the frozen control-bound constant.  Within
-    each zone the bound tracks rate_control up to constants.
-    """
-    t1 = t1_complexity_sum(cfg, epsilon)
-    t2 = control_bound_constant(cfg) * t2_control_sum(gamma, C, epsilon, cfg)
-    return oracle_constant(cfg.zeta) * (t1 + t2)
-
-
-# -- minimax lower-bound anchors ---------------------------------------------
-
-def _bayes_minimax_value(p: float, eta: float) -> float:
-    """Order-level minimax value per coordinate at signal-to-noise eta, capped at 1.
-
-    Uses the small-eta asymptote eta^p * (2 log eta^-p)^(1-p/2) for p < 2
-    (frozen at its maximum for larger eta) and min(eta^2, 1) for p >= 2.
-    """
-    if eta <= 0.0:
-        return 0.0
-    if p >= 2.0:
-        return min(eta * eta, 1.0)
-    s = 1.0 - p / 2.0
-    eta_peak = math.exp(-s / p)
-    e = min(eta, eta_peak)
-    return min(e ** p * (2.0 * (-p) * math.log(e)) ** s, 1.0)
-
-
-def lp_minimax_lower(n: int, p: float, C: float, epsilon: float) -> float:
-    """Asymptotic minimax risk over the l_p ball l_{n,p}(C) at noise eps.
-
-    Dense regime (eta_n = n^(-1/p) C/eps not small, or p >= 2):
-    n * eps^2 * beta_p(eta_n).  Sparse regime (delta_n = (C/eps)/sqrt(2 log n)
-    bounded by 1): lambda_n^2 * eps^2 * ([delta]^p + {delta^p}^(2/p)) with
-    lambda_n = sqrt(2 log n).  Values are order-of-magnitude anchors, not
-    sharp constants.
-    """
-    require(n >= 2, f"n must be >= 2, got {n}")
-    require(p > 0 and C > 0 and epsilon > 0, "p, C and epsilon must be positive")
-    snr = C / epsilon
-    eta = n ** (-1.0 / p) * snr
-    if p >= 2.0:
-        return n * epsilon ** 2 * _bayes_minimax_value(p, eta)
-    two_log_n = 2.0 * math.log(n)
-    delta = snr / math.sqrt(two_log_n)
-    if delta <= 1.0:
-        frac = delta ** p - math.floor(delta ** p)
-        return two_log_n * epsilon ** 2 * (math.floor(delta) ** p + frac ** (2.0 / p))
-    return n * epsilon ** 2 * _bayes_minimax_value(p, eta)
-

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from penseq import MultiresSequence
+import penseq.estimator
+from penseq import MonoscaleFit, MultiresSequence
 from penseq import cli
 from penseq.cli import PRESETS, ExperimentConfig, main
 
@@ -403,6 +405,20 @@ class TestRates:
         assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def keep_everything(y, cfg, epsilon, nu_eff=None):
+    """A stand-in for select_k that keeps every coefficient."""
+    y = np.array(y, dtype=float)
+    return MonoscaleFit(y.size, 0.0, y, 0.0)
+
+
+def universal_threshold(y, cfg, epsilon, nu_eff=None):
+    """A stand-in for select_k: hard threshold at epsilon * sqrt(2 log max(n, 2))."""
+    y = np.array(y, dtype=float)
+    t = epsilon * math.sqrt(2.0 * math.log(max(y.size, 2)))
+    kept = np.abs(y) > t
+    return MonoscaleFit(int(kept.sum()), t, np.where(kept, y, 0.0), 0.0)
+
+
 class TestOracleCheck:
     def test_passes_with_seed_echo(self, tmp_path):
         doc = base_config(epsilon=2.0 ** -6, replicates=5)
@@ -440,6 +456,31 @@ class TestOracleCheck:
         rep = json.loads((out / "oracle_check.json").read_text())
         assert rep["equivalence"] == {"instances": 12000, "mismatches": 1}
         assert "1 mismatches" in capsys.readouterr().err
+
+    def test_level_weight_past_the_float_range_runs(self, tmp_path):
+        # at alpha = 1040.5 the level weight 2^(a*q*j) overflows from j = 1; the
+        # signal scaled into the unit ball, and so its norm, stays finite
+        doc = {"gamma": {"alpha": 1040.5, "p": 1, "q": 1, "beta": 0.5},
+               "signal": {"kind": "besov_spread"}, "epsilon": 0.01, "replicates": 2}
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "oracle_check.json").read_text())["oracle_inequality"]["holds"]
+
+    @pytest.mark.parametrize("preset", ["sparse", "dense"])
+    @pytest.mark.parametrize("stand_in", [None, keep_everything, universal_threshold],
+                             ids=["select_k", "keep-everything", "universal-threshold"])
+    def test_stand_in_estimators_fail(self, tmp_path, monkeypatch, capsys, preset, stand_in):
+        # two wrong estimators in place of select_k, in the Monte Carlo fit and in
+        # the equivalence batch: oracle-check rejects each and passes select_k.
+        # The equivalence count rejects both; the oracle inequality alone rejects
+        # only keep-everything on sparse.  Keep-nothing still passes (ROADMAP item 2)
+        if stand_in is not None:
+            monkeypatch.setattr(penseq.estimator, "select_k", stand_in)
+            monkeypatch.setattr(cli, "select_k", stand_in)
+        code = main(["oracle-check", "--preset", preset, "--replicates", "2",
+                     "--out", str(tmp_path)])
+        assert code == (cli.EXIT_OK if stand_in is None else cli.EXIT_CHECK_FAILED)
 
     def test_no_epsilon_and_empty_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(epsilons=[]))

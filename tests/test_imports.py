@@ -5,10 +5,10 @@ config, and runs estimate, rates and a short sweep on the dense preset,
 rates on the sparse and critical presets, a short sweep on the sparse one
 (each locates j_plus), a short oracle-check on the sparse one (the
 complexity sums), and a short sweep and an estimate on the tridiagonal
-config (the banded Cholesky factor).  It then calls m_prime, m_prime_many,
-t1_complexity_sum and risk_upper_bound directly and runs a tridiagonal Monte
-Carlo run: it must hold no scipy module afterwards, and every value must
-equal this process's bit for bit.
+config (the banded Cholesky factor).  It then calls m_prime, m_prime_many and
+t1_complexity_sum directly and runs a tridiagonal Monte Carlo run: it must
+hold no scipy module afterwards, and every value must equal this process's
+bit for bit.
 
 Every error the package raises is a PenseqError: no raise statement in its
 source names a builtin exception class.
@@ -41,16 +41,13 @@ def scipy_modules():
 
 def complexity_values():
     """[(name, float.hex)] of the complexity sums, each called directly."""
-    from penseq import (HyperParams, PenaltyConfig, m_prime, m_prime_many, risk_upper_bound,
-                        t1_complexity_sum)
+    from penseq import PenaltyConfig, m_prime, m_prime_many, t1_complexity_sum
 
     cfg = PenaltyConfig(beta=0.5, nu=3.0)
     values = [("m_prime", m_prime(PenaltyConfig(), 1024)),
               ("m_prime beta=0.5", m_prime(cfg, 2.0 ** 40))]
     values += [(f"m_prime_many[{i}]", v) for i, v in enumerate(m_prime_many(cfg, [1, 7, 4096]))]
-    values += [("t1_complexity_sum", t1_complexity_sum(cfg, 2.0 ** -6)),
-               ("risk_upper_bound", risk_upper_bound(
-                   HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5), 1.0, 2.0 ** -9, cfg))]
+    values += [("t1_complexity_sum", t1_complexity_sum(cfg, 2.0 ** -6))]
     return [(name, float(v).hex()) for name, v in values]
 
 

@@ -68,6 +68,27 @@ class TestBesovNorm:
         for c in (0.0, 0.25, 3.0):
             assert besov_norm(theta.scale(c), g) == pytest.approx(c * base, rel=1e-12)
 
+    @pytest.mark.parametrize("x, gamma", [
+        (1e-200, HyperParams(1.0, 2.0, 2.0)),    # the square underflows to 0
+        (1e160, HyperParams(1.0, 2.0, 2.0)),     # the square overflows
+        (1e300, HyperParams(2.0, 3.0, 2.0)),     # the cube overflows
+    ])
+    def test_single_coefficient_past_the_float_range(self, x, gamma):
+        # one coefficient x at level 1: the norm is 2^a * |x| exactly
+        theta = MultiresSequence(j0=1, levels=(np.array([x, 0.0]),))
+        assert besov_norm(theta, gamma) == pytest.approx(2.0 ** gamma.a * x, rel=1e-15, abs=0.0)
+
+    def test_weight_past_the_float_range(self):
+        # 2^(a*q*j) = 2^1040 overflows, 2^1040 * |theta_1| = 2^-5 does not
+        g = HyperParams(alpha=1040.5, p=1.0, q=1.0)
+        theta = MultiresSequence(j0=1, levels=(np.array([2.0 ** -1045, 0.0]),))
+        assert besov_norm(theta, g) == 2.0 ** -5
+
+    def test_overflowing_norm_raises_numerical_error(self):
+        theta = MultiresSequence(j0=1, levels=(np.zeros(2), np.array([1e308, 0.0, 0.0, 0.0])))
+        with pytest.raises(NumericalError, match=r"level j=2: .*alpha=1\.0, p=2\.0"):
+            besov_norm(theta, HyperParams(1.0, 2.0, 2.0))
+
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(ValidationError):
             MultiresSequence(j0=1, levels=(np.array([np.nan, 0.0]),))

@@ -15,7 +15,7 @@ from penseq import (NumericalError, PenaltyConfig, ValidationError, m_prime,
                     m_prime_bound_constant, m_prime_many, nu_schedule, pen_vector,
                     select_k, subset_oracle)
 from penseq.penalty import (_CHUNK_ROWS, _certified_k, _checked_m_prime_log, _lgam,
-                            _logsumexp_rows, _m_prime_log, level_penalty)
+                            _level_record, _logsumexp_rows, _m_prime_log)
 
 # monotone-regime sweep used by the property tests below; the recorded
 # empirical bound for |t_k - lambda_k| * lambda_k over it is 39.5
@@ -128,7 +128,7 @@ class TestPen:
             pen_vector(PenaltyConfig(), 0)
 
     def test_record_is_the_vector_tail(self):
-        # level_penalty's (t_n, pen(n)) come from k = n-1 and n alone, yet they
+        # _level_record's (t_n, pen(n)) come from k = n-1 and n alone, yet they
         # are the bits of pen_vector's last two entries: every n <= 2^12 and the
         # powers of two to 2^20, with nu_eff from the schedule on both sides of
         # j_eps = 8, and a config whose pen is not increasing at n (t_n = 0)
@@ -139,7 +139,7 @@ class TestPen:
                 pens = pen_vector(cfg, n, nu)
                 step = float(pens[-1] - pens[-2])
                 root = math.sqrt(step) if step > 0.0 else 0.0
-                assert level_penalty(cfg, n, nu) == (root, float(pens[-1])), (cfg, n, nu)
+                assert _level_record(cfg.key, n, nu)[:2] == (root, float(pens[-1])), (cfg, n, nu)
 
     def test_vector_is_read_only_and_repeatable(self):
         cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25, xi1=1.1)

@@ -5,8 +5,7 @@ import pytest
 
 from penseq import (HyperParams, NumericalError, PenaltyConfig, ValidationError, Zone,
                     classify_zone, control_function, j_plus, j_star,
-                    lp_minimax_lower, rate_control, rate_exponent,
-                    risk_upper_bound, shell_profile, shell_risk,
+                    rate_control, rate_exponent, shell_profile, shell_risk,
                     shell_risk_closed_form, t1_complexity_sum)
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import RateReport, _shell, shell_peak_value, shell_sparse_peak_value
@@ -376,30 +375,6 @@ class TestRiskUpperBound:
                 eps = 2.0 ** -k
                 assert t1_complexity_sum(cfg, eps) <= 0.2 * eps ** 2 * math.log2(eps ** -2)
 
-    def test_tracks_rate_control(self):
-        # the bound-to-rate ratio stays in a fixed window over 4+ decades;
-        # observed ranges: dense 1.8e4-1.9e4, sparse 5.6e4-8.2e4, critical
-        # 1.5e4-2.0e4 (constants frozen with headroom)
-        for g in (HyperParams(1.0, 2.0, 2.0, 0.5),
-                  HyperParams(0.75, 1.0, 1.0, 0.5),
-                  HyperParams(1.0, 1.0, 2.0, 0.5)):
-            cfg = PenaltyConfig(beta=g.beta)
-            ratios = [risk_upper_bound(g, 1.0, 2.0 ** -k, cfg)
-                      / rate_control(g, 1.0, 2.0 ** -k).rate_value
-                      for k in range(6, 21, 2)]
-            assert 1e3 <= min(ratios) and max(ratios) <= 1e6
-            assert max(ratios) / min(ratios) <= 4.0
-
-    def test_large_radius_slope(self):
-        g = HyperParams(1.0, 2.0, 2.0, 0.5)
-        cfg = PenaltyConfig(beta=0.5)
-        eps = 2.0 ** -10
-        r = rate_exponent(g)
-        cs = np.array([2.0 ** k for k in range(3, 9)])
-        vals = np.array([risk_upper_bound(g, c, eps, cfg) for c in cs])
-        slope = np.polyfit(np.log2(cs), np.log2(vals), 1)[0]
-        assert slope == pytest.approx(2 * (1 - r), abs=0.05)
-
     def test_t1_values_unchanged(self):
         for beta, nu, k, value in [(0.0, 40.0, 6, 0.0001614122865680769),
                                    (0.5, 40.0, 10, 2.3943970598242277e-08),
@@ -420,65 +395,10 @@ class TestRiskUpperBound:
         # j_cap = 2 * 412 + 200 = 1024 is the first level where n_j = 2^j overflows;
         # at 2^-411 the sum stops at j = 1022
         cfg = PenaltyConfig()
-        g = HyperParams(alpha=1.0, p=2.0, q=2.0)
         assert t1_complexity_sum(cfg, 2.0 ** -411) == float.fromhex("0x1.5a753a0ac9f5bp-817")
-        assert math.isfinite(risk_upper_bound(g, 1.0, 2.0 ** -411, cfg))
         message = r"epsilon = 9\.45\d*e-125: .* j = 1024, .*overflows from j = 1024"
         with pytest.raises(NumericalError, match=message):
             t1_complexity_sum(cfg, 2.0 ** -412)
-        with pytest.raises(NumericalError, match=message):
-            risk_upper_bound(g, 1.0, 2.0 ** -412, cfg)
-
-    def test_overflowing_shell_raises_numerical_error(self):
-        # j_star = 285 puts levels past j = 205 in the sum, where R_j = eps_j^2 * 2^j
-        # leaves the float range; the complexity sum T1 alone stays finite
-        g = HyperParams(alpha=1.0, p=2.0, q=2.0, beta=2.0)
-        cfg = PenaltyConfig(beta=2.0)
-        assert math.isfinite(t1_complexity_sum(cfg, 0.5))
-        with pytest.raises(NumericalError, match=r"level j=206: .*beta=2\.0, epsilon=0\.5"):
-            risk_upper_bound(g, 1e300, 0.5, cfg)
-
-
-class TestLpMinimaxLower:
-    def test_capped_dense_case(self):
-        # eta >= 1 with p = 2: the value saturates at n * eps^2
-        assert lp_minimax_lower(64, 2.0, 100.0, 1.0) == pytest.approx(64.0)
-        assert lp_minimax_lower(64, 2.0, 8.0, 1.0) == pytest.approx(64.0)
-
-    def test_dense_shell_anchor(self):
-        # at the large/small-signal boundary level the lower bound tracks
-        # Xi0^2 * C^(2(1-r)) * eps^(2r) (ratio observed in [0.6, 1.05])
-        g = HyperParams(1.0, 2.0, 2.0, 0.5)
-        r = rate_exponent(g)
-        xi0 = 0.8
-        for k in (6, 8, 10, 12, 14):
-            eps = 2.0 ** -k
-            j = int(math.floor(j_star(g, 1.0, eps) + 0.5))
-            n = 2 ** j
-            c_j = 2.0 ** (-g.a * j)
-            eps_j = xi0 * eps * 2.0 ** (g.beta * j)
-            low = lp_minimax_lower(n, g.p, c_j, eps_j)
-            ratio = low / (xi0 ** 2 * eps ** (2 * r))
-            assert 0.5 <= ratio <= 1.1
-
-    def test_sparse_shell_anchor(self):
-        # at the sparse/highly-sparse boundary the bound tracks
-        # Xi0^2 * eps_j^2 * log n_j (ratio observed in [1.2, 2.1])
-        g = HyperParams(0.75, 1.0, 1.0, 0.5)
-        xi0 = 0.8
-        for k in (6, 8, 10, 12, 14):
-            eps = 2.0 ** -k
-            j = int(math.floor(j_plus(g, 1.0, eps) + 0.5))
-            n = 2 ** j
-            c_j = 2.0 ** (-g.a * j)
-            eps_j = xi0 * eps * 2.0 ** (g.beta * j)
-            low = lp_minimax_lower(n, g.p, c_j, eps_j)
-            ratio = low / (eps_j ** 2 * math.log(n))
-            assert 1.0 <= ratio <= 2.5
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            lp_minimax_lower(1, 2.0, 1.0, 0.1)
 
 
 class TestSparseDenseIdentity:
