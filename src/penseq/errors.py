@@ -73,6 +73,8 @@ def real_array(value, name: str) -> np.ndarray:
     complex number, string or other object; ValidationError naming it otherwise,
     and naming an integer past the float range."""
     try:
+        if type(value) is list and all_numbers(value):     # a flat list: no object array
+            return np.array(value, dtype=float)
         arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
         if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all_numbers(arr.flat):
             return np.asarray(arr, dtype=float)

@@ -245,7 +245,10 @@ def level_noise(epsilon: float, beta: float, j: int | float) -> float:
 def _lp_norm(x: np.ndarray, p: float) -> tuple:
     """(v, s) with ||x||_p = v * 2^s.  s = 0 while |x|^p, its sum and root stay well
     inside the normal float range; else the one temporary |x| is first scaled in
-    place by 2^-s, s the exponent of max|x|, which is exact for p = 1 and p = 2."""
+    place by 2^-s, s the exponent of max|x|, which is exact for p = 1 and p = 2.
+    The scaled sum S' lies in [0.5^p, n], but at a small p its root can still
+    overflow; only then is S' = m * 2^e split before the root, whose log2 is
+    t = (e + log2 m) / p, into 2^(t - i) in [1, 2) and 2^i with i = floor(t)."""
     ax = np.abs(x)                                # the one temporary: powers are taken in place
     s = math.frexp(ax.max())[1]
     if (p + 1.0) * abs(s) + x.size.bit_length() / min(p, 1.0) < 960.0:
@@ -256,7 +259,14 @@ def _lp_norm(x: np.ndarray, p: float) -> tuple:
         ax *= ax
         return float(np.sqrt(np.sum(ax))), s
     ax **= p
-    return float(np.sum(ax) ** (1.0 / p)), s
+    total, root = float(np.sum(ax)), 1.0 / p
+    try:
+        return total ** root, s
+    except OverflowError:
+        m, e = math.frexp(total)
+        t = e * root + math.log2(m) * root
+        i = math.floor(t)
+        return 2.0 ** (t - i), s + i
 
 
 def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:

@@ -12,6 +12,7 @@ anything but real numbers, and takes real numbers of any numeric type.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from penseq import (HyperParams, McResult, MonoscaleFit, MultiresSequence, Noise
                     m_prime_bound_constant, m_prime_many, mc_risk_for_truth, pen_vector, select_k,
                     subset_oracle)
 from penseq.cli import PRESETS, ExperimentConfig
+from penseq.errors import real_array
 
 GAMMA = {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5}
 PENALTY = {"zeta": 2.0, "nu": 40.0, "beta": 0.0, "xi1": 1.0, "jeps_scale": 1.0}
@@ -124,6 +126,9 @@ ARRAYS = {
     "complex": (np.array([1 + 2j, 3.0]), "must hold real numbers"),
     "bool": (np.array([True, False]), "must hold real numbers"),
     "bool-in-list": ([1.0, True], "must hold real numbers"),
+    "complex-in-list": ([1.0, 2j], "must hold real numbers"),
+    "text-in-list": ([1.0, "2"], "must hold real numbers"),
+    "nested": ([[1.0, 2.0], [3.0, 4.0]], r"must be a non-empty vector, got shape \(2, 2\)"),
     "mixed-shapes": ([np.zeros((2, 2)), np.zeros((2, 3))], "must hold real numbers"),
 }
 
@@ -140,10 +145,19 @@ def test_array_input_typed(call, name):
         call(ints.astype(float), PenaltyConfig(), 0.1))
 
 
-@pytest.mark.parametrize("name", ["text", "huge-int", "complex", "bool", "bool-in-list"])
+@pytest.mark.parametrize("name", ["text", "huge-int", "complex", "bool", "bool-in-list",
+                                  "complex-in-list", "text-in-list"])
 def test_sequence_level_typed(name):
     level, message = ARRAYS[name]
     with pytest.raises(ValidationError, match=f"^level 1 {message}"):
         MultiresSequence(1, (level,))
     for level in (np.array([1, 2], dtype=np.int8), np.array([1.5, 2], dtype=np.float32)):
         assert contents(MultiresSequence(1, (level,))) == (1, [level.astype(float).tolist()])
+
+
+def test_list_of_numbers_gives_the_floats_of_each():
+    # a flat list skips the object array: each element converts as float() does
+    values = [1, 2.5, np.float32(0.1), np.int64(-3), Fraction(1, 3), 2 ** 60 + 1, -0.0]
+    got = real_array(values, "y")
+    assert got.dtype == np.float64 and got.shape == (7,)
+    assert got.tobytes() == np.array([float(v) for v in values]).tobytes()

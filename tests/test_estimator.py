@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
                     MonoscaleFit, ValidationError, fit_multiscale, ideal_risk, oracle_constant,
                     pen_vector, per_level_sse, select_k, subset_oracle)
-from penseq import penalty
+from penseq import estimator, penalty
 from penseq.estimator import _SHRINK, _TINY, _penalized_objective
 from penseq.penalty import _level_record
 from penseq.rates import control_function
@@ -215,6 +215,19 @@ def assert_matches_exact(y, cfg, epsilon, nu_eff=None, strict=False):
     return fit
 
 
+@pytest.fixture
+def each_kernel(monkeypatch):
+    """Call it and loop over it to run a test's cases once per level kernel: the
+    first pass sets estimator._SMALL_LEVEL to 0, so numpy fits every level that
+    keeps a coefficient, the second to 2^10, so every level these tests build is
+    fitted on Python floats."""
+    def kernels():
+        for small in (0, 1 << 10):
+            monkeypatch.setattr(estimator, "_SMALL_LEVEL", small)
+            yield small
+    return kernels
+
+
 def floor_band(cfg, n, epsilon, nu_eff=None, below=10, above=2):
     """eps * t_n, the filter floor, and its float neighbours from `below` ulps
     under it to `above` ulps over it; none when pen is not increasing at n."""
@@ -344,6 +357,14 @@ class TestSelectK:
         with pytest.raises(NumericalError, match=r"k=64 \(n=64, nu_eff=1\.0002\)"):
             select_k(np.full(64, 3.0), PenaltyConfig(nu=1.0001), 1.0, nu_eff=1.0002)
 
+    def test_nonmonotone_penalty_error_on_a_small_level(self):
+        # the same error from the fit on Python floats, where pen(8) < pen(7)
+        assert 8 <= estimator._SMALL_LEVEL
+        with pytest.raises(NumericalError, match=r"k=8 \(n=8, nu_eff=1\.0002\)"):
+            select_k(np.full(8, 3.0), PenaltyConfig(nu=1.0001), 1.0, nu_eff=1.0002)
+        with pytest.raises(NumericalError, match=r"k=8 \(n=8, nu_eff=1\.0001\)"):
+            select_k(np.full(8, 3.0), PenaltyConfig(nu=1.0001), 1.0)
+
     def test_zero_epsilon_keeps_everything_nonzero(self):
         y = np.array([1.0, 0.0, -2.0, 0.0])
         fit = select_k(y, CFG, 0.0)
@@ -388,15 +409,16 @@ class TestExactReference:
     """select_k and ideal_risk against exact Fraction arithmetic on the float
     pen_vector values, never against the float subset oracle."""
 
-    def test_huge_spike_among_noise(self):
+    def test_huge_spike_among_noise(self, each_kernel):
         # one coefficient near 1e9 among N(0, 81) ones: total - prefix lost
         # every bit of the small squares to the spike's 1e18
-        rng = np.random.default_rng(20261018)
-        for _ in range(300):
-            n = int(rng.integers(4, 64))
-            y = 9.0 * rng.standard_normal(n)
-            y[rng.integers(n)] = 1e9 * (1.0 + rng.random())
-            assert_matches_exact(y, CFG, 1.0, strict=True)
+        for _ in each_kernel():
+            rng = np.random.default_rng(20261018)
+            for _ in range(300):
+                n = int(rng.integers(4, 64))
+                y = 9.0 * rng.standard_normal(n)
+                y[rng.integers(n)] = 1e9 * (1.0 + rng.random())
+                assert_matches_exact(y, CFG, 1.0, strict=True)
 
     def test_subset_oracle_huge_spike_among_noise(self):
         # the same family at n <= 20: each objective is the sum of the dropped
@@ -413,35 +435,51 @@ class TestExactReference:
             assert abs(Fraction(objective) - exact[k_star]) <= _tolerance(n) * exact[k_star]
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(level_inputs())
-    @example((np.array([1.0, 0.0, -2.0, 0.0]), CFG, 0.0, None))
-    def test_property_matches_exact(self, case):
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(case=level_inputs())
+    @example(case=(np.array([1.0, 0.0, -2.0, 0.0]), CFG, 0.0, None))
+    def test_property_matches_exact(self, each_kernel, case):
         y, cfg, epsilon, nu_eff = case
-        assert_matches_exact(y, cfg, epsilon, nu_eff)
+        for _ in each_kernel():
+            assert_matches_exact(y, cfg, epsilon, nu_eff)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1 << 10])
     @pytest.mark.parametrize("epsilon", [1.0, 0.37, 3e-5])
-    def test_values_at_the_filter_floor(self, n, epsilon):
+    def test_values_at_the_filter_floor(self, n, epsilon, each_kernel):
         # one coefficient, or every coefficient, at each value from 10 ulps
         # below the floor eps * t_n to 2 ulps above it
-        for v in floor_band(CFG, n, epsilon):
-            single = np.zeros(n)
-            single[0] = v
-            assert_matches_exact(single, CFG, epsilon)
-            assert_matches_exact(np.full(n, -v), CFG, epsilon)
+        for _ in each_kernel():
+            for v in floor_band(CFG, n, epsilon):
+                single = np.zeros(n)
+                single[0] = v
+                assert_matches_exact(single, CFG, epsilon)
+                assert_matches_exact(np.full(n, -v), CFG, epsilon)
 
-    def test_large_levels_keep_spikes(self):
-        rng = np.random.default_rng(31)
-        for beta in (0.0, 0.5):
-            cfg = PenaltyConfig(beta=beta)
-            for _ in range(4):
-                n = 1 << 10
-                y = rng.standard_normal(n)
-                spikes = rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
-                y[spikes] *= 10.0 ** rng.uniform(0.5, 6.0, spikes.size)
-                fit = assert_matches_exact(y, cfg, 1.0)
-                assert fit.k_hat > 0
+    @pytest.mark.parametrize("beta", sorted(EXACT_TIES))
+    def test_exact_ties_resolve_to_the_first_minimum(self, beta, each_kernel):
+        # on the subnormal grid the float objectives of keeping 3 and 4
+        # coefficients tie exactly: the fit keeps 3
+        cfg, y, eps = EXACT_TIES[beta]
+        y = np.array(y)
+        root = _level_record(cfg.key, y.size, cfg.nu)[0]
+        obj = _penalized_objective(y, 1.0, root, eps, cfg, None)[0]
+        assert obj.size == 5 and obj[3] == obj[4] == obj.min() < obj[2]
+        for _ in each_kernel():
+            fit = select_k(y, cfg, eps)
+            assert (fit.k_hat, fit.objective) == (3, obj[3])
+
+    def test_large_levels_keep_spikes(self, each_kernel):
+        for _ in each_kernel():
+            rng = np.random.default_rng(31)
+            for beta in (0.0, 0.5):
+                cfg = PenaltyConfig(beta=beta)
+                for _ in range(4):
+                    n = 1 << 10
+                    y = rng.standard_normal(n)
+                    spikes = rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
+                    y[spikes] *= 10.0 ** rng.uniform(0.5, 6.0, spikes.size)
+                    fit = assert_matches_exact(y, cfg, 1.0)
+                    assert fit.k_hat > 0
 
     def test_kernel_sorts_only_what_can_be_kept(self):
         # 3 coefficients above eps * t_n: the kernel returns obj[0..3] only
@@ -467,10 +505,11 @@ class TestFastPaths:
     ideal_risk against reference_select_k and reference_ideal_risk."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(level_inputs())
-    def test_property_same_as_reference(self, case):
-        assert_same_as_reference(*case)
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(case=level_inputs())
+    def test_property_same_as_reference(self, each_kernel, case):
+        for _ in each_kernel():
+            assert_same_as_reference(*case)
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_zero_epsilon(self, n):
@@ -533,11 +572,66 @@ class TestFastPaths:
             assert_same_as_reference(y, cfg, 1.0, 1.0002)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 1.0, 1e150])
-    def test_one_coefficient(self, epsilon):
-        for v in (0.0, -0.0, 1e-300, 0.5, -3.0, 4.0, 1e9):
-            assert_same_as_reference(np.array([v]), CFG, epsilon)
-        for v in floor_band(CFG, 1, epsilon) if epsilon > 0 else []:
-            assert_same_as_reference(np.array([v]), CFG, epsilon)
+    def test_one_coefficient(self, epsilon, each_kernel):
+        for _ in each_kernel():
+            for v in (0.0, -0.0, 1e-300, 0.5, -3.0, 4.0, 1e9):
+                assert_same_as_reference(np.array([v]), CFG, epsilon)
+            for v in floor_band(CFG, 1, epsilon) if epsilon > 0 else []:
+                assert_same_as_reference(np.array([v]), CFG, epsilon)
+
+
+# read once: each_kernel changes estimator._SMALL_LEVEL between examples
+SMALL_LEVEL = estimator._SMALL_LEVEL
+
+
+@st.composite
+def small_levels(draw):
+    """(y, cfg, epsilon, nu_eff) with n <= SMALL_LEVEL: largest magnitudes from
+    2^-500 to 2^500 and up to 2^-60 below them, ties, signed zeros, values within
+    4 ulps of the floor, epsilon = 0 and penalties that are not increasing."""
+    beta = draw(st.sampled_from(BETAS))
+    cfg = PenaltyConfig(beta=beta, nu=draw(st.sampled_from(
+        NUS + (PenaltyConfig(beta=beta).nu_floor * (1 + 1e-9),))))
+    nu_eff = draw(st.sampled_from([None, 1.5 * cfg.nu]))
+    n = draw(st.integers(1, SMALL_LEVEL))
+    power = draw(st.integers(-500, 500))
+    scale = 2.0 ** power
+    # hypothesis draws small seeds often: n and the scale tell their streams apart
+    rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), n, power + 500])
+    y = scale * rng.standard_normal(n) * 2.0 ** rng.uniform(-draw(st.integers(0, 60)), 0.0, n)
+    epsilon = (rng.random() > 0.1) * scale * 2.0 ** draw(st.floats(-8.0, 1.0))
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.5] = y[0]                          # ties, of either sign below
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    band = floor_band(cfg, n, epsilon, nu_eff, below=4, above=4) if epsilon > 0 else []
+    if band and draw(st.booleans()):
+        at = rng.random(n) < draw(st.sampled_from([0.2, 0.5, 1.0]))
+        y[at] = rng.choice(band, size=int(at.sum()))
+    y *= rng.choice([-1.0, 1.0], size=n)
+    return y, cfg, epsilon, nu_eff
+
+
+def fit_bits(y, cfg, epsilon, nu_eff):
+    """select_k's result as bits, signed zeros included, or its error's message."""
+    try:
+        fit = select_k(y, cfg, epsilon, nu_eff)
+    except NumericalError as err:
+        return str(err)
+    return (fit.k_hat, fit.threshold.hex(), fit.objective.hex(), fit.estimate.dtype,
+            fit.estimate.tobytes())
+
+
+class TestSmallLevels:
+    """A level of at most _SMALL_LEVEL coefficients, one of which clears the
+    floor, is fitted on Python floats; numpy's kernel gives the same bits."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(case=small_levels())
+    def test_property_same_bits_as_numpy(self, each_kernel, case):
+        on_arrays, on_floats = [fit_bits(*case) for _ in each_kernel()]
+        assert on_floats == on_arrays
 
 
 class TestFilterPremise:

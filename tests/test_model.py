@@ -84,6 +84,22 @@ class TestBesovNorm:
         theta = MultiresSequence(j0=1, levels=(np.array([2.0 ** -1045, 0.0]),))
         assert besov_norm(theta, g) == 2.0 ** -5
 
+    def test_small_p_root_past_the_float_range(self):
+        # level 12 filled with 2^-1070 at p = 0.01: the scaled sum S' is about
+        # 2^12, so S'^(1/p) overflowed before 2^s was applied.  The level norm
+        # is 4096^100 * 2^-1070 = 2^130 and its weight 2^(1.5 * 12)
+        levels = [np.zeros(2 ** j) for j in range(1, 12)] + [np.full(4096, 2.0 ** -1070)]
+        theta = MultiresSequence(j0=1, levels=tuple(levels))
+        g = HyperParams(alpha=101.0, p=0.01, q=1.0)
+        assert besov_norm(theta, g) == pytest.approx(2.0 ** 148, rel=1e-12, abs=0.0)
+        # at p = 1/1100 the level norm of 129 coefficients 2^-1074 is about
+        # 2^(1100 * 7) * 2^-1074: an overflow, never 0 from an underflowing m^(1/p)
+        level = np.zeros(256)
+        level[:129] = 2.0 ** -1074
+        with pytest.raises(NumericalError, match=r"level j=8: "):
+            besov_norm(MultiresSequence(j0=8, levels=(level,)),
+                       HyperParams(alpha=1100.0 - 0.49, p=1.0 / 1100.0, q=1.0, beta=1.0))
+
     def test_overflowing_norm_raises_numerical_error(self):
         theta = MultiresSequence(j0=1, levels=(np.zeros(2), np.array([1e308, 0.0, 0.0, 0.0])))
         with pytest.raises(NumericalError, match=r"level j=2: .*alpha=1\.0, p=2\.0"):
