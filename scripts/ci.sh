@@ -11,6 +11,9 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-coll
 # the size of src/ and the peak RSS of one sparse sweep in a fresh interpreter,
 # which the ROADMAP tracks; printed only, not checked
 wc -l src/penseq/*.py | tail -1
+# microseconds per call of the estimator's layers, the source of ROADMAP's
+# per-call figures; printed only, not checked
+PYTHONPATH=src python3 scripts/layers.py
 rss_dir=$(mktemp -d)
 PYTHONPATH=src python3 -c 'import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "penseq.cli", "sweep", "--preset", "sparse",

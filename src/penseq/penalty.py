@@ -97,8 +97,9 @@ def pen_vector(cfg: PenaltyConfig, n: int, nu_eff: float | None = None) -> np.nd
 
     pen(0) = 0 and, for 1 <= k <= n, pen(k) = xi1 * zeta * k * (1 + sqrt(2 L_{n,k}))^2.
     Computed once per (cfg, n, nu_eff) and shared between callers, so the
-    returned array is read-only.  The estimator asks for it only on a level
-    with a coefficient above its floor eps * t_n; see _level_record.
+    returned array is read-only and cannot be made writable.  The estimator
+    asks for it only on a level with a coefficient above its floor eps * t_n;
+    see _level_record.
     """
     if type(n) is not int or n < 1:               # else the fast path
         n = whole(n, "n", 1)
@@ -114,11 +115,17 @@ def _penalties(key: tuple, n: int, nu: float, k: np.ndarray) -> np.ndarray:
     return xi1 * zeta * k * (1.0 + np.sqrt(2.0 * L)) ** 2
 
 
+def _read_only_view(arr: np.ndarray) -> np.ndarray:
+    """A view of arr, made read-only, that no caller can make writable: numpy
+    refuses setflags(write=True) on a view whose base is read-only."""
+    arr.flags.writeable = False
+    return arr[:]
+
+
 @functools.lru_cache(maxsize=128)
 def _pen_vector(key: tuple, n: int, nu: float) -> np.ndarray:
-    pens = np.concatenate(([0.0], _penalties(key, n, nu, np.arange(1, n + 1, dtype=float))))
-    pens.flags.writeable = False
-    return pens
+    return _read_only_view(
+        np.concatenate(([0.0], _penalties(key, n, nu, np.arange(1, n + 1, dtype=float)))))
 
 
 _FLOAT_MAX = float(np.finfo(float).max)

@@ -228,6 +228,18 @@ def each_kernel(monkeypatch):
     return kernels
 
 
+@pytest.fixture
+def each_oracle(monkeypatch):
+    """Call it and loop over it to run a test's cases once per subset_oracle path:
+    the first pass sets estimator._SMALL_ORACLE to 0, so numpy enumerates every
+    level, the second to 20, so every level is enumerated on Python floats."""
+    def paths():
+        for small in (0, 20):
+            monkeypatch.setattr(estimator, "_SMALL_ORACLE", small)
+            yield small
+    return paths
+
+
 def floor_band(cfg, n, epsilon, nu_eff=None, below=10, above=2):
     """eps * t_n, the filter floor, and its float neighbours from `below` ulps
     under it to `above` ulps over it; none when pen is not increasing at n."""
@@ -387,8 +399,9 @@ def level_inputs(draw):
     nu_eff = draw(st.sampled_from([None, cfg.nu, float(np.nextafter(cfg.nu, math.inf)),
                                    1.5 * cfg.nu]))
     n = draw(st.one_of(st.integers(1, 16), st.integers(17, 1 << 10)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     decades = draw(st.integers(0, 40))
+    # hypothesis draws small seeds often: n and the decades tell their streams apart
+    rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), n, decades])
     y = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
     epsilon = draw(st.sampled_from([1.0, 0.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
     if draw(st.booleans()):
@@ -529,19 +542,22 @@ class TestFastPaths:
 
     def test_keep_nothing_builds_no_vector(self):
         # a noise-only level of 2^17 reads t_n and pen(n) alone: no pen(0..n) is
-        # built and, but for the estimate's zeros, nothing of its size
+        # built and, but for the estimate's zeros, which the first fit at n makes
+        # and every later one shares, nothing of its size
         cfg = PenaltyConfig(zeta=2.25)            # a config no other test uses
         y = np.random.default_rng(43).standard_normal(1 << 17)
         built = penalty._pen_vector.cache_info().misses
-        tracemalloc.start()
-        try:
-            fit = select_k(y, cfg, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                fit = select_k(y, cfg, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         ideal_risk(y, cfg, 1.0)
         assert fit.k_hat == 0 and penalty._pen_vector.cache_info().misses == built
-        assert peak < 1.5 * y.nbytes
+        assert peaks[0] < 1.5 * y.nbytes and peaks[1] < 1 << 12
         y[5] = 1e3                                # a level that keeps something adds one
         assert select_k(y, cfg, 1.0).k_hat == 1
         assert penalty._pen_vector.cache_info().misses == built + 1
@@ -585,15 +601,15 @@ SMALL_LEVEL = estimator._SMALL_LEVEL
 
 
 @st.composite
-def small_levels(draw):
-    """(y, cfg, epsilon, nu_eff) with n <= SMALL_LEVEL: largest magnitudes from
+def small_levels(draw, max_n=SMALL_LEVEL):
+    """(y, cfg, epsilon, nu_eff) with n <= max_n: largest magnitudes from
     2^-500 to 2^500 and up to 2^-60 below them, ties, signed zeros, values within
     4 ulps of the floor, epsilon = 0 and penalties that are not increasing."""
     beta = draw(st.sampled_from(BETAS))
     cfg = PenaltyConfig(beta=beta, nu=draw(st.sampled_from(
         NUS + (PenaltyConfig(beta=beta).nu_floor * (1 + 1e-9),))))
     nu_eff = draw(st.sampled_from([None, 1.5 * cfg.nu]))
-    n = draw(st.integers(1, SMALL_LEVEL))
+    n = draw(st.integers(1, max_n))
     power = draw(st.integers(-500, 500))
     scale = 2.0 ** power
     # hypothesis draws small seeds often: n and the scale tell their streams apart
@@ -622,6 +638,15 @@ def fit_bits(y, cfg, epsilon, nu_eff):
             fit.estimate.tobytes())
 
 
+def oracle_bits(oracle, y, cfg, epsilon, nu_eff):
+    """An oracle's (indices, objective as float.hex), or its error's message."""
+    try:
+        indices, objective = oracle(y, cfg, epsilon, nu_eff)
+    except NumericalError as err:
+        return str(err)
+    return indices, objective.hex()
+
+
 class TestSmallLevels:
     """A level of at most _SMALL_LEVEL coefficients, one of which clears the
     floor, is fitted on Python floats; numpy's kernel gives the same bits."""
@@ -632,6 +657,44 @@ class TestSmallLevels:
     def test_property_same_bits_as_numpy(self, each_kernel, case):
         on_arrays, on_floats = [fit_bits(*case) for _ in each_kernel()]
         assert on_floats == on_arrays
+
+
+class TestSharedZeroEstimate:
+    """Each of select_k's three k_hat = 0 returns gives the zero vector shared by
+    every fit that keeps nothing at its n: +0.0 everywhere, read-only, and never
+    writable."""
+
+    @pytest.mark.parametrize("branch", ["nothing-clears-the-floor", "small-level", "array"])
+    def test_one_read_only_zero_vector_per_n(self, branch, monkeypatch):
+        n = 8
+        floor = floor_band(CFG, n, 1.0)[0]
+        calls = []
+        for name in ("_select_small", "_penalized_objective"):
+            def spy(*args, _name=name, _real=getattr(estimator, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(estimator, name, spy)
+        levels = [np.full(n, -0.0), np.full(n, -0.5 * floor)]
+        if branch != "nothing-clears-the-floor":
+            # one coefficient just above the floor: sorted, yet not worth pen(1)
+            monkeypatch.setattr(estimator, "_SMALL_LEVEL", n if branch == "small-level" else 0)
+            levels[0][0] = float(np.nextafter(floor, math.inf))
+            levels[1][3] = -levels[0][0]
+        fits = [select_k(y, CFG, 1.0) for y in levels]
+        assert calls == {"nothing-clears-the-floor": [], "small-level": ["_select_small"] * 2,
+                         "array": ["_penalized_objective"] * 2}[branch]
+        for fit in fits:
+            assert fit.k_hat == 0 and fit.threshold == math.inf
+            assert fit.estimate.dtype == np.float64
+            assert fit.estimate.tobytes() == np.zeros(n).tobytes()     # +0.0, never -0.0
+            assert not fit.estimate.flags.writeable
+            with pytest.raises(ValueError):
+                fit.estimate.setflags(write=True)
+            with pytest.raises(ValueError):
+                fit.estimate[0] = 1.0
+        # one vector for every fit at n, whichever branch returned it
+        assert fits[0].estimate is fits[1].estimate is select_k(np.zeros(n), CFG, 1.0).estimate
+        assert select_k(np.zeros(n + 1), CFG, 1.0).estimate.size == n + 1
 
 
 class TestFilterPremise:
@@ -705,15 +768,16 @@ class TestSubsetOracle:
         with pytest.raises(ValidationError):
             subset_oracle(np.zeros(21), CFG, 1.0)
 
-    def test_tie_breaking_prefers_small_support(self):
+    def test_tie_breaking_prefers_small_support(self, each_oracle):
         # epsilon = 0 makes every superset of the support tie at objective 0
         y = np.array([1.0, 0.0, 2.0, 0.0])
-        idx, obj = subset_oracle(y, CFG, 0.0)
-        assert idx == (0, 2)
-        assert obj == 0.0
+        for _ in each_oracle():
+            idx, obj = subset_oracle(y, CFG, 0.0)
+            assert idx == (0, 2)
+            assert obj == 0.0
 
     @pytest.mark.parametrize("beta", sorted(EXACT_TIES))
-    def test_lexicographic_tie_break(self, beta):
+    def test_lexicographic_tie_break(self, beta, each_oracle):
         cfg, y, eps = EXACT_TIES[beta]
         objs = subset_objectives(y, cfg, eps)
         best = min(objs.values())
@@ -721,10 +785,16 @@ class TestSubsetOracle:
         # the input really ties: two supports of minimal size reach the minimum
         assert [J for J, v in objs.items() if v == best and len(J) == size] == [(0, 2, 3),
                                                                               (1, 2, 3)]
-        assert subset_oracle(y, cfg, eps) == ((0, 2, 3), best)
+        for _ in each_oracle():
+            assert subset_oracle(y, cfg, eps) == ((0, 2, 3), best)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_doubling_table_matches_mask_dp_exactly(self, beta):
+    def test_doubling_table_matches_mask_dp_exactly(self, beta, each_oracle):
+        for _ in each_oracle():
+            self.check_doubling_table(beta)
+
+    @staticmethod
+    def check_doubling_table(beta):
         cfg = PenaltyConfig(zeta=2.0, nu=40.0, beta=beta)
         rng = np.random.default_rng(29)
         for n in range(1, 13):
@@ -759,6 +829,17 @@ class TestSubsetOracle:
                         for y in cases:
                             assert (subset_oracle(y, cfg, eps, nu_eff)
                                     == mask_dp_oracle(y, cfg, eps, nu_eff))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(case=small_levels(max_n=6))
+    def test_property_both_paths_match_the_mask_dp(self, each_oracle, case):
+        # scales 2^-500..2^500, ties, signed zeros, eps = 0 and nu_eff None or
+        # explicit: the Python-float path has the array path's bits
+        on_arrays, on_floats = [oracle_bits(subset_oracle, *case) for _ in each_oracle()]
+        assert on_floats == on_arrays
+        if not isinstance(on_arrays, str):
+            assert oracle_bits(mask_dp_oracle, *case) == on_arrays
 
 
 class TestIdealRisk:

@@ -156,6 +156,18 @@ class TestPen:
             with pytest.raises(ValidationError):
                 pen_vector(cfg, 33, 6.0)
 
+    def test_vector_cannot_be_made_writable(self):
+        # every caller shares the cached vector: one that could set it writable
+        # would change pen_vector, subset_oracle and ideal_risk for all later ones
+        cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25, xi1=1.1)
+        pens = pen_vector(cfg, 8)
+        before = pens.tobytes()
+        with pytest.raises(ValueError):
+            pens.setflags(write=True)
+        with pytest.raises(ValueError):
+            pens.flags.writeable = True
+        assert pen_vector(cfg, 8) is pens and pens.tobytes() == before
+
     def test_lookup_does_not_hash_the_config(self, monkeypatch):
         cfg = PenaltyConfig(zeta=3.0, nu=7.0, beta=0.25)
         pens = pen_vector(cfg, 12)
