@@ -279,7 +279,8 @@ def besov_norm(theta: MultiresSequence, gamma: HyperParams) -> float:
     of two; NumericalError names the largest level when the norm overflows.
     """
     a, q = gamma.a, gamma.q
-    norms = [(j, *_lp_norm(coeffs, gamma.p)) for j, coeffs in theta.iter_levels()]
+    norms = [(j, *_lp_norm(coeffs, gamma.p)) for j, coeffs in theta.iter_levels()
+             if coeffs.any()]                     # an all-zero level adds nothing
     norms = [(j, *math.frexp(v), s) for j, v, s in norms if v > 0.0]     # v = m * 2^e
     total = 0.0
     if all(not s and q * (a * j + abs(e) + 1.0) < 960.0 for j, _, e, s in norms):

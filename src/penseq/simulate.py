@@ -7,10 +7,11 @@ large/small-signal boundary level, a sparse single shell at the
 sparse/highly-sparse boundary level, and a spread signal with an equal
 share on every level.  The near-critical configuration sizes its blocks
 from epsilon instead.  Every generated signal has besov_norm(theta, gamma)
-<= radius exactly.
+<= radius exactly.  A level that holds no block is left as the np.zeros it
+was made as, never written, so its pages need not be resident.
 
-Noise is drawn for all levels at once, one standard-normal draw of every
-coefficient; the Monte Carlo loop is the only sampler.  Replicate rep of a
+Noise is one standard-normal draw of every coefficient, level by level in
+increasing j; the Monte Carlo loop is the only sampler.  Replicate rep of a
 run with seed s draws from PCG64 seeded by
 SeedSequence(entropy=s, spawn_key=(rep,)), so results are reproducible and
 independent of any execution schedule.  The loop seeds that stream through a
@@ -23,12 +24,16 @@ blocks of consecutive ones, up to 2^12 coefficients to a block: each
 replicate still draws from its own stream, into its row of the block, and
 the noise filter and y = theta + eps_j * z then run once over the whole
 block, so small truths pay numpy's per-call cost once per block rather than
-once per replicate.  A Monte Carlo run over at least 2^15 coefficients
-(one replicate to a block) shares its blocks between up to two threads
-(numpy's normal fill and large-array operations release the GIL); each
-replicate's per-level SSE lands in its own row, and the rows are reduced in
-replicate order, so neither the block size nor the number of threads moves
-a bit.  The BLAS thread
+once per replicate.  A block of one replicate (a truth of more than 2^11
+coefficients) is drawn in two parts into a buffer of the top level's size,
+the levels below the top and then the top level, each part filtered, formed
+and fitted before the next draw; consecutive draws continue one stream, so
+the numbers are the same.  A Monte Carlo run over at least 2^15
+coefficients (one replicate to a block) shares its blocks between up to two
+threads (numpy's normal fill and large-array operations release the GIL);
+each replicate's per-level SSE lands in its own row, and the rows are
+reduced in replicate order, so neither the block size nor the number of
+threads moves a bit.  The BLAS thread
 count can: numpy's dot product (`@`) of more than 10,000 elements runs
 OpenBLAS's threaded kernel, whose last bit depends on OPENBLAS_NUM_THREADS,
 and levels of 2^14 or more coefficients pass through it.  The presets write
@@ -221,21 +226,27 @@ def make_signal(spec: SignalSpec) -> MultiresSequence:
 
     Each spike block (j, m, magnitude) sets m evenly spaced coordinates of
     level j; the result is then scaled so that besov_norm(theta, spec.gamma)
-    <= spec.radius holds exactly.  'zero' yields the all-zero sequence.
+    <= spec.radius holds exactly.  'zero' yields the all-zero sequence.  A
+    level without a block stays the np.zeros it was made as, never written.
     """
     jmax = resolve_jmax(spec)
     levels = [np.zeros(2 ** j) for j in range(1, jmax + 1)]
+    spiked = set()
     for j, m, magnitude in _signal_blocks(spec, jmax):
         levels[j - 1][_spike_indices(2 ** j, m)] = magnitude
+        spiked.add(j)
     signal = MultiresSequence._adopt(1, levels)
     norm = besov_norm(signal, spec.gamma)
     if norm == 0.0:
         return signal
     # Rescale (by at most a few ulps in the intended case) until the weighted
-    # norm is <= the radius under exact comparison.
-    factor = spec.radius / norm
+    # norm is <= the radius under exact comparison.  The factor is checked as
+    # MultiresSequence.scale checks c; a finite factor > 0 takes +0.0 to +0.0,
+    # so only the levels with a block are scaled
+    factor = as_float(spec.radius / norm, "c")
     for _ in range(64):
-        scaled = signal.scale(factor)
+        scaled = MultiresSequence._adopt(1, [factor * level if j in spiked else level
+                                             for j, level in enumerate(levels, 1)])
         if besov_norm(scaled, spec.gamma) <= spec.radius:
             return scaled
         factor *= 1.0 - 4.0 * np.finfo(float).eps
@@ -382,6 +393,21 @@ def _draw_block(gen: np.random.Generator, words: np.ndarray, first: int, normals
     return _correlate(normals, bands, z[:len(normals)]), error
 
 
+def _draw_parts(gen: np.random.Generator, words: np.ndarray, rep: int, bounds,
+                g: np.ndarray, bands, z: np.ndarray):
+    """Replicate rep's row of _draw_block one part at a time: for each (a, b) of
+    bounds in turn, in order along the row, coefficients a..b-1 drawn into the
+    front of g, filtered into the front of z (g itself for identity noise) and
+    yielded before the next part is drawn.  Consecutive draws continue one
+    stream, so the numbers are the same; bands is _noise_bands' for the row,
+    and a part boundary must lie on a level boundary."""
+    stream = _stream(gen, words, rep)
+    for a, b in bounds:
+        part = stream.standard_normal(b - a, out=g[:b - a])
+        yield part if bands is None else _correlate(
+            part, (bands[0][a:b], bands[1][a:b - 1]), z[:b - a])
+
+
 def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
     """out = L g for the factor L of _noise_bands, row by row when g holds a block
     of draws (the subdiagonal never reaches across a row); g is overwritten."""
@@ -425,9 +451,11 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     Replicates run in blocks of consecutive ones, max(1, _BLOCK_COEFS // size) to
     a block: each replicate draws its normals from its own stream into its row
     of the block, the noise filter and y = theta + eps_j * z run once over the
-    whole block, and then each replicate's levels are fitted in turn.  The
-    blocks may run on more than one thread.  The result depends on neither, nor
-    does the error a failed run raises (see the module docstring).
+    whole block, and then each replicate's levels are fitted in turn.  A block
+    of one replicate is drawn, filtered, formed and fitted in two parts instead,
+    in a buffer the size of the top level.  The blocks may run on more than one
+    thread.  The result depends on neither, nor does the error a failed run
+    raises (see the module docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
@@ -441,17 +469,19 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     failed = {}
     stop = threading.Event()
 
-    def run_block(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
-        """Fit the replicates of the block from first on, in order."""
-        z, error = _draw_block(gen, words, first, normals[:replicates - first], bands, z)
+    def fit_levels(levels: list, z: np.ndarray, sse: np.ndarray) -> None:
+        """Form y_j = theta_j + eps_j * z_j in place for levels, consecutive entries
+        of the plan whose coefficients each row of z holds, and fit them: a row's
+        squared errors go to the same row of sse, in order, the rows in turn."""
+        offset = levels[0][1]
+        views = [z[:, start - offset:start - offset + theta_j.size]
+                 for _, start, theta_j, *_ in levels]
         with np.errstate(over="ignore"):          # an overflow is named by its level below
-            for _, start, theta_j, eps_j, *_ in plan:
-                y_j = z[:, start:start + theta_j.size]
-                y_j *= eps_j                      # y_j = theta_j + eps_j * z_j, in place
+            for y_j, (_, _, theta_j, eps_j, *_) in zip(views, levels):
+                y_j *= eps_j
                 y_j += theta_j
-        for y, level_sse in zip(z, rows[first:]):
-            for idx, (j, start, theta_j, eps_j, nu_j, energy) in enumerate(plan):
-                y_j = y[start:start + theta_j.size]
+        for level_sse, ys in zip(sse, zip(*views)):
+            for idx, ((j, _, theta_j, eps_j, nu_j, energy), y_j) in enumerate(zip(levels, ys)):
                 try:
                     fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
                 except ValidationError:
@@ -464,18 +494,38 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                 else:
                     diff = fit.estimate - theta_j
                     level_sse[idx] = float(diff @ diff)
+
+    def run_block(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
+        """Fit the replicates of the block from first on, in order."""
+        z, error = _draw_block(gen, words, first, normals[:replicates - first], bands, z)
+        fit_levels(plan, z, rows[first:])
         if error is not None:
             raise error
 
-    def work():
+    # A block of one replicate is drawn in two parts, each into a buffer of the
+    # top level's size: the levels below the top (2^jmax - 2^j0 coefficients),
+    # and then the top level.  Each part is fitted before the next is drawn
+    cut = len(plan) - 1
+    parts = [(0, cut), (cut, cut + 1)] if cut else [(0, 1)]
+    bounds = [(plan[lo][1], plan[hi - 1][1] + plan[hi - 1][2].size) for lo, hi in parts]
+
+    def run_parts(gen, rep: int, g: np.ndarray, z: np.ndarray) -> None:
+        """Fit replicate rep alone, one part at a time."""
+        draws = _draw_parts(gen, words, rep, bounds, g, bands, z)
+        for (lo, hi), z_part in zip(parts, draws):
+            fit_levels(plan[lo:hi], z_part[None], rows[rep:rep + 1, lo:hi])
+
+    run, shape = (run_parts, plan[-1][2].size) if block == 1 else (run_block, (block, size))
+
+    def work() -> None:
         gen = np.random.Generator(np.random.PCG64(0))   # this thread's; seeded per replicate
-        normals = np.empty((block, size))
-        z = normals if bands is None else np.empty((block, size))
+        normals = np.empty(shape)
+        z = normals if bands is None else np.empty(shape)
         for first in firsts:
             if stop.is_set():
                 return
             try:
-                run_block(gen, first, normals, z)
+                run(gen, first, normals, z)
             except Exception as err:              # raised by the caller's thread below
                 failed[first] = err
                 stop.set()

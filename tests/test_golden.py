@@ -20,11 +20,15 @@ CHANGES.md.  The benchmark's ``perfbench/reference.json`` holds hashes of
 sweep.json and oracle_check.json too, so a change that moves those bytes is
 a change to the benchmark and re-records its reference as well.
 
-The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-Other versions of numpy or of the C math library may round differently in
-the last bit and change the bytes.  The tridiagonal sweep's hashes do not
-depend on the BLAS build: its Cholesky factor is a standard-library port
-that gives the floats OpenBLAS's LAPACK gave when they were recorded.
+The hashes were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1,
+on OpenBLAS 0.3.31 with its SkylakeX kernel.  Other versions of numpy or of
+the C math library may round differently in the last bit and change the
+bytes.  The tridiagonal sweep's Cholesky factor does not depend on the
+LAPACK build: it is a standard-library port that gives the floats OpenBLAS's
+LAPACK gave when they were recorded.  The hashes still depend on OpenBLAS's
+kernel, which it picks by CPU: numpy's `@` and `dot` sums and `np.polyfit`
+in the rate fit run through it, and under OPENBLAS_CORETYPE=Haswell four
+sweep cases move in the last digit (ROADMAP item 21).
 """
 
 import hashlib

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky_banded
 
 from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     NumericalError, PenaltyConfig, SignalSpec, ValidationError, besov_norm,
@@ -40,7 +39,8 @@ def replicate_rng(seed, rep):
 
 def per_level_noise(rng, noise, jmax, j0=1):
     """The first noise sampler, one draw and one factorization per level, kept as
-    the reference."""
+    the reference; the factor is the port's, which matches LAPACK's recorded
+    bytes (test_tridiagonal_cholesky_matches_lapack)."""
     levels = []
     for j in range(j0, jmax + 1):
         n = 2 ** j
@@ -48,9 +48,7 @@ def per_level_noise(rng, noise, jmax, j0=1):
         if noise.covariance == "identity" or n == 1:
             z = g
         else:
-            ab = np.vstack([np.ones(n), np.full(n, noise.rho)])
-            ab[1, -1] = 0.0
-            lo = cholesky_banded(ab, lower=True)
+            lo = _tridiagonal_cholesky(noise.rho, n)
             z = lo[0] * g
             z[1:] += lo[1, :-1] * g[:-1]
         levels.append(noise.epsilon_at(j) * z)
@@ -233,6 +231,12 @@ class TestCriticalSignal:
             make_signal(SignalSpec(kind="critical_prior", gamma=g,
                                             radius=1.0, epsilon=0.55))
 
+    def test_subnormal_norm_cannot_be_scaled(self):
+        # xi0 = 1e-320 makes the norm subnormal and radius / norm infinite: no
+        # level is scaled, the zero levels included, and scale's check fails
+        with pytest.raises(ValidationError, match=r"^c must be a finite number, got inf$"):
+            make_signal(spec_for("critical_prior", CRITICAL_GAMMA, xi0=1e-320))
+
 
 class TestSpreadAndZero:
     def test_spread_membership_and_support(self):
@@ -287,12 +291,19 @@ CHOLESKY_RHOS = [0.0, -0.0, 1e-300, 0.25, 0.4999999, -0.4999999, 0.5 - 1e-10,
                  -(0.5 - 1e-10)] + np.random.default_rng(20).uniform(-0.5, 0.5, 24).tolist()
 
 
-def lapack_factor(rho, n):
-    """cholesky_banded's lower band factor of the n x n unit-diagonal tridiagonal
-    matrix, its last subdiagonal entry (LAPACK leaves it as given) set to 0."""
-    factor = cholesky_banded(np.vstack([np.ones(n), np.full(n, rho)]), lower=True)
-    factor[1, -1] = 0.0
-    return factor
+# SHA-256, per n, of scipy.linalg.cholesky_banded's lower band factor of the
+# n x n unit-diagonal tridiagonal matrix at every rho of CHOLESKY_RHOS in turn,
+# its last subdiagonal entry (LAPACK leaves it as given) set to 0.  Recorded
+# once with scipy 1.17.1 on OpenBLAS 0.3.31, SkylakeX kernel; LAPACK's last
+# bit moves with OpenBLAS's kernel, so the reference is these bytes, not a
+# live call
+LAPACK_FACTOR_SHA256 = {
+    1: "a375ec241c6c135658b8cbc23a217f4a5169e0dc4b2b0011e48edf49425beb16",
+    2: "7b6aea4692ecc842da56d0602729d302f48622ff3e735395cd045d48019c366e",
+    3: "752acadfa3558aff7f5eb62511b0d702f2d52ef3532bafb4fb69954e7e511042",
+    512: "d221f01903515361e36b22fa4def3fc3d588b290fab416b5af75f8d9452374c4",
+    1 << 17: "5858ccd791ee473636350963df0ad9247bbc8cf0199723f8cae9f6bbb82efa35",
+}
 
 
 def draw_levels(noise, jmax, seed, j0=1):
@@ -387,9 +398,10 @@ class TestSampleNoise:
     @pytest.mark.parametrize("n", [1, 2, 3, 512, 1 << 17])
     def test_tridiagonal_cholesky_matches_lapack(self, n):
         # the port gives cholesky_banded's floats bit for bit (signed zeros included)
+        digest = hashlib.sha256()
         for rho in CHOLESKY_RHOS:
-            assert _tridiagonal_cholesky(rho, n).tobytes() == lapack_factor(rho, n).tobytes(), \
-                (rho, n)
+            digest.update(_tridiagonal_cholesky(rho, n).tobytes())
+        assert digest.hexdigest() == LAPACK_FACTOR_SHA256[n]
 
     def test_tridiagonal_cholesky_reaches_both_exits(self):
         # CHOLESKY_RHOS reach the fixed point early (0.25, a few dozen entries) and
@@ -416,6 +428,12 @@ class TestSampleNoise:
         noise = NoiseSpec(epsilon=0.0)
         for j, z_j in enumerate(draw_levels(noise, jmax=4, seed=0), start=1):
             assert not (noise.epsilon_at(j) * z_j).any()
+
+
+def overflow_case(j):
+    """A zero truth on level j alone, its config and a noise with eps_j = 0.9 * 2^1023."""
+    beta = 1023 / j                               # 93 at j = 11, 85.25 at j = 12: exact
+    return MultiresSequence.zeros(j, j), PenaltyConfig(beta=beta), NoiseSpec(0.9, beta)
 
 
 class TestMcRisk:
@@ -452,9 +470,10 @@ class TestMcRisk:
     @pytest.mark.parametrize("rho", [0.0, 0.25])
     @pytest.mark.parametrize("kind, jmax", [("besov_spread", 12), ("besov_spread", 5),
                                             ("shell_dense", 9), ("besov_spread", 15),
-                                            ("near_threshold", 4)])
+                                            ("shell_dense", 12), ("near_threshold", 4)])
     def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax, monkeypatch):
-        # jmax = 15 is 65,534 coefficients, past the size that shares replicates
+        # jmax = 15 is 65,534 coefficients, past the size that shares replicates;
+        # the dense shell at jmax = 12 leaves most levels of a deep truth zero
         gamma = HyperParams(1.0, 2.0, 2.0, beta)
         if rho:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta, covariance="tridiagonal", rho=rho)
@@ -473,15 +492,23 @@ class TestMcRisk:
         else:
             truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
         # first replicates in blocks of the default size, then 7 in blocks of 3:
-        # two full blocks and a short last one
-        for replicates, block_coefs in ((first, simulate._BLOCK_COEFS), (7, 3 * truth.size)):
+        # two full blocks and a short last one.  At the default size a truth of
+        # more than 2^11 coefficients has one replicate to a block, drawn in parts
+        draw_parts, drawn = simulate._draw_parts, []
+        monkeypatch.setattr(simulate, "_draw_parts",
+                            lambda *args: drawn.append(args[2]) or draw_parts(*args))
+        default = simulate._BLOCK_COEFS
+        for replicates, block_coefs in ((first, default), (7, 3 * truth.size)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, replicates, 11)
             # the spread signal and the spikes keep coefficients, the dense shell none
             assert (kept > 0) == (kind != "shell_dense")
+            in_parts = block_coefs == default and truth.size > 1 << 11
             for threads in (1, 2):
                 monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+                drawn.clear()
                 got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
+                assert sorted(drawn) == (list(range(replicates)) if in_parts else [])
                 assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
                 assert np.array_equal(got.per_level_sse, per_level)
 
@@ -507,6 +534,23 @@ class TestMcRisk:
         assert sorted(sizes) == sorted(2 ** j for j in range(1, jmax + 1)
                                        for _ in range(replicates))
         assert sum(sizes) == replicates * truth.size
+
+    def test_peak_memory_of_a_deep_truth(self, monkeypatch):
+        # a truth of levels 1..17 has one replicate to a block, drawn in two
+        # parts into a buffer of the top level's 2^17 normals, not a row of all
+        # 262,142; the first run fills the estimator's caches (its shared zero
+        # estimate of 2^17 floats among them), the second is measured
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 1)
+        args = (MultiresSequence.zeros(1, 17), PenaltyConfig(beta=0.5),
+                NoiseSpec(epsilon=0.1, beta=0.5), 2, 0)
+        mc_risk_for_truth(*args)
+        tracemalloc.start()
+        try:
+            mc_risk_for_truth(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 17) * 8
 
     def test_replicate_threads(self):
         assert simulate._replicate_threads(simulate._THREADED_SIZE - 1) == 1
@@ -539,9 +583,10 @@ class TestMcRisk:
         # replicate 4 fails first and 3 is in flight; on one thread 4 is never
         # taken: 3 is raised either way.  Two per block put 3 and 4 in different
         # blocks, and the default block holds all 40 replicates, so there the
-        # failing replicates share one.  Each replicate's normals all equal its
-        # index, so a level names the replicate it belongs to
-        truth, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
+        # failing replicates share one; a truth of 4,094 coefficients has one
+        # replicate to a default block, drawn in parts.  Each replicate's
+        # normals all equal its index, so a level names the replicate it belongs to
+        small, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
 
         def rng(gen, words, rep):
             if rep == 3:
@@ -558,7 +603,9 @@ class TestMcRisk:
         monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         before = threading.active_count()
-        for block_coefs in (truth.size, 2 * truth.size, simulate._BLOCK_COEFS):
+        for truth, block_coefs in ((small, small.size), (small, 2 * small.size),
+                                   (small, simulate._BLOCK_COEFS),
+                                   (MultiresSequence.zeros(1, 11), simulate._BLOCK_COEFS)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             for _ in range(5):
                 with pytest.raises(NumericalError, match=r"^replicate 3$"):
@@ -625,11 +672,12 @@ class TestMcRisk:
         assert len(done) < 3 * 50_000
 
     def test_noise_overflow_names_the_level(self):
-        # eps_11 = 0.9 * 2^1023 is finite, eps_11 * z overflows for |z| > 2.23
-        with pytest.raises(NumericalError, match=r"^level j=11: y_j = theta_j \+ eps_j \* z_j "
-                           r"overflows at n=2048, eps_j=8\.0\d+e\+307$"):
-            mc_risk_for_truth(MultiresSequence.zeros(11, 11), PenaltyConfig(beta=93.0),
-                              NoiseSpec(epsilon=0.9, beta=93.0), 2, 0)
+        # eps_j = 0.9 * 2^1023 is finite, eps_j * z overflows for |z| > 2.23; the
+        # 4,096 coefficients of j = 12 run one replicate to a block
+        for j in (11, 12):
+            with pytest.raises(NumericalError, match=rf"^level j={j}: y_j = theta_j \+ eps_j \* "
+                               rf"z_j overflows at n={2 ** j}, eps_j=8\.0\d+e\+307$"):
+                mc_risk_for_truth(*overflow_case(j), 2, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("normals, message", [
@@ -638,17 +686,19 @@ class TestMcRisk:
     ])
     def test_noise_overflow_in_a_block_is_raised_in_replicate_order(
             self, normals, message, threads, monkeypatch):
-        # replicate r's normals all equal normals[r]: at eps_11 = 0.9 * 2^1023
-        # every fit fails, and 3 * eps_11 overflows before the fit.  The overflow
-        # is found for the whole first block of 4 before any fit, yet the error
-        # of the lowest failing replicate is raised
+        # replicate r's normals all equal normals[r]: at eps_j = 0.9 * 2^1023
+        # every fit fails, and 3 * eps_j overflows before the fit.  At j = 11 the
+        # overflow is found for the whole first block of 4 before any fit; at
+        # j = 12 the default block holds one replicate.  Either way the error of
+        # the lowest failing replicate is raised
         monkeypatch.setattr(simulate, "_stream",
                             lambda gen, words, rep: ConstantNormals(normals[rep]))
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-        monkeypatch.setattr(simulate, "_BLOCK_COEFS", 4 * 2048)
-        with pytest.raises(NumericalError, match=r"^level j=11: " + message):
-            mc_risk_for_truth(MultiresSequence.zeros(11, 11), PenaltyConfig(beta=93.0),
-                              NoiseSpec(epsilon=0.9, beta=93.0), len(normals), 0)
+        for j, block_coefs in ((11, 4 * 2048), (12, simulate._BLOCK_COEFS)):
+            monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
+            with pytest.raises(NumericalError, match=rf"^level j={j}: "
+                               + message.replace("2048", str(2 ** j))):
+                mc_risk_for_truth(*overflow_case(j), len(normals), 0)
 
     def test_numerical_error_names_the_level(self):
         # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
