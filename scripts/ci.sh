@@ -8,12 +8,12 @@ cd "$(dirname "$0")/.."
 
 # --durations shows where the tier-1 time goes; it adds output only
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
-# the noise tests again under the OpenBLAS kernels of an x86 CPU without
-# AVX-512: their references are recorded bytes and the port, never a live
-# LAPACK call, so they must pass on any kernel.  The golden tests stay out of
-# this step: numpy's dot and np.polyfit still move their last digit (ROADMAP
-# item 21)
-OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest -q tests/test_simulate.py
+# tier-1 again under the OpenBLAS kernels of an x86 CPU without AVX-512: the
+# noise tests' references are recorded bytes and the port, never a live LAPACK
+# call, so they must pass on any kernel.  The golden tests stay out of this
+# step: numpy's dot and np.polyfit still move their last digit (ROADMAP item 21)
+OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest -q --continue-on-collection-errors \
+  --deselect tests/test_golden.py
 # the size of src/ and the peak RSS of one sparse sweep in a fresh interpreter,
 # which the ROADMAP tracks; printed only, not checked
 wc -l src/penseq/*.py | tail -1

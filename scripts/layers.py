@@ -13,13 +13,12 @@ coefficient; the script stops if an input does not do what its line says.
 import platform
 import sys
 import timeit
-from collections import deque
 
 import numpy as np
 
 from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, fit_multiscale, select_k,
                     subset_oracle)
-from penseq.simulate import _draw_parts, _stream_words
+from penseq.simulate import _draw, _stream_words
 
 SEED = 20261020
 REPEATS = 15
@@ -62,13 +61,16 @@ def main() -> int:
     # one replicate's standard normals over levels 1..17, as the Monte Carlo loop
     # draws them: levels 1..16, then level 17, into a buffer of level 17's size
     top = 1 << 17
-    bounds = [(0, top - 2), (top - 2, 2 * top - 2)]
     words = _stream_words(SEED, np.arange(10))
     gen = np.random.Generator(np.random.PCG64(0))
-    buffer = np.empty(top)
-    draws = [(gen, words, rep, bounds, buffer, None, buffer) for rep in range(10)]
+    buffer = np.empty((1, top))
+
+    def draw(rep: int) -> None:
+        stream = _draw(gen, words, rep, 0, top - 2, buffer, None, buffer)[0]
+        _draw(stream, words, rep, top - 2, 2 * top - 2, buffer, None, buffer)
+
     rows.append((f"noise draw, {2 * top - 2} normals",
-                 per_call_us(lambda *args: deque(_draw_parts(*args), 0), draws)))
+                 per_call_us(draw, [(rep,) for rep in range(10)])))
     # a noise-only sequence over levels 1..17 at eps = 0.01: every level keeps nothing
     noise = NoiseSpec(epsilon=0.01)
     seqs = [(MultiresSequence(1, [0.01 * rng.standard_normal(1 << j) for j in range(1, 18)]),

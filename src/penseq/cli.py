@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, as_float, dataclass_kwargs, require, whole
 from .model import HyperParams, MultiresSequence, NoiseSpec
-from .penalty import PenaltyConfig
+from .penalty import PenaltyConfig, m_prime, nu_schedule
 from .estimator import fit_multiscale, select_k, subset_oracle
 from .rates import log_factor, rate_control, rate_exponent, shell_profile
 from .simulate import (SignalSpec, check_rate_grid, fit_rate_exponent, make_signal,
@@ -274,6 +274,9 @@ def cmd_rates(args) -> int:
 def cmd_oracle_check(args) -> int:
     config = load_config(args)
     epsilon = config.single_epsilon()
+    # the bound's complexity sums need nu_j > e^(1/(1+2*beta)), and nu_j grows
+    # with j: the bound's first term, at level 1, refuses a config before any work
+    m_prime(config.penalty, 2, nu_schedule(config.penalty, epsilon, 1))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mismatches = 0
     for n in range(1, 13):

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, as_float, real_array, require
 from .model import MultiresSequence, NoiseSpec
 from .penalty import (PenaltyConfig, _level_record, _pen_vector, _read_only_view, _resolve_nu,
-                      nu_schedule, pen_vector)
+                      nu_schedule)
 
 _FLOAT = np.dtype(float)
 
@@ -264,11 +264,11 @@ _BIT_ROWS.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=_SUBSET_ORACLE_MAX_N + 1)
-def _dropped_penalties(key: tuple, n: int, nu_eff: float | None, e2: float) -> np.ndarray:
+def _dropped_penalties(key: tuple, n: int, nu: float, e2: float) -> np.ndarray:
     """e2 * pen(n - |d|) for every mask d < 2^n of dropped coordinates, per
-    (penalty, n, nu_eff, eps^2) (read-only); key is PenaltyConfig.key, so a
-    lookup never hashes the config object."""
-    out = e2 * pen_vector(PenaltyConfig(*key), n, nu_eff)[n - _cardinalities(n)]
+    (penalty, n, nu, eps^2) (read-only), nu as _checked_level resolves it; key
+    is PenaltyConfig.key, so a lookup never hashes the config object."""
+    out = e2 * _pen_vector(key, n, nu)[n - _cardinalities(n)]
     out.setflags(write=False)
     return out
 
@@ -281,12 +281,12 @@ _SMALL_ORACLE = 4
 
 
 @functools.lru_cache(maxsize=128)
-def _dropped_penalty_tuple(key: tuple, n: int, nu_eff: float | None, e2: float) -> tuple:
-    """_dropped_penalties as Python floats, its bits, per (penalty, n, nu_eff, eps^2)."""
-    return tuple(_dropped_penalties(key, n, nu_eff, e2).tolist())
+def _dropped_penalty_tuple(key: tuple, n: int, nu: float, e2: float) -> tuple:
+    """_dropped_penalties as Python floats, its bits, per (penalty, n, nu, eps^2)."""
+    return tuple(_dropped_penalties(key, n, nu, e2).tolist())
 
 
-def _oracle_small(y: np.ndarray, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
+def _oracle_small(y: np.ndarray, cfg: PenaltyConfig, epsilon: float, nu: float):
     """subset_oracle at n <= _SMALL_ORACLE on Python floats.  The table doubles in
     the order of the array path, each mask adding its squares in ascending
     coordinate order, so every objective has the array path's bits."""
@@ -294,7 +294,7 @@ def _oracle_small(y: np.ndarray, cfg: PenaltyConfig, epsilon: float, nu_eff: flo
     for v in y.tolist():
         s = v * v
         obj += [t + s for t in obj]
-    pens = _dropped_penalty_tuple(cfg.key, y.size, nu_eff, epsilon * epsilon)
+    pens = _dropped_penalty_tuple(cfg.key, y.size, nu, epsilon * epsilon)
     obj = [t + p for t, p in zip(obj, pens)]
     best = min(obj)
     full = len(obj) - 1
@@ -313,13 +313,13 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     formed without subtraction, as the sum of the squares the subset drops,
     so like select_k it keeps small squares next to a huge one.
     """
-    y = _checked_level(y, cfg, epsilon, nu_eff)[0]
+    y, _, _, nu = _checked_level(y, cfg, epsilon, nu_eff)
     if y.size > _SUBSET_ORACLE_MAX_N:
         raise ValidationError(
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
     n = y.size
     if n <= _SMALL_ORACLE:
-        return _oracle_small(y, cfg, epsilon, nu_eff)
+        return _oracle_small(y, cfg, epsilon, nu)
     # obj[d] = C_eps(J, y) for the J that drops the bits of d: the squares of
     # those bits added in ascending i, plus eps^2 pen(n - |d|).  The low bits are
     # one reduction down the rows of _BIT_ROWS * sq, which adds in that order (a
@@ -334,7 +334,7 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     for s in sq[low:].tolist():
         np.add(obj[:half], s, out=obj[half:2 * half])
         half *= 2
-    obj += _dropped_penalties(cfg.key, n, nu_eff, epsilon * epsilon)
+    obj += _dropped_penalties(cfg.key, n, nu, epsilon * epsilon)
     d = int(obj.argmin())
     best = float(obj[d])
     full = obj.size - 1

@@ -24,19 +24,20 @@ blocks of consecutive ones, up to 2^12 coefficients to a block: each
 replicate still draws from its own stream, into its row of the block, and
 the noise filter and y = theta + eps_j * z then run once over the whole
 block, so small truths pay numpy's per-call cost once per block rather than
-once per replicate.  A block of one replicate (a truth of more than 2^11
-coefficients) is drawn in two parts into a buffer of the top level's size,
-the levels below the top and then the top level, each part filtered, formed
-and fitted before the next draw; consecutive draws continue one stream, so
-the numbers are the same.  A Monte Carlo run over at least 2^15
-coefficients (one replicate to a block) shares its blocks between up to two
-threads (numpy's normal fill and large-array operations release the GIL);
-each replicate's per-level SSE lands in its own row, and the rows are
-reduced in replicate order, so neither the block size nor the number of
-threads moves a bit.  The BLAS thread
-count can: numpy's dot product (`@`) of more than 10,000 elements runs
-OpenBLAS's threaded kernel, whose last bit depends on OPENBLAS_NUM_THREADS,
-and levels of 2^14 or more coefficients pass through it.  The presets write
+once per replicate.  A block is drawn, filtered, formed and fitted in parts
+of whole levels, one part before the next is drawn: a block of several
+replicates is one part, a block of one (a truth of more than 2^11
+coefficients) two, the levels below the top and then the top level, so its
+buffer holds the top level's size.  A row's later part continues its
+stream, so the numbers are those of one draw.  A Monte Carlo run over at
+least 2^15 coefficients (one replicate to a block) shares its blocks between
+up to two threads (numpy's normal fill and large-array operations release
+the GIL); each replicate's per-level SSE lands in its own row, and the rows
+are reduced in replicate order, so neither the block size nor the number of
+threads moves a bit.  The BLAS thread count can: numpy's dot product (`@`)
+of more than 10,000 elements runs OpenBLAS's threaded kernel, whose last bit
+depends on OPENBLAS_NUM_THREADS, and levels of 2^14 or more coefficients
+pass through it.  The presets write
 the same bytes either way (scripts/ci.sh compares them), other inputs need
 not; set OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
 Tridiagonal noise takes its Cholesky factor from a standard-library port of
@@ -372,40 +373,31 @@ def _stream(gen: np.random.Generator, words: np.ndarray, rep: int) -> np.random.
     return gen
 
 
-def _draw_block(gen: np.random.Generator, words: np.ndarray, first: int, normals: np.ndarray,
-                bands, z: np.ndarray):
-    """z_j ~ N(0, Sigma_j) for levels laid end to end, for replicates first,
-    first + 1, ... in the rows of a block: each row of normals is one
-    standard-normal draw of every coefficient from its replicate's own stream,
-    drawn by gen (see _stream), the normals of one draw per level in increasing
-    j, and is filtered into the same row of z.  Returns the rows drawn, filtered
-    (normals itself for identity noise), and the error of the draw that failed
-    after them, or None."""
-    error = None
+def _draw(gen: np.random.Generator, words: np.ndarray, first: int, a: int, b: int,
+          normals: np.ndarray, bands, z: np.ndarray):
+    """z_j ~ N(0, Sigma_j) over coefficients a..b-1 of the levels laid end to end,
+    for replicates first, first + 1, ... in the rows of a block: the front of
+    each row of normals gets the standard normals of its replicate's own stream,
+    one draw per level in increasing j, and is filtered into the front of the
+    same row of z; bands is the a..b slice of _noise_bands'.  At a = 0 each row
+    sets gen to its replicate's stream (see _stream).  At a > 0 the block holds
+    one row and gen is the stream the draw of the coefficients before a
+    returned, which this draw continues, so the numbers are those of one draw;
+    a must lie on a level boundary.  Returns the stream drawn from last, the
+    rows drawn, filtered (normals itself for identity noise), and the error of
+    the draw that failed after them, or None."""
+    error, stream, normals = None, gen, normals[:, :b - a]
     for row, out in enumerate(normals):
         try:
-            _stream(gen, words, first + row).standard_normal(out.size, out=out)
+            if a == 0:
+                stream = _stream(gen, words, first + row)
+            stream.standard_normal(b - a, out=out)
         except Exception as err:
             normals, error = normals[:row], err
             break
-    if bands is None:
-        return normals, error
-    return _correlate(normals, bands, z[:len(normals)]), error
-
-
-def _draw_parts(gen: np.random.Generator, words: np.ndarray, rep: int, bounds,
-                g: np.ndarray, bands, z: np.ndarray):
-    """Replicate rep's row of _draw_block one part at a time: for each (a, b) of
-    bounds in turn, in order along the row, coefficients a..b-1 drawn into the
-    front of g, filtered into the front of z (g itself for identity noise) and
-    yielded before the next part is drawn.  Consecutive draws continue one
-    stream, so the numbers are the same; bands is _noise_bands' for the row,
-    and a part boundary must lie on a level boundary."""
-    stream = _stream(gen, words, rep)
-    for a, b in bounds:
-        part = stream.standard_normal(b - a, out=g[:b - a])
-        yield part if bands is None else _correlate(
-            part, (bands[0][a:b], bands[1][a:b - 1]), z[:b - a])
+    if bands is not None:
+        normals = _correlate(normals, bands, z[:len(normals), :b - a])
+    return stream, normals, error
 
 
 def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
@@ -449,13 +441,14 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call.
 
     Replicates run in blocks of consecutive ones, max(1, _BLOCK_COEFS // size) to
-    a block: each replicate draws its normals from its own stream into its row
-    of the block, the noise filter and y = theta + eps_j * z run once over the
-    whole block, and then each replicate's levels are fitted in turn.  A block
-    of one replicate is drawn, filtered, formed and fitted in two parts instead,
-    in a buffer the size of the top level.  The blocks may run on more than one
-    thread.  The result depends on neither, nor does the error a failed run
-    raises (see the module docstring).
+    a block, and a block in parts of whole levels: for each part in turn, each
+    replicate draws its normals from its own stream into its row of the block,
+    the noise filter and y = theta + eps_j * z run once over the whole block,
+    and then each replicate's levels are fitted in turn.  A block of several
+    replicates is one part, a block of one two, so its buffer is the size of
+    the top level.  The blocks may run on more than one thread.  The result
+    depends on neither, nor does the error a failed run raises (see the module
+    docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
@@ -495,27 +488,23 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                     diff = fit.estimate - theta_j
                     level_sse[idx] = float(diff @ diff)
 
-    def run_block(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
-        """Fit the replicates of the block from first on, in order."""
-        z, error = _draw_block(gen, words, first, normals[:replicates - first], bands, z)
-        fit_levels(plan, z, rows[first:])
-        if error is not None:
-            raise error
+    # A part is levels lo..hi-1 of the plan, coefficients a..b-1 and their bands.
+    # A block of one replicate has two: the levels below the top (2^jmax - 2^j0
+    # coefficients), then the top level
+    cuts = [0, len(plan) - 1, len(plan)] if block == 1 and len(plan) > 1 else [0, len(plan)]
+    edges = [start for _, start, *_ in plan] + [size]
+    parts = [(lo, hi, a, b, None if bands is None else (bands[0][a:b], bands[1][a:b - 1]))
+             for lo, hi in zip(cuts, cuts[1:]) for a, b in [(edges[lo], edges[hi])]]
+    shape = (block, max(b - a for _, _, a, b, _ in parts))
 
-    # A block of one replicate is drawn in two parts, each into a buffer of the
-    # top level's size: the levels below the top (2^jmax - 2^j0 coefficients),
-    # and then the top level.  Each part is fitted before the next is drawn
-    cut = len(plan) - 1
-    parts = [(0, cut), (cut, cut + 1)] if cut else [(0, 1)]
-    bounds = [(plan[lo][1], plan[hi - 1][1] + plan[hi - 1][2].size) for lo, hi in parts]
-
-    def run_parts(gen, rep: int, g: np.ndarray, z: np.ndarray) -> None:
-        """Fit replicate rep alone, one part at a time."""
-        draws = _draw_parts(gen, words, rep, bounds, g, bands, z)
-        for (lo, hi), z_part in zip(parts, draws):
-            fit_levels(plan[lo:hi], z_part[None], rows[rep:rep + 1, lo:hi])
-
-    run, shape = (run_parts, plan[-1][2].size) if block == 1 else (run_block, (block, size))
+    def run(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
+        """Fit the replicates of the block from first on, in order, part by part."""
+        for lo, hi, a, b, part_bands in parts:
+            gen, drawn, error = _draw(gen, words, first, a, b, normals[:replicates - first],
+                                      part_bands, z)
+            fit_levels(plan[lo:hi], drawn, rows[first:, lo:hi])
+            if error is not None:
+                raise error
 
     def work() -> None:
         gen = np.random.Generator(np.random.PCG64(0))   # this thread's; seeded per replicate

@@ -482,6 +482,23 @@ class TestOracleCheck:
                      "--out", str(tmp_path)])
         assert code == (cli.EXIT_OK if stand_in is None else cli.EXIT_CHECK_FAILED)
 
+    def test_unsummable_nu_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # nu = 1.5 is a valid penalty for select_k, but the bound's complexity
+        # sums need nu > e^(1/(1+2*beta)) = e^0.5: refused before the
+        # equivalence batch and the Monte Carlo run, and no file is written
+        def no_work(*args, **kwargs):
+            raise AssertionError("oracle-check did work before refusing nu")
+
+        monkeypatch.setattr(cli, "select_k", no_work)
+        monkeypatch.setattr(cli, "oracle_inequality_check", no_work)
+        doc = base_config(epsilon=2.0 ** -6, penalty={"zeta": 2.0, "nu": 1.5, "xi1": 1.0})
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert "complexity sums need nu > e^(1/(1+2*beta)) = 1.648721, got 1.5" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_epsilon_and_empty_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(epsilons=[]))
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == 2

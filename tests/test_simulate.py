@@ -20,7 +20,7 @@ import penseq.estimator as estimator
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
-from penseq.simulate import (_draw_block, _noise_bands, _stream, _stream_words,
+from penseq.simulate import (_draw, _noise_bands, _stream, _stream_words,
                              _tridiagonal_cholesky, resolve_jmax)
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
@@ -309,9 +309,9 @@ LAPACK_FACTOR_SHA256 = {
 def draw_levels(noise, jmax, seed, j0=1):
     """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop draws it, split by level."""
     size = (2 << jmax) - (1 << j0)
-    (z,), error = _draw_block(np.random.default_rng(0), _stream_words(seed, [0]), 0,
-                              np.empty((1, size)), _noise_bands(noise, j0, jmax),
-                              np.empty((1, size)))
+    _, (z,), error = _draw(np.random.default_rng(0), _stream_words(seed, [0]), 0, 0, size,
+                           np.empty((1, size)), _noise_bands(noise, j0, jmax),
+                           np.empty((1, size)))
     assert error is None
     return np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
 
@@ -493,10 +493,11 @@ class TestMcRisk:
             truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
         # first replicates in blocks of the default size, then 7 in blocks of 3:
         # two full blocks and a short last one.  At the default size a truth of
-        # more than 2^11 coefficients has one replicate to a block, drawn in parts
-        draw_parts, drawn = simulate._draw_parts, []
-        monkeypatch.setattr(simulate, "_draw_parts",
-                            lambda *args: drawn.append(args[2]) or draw_parts(*args))
+        # more than 2^11 coefficients has one replicate to a block, drawn in parts;
+        # a draw from a > 0 on is the second part of a replicate
+        draw, drawn = simulate._draw, []
+        monkeypatch.setattr(simulate, "_draw",
+                            lambda *args: (args[3] > 0 and drawn.append(args[2])) or draw(*args))
         default = simulate._BLOCK_COEFS
         for replicates, block_coefs in ((first, default), (7, 3 * truth.size)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
@@ -584,9 +585,12 @@ class TestMcRisk:
         # taken: 3 is raised either way.  Two per block put 3 and 4 in different
         # blocks, and the default block holds all 40 replicates, so there the
         # failing replicates share one; a truth of 4,094 coefficients has one
-        # replicate to a default block, drawn in parts.  Each replicate's
+        # replicate to a default block, drawn in parts, and fails either in the
+        # levels below the top or only at the top level, the second part, whose
+        # normals must continue the replicate's stream.  Each replicate's
         # normals all equal its index, so a level names the replicate it belongs to
         small, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
+        deep = MultiresSequence.zeros(1, 11)
 
         def rng(gen, words, rep):
             if rep == 3:
@@ -595,7 +599,7 @@ class TestMcRisk:
 
         def fit(j, level, cfg, eps_j, nu_j):
             rep = round(level[0] / eps_j)
-            if rep in (3, 4, 7):
+            if rep in (3, 4, 7) and j >= lowest:     # the case's lowest failing level
                 raise NumericalError(f"replicate {rep}")
             return fit_level(j, level, cfg, eps_j, nu_j)
 
@@ -603,9 +607,10 @@ class TestMcRisk:
         monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         before = threading.active_count()
-        for truth, block_coefs in ((small, small.size), (small, 2 * small.size),
-                                   (small, simulate._BLOCK_COEFS),
-                                   (MultiresSequence.zeros(1, 11), simulate._BLOCK_COEFS)):
+        for truth, block_coefs, lowest in (
+                (small, small.size, 1), (small, 2 * small.size, 1),
+                (small, simulate._BLOCK_COEFS, 1), (deep, simulate._BLOCK_COEFS, 1),
+                (deep, simulate._BLOCK_COEFS, deep.jmax)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             for _ in range(5):
                 with pytest.raises(NumericalError, match=r"^replicate 3$"):
