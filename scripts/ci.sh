@@ -50,6 +50,25 @@ for w in sweep-sparse sweep-spread-corr oracle-check; do
     | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["metrics"]["cli.outputs_identical"]["value"] == r["attempted"] else 1)' \
     || { echo "workload $w is not byte-identical to perfbench/reference.json"; exit 1; }
 done
+# every one of the 64 pool seeds of the two identity-noise workloads must write
+# the bytes perfbench/reference.json records: the Monte Carlo loop draws only
+# what select_k can read there, and that must move no output byte.  perfbench/
+# is only read: its harness runs each invocation, and no bytecode is written
+pool=$(mktemp -d)
+PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python3 - "$pool" <<'PY'
+import sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import harness
+from workloads import SEED_POOL
+reference = harness.load_reference()
+differ = [(name, seed) for name in ("sweep-sparse", "oracle-check") for seed in SEED_POOL
+          if not harness.invoke(name, seed, Path(sys.argv[1]) / "out", reference).identical]
+if differ:
+    sys.exit(f"outputs differ from perfbench/reference.json at {differ}")
+print(f"sweep-sparse and oracle-check: all {len(SEED_POOL)} pool seeds byte-identical")
+PY
+rm -rf "$pool"
 # outputs must not depend on the CPU count: a Monte Carlo run over 2^15 or
 # more coefficients shares its replicates between threads when two CPUs are
 # free, each thread with its own generator, and pinned to one CPU it runs on

@@ -18,7 +18,8 @@ import numpy as np
 
 from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, fit_multiscale, select_k,
                     subset_oracle)
-from penseq.simulate import _draw, _stream_words
+from penseq.estimator import _level_schedule
+from penseq.simulate import _draw, _draw_level, _level_draws, _stream, _stream_words
 
 SEED = 20261020
 REPEATS = 15
@@ -71,8 +72,25 @@ def main() -> int:
 
     rows.append((f"noise draw, {2 * top - 2} normals",
                  per_call_us(draw, [(rep,) for rep in range(10)])))
-    # a noise-only sequence over levels 1..17 at eps = 0.01: every level keeps nothing
+    # the same replicates' identity-noise draw of what select_k reads, for a zero
+    # truth on levels 1..17 at eps = 0.01: per level K ~ Binomial(2^j, q) and K
+    # values above the floor, into the buffer, set back to +0.0 after each level
     noise = NoiseSpec(epsilon=0.01)
+    schedule = _level_schedule(CFG, noise, 1, 17)
+    zeros = [np.zeros(1 << j) for j in range(1, 18)]
+    draws = _level_draws(CFG, schedule, zeros)
+    row = buffer[0]
+    row.fill(0.0)
+
+    def floor_draw(rep: int) -> None:
+        stream = _stream(gen, words, rep)
+        for (_, eps_j, _), theta_j, level_draw in zip(schedule, zeros, draws):
+            y = row[:theta_j.size]
+            y[_draw_level(stream, level_draw, theta_j, eps_j, y)] = 0.0
+
+    rows.append(("identity draw, levels 1..17 of a zero truth",
+                 per_call_us(floor_draw, [(rep,) for rep in range(10)])))
+    # a noise-only sequence over levels 1..17 at eps = 0.01: every level keeps nothing
     seqs = [(MultiresSequence(1, [0.01 * rng.standard_normal(1 << j) for j in range(1, 18)]),
              CFG, noise) for _ in range(5)]
     rows.append(("fit_multiscale, levels 1..17, keeps nothing", per_call_us(fit_multiscale, seqs)))

@@ -10,31 +10,38 @@ from epsilon instead.  Every generated signal has besov_norm(theta, gamma)
 <= radius exactly.  A level that holds no block is left as the np.zeros it
 was made as, never written, so its pages need not be resident.
 
-Noise is one standard-normal draw of every coefficient, level by level in
-increasing j; the Monte Carlo loop is the only sampler.  Replicate rep of a
-run with seed s draws from PCG64 seeded by
-SeedSequence(entropy=s, spawn_key=(rep,)), so results are reproducible and
-independent of any execution schedule.  The loop seeds that stream through a
-port of numpy's seeding, computed for all of a run's replicates at once, and
-sets the state of one generator per thread before each replicate's draw;
-TestReplicateStreams in tests/test_simulate.py checks the port against numpy,
-and the one-generator-per-replicate reference loop there matches the loop bit
-for bit.  The loop takes its replicates in
-blocks of consecutive ones, up to 2^12 coefficients to a block: each
-replicate still draws from its own stream, into its row of the block, and
-the noise filter and y = theta + eps_j * z then run once over the whole
-block, so small truths pay numpy's per-call cost once per block rather than
-once per replicate.  A block is drawn, filtered, formed and fitted in parts
-of whole levels, one part before the next is drawn: a block of several
-replicates is one part, a block of one (a truth of more than 2^11
-coefficients) two, the levels below the top and then the top level, so its
-buffer holds the top level's size.  A row's later part continues its
-stream, so the numbers are those of one draw.  A Monte Carlo run over at
-least 2^15 coefficients (one replicate to a block) shares its blocks between
-up to two threads (numpy's normal fill and large-array operations release
-the GIL); each replicate's per-level SSE lands in its own row, and the rows
-are reduced in replicate order, so neither the block size nor the number of
-threads moves a bit.  The BLAS thread count can: numpy's dot product (`@`)
+The Monte Carlo loop is the only sampler.  Replicate rep of a run with seed
+s draws from PCG64 seeded by SeedSequence(entropy=s, spawn_key=(rep,)), level
+by level in increasing j, so results are reproducible and independent of any
+execution schedule.  On identity noise a replicate draws only what select_k
+can read: per level, the coefficients with theta_j != 0, the number of nulls
+(theta_j = 0) above select_k's floor eps_j * t_n and their values, the law
+of the full draw restricted to them (see _level_draws); every other null is
+left +0.0.  A level without such a floor, without a null or with over an
+eighth of its nulls above the floor is drawn in full, and so is a replicate
+with a fit whose threshold lies below the floor (a stand-in for select_k).
+Otherwise the draw is one standard-normal draw of every coefficient.  The
+loop seeds each stream through a port of numpy's seeding, computed for all
+of a run's replicates at once, and sets the state of one generator per
+thread before each replicate's draw; TestReplicateStreams in
+tests/test_simulate.py checks the port against numpy, and the
+one-generator-per-replicate reference loops there match the loop bit for
+bit.  The full draw takes its replicates in blocks of consecutive ones, up
+to 2^12 coefficients to a block: each replicate still draws from its own
+stream, into its row of the block, and the noise filter and
+y = theta + eps_j * z then run once over the whole block, so small truths
+pay numpy's per-call cost once per block rather than once per replicate.  A
+block is drawn, filtered, formed and fitted in parts of whole levels, one
+part before the next is drawn: a block of several replicates is one part, a
+block of one (a truth of more than 2^11 coefficients) two, the levels below
+the top and then the top level, so its buffer holds the top level's size.
+A row's later part continues its stream, so the numbers are those of one
+draw.  A Monte Carlo run whose replicates each draw at least 2^15 normals
+(one replicate to a block) shares its blocks between up to two threads
+(numpy's normal fill and large-array operations release the GIL); each
+replicate's per-level SSE lands in its own row, and the rows are reduced in
+replicate order, so neither the block size nor the number of threads moves
+a bit.  The BLAS thread count can: numpy's dot product (`@`)
 of more than 10,000 elements runs OpenBLAS's threaded kernel, whose last bit
 depends on OPENBLAS_NUM_THREADS, and levels of 2^14 or more coefficients
 pass through it.  The presets write
@@ -61,8 +68,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError, as_float, require, require_finite, whole
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
                     classify_zone, level_noise, shell_radius)
-from .penalty import PenaltyConfig, m_prime
-from .estimator import _fit_level, _level_schedule, ideal_risk, oracle_constant
+from .penalty import PenaltyConfig, _level_record, _resolve_nu, m_prime
+from .estimator import _SHRINK, _TINY, _fit_level, _level_schedule, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
@@ -411,6 +418,163 @@ def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- the identity-noise draw of what select_k can read ----------------------------
+#
+# On identity noise a null coordinate (theta_i = 0) of level j is y_i = eps_j * z_i.
+# select_k drops every |y| at or below its floor eps_j * t_n before it sorts
+# (pen is concave, so no threshold eps_j * t_k lies below it): a dropped null
+# only adds its square to the sum `rest`, one constant in every objective,
+# which does not move the argmin, and the estimate is 0 there either way.  So
+# the loop draws, per level, the coordinates with theta_i != 0, then the number
+# K of nulls above the floor and their values, and leaves the other nulls
+# +0.0.  K ~ Binomial(n - m, q) with q = P(|z| > c) = erfc(c / sqrt 2) for the
+# floor c in units of eps_j, and a null above it is |z| = -Phi^-1(q * U / 2)
+# for U uniform on (0, 1], its sign an independent coin: inversion, after
+# Devroye, Non-Uniform Random Variate Generation (1986).  This is the law of
+# the full draw restricted to what select_k reads.  Only the sum of the
+# dropped squares differs from the full draw's, and its rounding can settle a
+# near-tie of two objectives the other way.
+
+_SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
+# A level whose nulls lie above the floor with probability over this is drawn
+# in full.  A value above the floor cost about 120 ns against 12 ns a normal of
+# the full draw (numpy 2.4, one x86 core): at this share the draw costs about
+# 1.25x the full one, and it takes in floors as low as that of zeta = 1.01,
+# nu = 2.8 at beta = 0 (q = 0.109)
+_TAIL_SHARE = 1.0 / 8.0
+
+# Wichura's AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf,
+# relative error about 1e-16, as a table: per region, the coefficients of the
+# numerator and the denominator in rows, lowest power first.  Region 0 is
+# 0.075 <= p <= 0.5 in x = 0.180625 - (p - 0.5)^2; regions 1 and 2 are
+# r = sqrt(-log p) <= 5 in x = r - 1.6 and r > 5 in x = r - 5.  Every
+# coefficient and every x is >= 0, so the sums of powers cancel nothing.
+_AS241 = np.array([
+    [(3.3871328727963666080e+0, 1.0), (1.3314166789178437745e+2, 4.2313330701600911252e+1),
+     (1.9715909503065514427e+3, 6.8718700749205790830e+2),
+     (1.3731693765509461125e+4, 5.3941960214247511077e+3),
+     (4.5921953931549871457e+4, 2.1213794301586595867e+4),
+     (6.7265770927008700853e+4, 3.9307895800092710610e+4),
+     (3.3430575583588128105e+4, 2.8729085735721942674e+4),
+     (2.5090809287301226727e+3, 5.2264952788528545610e+3)],
+    [(1.4234371107496835773e+0, 1.0), (4.6303378461565452959e+0, 2.0531916266377588219e+0),
+     (5.7694972214606914055e+0, 1.6763848301838038494e+0),
+     (3.6478483247632046050e+0, 6.8976733498510000455e-1),
+     (1.2704582524523683826e+0, 1.4810397642748007459e-1),
+     (2.4178072517745061177e-1, 1.5198666563616457197e-2),
+     (2.2723844989269184583e-2, 5.4759380849953449460e-4),
+     (7.7454501427834140764e-4, 1.0507500716444168432e-9)],
+    [(6.6579046435011037772e+0, 1.0), (5.4637849111641143699e+0, 5.9983220655588793769e-1),
+     (1.7848265399172913358e+0, 1.3692988092273580531e-1),
+     (2.9656057182850489123e-1, 1.4875361290850614853e-2),
+     (2.6532189526576123093e-2, 7.8686913114561329059e-4),
+     (1.2426609473880784386e-3, 1.8463183175100546818e-5),
+     (2.7115555687434875782e-5, 1.4215117583164458887e-7),
+     (2.0103343992922881327e-7, 2.0442631033899397856e-15)]])
+_AS241_SHIFT = np.array([0.0, 1.6, 5.0])
+_POWERS = np.arange(8)
+
+
+def _upper_quantile(q: float, u: np.ndarray) -> np.ndarray:
+    """-Phi^-1(q * u / 2) for q in (0, 1] and u in (0, 1], by AS241, in a fixed
+    number of numpy calls.  Below p = q * u / 2 = 0.075, AS241 reads p only
+    through r = sqrt(-log p), which is formed as sqrt(log 2 - log q - log u):
+    finite where p underflows."""
+    s = (0.5 * q) * u - 0.5
+    mid = s >= -0.425
+    r = np.sqrt(_LN2 - math.log(q) - np.log(u))
+    region = np.where(mid, 0, np.where(r <= 5.0, 1, 2))
+    x = np.where(mid, 0.180625 - s * s, r - _AS241_SHIFT[region])
+    num, den = np.matmul((x[:, None] ** _POWERS)[:, None, :], _AS241[region])[:, 0, :].T
+    ratio = num / den
+    return np.where(mid, -s * ratio, ratio)
+
+
+def _tails(stream: np.random.Generator, k: int, q: float) -> np.ndarray:
+    """k standard normals conditioned on |z| > c, where q = erfc(c / sqrt 2), one
+    uniform v of stream each: v < 1/2 gives z < 0 and u = 1 - 2v, else z > 0 and
+    u = 2 - 2v, both exact and in (0, 1], and |z| = -Phi^-1(q * u / 2)."""
+    v = stream.random(k)
+    neg = v < 0.5
+    z = _upper_quantile(q, np.where(neg, 1.0, 2.0) - 2.0 * v)
+    np.negative(z, out=z, where=neg)
+    return z
+
+
+def _null_floor(cfg: PenaltyConfig, n: int, eps_j: float, nu_j: float):
+    """(c, floor) of a level of n coefficients at noise eps_j: no null with
+    |z| <= c can be kept by select_k or raise its overflow, and floor bounds
+    their |y|.  None where select_k has no positive normal floor (eps_j = 0, or
+    pen not increasing at n) and so drops nothing.
+
+    select_k drops every |y| <= cut = eps_j * t_n * _SHRINK before its sort,
+    and raises when max|y| exceeds its overflow limit; floor = min(cut, limit).
+    c is stepped down from floor / eps_j until fl(eps_j * c) <= floor.
+    Rounding is monotone, so a null with |z| <= c has
+    |y| = fl(eps_j * |z|) <= fl(eps_j * c) <= floor <= cut: select_k drops it,
+    and it cannot overflow.
+    """
+    root, _, limit = _level_record(cfg.key, n, _resolve_nu(cfg, nu_j))
+    cut = eps_j * root * _SHRINK                  # select_k's floor, bit for bit
+    if not cut >= _TINY:
+        return None
+    floor = min(cut, limit)
+    c = floor / eps_j
+    while eps_j * c > floor:
+        c = math.nextafter(c, 0.0)
+    return c, floor
+
+
+def _level_draws(cfg: PenaltyConfig, schedule: list, levels) -> list:
+    """How identity noise draws each level, given its (j, eps_j, nu_j) of
+    _level_schedule and its theta_j: None to draw all its coefficients, else
+    (spikes, values, nulls, q, floor), the indices and values of theta_j != 0,
+    the count of nulls, the share q = erfc(c / sqrt 2) of them above
+    _null_floor's c, and its floor.  A level is drawn in full where it has no
+    such floor, where q > _TAIL_SHARE, and where it holds no null, so that its
+    draw is the full one.
+    """
+    draws = []
+    for (_, eps_j, nu_j), theta_j in zip(schedule, levels):
+        found = _null_floor(cfg, theta_j.size, eps_j, nu_j)
+        q = math.erfc(found[0] / _SQRT2) if found else 1.0
+        nulls = theta_j.size - np.count_nonzero(theta_j)
+        draw = None
+        if q <= _TAIL_SHARE and nulls:
+            spikes = np.flatnonzero(theta_j)
+            draw = (spikes, theta_j[spikes], nulls, q, found[1])
+        draws.append(draw)
+    return draws
+
+
+def _draw_level(stream: np.random.Generator, draw, theta_j: np.ndarray, eps_j: float,
+                y: np.ndarray):
+    """y_j of one replicate from stream into y, the level's size of +0.0, by its
+    entry of _level_draws: every coordinate where draw is None, else the
+    normals of the spikes, then K, then the first K nulls' values.  Returns
+    the coordinates written, which the caller sets back to +0.0."""
+    if draw is None:
+        stream.standard_normal(y.size, out=y)
+        y *= eps_j
+        y += theta_j
+        return slice(None)
+    spikes, values, nulls, q, _ = draw
+    if spikes.size:
+        z = stream.standard_normal(spikes.size)
+        z *= eps_j
+        z += values
+        y[spikes] = z
+    k = int(stream.binomial(nulls, q))
+    if k == 0:
+        return spikes
+    at = np.flatnonzero(theta_j[:k + spikes.size] == 0.0)[:k]
+    z = _tails(stream, k, q)
+    z *= eps_j
+    y[at] = z
+    return np.concatenate((spikes, at))
+
+
 # -- Monte Carlo risk ---------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -423,10 +587,12 @@ class McResult:
     per_level_sse: np.ndarray
 
 
-def _replicate_threads(size: int) -> int:
-    """Threads for a Monte Carlo run over size coefficients: up to two, as
-    the CPUs the process may run on allow, from _THREADED_SIZE on."""
-    if size < _THREADED_SIZE:
+def _replicate_threads(normals: int) -> int:
+    """Threads for a Monte Carlo run whose replicates each draw this many
+    normals: up to two, as the CPUs the process may run on allow, from
+    _THREADED_SIZE on.  The normal fill releases the GIL; the rest of a
+    replicate's work mostly holds it."""
+    if normals < _THREADED_SIZE:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -437,17 +603,27 @@ def _replicate_threads(size: int) -> int:
 
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int) -> McResult:
-    """Monte Carlo risk at a fixed truth: per replicate, the numbers of one noise draw
-    -> add -> fit_multiscale -> per_level_sse, from a level plan built once per call.
+    """Monte Carlo risk at a fixed truth: per replicate, one noise draw -> add ->
+    fit_multiscale -> per_level_sse, from a level plan built once per call.
 
-    Replicates run in blocks of consecutive ones, max(1, _BLOCK_COEFS // size) to
-    a block, and a block in parts of whole levels: for each part in turn, each
-    replicate draws its normals from its own stream into its row of the block,
-    the noise filter and y = theta + eps_j * z run once over the whole block,
-    and then each replicate's levels are fitted in turn.  A block of several
-    replicates is one part, a block of one two, so its buffer is the size of
-    the top level.  The blocks may run on more than one thread.  The result
-    depends on neither, nor does the error a failed run raises (see the module
+    On identity noise, a replicate draws from its own stream, level by level in
+    increasing j, what select_k can read (see _level_draws): the coordinates
+    with theta_j != 0, the number of nulls above select_k's floor and their
+    values, into a +0.0 vector of the level's size; select_k is still called
+    once per level, on that vector.  A level that _level_draws leaves whole is
+    drawn in full.  A fit whose threshold lies below the floor (a stand-in for
+    select_k) could keep a null left undrawn: its replicate is drawn and
+    fitted again, in full, as below.
+
+    Otherwise replicates run in blocks of consecutive ones,
+    max(1, _BLOCK_COEFS // size) to a block, and a block in parts of whole
+    levels: for each part in turn, each replicate draws its normals from its
+    own stream into its row of the block, the noise filter and
+    y = theta + eps_j * z run once over the whole block, and then each
+    replicate's levels are fitted in turn.  A block of several replicates is
+    one part, a block of one two, so its buffer is the size of the top level.
+    The blocks may run on more than one thread.  The result depends on
+    neither, nor does the error a failed run raises (see the module
     docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
@@ -455,9 +631,15 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
     plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
+    draws = _level_draws(cfg, schedule, truth.levels) if bands is None else []
+    sparse = any(draw is not None for draw in draws)
+    # the normals of one replicate's draw: on sweep --preset sparse, whose
+    # replicates draw a few, two threads took 1.2x the time of one
+    draw_size = sum(theta_j.size if draw is None else draw[0].size
+                    for (_, _, theta_j, *_), draw in zip(plan, draws)) if sparse else size
     words = _stream_words(seed, np.arange(replicates))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
-    block = max(1, _BLOCK_COEFS // size)
+    block = 1 if sparse else max(1, _BLOCK_COEFS // size)
     firsts = iter(range(0, replicates, block))    # next() on it is atomic under the GIL
     failed = {}
     stop = threading.Event()
@@ -506,15 +688,48 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
             if error is not None:
                 raise error
 
+    def run_sparse(gen, rep: int, normals: np.ndarray, z: np.ndarray) -> None:
+        """Fit replicate rep from the draw of what select_k can read, its levels in
+        turn in the front of normals[0], which holds +0.0 before and after."""
+        stream, buf, sse = _stream(gen, words, rep), normals[0], rows[rep]
+        # an overflow of y_j is named by its level, as in fit_levels; select_k
+        # checks its own before they happen, so the state is set once per replicate
+        with np.errstate(over="ignore"):
+            for idx, ((j, _, theta_j, eps_j, nu_j, energy), draw) in enumerate(zip(plan, draws)):
+                y_j = buf[:theta_j.size]
+                written = _draw_level(stream, draw, theta_j, eps_j, y_j)
+                # fit_levels' step for one level, copied: a shared helper put a
+                # call per fit on the full draw, +1.3% on sweep-spread-corr
+                try:
+                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+                except ValidationError:
+                    if np.isfinite(y_j).all():
+                        raise
+                    raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
+                                         f"at n={theta_j.size}, eps_j={eps_j!r}") from None
+                if fit.k_hat == 0:
+                    sse[idx] = energy
+                else:
+                    diff = fit.estimate - theta_j
+                    sse[idx] = float(diff @ diff)
+                y_j[written] = 0.0
+                if draw is not None and fit.threshold < draw[4]:
+                    break
+            else:
+                return
+        # a fit below the floor: the replicate takes the numbers of the full draw
+        run(gen, rep, normals, z)
+        buf.fill(0.0)
+
     def work() -> None:
         gen = np.random.Generator(np.random.PCG64(0))   # this thread's; seeded per replicate
-        normals = np.empty(shape)
+        normals = np.zeros(shape) if sparse else np.empty(shape)
         z = normals if bands is None else np.empty(shape)
         for first in firsts:
             if stop.is_set():
                 return
             try:
-                run(gen, first, normals, z)
+                (run_sparse if sparse else run)(gen, first, normals, z)
             except Exception as err:              # raised by the caller's thread below
                 failed[first] = err
                 stop.set()
@@ -524,7 +739,7 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     # it and runs to its end, so min(failed) names the lowest failure.
     workers = []
     try:
-        for _ in range(_replicate_threads(size) - 1):
+        for _ in range(_replicate_threads(draw_size) - 1):
             worker = threading.Thread(target=work)
             worker.start()
             workers.append(worker)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import log_ndtr, ndtri
 
 from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     NumericalError, PenaltyConfig, SignalSpec, ValidationError, besov_norm,
@@ -17,11 +19,13 @@ from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     mc_risk_for_truth, oracle_inequality_check, pen_vector, per_level_sse,
                     shell_radius)
 import penseq.estimator as estimator
+import penseq.penalty as penalty
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
 from penseq.simulate import (_draw, _noise_bands, _stream, _stream_words,
                              _tridiagonal_cholesky, resolve_jmax)
+from test_cli import keep_everything, universal_threshold
 
 DENSE_GAMMA = HyperParams(1.0, 2.0, 2.0, 0.5)
 SPARSE_GAMMA = HyperParams(0.75, 1.0, 1.0, 0.5)
@@ -56,14 +60,19 @@ def per_level_noise(rng, noise, jmax, j0=1):
 
 
 class ConstantNormals:
-    """A stand-in for a replicate's generator whose normals all equal value."""
+    """A stand-in for a replicate's generator whose normals all equal value and
+    whose binomial draws are 0: on identity noise no null is drawn."""
 
     def __init__(self, value):
         self.value = value
 
-    def standard_normal(self, size, out):
+    def standard_normal(self, size, out=None):
+        out = np.empty(size) if out is None else out
         out.fill(self.value)
         return out
+
+    def binomial(self, n, p):
+        return 0
 
 
 def sequence_mc_risk(truth, cfg, noise, replicates, seed):
@@ -76,6 +85,46 @@ def sequence_mc_risk(truth, cfg, noise, replicates, seed):
         rng = replicate_rng(seed, rep)
         y = truth.add(per_level_noise(rng, noise, truth.jmax, truth.j0))
         fit = fit_multiscale(y, cfg, noise)
+        kept += sum(f.k_hat for f in fit.fits)
+        level_sse = per_level_sse(fit, truth)
+        per_level += level_sse
+        sses[rep] = level_sse.sum()
+    mean = float(sses.mean())
+    stderr = float(sses.std(ddof=1) / math.sqrt(replicates))
+    return mean, stderr, per_level / replicates, kept
+
+
+def floor_sequence_mc_risk(truth, cfg, noise, replicates, seed):
+    """The Monte Carlo loop on identity noise as a plain per-replicate reference
+    of its draw: per level in increasing j, from the replicate's stream, every
+    normal where simulate._level_draws draws the level in full, else the normals
+    of theta_j != 0, K ~ Binomial(nulls, q) and K values above the floor at the
+    first K nulls; then add -> fit_multiscale -> per_level_sse.  A replicate
+    with a fit whose threshold lies below its level's floor takes
+    sequence_mc_risk's full draw instead.  Returns what sequence_mc_risk does."""
+    schedule = estimator._level_schedule(cfg, noise, truth.j0, truth.jmax)
+    draws = simulate._level_draws(cfg, schedule, truth.levels)
+    sses = np.empty(replicates)
+    per_level = np.zeros(len(schedule))
+    kept = 0
+    for rep in range(replicates):
+        rng = replicate_rng(seed, rep)
+        levels = []
+        for (_, eps_j, _), theta_j, draw in zip(schedule, truth.levels, draws):
+            if draw is None:
+                levels.append(eps_j * rng.standard_normal(theta_j.size))
+                continue
+            spikes, _, nulls, q, _ = draw
+            z = np.zeros(theta_j.size)
+            z[spikes] = eps_j * rng.standard_normal(spikes.size)
+            k = rng.binomial(nulls, q)
+            if k:
+                z[np.flatnonzero(theta_j == 0.0)[:k]] = eps_j * simulate._tails(rng, k, q)
+            levels.append(z)
+        fit = fit_multiscale(truth.add(MultiresSequence(truth.j0, tuple(levels))), cfg, noise)
+        if any(d is not None and f.threshold < d[4] for f, d in zip(fit.fits, draws)):
+            y = truth.add(per_level_noise(replicate_rng(seed, rep), noise, truth.jmax, truth.j0))
+            fit = fit_multiscale(y, cfg, noise)
         kept += sum(f.k_hat for f in fit.fits)
         level_sse = per_level_sse(fit, truth)
         per_level += level_sse
@@ -430,10 +479,20 @@ class TestSampleNoise:
             assert not (noise.epsilon_at(j) * z_j).any()
 
 
-def overflow_case(j):
+def overflow_case(j, covariance="identity"):
     """A zero truth on level j alone, its config and a noise with eps_j = 0.9 * 2^1023."""
     beta = 1023 / j                               # 93 at j = 11, 85.25 at j = 12: exact
-    return MultiresSequence.zeros(j, j), PenaltyConfig(beta=beta), NoiseSpec(0.9, beta)
+    noise = NoiseSpec(0.9, beta, covariance=covariance,
+                      rho=0.25 if covariance == "tridiagonal" else 0.0)
+    return MultiresSequence.zeros(j, j), PenaltyConfig(beta=beta, xi1=noise.xi1), noise
+
+
+# (normals, message): replicate r's normals all equal normals[r], and the
+# lowest failing replicate's error is message
+OVERFLOW_CASES = [
+    ((0, 3, 3, 0, 3), r"epsilon = .* at n=2048: eps\^2 \* pen\(n\) overflows"),
+    ((3, 0, 3, 0, 3), r"y_j = theta_j \+ eps_j \* z_j overflows at n=2048"),
+]
 
 
 class TestMcRisk:
@@ -494,7 +553,11 @@ class TestMcRisk:
         # first replicates in blocks of the default size, then 7 in blocks of 3:
         # two full blocks and a short last one.  At the default size a truth of
         # more than 2^11 coefficients has one replicate to a block, drawn in parts;
-        # a draw from a > 0 on is the second part of a replicate
+        # a draw from a > 0 on is the second part of a replicate.  On identity
+        # noise a truth with a zero coordinate is drawn by what select_k reads,
+        # one replicate at a time, and matches floor_sequence_mc_risk; the spread
+        # signal has none, so it takes the full draw there too
+        reads_floor = not rho and kind != "besov_spread"
         draw, drawn = simulate._draw, []
         monkeypatch.setattr(simulate, "_draw",
                             lambda *args: (args[3] > 0 and drawn.append(args[2])) or draw(*args))
@@ -504,7 +567,10 @@ class TestMcRisk:
             mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, replicates, 11)
             # the spread signal and the spikes keep coefficients, the dense shell none
             assert (kept > 0) == (kind != "shell_dense")
-            in_parts = block_coefs == default and truth.size > 1 << 11
+            if not rho:
+                mean, stderr, per_level, _ = floor_sequence_mc_risk(truth, cfg, noise,
+                                                                    replicates, 11)
+            in_parts = block_coefs == default and truth.size > 1 << 11 and not reads_floor
             for threads in (1, 2):
                 monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
                 drawn.clear()
@@ -513,14 +579,24 @@ class TestMcRisk:
                 assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
                 assert np.array_equal(got.per_level_sse, per_level)
 
-    @pytest.mark.parametrize("jmax, threads, replicates", [(7, 1, 100), (7, 2, 100), (15, 2, 6)])
+    @pytest.mark.parametrize("jmax, threads, replicates, covariance", [
+        pytest.param(7, 1, 100, "tridiagonal", id="7-1-100"),
+        pytest.param(7, 2, 100, "tridiagonal", id="7-2-100"),
+        pytest.param(15, 2, 6, "tridiagonal", id="15-2-6"),
+        pytest.param(7, 1, 100, "identity", id="identity-7-1-100"),
+        pytest.param(7, 2, 100, "identity", id="identity-7-2-100"),
+        pytest.param(15, 2, 6, "identity", id="identity-15-2-6")])
     def test_one_select_k_call_per_replicate_and_level(self, jmax, threads, replicates,
-                                                        monkeypatch):
-        # the count the benchmark reads: 254 coefficients run in blocks of 16
-        # replicates, the last one short, and 65,534 in blocks of one
+                                                        covariance, monkeypatch):
+        # the count the benchmark reads: on tridiagonal noise 254 coefficients
+        # run in blocks of 16 replicates, the last one short, and 65,534 in
+        # blocks of one; on identity noise the dense shell, zero on every level
+        # but one, is drawn by what select_k reads, still on the full levels
         gamma = HyperParams(1.0, 2.0, 2.0, 0.5)
-        truth = make_signal(spec_for("besov_spread", gamma, eps=2.0 ** -10, jmax=jmax))
-        noise = NoiseSpec(epsilon=2.0 ** -10, beta=0.5, covariance="tridiagonal", rho=0.25)
+        kind = "besov_spread" if covariance == "tridiagonal" else "shell_dense"
+        truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
+        noise = NoiseSpec(epsilon=2.0 ** -10, beta=0.5, covariance=covariance,
+                          rho=0.25 if covariance == "tridiagonal" else 0.0)
         select_k, sizes = estimator.select_k, []
 
         def counting(y, *args):
@@ -536,22 +612,32 @@ class TestMcRisk:
                                        for _ in range(replicates))
         assert sum(sizes) == replicates * truth.size
 
-    def test_peak_memory_of_a_deep_truth(self, monkeypatch):
-        # a truth of levels 1..17 has one replicate to a block, drawn in two
-        # parts into a buffer of the top level's 2^17 normals, not a row of all
-        # 262,142; the first run fills the estimator's caches (its shared zero
-        # estimate of 2^17 floats among them), the second is measured
+    @staticmethod
+    def deep_truth_peak(value, monkeypatch):
+        """Peak traced bytes of a second Monte Carlo run over levels 1..17 with
+        every coefficient equal to value; the first fills the estimator's caches
+        (its shared zero estimate of 2^17 floats among them)."""
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 1)
-        args = (MultiresSequence.zeros(1, 17), PenaltyConfig(beta=0.5),
-                NoiseSpec(epsilon=0.1, beta=0.5), 2, 0)
+        truth = MultiresSequence(1, tuple(np.full(1 << j, value) for j in range(1, 18)))
+        args = (truth, PenaltyConfig(beta=0.5), NoiseSpec(epsilon=0.1, beta=0.5), 2, 0)
         mc_risk_for_truth(*args)
         tracemalloc.start()
         try:
             mc_risk_for_truth(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (1 << 17) * 8
+
+    def test_peak_memory_of_a_deep_truth(self, monkeypatch):
+        # a zero truth of levels 1..17 is drawn by what select_k reads, level by
+        # level into a +0.0 buffer of the top level's 2^17 coefficients, not a
+        # row of all 262,142
+        assert self.deep_truth_peak(0.0, monkeypatch) <= 1.25 * (1 << 17) * 8
+
+    def test_peak_memory_of_a_deep_truth_drawn_in_full(self, monkeypatch):
+        # without a zero coordinate a truth of levels 1..17 is drawn in full, one
+        # replicate to a block, in two parts into a buffer of the top level's size
+        assert self.deep_truth_peak(1e-3, monkeypatch) <= 1.25 * (1 << 17) * 8
 
     def test_replicate_threads(self):
         assert simulate._replicate_threads(simulate._THREADED_SIZE - 1) == 1
@@ -578,8 +664,11 @@ class TestMcRisk:
         assert four.stderr_sse.hex() == one.stderr_sse.hex()
         assert np.array_equal(four.per_level_sse, one.per_level_sse)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_lowest_failing_replicate_is_raised(self, threads, monkeypatch):
+    @pytest.mark.parametrize("threads, covariance", [
+        pytest.param(1, "tridiagonal", id="1"), pytest.param(2, "tridiagonal", id="2"),
+        pytest.param(1, "identity", id="identity-1"),
+        pytest.param(2, "identity", id="identity-2")])
+    def test_lowest_failing_replicate_is_raised(self, threads, covariance, monkeypatch):
         # replicate 3 starts late, so with one replicate per block on two threads
         # replicate 4 fails first and 3 is in flight; on one thread 4 is never
         # taken: 3 is raised either way.  Two per block put 3 and 4 in different
@@ -588,9 +677,19 @@ class TestMcRisk:
         # replicate to a default block, drawn in parts, and fails either in the
         # levels below the top or only at the top level, the second part, whose
         # normals must continue the replicate's stream.  Each replicate's
-        # normals all equal its index, so a level names the replicate it belongs to
-        small, fit_level = MultiresSequence.zeros(1, 5), simulate._fit_level
-        deep = MultiresSequence.zeros(1, 11)
+        # normals all equal its index, so a level's first coefficient names the
+        # replicate it belongs to.  On identity noise, drawn one replicate at a
+        # time by what select_k reads, that coefficient is a spike of 1.0, the
+        # only one of its level drawn
+        noise = NoiseSpec(epsilon=0.1, beta=0.5, covariance=covariance,
+                          rho=0.25 if covariance == "tridiagonal" else 0.0)
+        spike = 0.0 if covariance == "tridiagonal" else 1.0
+
+        def truth(jmax):
+            return MultiresSequence(1, tuple(np.eye(1, 1 << j)[0] * spike
+                                             for j in range(1, jmax + 1)))
+
+        small, deep, fit_level = truth(5), truth(11), simulate._fit_level
 
         def rng(gen, words, rep):
             if rep == 3:
@@ -598,7 +697,7 @@ class TestMcRisk:
             return ConstantNormals(rep)
 
         def fit(j, level, cfg, eps_j, nu_j):
-            rep = round(level[0] / eps_j)
+            rep = round((level[0] - spike) / eps_j)
             if rep in (3, 4, 7) and j >= lowest:     # the case's lowest failing level
                 raise NumericalError(f"replicate {rep}")
             return fit_level(j, level, cfg, eps_j, nu_j)
@@ -607,15 +706,15 @@ class TestMcRisk:
         monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         before = threading.active_count()
-        for truth, block_coefs, lowest in (
+        for case, block_coefs, lowest in (
                 (small, small.size, 1), (small, 2 * small.size, 1),
                 (small, simulate._BLOCK_COEFS, 1), (deep, simulate._BLOCK_COEFS, 1),
                 (deep, simulate._BLOCK_COEFS, deep.jmax)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             for _ in range(5):
                 with pytest.raises(NumericalError, match=r"^replicate 3$"):
-                    mc_risk_for_truth(truth, PenaltyConfig(beta=0.5),
-                                      NoiseSpec(epsilon=0.1, beta=0.5), replicates=40, seed=1)
+                    mc_risk_for_truth(case, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
+                                      replicates=40, seed=1)
                 assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -684,18 +783,10 @@ class TestMcRisk:
                                rf"z_j overflows at n={2 ** j}, eps_j=8\.0\d+e\+307$"):
                 mc_risk_for_truth(*overflow_case(j), 2, 0)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("normals, message", [
-        ((0, 3, 3, 0, 3), r"epsilon = .* at n=2048: eps\^2 \* pen\(n\) overflows"),
-        ((3, 0, 3, 0, 3), r"y_j = theta_j \+ eps_j \* z_j overflows at n=2048"),
-    ])
-    def test_noise_overflow_in_a_block_is_raised_in_replicate_order(
-            self, normals, message, threads, monkeypatch):
-        # replicate r's normals all equal normals[r]: at eps_j = 0.9 * 2^1023
-        # every fit fails, and 3 * eps_j overflows before the fit.  At j = 11 the
-        # overflow is found for the whole first block of 4 before any fit; at
-        # j = 12 the default block holds one replicate.  Either way the error of
-        # the lowest failing replicate is raised
+    @staticmethod
+    def overflow_in_order(normals, message, covariance, threads, monkeypatch):
+        """Replicate r's normals all equal normals[r] at level j of overflow_case(j):
+        the lowest failing replicate's error, message at n = 2^j, is raised."""
         monkeypatch.setattr(simulate, "_stream",
                             lambda gen, words, rep: ConstantNormals(normals[rep]))
         monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
@@ -703,7 +794,26 @@ class TestMcRisk:
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             with pytest.raises(NumericalError, match=rf"^level j={j}: "
                                + message.replace("2048", str(2 ** j))):
-                mc_risk_for_truth(*overflow_case(j), len(normals), 0)
+                mc_risk_for_truth(*overflow_case(j, covariance), len(normals), 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("normals, message", OVERFLOW_CASES)
+    def test_noise_overflow_in_a_block_is_raised_in_replicate_order(
+            self, normals, message, threads, monkeypatch):
+        # at eps_j = 0.9 * 2^1023 every fit fails, and 3 * eps_j (times the
+        # filter's 1 + 0.26 or so) overflows before the fit.  At j = 11 the
+        # overflow is found for the whole first block of 4 before any fit; at
+        # j = 12 the default block holds one replicate.  Either way the error of
+        # the lowest failing replicate is raised
+        self.overflow_in_order(normals, message, "tridiagonal", threads, monkeypatch)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("normals, message", OVERFLOW_CASES)
+    def test_noise_overflow_on_identity_noise_is_raised_in_replicate_order(
+            self, normals, message, threads, monkeypatch):
+        # on identity noise the floor is the overflow limit, below 1e-155 * eps_j,
+        # so the level is drawn in full, one replicate at a time
+        self.overflow_in_order(normals, message, "identity", threads, monkeypatch)
 
     def test_numerical_error_names_the_level(self):
         # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
@@ -743,6 +853,185 @@ class TestMcRisk:
         assert mc_risk_for_truth(MultiresSequence.zeros(1, 3), PenaltyConfig(beta=0.5),
                                  NoiseSpec(epsilon=0.1, beta=0.5), np.int64(2),
                                  np.int64(3)).replicates == 2
+
+
+# The floor of the two-sample check: zeta = 1.01, nu = 2.8, beta = 0 and
+# eps = 0.5 at n = 1024, t_n = 1.60 and q = 0.109, so about 112 nulls a
+# replicate lie above it; jeps_scale = 5 keeps nu_j = nu up to j = 10
+K_COMMON_CFG = PenaltyConfig(zeta=1.01, nu=2.8, beta=0.0, jeps_scale=5.0)
+K_COMMON_NOISE = NoiseSpec(epsilon=0.5)
+
+
+def spiked_level(n, every, size):
+    level = np.zeros(n)
+    level[::every] = size
+    return level
+
+
+class Uniforms:
+    """A stand-in for a stream whose uniforms are the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, k):
+        return np.array(self.values[:k])
+
+
+class TestFloorDraw:
+    """The identity-noise draw of what select_k can read."""
+
+    def test_upper_quantile_matches_ndtri(self):
+        # _upper_quantile(1, 2p) = -Phi^-1(p), as 2p * 1 / 2 is p exactly: AS241
+        # against SciPy's ndtri from p = 1e-300 to 0.5, and densely just below 0.5,
+        # where both approach 0; the relative tolerance was fixed before the run
+        p = np.concatenate([np.geomspace(1e-300, 0.5, 100_001),
+                            0.5 - np.geomspace(1e-17, 1e-4, 10_001)])
+        np.testing.assert_allclose(simulate._upper_quantile(1.0, 2.0 * p), -ndtri(p),
+                                   rtol=4e-15, atol=0.0)
+
+    def test_tails_never_read_a_zero_uniform(self):
+        # v = 0 and 1/2 give u = 1, the floor itself; the largest v below 1/2 and
+        # below 1 give u = 2^-52, the smallest u; v < 1/2 gives z < 0
+        half, top = 0.5 - 2.0 ** -53, 1.0 - 2.0 ** -53    # random() is on a 2^-53 grid
+        q = 0.01
+        z = simulate._tails(Uniforms([0.0, 0.5, half, top]), 4, q)
+        assert np.signbit(z).tolist() == [True, False, True, False]
+        np.testing.assert_allclose(np.abs(z), -ndtri(np.array([q, q, q * 2.0 ** -52]) / 2)[
+            [0, 1, 2, 2]], rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-300])
+    def test_upper_quantile_where_its_probability_underflows(self, q):
+        # p = q * u / 2 is subnormal or 0 for these q and u: |z| is read from
+        # log p = log q + log u - log 2, which log_ndtr(-|z|) must give back
+        u = np.array([1.0, 0.5, 2.0 ** -52])
+        assert (0.5 * q) * u[-1] < np.finfo(float).tiny
+        z = simulate._upper_quantile(q, u)
+        log_p = math.log(q) + np.log(u) - math.log(2.0)
+        assert np.all(np.isfinite(z)) and np.all(z > 37.0)
+        np.testing.assert_allclose(log_ndtr(-z), log_p, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("cfg", [PenaltyConfig(), PenaltyConfig(beta=0.5), K_COMMON_CFG])
+    @pytest.mark.parametrize("n", [1, 2, 64, 1 << 17])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-5, 0.3, 1.0, 7.0, 1e100, 1e300])
+    def test_no_null_select_k_could_read_goes_undrawn(self, cfg, n, eps):
+        # a null left undrawn has |y| <= fl(eps * c): select_k drops it, below its
+        # floor and its overflow limit.  c lies a few ulps below floor / eps
+        c, floor = simulate._null_floor(cfg, n, eps, cfg.nu)
+        cut = eps * penalty._level_record(cfg.key, n, cfg.nu)[0] * estimator._SHRINK
+        assert eps * c <= floor <= cut
+        assert c >= floor / eps * (1.0 - 1e-15)
+        if math.isfinite(eps * eps * penalty._level_record(cfg.key, n, cfg.nu)[1]):
+            y = np.zeros(n)
+            y[-1] = -(eps * c)
+            fit = estimator.select_k(y, cfg, eps, cfg.nu)
+            assert fit.k_hat == 0 and fit.objective == y[-1] ** 2
+
+    def test_levels_without_a_floor_are_drawn_in_full(self):
+        # eps = 0, and pen not increasing at n = 64 for nu = 1.05, leave select_k
+        # no floor; at xi1 = 1e-4 almost every null lies above it (q = 0.96); a
+        # level of spikes only has no null
+        assert simulate._null_floor(PenaltyConfig(), 64, 0.0, 40.0) is None
+        assert simulate._null_floor(PenaltyConfig(nu=1.05), 64, 1.0, 1.05) is None
+        cfg = PenaltyConfig(xi1=1e-4)
+        schedule = [(6, 1e-3, cfg.nu)] * 3
+        levels = [np.zeros(64), spiked_level(64, 1, 1.0), spiked_level(64, 2, 1.0)]
+        assert simulate._level_draws(cfg, schedule, levels) == [None] * 3
+        spikes, values, nulls, q, floor = simulate._level_draws(
+            PenaltyConfig(), schedule, levels)[2]
+        assert spikes.tolist() == list(range(0, 64, 2)) and values.tolist() == [1.0] * 32
+        assert nulls == 32 and 0 < q < 1e-5 and floor > 4e-3
+
+    def test_law_of_k_and_of_the_values_above_the_floor(self):
+        # level 10 of a zero truth at the two-sample floor (q = 0.109), 4,000
+        # draws from one stream: K against Binomial(1024, q), the values against
+        # the normal law above the floor and their signs against a fair coin.
+        # The p-value bound 1e-3 was fixed before the run
+        ((j, eps, nu),) = schedule = estimator._level_schedule(K_COMMON_CFG, K_COMMON_NOISE,
+                                                               10, 10)
+        theta = np.zeros(1024)
+        (draw,) = simulate._level_draws(K_COMMON_CFG, schedule, [theta])
+        _, _, nulls, q, floor = draw
+        c = simulate._null_floor(K_COMMON_CFG, 1024, eps, nu)[0]
+        assert nulls == 1024 and nulls * q > 100
+        rng, y, ks, values = np.random.default_rng(2026), np.zeros(1024), [], []
+        for _ in range(4000):
+            written = simulate._draw_level(rng, draw, theta, eps, y)
+            assert written.tolist() == list(range(written.size))   # the first K nulls
+            ks.append(written.size)
+            values.append(y[written] / eps)
+            y[written] = 0.0
+        assert not y.any()
+        ks, values = np.array(ks), np.concatenate(values)
+        # K: chi-square over 90 or less, 91..134 and 135 or more (mean 112, sd 10)
+        edges = np.arange(90, 136)
+        observed = np.bincount(np.clip(ks, 90, 135) - 90, minlength=46)
+        expected = stats.binom.pmf(edges, nulls, q)
+        expected[0], expected[-1] = stats.binom.cdf(90, nulls, q), stats.binom.sf(134, nulls, q)
+        assert stats.chisquare(observed, 4000 * expected).pvalue > 1e-3
+        assert np.abs(values).min() > c * (1.0 - 1e-14)
+        cdf = lambda x: -np.expm1(np.log(stats.norm.sf(x)) - np.log(q / 2))
+        assert stats.kstest(np.abs(values), cdf).pvalue > 1e-3
+        assert stats.binomtest(int((values > 0).sum()), values.size).pvalue > 1e-3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_its_reference_where_nulls_are_drawn(self, threads, monkeypatch):
+        # levels 8..10 at the two-sample floor, with 128 spikes of 8 eps on level
+        # 10 and 8 of 3 eps on level 9: nulls above the floor are drawn on every
+        # level of most replicates, and kept
+        truth = MultiresSequence(8, (np.zeros(256), spiked_level(512, 64, 1.5),
+                                     spiked_level(1024, 8, 4.0)))
+        mean, stderr, per_level, kept = floor_sequence_mc_risk(truth, K_COMMON_CFG,
+                                                               K_COMMON_NOISE, 200, 8)
+        assert kept > 0
+        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+        got = mc_risk_for_truth(truth, K_COMMON_CFG, K_COMMON_NOISE, replicates=200, seed=8)
+        assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+        assert np.array_equal(got.per_level_sse, per_level)
+
+    def test_two_sample_against_the_full_draw(self, monkeypatch):
+        # level 10 at the two-sample floor with 128 spikes of 8 eps: about 112
+        # nulls a replicate lie above the floor, and with the spikes kept the
+        # threshold falls to where nulls are kept too.  The mean SSE and the mean k_hat of
+        # the draw of what select_k reads against sequence_mc_risk's full draw,
+        # 3,000 replicates each at independent seeds: each two-sample |z| must
+        # stay within 4, a bound fixed before the run
+        truth = MultiresSequence(10, (spiked_level(1024, 8, 4.0),))
+        select, k_hats = estimator.select_k, []
+
+        def recording(y, *args):
+            fit = select(y, *args)
+            k_hats[-1].append(fit.k_hat)
+            return fit
+
+        monkeypatch.setattr(estimator, "select_k", recording)
+        k_hats.append([])
+        ref = sequence_mc_risk(truth, K_COMMON_CFG, K_COMMON_NOISE, 3000, 1)
+        k_hats.append([])
+        got = mc_risk_for_truth(truth, K_COMMON_CFG, K_COMMON_NOISE, replicates=3000, seed=2)
+        full, floor = (np.array(k) for k in k_hats)
+        assert full.size == floor.size == 3000 and full.max() > 128
+        z_sse = (got.mean_sse - ref[0]) / math.hypot(got.stderr_sse, ref[1])
+        z_k = (floor.mean() - full.mean()) / math.sqrt((floor.var() + full.var()) / 3000)
+        assert abs(z_sse) <= 4.0 and abs(z_k) <= 4.0
+
+    @pytest.mark.parametrize("stand_in", [keep_everything, universal_threshold])
+    @pytest.mark.parametrize("jmax", [9, 12])
+    def test_stand_ins_are_fitted_on_the_full_draw(self, stand_in, jmax, monkeypatch):
+        # a stand-in for select_k whose threshold lies below the floor could keep a
+        # null left undrawn, so its replicate is drawn and fitted again in full:
+        # the loop gives sequence_mc_risk's numbers bit for bit.  At jmax = 12
+        # the redraw is one replicate in two parts
+        truth = make_signal(spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -10, jmax=jmax))
+        cfg, noise = PenaltyConfig(beta=0.5), NoiseSpec(epsilon=2.0 ** -10, beta=0.5)
+        monkeypatch.setattr(estimator, "select_k", stand_in)
+        mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, 6, 3)
+        assert kept > 0
+        for threads in (1, 2):
+            monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
+            got = mc_risk_for_truth(truth, cfg, noise, replicates=6, seed=3)
+            assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+            assert np.array_equal(got.per_level_sse, per_level)
 
 
 class TestFitRateExponent:
