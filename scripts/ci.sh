@@ -69,26 +69,6 @@ if differ:
 print(f"sweep-sparse and oracle-check: all {len(SEED_POOL)} pool seeds byte-identical")
 PY
 rm -rf "$pool"
-# outputs must not depend on the CPU count: a Monte Carlo run over 2^15 or
-# more coefficients shares its replicates between threads when two CPUs are
-# free, each thread with its own generator, and pinned to one CPU it runs on
-# one thread.  The second seed has two 32-bit words
-if command -v taskset > /dev/null; then
-  cpus=$(mktemp -d)
-  for seed in 5 4294967301; do
-    PYTHONPATH=src python3 -m penseq.cli sweep --preset sparse --replicates 4 --seed "$seed" \
-      --out "$cpus/any-$seed"
-    PYTHONPATH=src taskset -c 0 python3 -m penseq.cli sweep --preset sparse --replicates 4 \
-      --seed "$seed" --out "$cpus/one-$seed"
-    for f in sweep.json sweep.csv; do
-      cmp "$cpus/any-$seed/$f" "$cpus/one-$seed/$f" \
-        || { echo "$f differs between all CPUs and one CPU at seed $seed"; exit 1; }
-    done
-  done
-  rm -rf "$cpus"
-else
-  echo "ci: taskset not found; skipping the one-CPU output comparison"
-fi
 # outputs must not depend on the BLAS thread count: numpy's dot product of more
 # than 10,000 elements runs OpenBLAS's threaded kernel, whose last bit depends
 # on it. Each run goes once with OpenBLAS's default (one thread per CPU) and

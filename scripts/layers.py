@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 scripts/layers.py
 
 Each line is the best of REPEATS runs over a fixed list of inputs, drawn from
-SEED, divided by the calls in a run; the whole script takes a few seconds.
+SEED, divided by the calls in a run (by the replicates too on
+mc_risk_for_truth's line); the whole script takes a few seconds.
 The numbers are printed and never checked: they are the source of the
 per-call figures that ROADMAP.md quotes.  select_k's lines say whether the
 level keeps nothing (every |y| under the floor eps * t_n) or keeps a
@@ -16,8 +17,8 @@ import timeit
 
 import numpy as np
 
-from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, fit_multiscale, select_k,
-                    subset_oracle)
+from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, fit_multiscale,
+                    mc_risk_for_truth, select_k, subset_oracle)
 from penseq.estimator import _level_schedule
 from penseq.simulate import _draw, _draw_level, _level_draws, _stream, _stream_words
 
@@ -94,6 +95,14 @@ def main() -> int:
     seqs = [(MultiresSequence(1, [0.01 * rng.standard_normal(1 << j) for j in range(1, 18)]),
              CFG, noise) for _ in range(5)]
     rows.append(("fit_multiscale, levels 1..17, keeps nothing", per_call_us(fit_multiscale, seqs)))
+    # the Monte Carlo loop on a zero truth over levels 1..17 with tridiagonal
+    # noise, which draws every coefficient: a deep full draw, per replicate
+    tridiagonal = NoiseSpec(epsilon=0.01, covariance="tridiagonal", rho=0.25)
+    replicates = 4
+    mc_args = [(MultiresSequence.zeros(1, 17), PenaltyConfig(xi1=tridiagonal.xi1), tridiagonal,
+                replicates, SEED)]
+    rows.append(("mc_risk_for_truth per replicate, levels 1..17, tridiagonal rho = 0.25",
+                 per_call_us(mc_risk_for_truth, mc_args) / replicates))
     print(f"# us per call, best of {REPEATS}; Python {platform.python_version()}, "
           f"numpy {np.__version__}")
     for label, us in rows:

@@ -10,57 +10,53 @@ from epsilon instead.  Every generated signal has besov_norm(theta, gamma)
 <= radius exactly.  A level that holds no block is left as the np.zeros it
 was made as, never written, so its pages need not be resident.
 
-The Monte Carlo loop is the only sampler.  Replicate rep of a run with seed
-s draws from PCG64 seeded by SeedSequence(entropy=s, spawn_key=(rep,)), level
-by level in increasing j, so results are reproducible and independent of any
-execution schedule.  On identity noise a replicate draws only what select_k
-can read: per level, the coefficients with theta_j != 0, the number of nulls
-(theta_j = 0) above select_k's floor eps_j * t_n and their values, the law
-of the full draw restricted to them (see _level_draws); every other null is
-left +0.0.  A level without such a floor, without a null or with over an
-eighth of its nulls above the floor is drawn in full, and so is a replicate
-with a fit whose threshold lies below the floor (a stand-in for select_k).
-Otherwise the draw is one standard-normal draw of every coefficient.  The
-loop seeds each stream through a port of numpy's seeding, computed for all
-of a run's replicates at once, and sets the state of one generator per
-thread before each replicate's draw; TestReplicateStreams in
-tests/test_simulate.py checks the port against numpy, and the
-one-generator-per-replicate reference loops there match the loop bit for
-bit.  The full draw takes its replicates in blocks of consecutive ones, up
-to 2^12 coefficients to a block: each replicate still draws from its own
-stream, into its row of the block, and the noise filter and
-y = theta + eps_j * z then run once over the whole block, so small truths
-pay numpy's per-call cost once per block rather than once per replicate.  A
-block is drawn, filtered, formed and fitted in parts of whole levels, one
-part before the next is drawn: a block of several replicates is one part, a
-block of one (a truth of more than 2^11 coefficients) two, the levels below
-the top and then the top level, so its buffer holds the top level's size.
-A row's later part continues its stream, so the numbers are those of one
-draw.  A Monte Carlo run whose replicates each draw at least 2^15 normals
-(one replicate to a block) shares its blocks between up to two threads
-(numpy's normal fill and large-array operations release the GIL); each
-replicate's per-level SSE lands in its own row, and the rows are reduced in
-replicate order, so neither the block size nor the number of threads moves
-a bit.  The BLAS thread count can: numpy's dot product (`@`)
-of more than 10,000 elements runs OpenBLAS's threaded kernel, whose last bit
-depends on OPENBLAS_NUM_THREADS, and levels of 2^14 or more coefficients
-pass through it.  The presets write
-the same bytes either way (scripts/ci.sh compares them), other inputs need
-not; set OPENBLAS_NUM_THREADS=1 for bits that cannot depend on it.
-Tridiagonal noise takes its Cholesky factor from a standard-library port of
-LAPACK's banded factorisation, so every Monte Carlo run is numpy alone.
+The Monte Carlo loop is the only sampler, and it runs its replicates in
+order on the calling thread.  Replicate rep of a run with seed s draws from
+PCG64 seeded by SeedSequence(entropy=s, spawn_key=(rep,)), level by level in
+increasing j, so results are reproducible.  On identity noise a replicate
+draws only what select_k can read: per level, the coefficients with
+theta_j != 0, the number of nulls (theta_j = 0) above select_k's floor
+eps_j * t_n and their values, the law of the full draw restricted to them
+(see _level_draws); every other null is left +0.0.  A level without such a
+floor, without a null or with over an eighth of its nulls above the floor is
+drawn in full, and so is a replicate with a fit whose threshold lies below
+the floor (a stand-in for select_k).  Otherwise the draw is one
+standard-normal draw of every coefficient.  The loop seeds each stream
+through a port of numpy's seeding, computed for all of a run's replicates at
+once, and sets the state of one generator before each replicate's draw;
+TestReplicateStreams in tests/test_simulate.py checks the port against
+numpy, and the one-generator-per-replicate reference loops there match the
+loop bit for bit.  The full draw takes its replicates in blocks of
+consecutive ones, up to 2^12 coefficients to a block: each replicate still
+draws from its own stream, into its row of the block, and the noise filter
+and y = theta + eps_j * z then run once over the whole block, so small
+truths pay numpy's per-call cost once per block rather than once per
+replicate.  A block is drawn, filtered, formed and fitted in parts of whole
+levels, one part before the next is drawn: a block of several replicates is
+one part, a block of one (a truth of more than 2^11 coefficients) two, the
+levels below the top and then the top level, so its buffer holds the top
+level's size.  A row's later part continues its stream, so the numbers are
+those of one draw.  Each replicate's per-level SSE lands in its own row, and
+the rows are reduced in replicate order, so the block size moves no bit.
+The BLAS thread count can: numpy's dot product (`@`) of more than 10,000
+elements runs OpenBLAS's threaded kernel, whose last bit depends on
+OPENBLAS_NUM_THREADS, and levels of 2^14 or more coefficients pass through
+it.  The presets write the same bytes either way (scripts/ci.sh compares
+them), other inputs need not; set OPENBLAS_NUM_THREADS=1 for bits that
+cannot depend on it.  Tridiagonal noise takes its Cholesky factor from a
+standard-library port of LAPACK's banded factorisation, so every Monte Carlo
+run is numpy alone.
 
 A failed Monte Carlo run raises its lowest failing replicate's error, on any
-block size and thread count: a block fits its replicates in order and raises
-its first error, a failed draw is raised after the rows drawn before it, and
-an overflow while forming y_j = theta_j + eps_j * z_j is named by level.
+block size: blocks run in replicate order, a block fits its replicates in
+order and raises its first error, a failed draw is raised after the rows
+drawn before it, and an overflow while forming y_j = theta_j + eps_j * z_j is
+named by level.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +69,9 @@ from .estimator import _SHRINK, _TINY, _fit_level, _level_schedule, ideal_risk, 
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
-# a truth has 2^(J+1) - 2 coefficients, so the smallest threaded run has J = 15
-# (65,534).  Two threads against one, 100 zero-signal replicates, took 1.01x
-# the time at 16,382 coefficients; at 32,766 runs read 0.86x, 1.04x and 0.60x
-# as a second CPU was free or not, too unsteady to lower the threshold
-_THREADED_SIZE = 1 << 15
 # The Monte Carlo loop draws, filters and scales the noise of up to this many
 # coefficients at once, a block of max(1, _BLOCK_COEFS // size) replicates, so
-# numpy's per-call cost is paid once per block.  It lies below _THREADED_SIZE,
-# so a threaded run keeps one replicate per block.  Over 100 sweep-spread-corr
+# numpy's per-call cost is paid once per block.  Over 100 sweep-spread-corr
 # invocations in one interpreter, blocks of 2^13 coefficients raised the peak
 # RSS by 0.3-0.4 MB and blocks of 2^12 by under 0.1 MB
 _BLOCK_COEFS = 1 << 12
@@ -587,24 +577,12 @@ class McResult:
     per_level_sse: np.ndarray
 
 
-def _replicate_threads(normals: int) -> int:
-    """Threads for a Monte Carlo run whose replicates each draw this many
-    normals: up to two, as the CPUs the process may run on allow, from
-    _THREADED_SIZE on.  The normal fill releases the GIL; the rest of a
-    replicate's work mostly holds it."""
-    if normals < _THREADED_SIZE:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                        # not every platform has it
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
 def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseSpec,
                       replicates: int, seed: int) -> McResult:
-    """Monte Carlo risk at a fixed truth: per replicate, one noise draw -> add ->
-    fit_multiscale -> per_level_sse, from a level plan built once per call.
+    """Monte Carlo risk at a fixed truth: per replicate, one noise draw, then per
+    level y_j = theta_j + eps_j * z_j, _fit_level and the level's squared error,
+    from a level plan built once per call.  Replicates run in order on the
+    calling thread.
 
     On identity noise, a replicate draws from its own stream, level by level in
     increasing j, what select_k can read (see _level_draws): the coordinates
@@ -612,8 +590,8 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     values, into a +0.0 vector of the level's size; select_k is still called
     once per level, on that vector.  A level that _level_draws leaves whole is
     drawn in full.  A fit whose threshold lies below the floor (a stand-in for
-    select_k) could keep a null left undrawn: its replicate is drawn and
-    fitted again, in full, as below.
+    select_k) could keep a null left undrawn: its replicate is drawn again from
+    the start of its stream, every level in full, and fitted again.
 
     Otherwise replicates run in blocks of consecutive ones,
     max(1, _BLOCK_COEFS // size) to a block, and a block in parts of whole
@@ -622,9 +600,8 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     y = theta + eps_j * z run once over the whole block, and then each
     replicate's levels are fitted in turn.  A block of several replicates is
     one part, a block of one two, so its buffer is the size of the top level.
-    The blocks may run on more than one thread.  The result depends on
-    neither, nor does the error a failed run raises (see the module
-    docstring).
+    Neither the result nor the error a failed run raises depends on the block
+    size (see the module docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
@@ -632,17 +609,9 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
     draws = _level_draws(cfg, schedule, truth.levels) if bands is None else []
-    sparse = any(draw is not None for draw in draws)
-    # the normals of one replicate's draw: on sweep --preset sparse, whose
-    # replicates draw a few, two threads took 1.2x the time of one
-    draw_size = sum(theta_j.size if draw is None else draw[0].size
-                    for (_, _, theta_j, *_), draw in zip(plan, draws)) if sparse else size
     words = _stream_words(seed, np.arange(replicates))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
-    block = 1 if sparse else max(1, _BLOCK_COEFS // size)
-    firsts = iter(range(0, replicates, block))    # next() on it is atomic under the GIL
-    failed = {}
-    stop = threading.Event()
+    gen = np.random.Generator(np.random.PCG64(0))   # seeded per replicate
 
     def fit_levels(levels: list, z: np.ndarray, sse: np.ndarray) -> None:
         """Form y_j = theta_j + eps_j * z_j in place for levels, consecutive entries
@@ -670,32 +639,17 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                     diff = fit.estimate - theta_j
                     level_sse[idx] = float(diff @ diff)
 
-    # A part is levels lo..hi-1 of the plan, coefficients a..b-1 and their bands.
-    # A block of one replicate has two: the levels below the top (2^jmax - 2^j0
-    # coefficients), then the top level
-    cuts = [0, len(plan) - 1, len(plan)] if block == 1 and len(plan) > 1 else [0, len(plan)]
-    edges = [start for _, start, *_ in plan] + [size]
-    parts = [(lo, hi, a, b, None if bands is None else (bands[0][a:b], bands[1][a:b - 1]))
-             for lo, hi in zip(cuts, cuts[1:]) for a, b in [(edges[lo], edges[hi])]]
-    shape = (block, max(b - a for _, _, a, b, _ in parts))
-
-    def run(gen, first: int, normals: np.ndarray, z: np.ndarray) -> None:
-        """Fit the replicates of the block from first on, in order, part by part."""
-        for lo, hi, a, b, part_bands in parts:
-            gen, drawn, error = _draw(gen, words, first, a, b, normals[:replicates - first],
-                                      part_bands, z)
-            fit_levels(plan[lo:hi], drawn, rows[first:, lo:hi])
-            if error is not None:
-                raise error
-
-    def run_sparse(gen, rep: int, normals: np.ndarray, z: np.ndarray) -> None:
-        """Fit replicate rep from the draw of what select_k can read, its levels in
-        turn in the front of normals[0], which holds +0.0 before and after."""
-        stream, buf, sse = _stream(gen, words, rep), normals[0], rows[rep]
+    def run_sparse(rep: int, level_draws: list, buf: np.ndarray) -> bool:
+        """Fit replicate rep, each level drawn by its entry of level_draws (see
+        _draw_level), the levels in turn in the front of buf, which holds +0.0
+        before and after.  False, at once, after a fit whose threshold lies
+        below its level's floor."""
+        stream, sse = _stream(gen, words, rep), rows[rep]
         # an overflow of y_j is named by its level, as in fit_levels; select_k
         # checks its own before they happen, so the state is set once per replicate
         with np.errstate(over="ignore"):
-            for idx, ((j, _, theta_j, eps_j, nu_j, energy), draw) in enumerate(zip(plan, draws)):
+            for idx, ((j, _, theta_j, eps_j, nu_j, energy), draw) in enumerate(
+                    zip(plan, level_draws)):
                 y_j = buf[:theta_j.size]
                 written = _draw_level(stream, draw, theta_j, eps_j, y_j)
                 # fit_levels' step for one level, copied: a shared helper put a
@@ -714,42 +668,39 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                     sse[idx] = float(diff @ diff)
                 y_j[written] = 0.0
                 if draw is not None and fit.threshold < draw[4]:
-                    break
-            else:
-                return
-        # a fit below the floor: the replicate takes the numbers of the full draw
-        run(gen, rep, normals, z)
-        buf.fill(0.0)
+                    return False
+        return True
 
-    def work() -> None:
-        gen = np.random.Generator(np.random.PCG64(0))   # this thread's; seeded per replicate
-        normals = np.zeros(shape) if sparse else np.empty(shape)
-        z = normals if bands is None else np.empty(shape)
-        for first in firsts:
-            if stop.is_set():
-                return
-            try:
-                (run_sparse if sparse else run)(gen, first, normals, z)
-            except Exception as err:              # raised by the caller's thread below
-                failed[first] = err
-                stop.set()
-
-    # Each thread takes the next block as it frees up, so a thread the host
-    # starves takes fewer.  Every block below a failing one was taken before
-    # it and runs to its end, so min(failed) names the lowest failure.
-    workers = []
-    try:
-        for _ in range(_replicate_threads(draw_size) - 1):
-            worker = threading.Thread(target=work)
-            worker.start()
-            workers.append(worker)
-        work()
-    finally:
-        stop.set()
-        for worker in workers:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
+    if any(draw is not None for draw in draws):
+        # one replicate at a time, into a +0.0 buffer of the top level's size.  A
+        # fit below the floor: the replicate takes the numbers of the full draw,
+        # its stream drawn level by level as the block path draws it in parts
+        buf, full = np.zeros(plan[-1][2].size), [None] * len(plan)
+        for rep in range(replicates):
+            if not run_sparse(rep, draws, buf):
+                run_sparse(rep, full, buf)
+    else:
+        block = max(1, _BLOCK_COEFS // size)
+        # A part is levels lo..hi-1 of the plan, coefficients a..b-1 and their
+        # bands.  A block of one replicate has two: the levels below the top
+        # (2^jmax - 2^j0 coefficients), then the top level
+        cuts = [0, len(plan) - 1, len(plan)] if block == 1 and len(plan) > 1 else [0, len(plan)]
+        edges = [start for _, start, *_ in plan] + [size]
+        parts = [(lo, hi, a, b, None if bands is None else (bands[0][a:b], bands[1][a:b - 1]))
+                 for lo, hi in zip(cuts, cuts[1:]) for a, b in [(edges[lo], edges[hi])]]
+        normals = np.empty((block, max(b - a for _, _, a, b, _ in parts)))
+        z = normals if bands is None else np.empty(normals.shape)
+        # blocks in replicate order, and a block's rows fitted in order with a
+        # failed draw returned after the rows drawn before it: the first error
+        # raised is the lowest failing replicate's
+        for first in range(0, replicates, block):
+            stream = gen
+            for lo, hi, a, b, part_bands in parts:
+                stream, drawn, error = _draw(stream, words, first, a, b,
+                                             normals[:replicates - first], part_bands, z)
+                fit_levels(plan[lo:hi], drawn, rows[first:, lo:hi])
+                if error is not None:
+                    raise error
     sses = np.empty(replicates)
     per_level = np.zeros(len(plan))
     for rep, level_sse in enumerate(rows):

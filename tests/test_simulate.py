@@ -1,9 +1,6 @@
 import hashlib
 import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -382,8 +379,8 @@ class TestReplicateStreams:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_port_matches_numpy(self, seed):
-        # one generator serves every replicate, as one serves each thread of the
-        # loop; a 32-bit draw between them leaves a buffered word that must not leak
+        # one generator serves every replicate, as one serves the loop; a
+        # 32-bit draw between them leaves a buffered word that must not leak
         gen = np.random.default_rng(0)
         words = _stream_words(seed, STREAM_REPS)
         for index, rep in enumerate(STREAM_REPS):
@@ -531,8 +528,9 @@ class TestMcRisk:
                                             ("shell_dense", 9), ("besov_spread", 15),
                                             ("shell_dense", 12), ("near_threshold", 4)])
     def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax, monkeypatch):
-        # jmax = 15 is 65,534 coefficients, past the size that shares replicates;
-        # the dense shell at jmax = 12 leaves most levels of a deep truth zero
+        # jmax = 15 is 65,534 coefficients, one replicate to a block, drawn in
+        # two parts; the dense shell at jmax = 12 leaves most levels of a deep
+        # truth zero
         gamma = HyperParams(1.0, 2.0, 2.0, beta)
         if rho:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta, covariance="tridiagonal", rho=rho)
@@ -571,23 +569,19 @@ class TestMcRisk:
                 mean, stderr, per_level, _ = floor_sequence_mc_risk(truth, cfg, noise,
                                                                     replicates, 11)
             in_parts = block_coefs == default and truth.size > 1 << 11 and not reads_floor
-            for threads in (1, 2):
-                monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-                drawn.clear()
-                got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
-                assert sorted(drawn) == (list(range(replicates)) if in_parts else [])
-                assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
-                assert np.array_equal(got.per_level_sse, per_level)
+            drawn.clear()
+            got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
+            assert sorted(drawn) == (list(range(replicates)) if in_parts else [])
+            assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+            assert np.array_equal(got.per_level_sse, per_level)
 
-    @pytest.mark.parametrize("jmax, threads, replicates, covariance", [
-        pytest.param(7, 1, 100, "tridiagonal", id="7-1-100"),
-        pytest.param(7, 2, 100, "tridiagonal", id="7-2-100"),
-        pytest.param(15, 2, 6, "tridiagonal", id="15-2-6"),
-        pytest.param(7, 1, 100, "identity", id="identity-7-1-100"),
-        pytest.param(7, 2, 100, "identity", id="identity-7-2-100"),
-        pytest.param(15, 2, 6, "identity", id="identity-15-2-6")])
-    def test_one_select_k_call_per_replicate_and_level(self, jmax, threads, replicates,
-                                                        covariance, monkeypatch):
+    @pytest.mark.parametrize("jmax, replicates, covariance", [
+        pytest.param(7, 100, "tridiagonal", id="7-100"),
+        pytest.param(15, 6, "tridiagonal", id="15-6"),
+        pytest.param(7, 100, "identity", id="identity-7-100"),
+        pytest.param(15, 6, "identity", id="identity-15-6")])
+    def test_one_select_k_call_per_replicate_and_level(self, jmax, replicates, covariance,
+                                                        monkeypatch):
         # the count the benchmark reads: on tridiagonal noise 254 coefficients
         # run in blocks of 16 replicates, the last one short, and 65,534 in
         # blocks of one; on identity noise the dense shell, zero on every level
@@ -605,7 +599,6 @@ class TestMcRisk:
             return fit
 
         monkeypatch.setattr(estimator, "select_k", counting)
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
                           replicates=replicates, seed=2)
         assert sorted(sizes) == sorted(2 ** j for j in range(1, jmax + 1)
@@ -613,11 +606,10 @@ class TestMcRisk:
         assert sum(sizes) == replicates * truth.size
 
     @staticmethod
-    def deep_truth_peak(value, monkeypatch):
+    def deep_truth_peak(value):
         """Peak traced bytes of a second Monte Carlo run over levels 1..17 with
         every coefficient equal to value; the first fills the estimator's caches
         (its shared zero estimate of 2^17 floats among them)."""
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 1)
         truth = MultiresSequence(1, tuple(np.full(1 << j, value) for j in range(1, 18)))
         args = (truth, PenaltyConfig(beta=0.5), NoiseSpec(epsilon=0.1, beta=0.5), 2, 0)
         mc_risk_for_truth(*args)
@@ -628,52 +620,23 @@ class TestMcRisk:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_of_a_deep_truth(self, monkeypatch):
+    def test_peak_memory_of_a_deep_truth(self):
         # a zero truth of levels 1..17 is drawn by what select_k reads, level by
         # level into a +0.0 buffer of the top level's 2^17 coefficients, not a
         # row of all 262,142
-        assert self.deep_truth_peak(0.0, monkeypatch) <= 1.25 * (1 << 17) * 8
+        assert self.deep_truth_peak(0.0) <= 1.25 * (1 << 17) * 8
 
-    def test_peak_memory_of_a_deep_truth_drawn_in_full(self, monkeypatch):
+    def test_peak_memory_of_a_deep_truth_drawn_in_full(self):
         # without a zero coordinate a truth of levels 1..17 is drawn in full, one
         # replicate to a block, in two parts into a buffer of the top level's size
-        assert self.deep_truth_peak(1e-3, monkeypatch) <= 1.25 * (1 << 17) * 8
+        assert self.deep_truth_peak(1e-3) <= 1.25 * (1 << 17) * 8
 
-    def test_replicate_threads(self):
-        assert simulate._replicate_threads(simulate._THREADED_SIZE - 1) == 1
-        assert 1 <= simulate._replicate_threads(simulate._THREADED_SIZE) <= 2
-
-    def test_threads_under_a_short_switch_interval_match_one_thread(self, monkeypatch):
-        # more threads than CPUs, switching as often as the interpreter allows:
-        # a replicate lost or run twice would move the mean or the stderr
-        gamma = HyperParams(1.0, 2.0, 2.0, 0.5)
-        truth = make_signal(spec_for("besov_spread", gamma, eps=2.0 ** -6, jmax=7))
-        noise = NoiseSpec(epsilon=2.0 ** -6, beta=0.5)
-        cfg = PenaltyConfig(beta=0.5)
-        one = mc_risk_for_truth(truth, cfg, noise, replicates=300, seed=5)
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 4)
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            four = mc_risk_for_truth(truth, cfg, noise, replicates=300, seed=5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert one.stderr_sse > 0
-        assert four.mean_sse.hex() == one.mean_sse.hex()
-        assert four.stderr_sse.hex() == one.stderr_sse.hex()
-        assert np.array_equal(four.per_level_sse, one.per_level_sse)
-
-    @pytest.mark.parametrize("threads, covariance", [
-        pytest.param(1, "tridiagonal", id="1"), pytest.param(2, "tridiagonal", id="2"),
-        pytest.param(1, "identity", id="identity-1"),
-        pytest.param(2, "identity", id="identity-2")])
-    def test_lowest_failing_replicate_is_raised(self, threads, covariance, monkeypatch):
-        # replicate 3 starts late, so with one replicate per block on two threads
-        # replicate 4 fails first and 3 is in flight; on one thread 4 is never
-        # taken: 3 is raised either way.  Two per block put 3 and 4 in different
-        # blocks, and the default block holds all 40 replicates, so there the
-        # failing replicates share one; a truth of 4,094 coefficients has one
+    @pytest.mark.parametrize("covariance", ["tridiagonal", "identity"])
+    def test_lowest_failing_replicate_is_raised(self, covariance, monkeypatch):
+        # replicates 3, 4 and 7 fail, and 3 is raised.  With one replicate per
+        # block 4 is never taken; two per block put 3 and 4 in different blocks,
+        # and the default block holds all 40 replicates, so there the failing
+        # replicates share one; a truth of 4,094 coefficients has one
         # replicate to a default block, drawn in parts, and fails either in the
         # levels below the top or only at the top level, the second part, whose
         # normals must continue the replicate's stream.  Each replicate's
@@ -691,38 +654,27 @@ class TestMcRisk:
 
         small, deep, fit_level = truth(5), truth(11), simulate._fit_level
 
-        def rng(gen, words, rep):
-            if rep == 3:
-                time.sleep(0.05)
-            return ConstantNormals(rep)
-
         def fit(j, level, cfg, eps_j, nu_j):
             rep = round((level[0] - spike) / eps_j)
             if rep in (3, 4, 7) and j >= lowest:     # the case's lowest failing level
                 raise NumericalError(f"replicate {rep}")
             return fit_level(j, level, cfg, eps_j, nu_j)
 
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-        monkeypatch.setattr(simulate, "_stream", rng)
+        monkeypatch.setattr(simulate, "_stream", lambda gen, words, rep: ConstantNormals(rep))
         monkeypatch.setattr(simulate, "_fit_level", fit)
-        before = threading.active_count()
         for case, block_coefs, lowest in (
                 (small, small.size, 1), (small, 2 * small.size, 1),
                 (small, simulate._BLOCK_COEFS, 1), (deep, simulate._BLOCK_COEFS, 1),
                 (deep, simulate._BLOCK_COEFS, deep.jmax)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
-            for _ in range(5):
-                with pytest.raises(NumericalError, match=r"^replicate 3$"):
-                    mc_risk_for_truth(case, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
-                                      replicates=40, seed=1)
-                assert threading.active_count() == before
+            with pytest.raises(NumericalError, match=r"^replicate 3$"):
+                mc_risk_for_truth(case, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
+                                  replicates=40, seed=1)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("failing, message", [
         ({"draw"}, r"^draw 5$"), ({"draw", "fit"}, r"^replicate 3$"),
         ({"filter", "fit"}, r"^filter$")])
-    def test_failures_outside_the_fits_are_raised(self, failing, message, threads,
-                                                   monkeypatch):
+    def test_failures_outside_the_fits_are_raised(self, failing, message, monkeypatch):
         # all 40 replicates share one block: a failed draw is raised once the
         # replicates below it are fitted, and a failed noise filter, a step of
         # the whole block, before any fit
@@ -743,37 +695,29 @@ class TestMcRisk:
         def correlate(g, bands, out):
             raise RuntimeError("filter")
 
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         monkeypatch.setattr(simulate, "_stream", rng)
         monkeypatch.setattr(simulate, "_fit_level", fit)
         if "filter" in failing:
             monkeypatch.setattr(simulate, "_correlate", correlate)
-        before = threading.active_count()
         with pytest.raises(Exception, match=message):
             mc_risk_for_truth(truth, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
                               replicates=40, seed=1)
-        assert threading.active_count() == before
 
-    def test_interrupt_stops_and_joins_the_worker(self, monkeypatch):
-        # the main thread is interrupted in its first replicate; the worker
-        # finishes the block of replicates it holds and is joined before the
-        # interrupt propagates, far short of the 100,000 replicates asked for
-        fit_level, main, done = simulate._fit_level, threading.main_thread(), []
+    def test_interrupt_propagates_from_the_first_fit(self, monkeypatch):
+        # an interrupt in the first fit ends the run there: no later fit runs
+        fit_level, fitted = simulate._fit_level, []
 
         def fit(j, *args):
-            if threading.current_thread() is main:
+            fitted.append(j)
+            if len(fitted) == 1:
                 raise KeyboardInterrupt
-            done.append(j)
             return fit_level(j, *args)
 
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: 2)
         monkeypatch.setattr(simulate, "_fit_level", fit)
-        before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             mc_risk_for_truth(MultiresSequence.zeros(1, 3), PenaltyConfig(beta=0.5),
-                              NoiseSpec(epsilon=0.1, beta=0.5), replicates=100_000, seed=1)
-        assert threading.active_count() == before
-        assert len(done) < 3 * 50_000
+                              NoiseSpec(epsilon=0.1, beta=0.5), replicates=1000, seed=1)
+        assert fitted == [1]
 
     def test_noise_overflow_names_the_level(self):
         # eps_j = 0.9 * 2^1023 is finite, eps_j * z overflows for |z| > 2.23; the
@@ -784,36 +728,33 @@ class TestMcRisk:
                 mc_risk_for_truth(*overflow_case(j), 2, 0)
 
     @staticmethod
-    def overflow_in_order(normals, message, covariance, threads, monkeypatch):
+    def overflow_in_order(normals, message, covariance, monkeypatch):
         """Replicate r's normals all equal normals[r] at level j of overflow_case(j):
         the lowest failing replicate's error, message at n = 2^j, is raised."""
         monkeypatch.setattr(simulate, "_stream",
                             lambda gen, words, rep: ConstantNormals(normals[rep]))
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         for j, block_coefs in ((11, 4 * 2048), (12, simulate._BLOCK_COEFS)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             with pytest.raises(NumericalError, match=rf"^level j={j}: "
                                + message.replace("2048", str(2 ** j))):
                 mc_risk_for_truth(*overflow_case(j, covariance), len(normals), 0)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("normals, message", OVERFLOW_CASES)
     def test_noise_overflow_in_a_block_is_raised_in_replicate_order(
-            self, normals, message, threads, monkeypatch):
+            self, normals, message, monkeypatch):
         # at eps_j = 0.9 * 2^1023 every fit fails, and 3 * eps_j (times the
         # filter's 1 + 0.26 or so) overflows before the fit.  At j = 11 the
         # overflow is found for the whole first block of 4 before any fit; at
         # j = 12 the default block holds one replicate.  Either way the error of
         # the lowest failing replicate is raised
-        self.overflow_in_order(normals, message, "tridiagonal", threads, monkeypatch)
+        self.overflow_in_order(normals, message, "tridiagonal", monkeypatch)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("normals, message", OVERFLOW_CASES)
     def test_noise_overflow_on_identity_noise_is_raised_in_replicate_order(
-            self, normals, message, threads, monkeypatch):
+            self, normals, message, monkeypatch):
         # on identity noise the floor is the overflow limit, below 1e-155 * eps_j,
         # so the level is drawn in full, one replicate at a time
-        self.overflow_in_order(normals, message, "identity", threads, monkeypatch)
+        self.overflow_in_order(normals, message, "identity", monkeypatch)
 
     def test_numerical_error_names_the_level(self):
         # eps_j = 0.5 * 2^(100 j): the level-6 noise is too large to square
@@ -974,8 +915,7 @@ class TestFloorDraw:
         assert stats.kstest(np.abs(values), cdf).pvalue > 1e-3
         assert stats.binomtest(int((values > 0).sum()), values.size).pvalue > 1e-3
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_its_reference_where_nulls_are_drawn(self, threads, monkeypatch):
+    def test_matches_its_reference_where_nulls_are_drawn(self):
         # levels 8..10 at the two-sample floor, with 128 spikes of 8 eps on level
         # 10 and 8 of 3 eps on level 9: nulls above the floor are drawn on every
         # level of most replicates, and kept
@@ -984,7 +924,6 @@ class TestFloorDraw:
         mean, stderr, per_level, kept = floor_sequence_mc_risk(truth, K_COMMON_CFG,
                                                                K_COMMON_NOISE, 200, 8)
         assert kept > 0
-        monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
         got = mc_risk_for_truth(truth, K_COMMON_CFG, K_COMMON_NOISE, replicates=200, seed=8)
         assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
         assert np.array_equal(got.per_level_sse, per_level)
@@ -1020,18 +959,18 @@ class TestFloorDraw:
     def test_stand_ins_are_fitted_on_the_full_draw(self, stand_in, jmax, monkeypatch):
         # a stand-in for select_k whose threshold lies below the floor could keep a
         # null left undrawn, so its replicate is drawn and fitted again in full:
-        # the loop gives sequence_mc_risk's numbers bit for bit.  At jmax = 12
-        # the redraw is one replicate in two parts
+        # the loop gives sequence_mc_risk's numbers bit for bit.  The redraw runs
+        # the level loop again from the start of the replicate's stream, every
+        # level drawn in full; at jmax = 12 that draws what the full draw of a
+        # block of one replicate draws in two parts
         truth = make_signal(spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -10, jmax=jmax))
         cfg, noise = PenaltyConfig(beta=0.5), NoiseSpec(epsilon=2.0 ** -10, beta=0.5)
         monkeypatch.setattr(estimator, "select_k", stand_in)
         mean, stderr, per_level, kept = sequence_mc_risk(truth, cfg, noise, 6, 3)
         assert kept > 0
-        for threads in (1, 2):
-            monkeypatch.setattr(simulate, "_replicate_threads", lambda size: threads)
-            got = mc_risk_for_truth(truth, cfg, noise, replicates=6, seed=3)
-            assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
-            assert np.array_equal(got.per_level_sse, per_level)
+        got = mc_risk_for_truth(truth, cfg, noise, replicates=6, seed=3)
+        assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
+        assert np.array_equal(got.per_level_sse, per_level)
 
 
 class TestFitRateExponent:
