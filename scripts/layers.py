@@ -20,7 +20,7 @@ import numpy as np
 from penseq import (MultiresSequence, NoiseSpec, PenaltyConfig, fit_multiscale,
                     mc_risk_for_truth, select_k, subset_oracle)
 from penseq.estimator import _level_schedule
-from penseq.simulate import _draw, _draw_level, _level_draws, _stream, _stream_words
+from penseq.simulate import _draw_level, _level_draws, _stream, _stream_words
 
 SEED = 20261020
 REPEATS = 15
@@ -61,17 +61,19 @@ def main() -> int:
         inputs = [(rng.standard_normal(n), CFG, 1.0) for _ in range(count)]
         rows.append((f"subset_oracle, n = {n}", per_call_us(subset_oracle, inputs)))
     # one replicate's standard normals over levels 1..17, as the Monte Carlo loop
-    # draws them: levels 1..16, then level 17, into a buffer of level 17's size
+    # draws a truth too large for a block: one draw per level in increasing j,
+    # each into the front of a buffer of level 17's size
     top = 1 << 17
     words = _stream_words(SEED, np.arange(10))
     gen = np.random.Generator(np.random.PCG64(0))
-    buffer = np.empty((1, top))
+    row = np.empty(top)
 
     def draw(rep: int) -> None:
-        stream = _draw(gen, words, rep, 0, top - 2, buffer, None, buffer)[0]
-        _draw(stream, words, rep, top - 2, 2 * top - 2, buffer, None, buffer)
+        stream = _stream(gen, words, rep)
+        for j in range(1, 18):
+            stream.standard_normal(1 << j, out=row[:1 << j])
 
-    rows.append((f"noise draw, {2 * top - 2} normals",
+    rows.append((f"noise draw, {2 * top - 2} normals, level by level",
                  per_call_us(draw, [(rep,) for rep in range(10)])))
     # the same replicates' identity-noise draw of what select_k reads, for a zero
     # truth on levels 1..17 at eps = 0.01: per level K ~ Binomial(2^j, q) and K
@@ -80,7 +82,6 @@ def main() -> int:
     schedule = _level_schedule(CFG, noise, 1, 17)
     zeros = [np.zeros(1 << j) for j in range(1, 18)]
     draws = _level_draws(CFG, schedule, zeros)
-    row = buffer[0]
     row.fill(0.0)
 
     def floor_draw(rep: int) -> None:

@@ -13,33 +13,37 @@ was made as, never written, so its pages need not be resident.
 The Monte Carlo loop is the only sampler, and it runs its replicates in
 order on the calling thread.  Replicate rep of a run with seed s draws from
 PCG64 seeded by SeedSequence(entropy=s, spawn_key=(rep,)), level by level in
-increasing j, so results are reproducible.  On identity noise a replicate
-draws only what select_k can read: per level, the coefficients with
-theta_j != 0, the number of nulls (theta_j = 0) above select_k's floor
-eps_j * t_n and their values, the law of the full draw restricted to them
-(see _level_draws); every other null is left +0.0.  A level without such a
-floor, without a null or with over an eighth of its nulls above the floor is
-drawn in full, and so is a replicate with a fit whose threshold lies below
-the floor (a stand-in for select_k).  Otherwise the draw is one
-standard-normal draw of every coefficient.  The loop seeds each stream
+increasing j, so results are reproducible.  The loop seeds each stream
 through a port of numpy's seeding, computed for all of a run's replicates at
 once, and sets the state of one generator before each replicate's draw;
 TestReplicateStreams in tests/test_simulate.py checks the port against
 numpy, and the one-generator-per-replicate reference loops there match the
-loop bit for bit.  The full draw takes its replicates in blocks of
-consecutive ones, up to 2^12 coefficients to a block: each replicate still
-draws from its own stream, into its row of the block, and the noise filter
-and y = theta + eps_j * z then run once over the whole block, so small
-truths pay numpy's per-call cost once per block rather than once per
-replicate.  A block is drawn, filtered, formed and fitted in parts of whole
-levels, one part before the next is drawn: a block of several replicates is
-one part, a block of one (a truth of more than 2^11 coefficients) two, the
-levels below the top and then the top level, so its buffer holds the top
-level's size.  A row's later part continues its stream, so the numbers are
-those of one draw.  Each replicate's per-level SSE lands in its own row, and
-the rows are reduced in replicate order, so the block size moves no bit.
-The BLAS thread count can: numpy's dot product (`@`) of more than 10,000
-elements runs OpenBLAS's threaded kernel, whose last bit depends on
+loop bit for bit.
+
+The loop has two paths.  A truth of at most 2^12 coefficients, unless it is
+drawn by what select_k reads (below), takes its replicates in blocks of
+consecutive ones, up to 2^12 coefficients to a block: each replicate draws
+every coefficient from its own stream, in one draw into its row of the
+block, and the noise filter and y = theta + eps_j * z then run once over the
+whole block, so small truths pay numpy's per-call cost once per block rather
+than once per replicate.  A larger truth runs one replicate at a time, level
+by level: each level is drawn with one draw into the front of a buffer of
+the top level's size, on tridiagonal noise filtered with its own level's
+factor, then formed and fitted before the next is drawn.  A stream's normals
+drawn level by level are those of one draw, so the path moves no bit.  On
+identity noise a truth of any size runs level by level where some level can
+be drawn by what select_k reads: the coefficients with theta_j != 0, the
+number of nulls (theta_j = 0) above select_k's floor eps_j * t_n and their
+values, the law of the full draw restricted to them (see _level_draws);
+every other null is left +0.0.  A level without such a floor, without a null
+or with over an eighth of its nulls above the floor is drawn in full, and so
+is a replicate with a fit whose threshold lies below the floor (a stand-in
+for select_k).
+
+Each replicate's per-level SSE lands in its own row, and the rows are
+reduced in replicate order, so neither the path nor the block size moves a
+bit.  The BLAS thread count can: numpy's dot product (`@`) of more than
+10,000 elements runs OpenBLAS's threaded kernel, whose last bit depends on
 OPENBLAS_NUM_THREADS, and levels of 2^14 or more coefficients pass through
 it.  The presets write the same bytes either way (scripts/ci.sh compares
 them), other inputs need not; set OPENBLAS_NUM_THREADS=1 for bits that
@@ -47,11 +51,11 @@ cannot depend on it.  Tridiagonal noise takes its Cholesky factor from a
 standard-library port of LAPACK's banded factorisation, so every Monte Carlo
 run is numpy alone.
 
-A failed Monte Carlo run raises its lowest failing replicate's error, on any
-block size: blocks run in replicate order, a block fits its replicates in
-order and raises its first error, a failed draw is raised after the rows
-drawn before it, and an overflow while forming y_j = theta_j + eps_j * z_j is
-named by level.
+A failed Monte Carlo run raises its lowest failing replicate's error, on
+either path and any block size: replicates and blocks run in replicate
+order, a block fits its replicates in order and raises its first error, a
+failed draw is raised after the rows drawn before it, and an overflow while
+forming y_j = theta_j + eps_j * z_j is named by level.
 """
 
 from __future__ import annotations
@@ -70,10 +74,11 @@ from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
 # The Monte Carlo loop draws, filters and scales the noise of up to this many
-# coefficients at once, a block of max(1, _BLOCK_COEFS // size) replicates, so
-# numpy's per-call cost is paid once per block.  Over 100 sweep-spread-corr
-# invocations in one interpreter, blocks of 2^13 coefficients raised the peak
-# RSS by 0.3-0.4 MB and blocks of 2^12 by under 0.1 MB
+# coefficients at once, a block of _BLOCK_COEFS // size replicates, so numpy's
+# per-call cost is paid once per block; a truth of more coefficients runs one
+# replicate at a time, level by level.  Over 100 sweep-spread-corr invocations
+# in one interpreter, blocks of 2^13 coefficients raised the peak RSS by
+# 0.3-0.4 MB and blocks of 2^12 by under 0.1 MB
 _BLOCK_COEFS = 1 << 12
 _SIGNAL_KINDS = ("shell_dense", "shell_sparse", "besov_spread", "critical_prior", "zero")
 
@@ -280,19 +285,24 @@ def _tridiagonal_cholesky(rho: float, n: int) -> np.ndarray:
     return factor
 
 
-def _noise_bands(noise: NoiseSpec, j0: int, jmax: int):
-    """None for identity noise, else the diagonal and subdiagonal of the
-    block-diagonal Cholesky factor over levels j0..jmax laid end to end; the
-    subdiagonal is zero across each level boundary, so levels stay independent.
-    The factorization runs front to back, so the leading 2^j block of the
-    top-level factor is the level-j factor bit for bit: one serves all levels."""
+def _noise_bands(noise: NoiseSpec, jmax: int):
+    """None for identity noise, else the lower band Cholesky factor of level jmax
+    (see _tridiagonal_cholesky).  The factorization runs front to back, so its
+    leading 2^j columns, less the last subdiagonal entry, are the level-j
+    factor bit for bit: one factor serves every level."""
     if noise.covariance == "identity":
         return None
+    return _tridiagonal_cholesky(noise.rho, 1 << jmax)
+
+
+def _end_to_end(factor: np.ndarray, j0: int, jmax: int) -> tuple:
+    """The diagonal and subdiagonal of the block-diagonal factor over levels
+    j0..jmax laid end to end, from _noise_bands' factor of level jmax; the
+    subdiagonal is zero across each level boundary, so levels stay independent."""
     sizes = [1 << j for j in range(j0, jmax + 1)]
-    top = _tridiagonal_cholesky(noise.rho, sizes[-1])
-    factor = np.concatenate([top[:, :n] for n in sizes], axis=1)
-    factor[1, np.cumsum(sizes) - 1] = 0.0
-    return factor[0], factor[1, :-1]
+    bands = np.concatenate([factor[:, :n] for n in sizes], axis=1)
+    bands[1, np.cumsum(sizes) - 1] = 0.0
+    return bands[0], bands[1, :-1]
 
 
 # -- replicate streams -------------------------------------------------------
@@ -370,31 +380,24 @@ def _stream(gen: np.random.Generator, words: np.ndarray, rep: int) -> np.random.
     return gen
 
 
-def _draw(gen: np.random.Generator, words: np.ndarray, first: int, a: int, b: int,
-          normals: np.ndarray, bands, z: np.ndarray):
-    """z_j ~ N(0, Sigma_j) over coefficients a..b-1 of the levels laid end to end,
-    for replicates first, first + 1, ... in the rows of a block: the front of
-    each row of normals gets the standard normals of its replicate's own stream,
-    one draw per level in increasing j, and is filtered into the front of the
-    same row of z; bands is the a..b slice of _noise_bands'.  At a = 0 each row
-    sets gen to its replicate's stream (see _stream).  At a > 0 the block holds
-    one row and gen is the stream the draw of the coefficients before a
-    returned, which this draw continues, so the numbers are those of one draw;
-    a must lie on a level boundary.  Returns the stream drawn from last, the
+def _draw(gen: np.random.Generator, words: np.ndarray, first: int, normals: np.ndarray,
+          bands, z: np.ndarray):
+    """z ~ N(0, Sigma) over the levels laid end to end, for replicates first,
+    first + 1, ... in the rows of a block: each row of normals gets the standard
+    normals of its replicate's own stream (see _stream), one draw of the row,
+    and is filtered into the same row of z by bands, _end_to_end's.  Returns the
     rows drawn, filtered (normals itself for identity noise), and the error of
     the draw that failed after them, or None."""
-    error, stream, normals = None, gen, normals[:, :b - a]
+    error = None
     for row, out in enumerate(normals):
         try:
-            if a == 0:
-                stream = _stream(gen, words, first + row)
-            stream.standard_normal(b - a, out=out)
+            _stream(gen, words, first + row).standard_normal(out.size, out=out)
         except Exception as err:
             normals, error = normals[:row], err
             break
     if bands is not None:
-        normals = _correlate(normals, bands, z[:len(normals), :b - a])
-    return stream, normals, error
+        normals = _correlate(normals, bands, z[:len(normals)])
+    return normals, error
 
 
 def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
@@ -539,13 +542,18 @@ def _level_draws(cfg: PenaltyConfig, schedule: list, levels) -> list:
 
 
 def _draw_level(stream: np.random.Generator, draw, theta_j: np.ndarray, eps_j: float,
-                y: np.ndarray):
-    """y_j of one replicate from stream into y, the level's size of +0.0, by its
-    entry of _level_draws: every coordinate where draw is None, else the
-    normals of the spikes, then K, then the first K nulls' values.  Returns
-    the coordinates written, which the caller sets back to +0.0."""
+                y: np.ndarray, filt=None):
+    """y_j of one replicate from stream into y by its entry of _level_draws:
+    every coordinate where draw is None, on tridiagonal noise drawn into g and
+    filtered into y by filt = (g, the level's bands); else the normals of the
+    spikes, then K, then the first K nulls' values, into the level's size of
+    +0.0.  Returns the coordinates written."""
     if draw is None:
-        stream.standard_normal(y.size, out=y)
+        if filt is None:
+            stream.standard_normal(y.size, out=y)
+        else:
+            g, bands = filt
+            _correlate(stream.standard_normal(g.size, out=g), bands, y)
         y *= eps_j
         y += theta_j
         return slice(None)
@@ -584,123 +592,103 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
     from a level plan built once per call.  Replicates run in order on the
     calling thread.
 
-    On identity noise, a replicate draws from its own stream, level by level in
-    increasing j, what select_k can read (see _level_draws): the coordinates
-    with theta_j != 0, the number of nulls above select_k's floor and their
-    values, into a +0.0 vector of the level's size; select_k is still called
-    once per level, on that vector.  A level that _level_draws leaves whole is
-    drawn in full.  A fit whose threshold lies below the floor (a stand-in for
-    select_k) could keep a null left undrawn: its replicate is drawn again from
-    the start of its stream, every level in full, and fitted again.
+    A truth with a level that _level_draws draws by what select_k can read, or
+    with more than _BLOCK_COEFS coefficients, runs one replicate at a time,
+    level by level: each level is drawn into the front of a buffer of the top
+    level's size (on tridiagonal noise, normals drawn into a scratch buffer and
+    filtered by the level's own factor), then fitted.  A level drawn by what
+    select_k reads gets the coordinates with theta_j != 0 and the nulls above
+    select_k's floor, in +0.0; select_k is still called once per level, on the
+    level's whole size.  A fit whose threshold lies below the floor (a stand-in
+    for select_k) could keep a null left undrawn: its replicate is drawn again
+    from the start of its stream, every level in full, and fitted again.
 
-    Otherwise replicates run in blocks of consecutive ones,
-    max(1, _BLOCK_COEFS // size) to a block, and a block in parts of whole
-    levels: for each part in turn, each replicate draws its normals from its
-    own stream into its row of the block, the noise filter and
-    y = theta + eps_j * z run once over the whole block, and then each
-    replicate's levels are fitted in turn.  A block of several replicates is
-    one part, a block of one two, so its buffer is the size of the top level.
-    Neither the result nor the error a failed run raises depends on the block
+    Every other truth runs in blocks of _BLOCK_COEFS // size consecutive
+    replicates: each draws its normals from its own stream into its row of the
+    block, the noise filter and y = theta + eps_j * z run once over the whole
+    block, and then each replicate's levels are fitted in turn.  Neither the
+    result nor the error a failed run raises depends on the path or the block
     size (see the module docstring).
     """
     replicates, seed = whole(replicates, "replicates", 2), whole(seed, "seed", 0)
     schedule = _level_schedule(cfg, noise, truth.j0, truth.jmax)
-    size, bands = truth.size, _noise_bands(noise, truth.j0, truth.jmax)
-    plan = [(j, (1 << j) - (1 << truth.j0), theta_j, eps_j, nu_j, float(theta_j @ theta_j))
+    plan = [(j, theta_j, eps_j, nu_j, float(theta_j @ theta_j))
             for (j, eps_j, nu_j), theta_j in zip(schedule, truth.levels)]
-    draws = _level_draws(cfg, schedule, truth.levels) if bands is None else []
+    factor = _noise_bands(noise, truth.jmax)
+    draws = _level_draws(cfg, schedule, truth.levels) if factor is None else [None] * len(plan)
+    floor = any(draw is not None for draw in draws)
     words = _stream_words(seed, np.arange(replicates))
     rows = np.empty((replicates, len(plan)))      # rows[rep]: replicate rep's per-level SSE
     gen = np.random.Generator(np.random.PCG64(0))   # seeded per replicate
 
-    def fit_levels(levels: list, z: np.ndarray, sse: np.ndarray) -> None:
-        """Form y_j = theta_j + eps_j * z_j in place for levels, consecutive entries
-        of the plan whose coefficients each row of z holds, and fit them: a row's
-        squared errors go to the same row of sse, in order, the rows in turn."""
-        offset = levels[0][1]
-        views = [z[:, start - offset:start - offset + theta_j.size]
-                 for _, start, theta_j, *_ in levels]
-        with np.errstate(over="ignore"):          # an overflow is named by its level below
-            for y_j, (_, _, theta_j, eps_j, *_) in zip(views, levels):
-                y_j *= eps_j
-                y_j += theta_j
-        for level_sse, ys in zip(sse, zip(*views)):
-            for idx, ((j, _, theta_j, eps_j, nu_j, energy), y_j) in enumerate(zip(levels, ys)):
-                try:
-                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
-                except ValidationError:
-                    if np.isfinite(y_j).all():    # theta_j, eps_j and z_j are finite
-                        raise
-                    raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
-                                         f"at n={theta_j.size}, eps_j={eps_j!r}") from None
-                if fit.k_hat == 0:
-                    level_sse[idx] = energy       # the estimate is +0.0 everywhere
-                else:
-                    diff = fit.estimate - theta_j
-                    level_sse[idx] = float(diff @ diff)
+    def fit_sse(level: tuple, y_j: np.ndarray) -> tuple:
+        """_fit_level on y_j = theta_j + eps_j * z_j of the plan entry level, and
+        the fit's squared error."""
+        j, theta_j, eps_j, nu_j, energy = level
+        try:
+            fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
+        except ValidationError:
+            if np.isfinite(y_j).all():            # theta_j, eps_j and z_j are finite
+                raise
+            raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
+                                 f"at n={theta_j.size}, eps_j={eps_j!r}") from None
+        if fit.k_hat == 0:
+            return fit, energy                    # the estimate is +0.0 everywhere
+        diff = fit.estimate - theta_j
+        return fit, float(diff @ diff)
 
-    def run_sparse(rep: int, level_draws: list, buf: np.ndarray) -> bool:
-        """Fit replicate rep, each level drawn by its entry of level_draws (see
-        _draw_level), the levels in turn in the front of buf, which holds +0.0
-        before and after.  False, at once, after a fit whose threshold lies
-        below its level's floor."""
+    def run(rep: int, levels: list) -> bool:
+        """Fit replicate rep, level by level: each entry of levels, (plan entry,
+        y_j, draw, filt), is drawn into y_j by _draw_level, fitted and set back
+        to +0.0; False is returned, at once, after a fit whose threshold lies
+        below the floor of a level drawn by what select_k reads."""
         stream, sse = _stream(gen, words, rep), rows[rep]
-        # an overflow of y_j is named by its level, as in fit_levels; select_k
-        # checks its own before they happen, so the state is set once per replicate
+        # an overflow of y_j is named by its level in fit_sse; select_k checks
+        # its own before they happen, so the state is set once per replicate
         with np.errstate(over="ignore"):
-            for idx, ((j, _, theta_j, eps_j, nu_j, energy), draw) in enumerate(
-                    zip(plan, level_draws)):
-                y_j = buf[:theta_j.size]
-                written = _draw_level(stream, draw, theta_j, eps_j, y_j)
-                # fit_levels' step for one level, copied: a shared helper put a
-                # call per fit on the full draw, +1.3% on sweep-spread-corr
-                try:
-                    fit = _fit_level(j, y_j, cfg, eps_j, nu_j)
-                except ValidationError:
-                    if np.isfinite(y_j).all():
-                        raise
-                    raise NumericalError(f"level j={j}: y_j = theta_j + eps_j * z_j overflows "
-                                         f"at n={theta_j.size}, eps_j={eps_j!r}") from None
-                if fit.k_hat == 0:
-                    sse[idx] = energy
-                else:
-                    diff = fit.estimate - theta_j
-                    sse[idx] = float(diff @ diff)
+            for idx, (level, y_j, draw, filt) in enumerate(levels):
+                written = _draw_level(stream, draw, level[1], level[2], y_j, filt)
+                fit, sse[idx] = fit_sse(level, y_j)
                 y_j[written] = 0.0
                 if draw is not None and fit.threshold < draw[4]:
                     return False
         return True
 
-    if any(draw is not None for draw in draws):
-        # one replicate at a time, into a +0.0 buffer of the top level's size.  A
-        # fit below the floor: the replicate takes the numbers of the full draw,
-        # its stream drawn level by level as the block path draws it in parts
-        buf, full = np.zeros(plan[-1][2].size), [None] * len(plan)
+    block = _BLOCK_COEFS // truth.size
+    if floor or not block:
+        # every level's views bound once: y_j the front of a +0.0 buffer of the
+        # top level's size, and on tridiagonal noise a scratch buffer of that
+        # size for the normals and the level's factor, the front of the top's
+        top = plan[-1][1].size
+        buf, g = np.zeros(top), None if factor is None else np.empty(top)
+        levels = [(level, buf[:n], draw, None if g is None else (
+                       g[:n], (factor[0, :n], factor[1, :n - 1])))
+                  for level, draw in zip(plan, draws) for n in [level[1].size]]
+        # a fit below the floor: the replicate takes the numbers of the full draw
+        full = [(level, y_j, None, filt) for level, y_j, _, filt in levels]
         for rep in range(replicates):
-            if not run_sparse(rep, draws, buf):
-                run_sparse(rep, full, buf)
+            if not run(rep, levels):
+                run(rep, full)
     else:
-        block = max(1, _BLOCK_COEFS // size)
-        # A part is levels lo..hi-1 of the plan, coefficients a..b-1 and their
-        # bands.  A block of one replicate has two: the levels below the top
-        # (2^jmax - 2^j0 coefficients), then the top level
-        cuts = [0, len(plan) - 1, len(plan)] if block == 1 and len(plan) > 1 else [0, len(plan)]
-        edges = [start for _, start, *_ in plan] + [size]
-        parts = [(lo, hi, a, b, None if bands is None else (bands[0][a:b], bands[1][a:b - 1]))
-                 for lo, hi in zip(cuts, cuts[1:]) for a, b in [(edges[lo], edges[hi])]]
-        normals = np.empty((block, max(b - a for _, _, a, b, _ in parts)))
-        z = normals if bands is None else np.empty(normals.shape)
+        bands = None if factor is None else _end_to_end(factor, truth.j0, truth.jmax)
+        normals = np.empty((block, truth.size))
+        z = normals if factor is None else np.empty(normals.shape)
+        low = 1 << truth.j0
         # blocks in replicate order, and a block's rows fitted in order with a
         # failed draw returned after the rows drawn before it: the first error
         # raised is the lowest failing replicate's
         for first in range(0, replicates, block):
-            stream = gen
-            for lo, hi, a, b, part_bands in parts:
-                stream, drawn, error = _draw(stream, words, first, a, b,
-                                             normals[:replicates - first], part_bands, z)
-                fit_levels(plan[lo:hi], drawn, rows[first:, lo:hi])
-                if error is not None:
-                    raise error
+            drawn, error = _draw(gen, words, first, normals[:replicates - first], bands, z)
+            views = [drawn[:, (1 << j) - low:(2 << j) - low] for j, *_ in plan]
+            with np.errstate(over="ignore"):      # an overflow is named by its level in fit_sse
+                for y_j, (_, theta_j, eps_j, *_) in zip(views, plan):
+                    y_j *= eps_j
+                    y_j += theta_j
+            for level_sse, ys in zip(rows[first:], zip(*views)):
+                for idx, (level, y_j) in enumerate(zip(plan, ys)):
+                    level_sse[idx] = fit_sse(level, y_j)[1]
+            if error is not None:
+                raise error
     sses = np.empty(replicates)
     per_level = np.zeros(len(plan))
     for rep, level_sse in enumerate(rows):

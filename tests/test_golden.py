@@ -83,6 +83,12 @@ def _run_sweep_spread(tmp_path):
     return ["sweep", "--config", str(cfg), "--replicates", "10"]
 
 
+def _run_sweep_deep_corr(tmp_path):
+    cfg = tmp_path / "deep_corr.json"
+    cfg.write_text(json.dumps({**SPREAD_CORR, "jmax": 13}))
+    return ["sweep", "--config", str(cfg), "--replicates", "4"]
+
+
 def _run_estimate(tmp_path):
     cfg = tmp_path / "estimate_config.json"
     cfg.write_text(json.dumps(ESTIMATE_CONFIG))
@@ -101,6 +107,10 @@ RUNS = {
     "sweep-sparse": lambda tmp: ["sweep", "--preset", "sparse", "--replicates", "4"],
     "sweep-critical": lambda tmp: ["sweep", "--preset", "critical", "--replicates", "10"],
     "sweep-spread-corr": _run_sweep_spread,
+    # the spread signal on levels 1..13, 16,382 coefficients drawn in full on
+    # tridiagonal noise, level by level; no level reaches 2^14, so the BLAS
+    # thread count cannot move its bytes
+    "sweep-deep-corr": _run_sweep_deep_corr,
     "oracle-check-sparse": lambda tmp: ["oracle-check", "--preset", "sparse",
                                         "--replicates", "10"],
     "estimate": _run_estimate,
@@ -126,6 +136,12 @@ GOLDEN = {
             "ea76e1aa5da7a3c9ffbbbb483b44444f94bc03fc5dd0b85159f3329250c369c7",
         "sweep.json":
             "4213b4887c6b671c6c098c8950a13bc369803a1a2bb13e3919072e9653f4dff4",
+    },
+    "sweep-deep-corr": {
+        "sweep.csv":
+            "860d41a2624544345390be6451633a3fd18eb49609599c48b5b634ee36bfeea6",
+        "sweep.json":
+            "dc8917b2930e2b28543f147371f891f09581dfb4bd70540a9d4ee0ced0688dcc",
     },
     "sweep-dense": {
         "sweep.csv":

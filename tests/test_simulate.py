@@ -20,7 +20,7 @@ import penseq.penalty as penalty
 import penseq.simulate as simulate
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.rates import j_plus, j_star
-from penseq.simulate import (_draw, _noise_bands, _stream, _stream_words,
+from penseq.simulate import (_draw, _end_to_end, _noise_bands, _stream, _stream_words,
                              _tridiagonal_cholesky, resolve_jmax)
 from test_cli import keep_everything, universal_threshold
 
@@ -353,11 +353,13 @@ LAPACK_FACTOR_SHA256 = {
 
 
 def draw_levels(noise, jmax, seed, j0=1):
-    """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop draws it, split by level."""
+    """Replicate 0's z_j ~ N(0, Sigma_j) as the Monte Carlo loop's block path draws
+    it, one draw of every coefficient, split by level."""
     size = (2 << jmax) - (1 << j0)
-    _, (z,), error = _draw(np.random.default_rng(0), _stream_words(seed, [0]), 0, 0, size,
-                           np.empty((1, size)), _noise_bands(noise, j0, jmax),
-                           np.empty((1, size)))
+    factor = _noise_bands(noise, jmax)
+    bands = None if factor is None else _end_to_end(factor, j0, jmax)
+    (z,), error = _draw(np.random.default_rng(0), _stream_words(seed, [0]), 0,
+                        np.empty((1, size)), bands, np.empty((1, size)))
     assert error is None
     return np.split(z, [(2 << j) - (1 << j0) for j in range(j0, jmax)])
 
@@ -428,9 +430,11 @@ class TestSampleNoise:
         assert np.max(np.abs(cov - target)) < 0.1
 
     def test_noise_bands_factor_each_level(self):
-        # per level, L L^T is the unit-diagonal tridiagonal covariance
-        diag, sub = _noise_bands(NoiseSpec(epsilon=1.0, covariance="tridiagonal", rho=0.25),
-                                 j0=2, jmax=5)
+        # per level, L L^T is the unit-diagonal tridiagonal covariance: the
+        # level-5 factor's leading columns laid end to end for levels 2..5
+        factor = _noise_bands(NoiseSpec(epsilon=1.0, covariance="tridiagonal", rho=0.25), 5)
+        assert factor.shape == (2, 32)
+        diag, sub = _end_to_end(factor, j0=2, jmax=5)
         sub = np.append(sub, 0.0)
         start = 0
         for n in (4, 8, 16, 32):
@@ -478,7 +482,7 @@ class TestSampleNoise:
 
 def overflow_case(j, covariance="identity"):
     """A zero truth on level j alone, its config and a noise with eps_j = 0.9 * 2^1023."""
-    beta = 1023 / j                               # 93 at j = 11, 85.25 at j = 12: exact
+    beta = 1023 / j                               # 93, 85.25, 63.9375 at j = 11, 12, 16: exact
     noise = NoiseSpec(0.9, beta, covariance=covariance,
                       rho=0.25 if covariance == "tridiagonal" else 0.0)
     return MultiresSequence.zeros(j, j), PenaltyConfig(beta=beta, xi1=noise.xi1), noise
@@ -528,9 +532,9 @@ class TestMcRisk:
                                             ("shell_dense", 9), ("besov_spread", 15),
                                             ("shell_dense", 12), ("near_threshold", 4)])
     def test_matches_sequence_loop_exactly(self, beta, rho, kind, jmax, monkeypatch):
-        # jmax = 15 is 65,534 coefficients, one replicate to a block, drawn in
-        # two parts; the dense shell at jmax = 12 leaves most levels of a deep
-        # truth zero
+        # jmax = 15 is 65,534 coefficients, too many for a block, so drawn one
+        # replicate at a time, level by level; the dense shell at jmax = 12
+        # leaves most levels of a deep truth zero
         gamma = HyperParams(1.0, 2.0, 2.0, beta)
         if rho:
             noise = NoiseSpec(epsilon=2.0 ** -10, beta=beta, covariance="tridiagonal", rho=rho)
@@ -550,15 +554,19 @@ class TestMcRisk:
             truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
         # first replicates in blocks of the default size, then 7 in blocks of 3:
         # two full blocks and a short last one.  At the default size a truth of
-        # more than 2^11 coefficients has one replicate to a block, drawn in parts;
-        # a draw from a > 0 on is the second part of a replicate.  On identity
+        # more than 2^12 coefficients fits no block: it is drawn one replicate
+        # at a time, level by level, and never through _draw.  On identity
         # noise a truth with a zero coordinate is drawn by what select_k reads,
-        # one replicate at a time, and matches floor_sequence_mc_risk; the spread
-        # signal has none, so it takes the full draw there too
+        # level by level at any block size, and matches floor_sequence_mc_risk;
+        # the spread signal has none, so it takes the full draw there too
         reads_floor = not rho and kind != "besov_spread"
         draw, drawn = simulate._draw, []
-        monkeypatch.setattr(simulate, "_draw",
-                            lambda *args: (args[3] > 0 and drawn.append(args[2])) or draw(*args))
+
+        def recording(gen, words, first, normals, *args):
+            drawn.extend(range(first, first + len(normals)))
+            return draw(gen, words, first, normals, *args)
+
+        monkeypatch.setattr(simulate, "_draw", recording)
         default = simulate._BLOCK_COEFS
         for replicates, block_coefs in ((first, default), (7, 3 * truth.size)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
@@ -568,10 +576,10 @@ class TestMcRisk:
             if not rho:
                 mean, stderr, per_level, _ = floor_sequence_mc_risk(truth, cfg, noise,
                                                                     replicates, 11)
-            in_parts = block_coefs == default and truth.size > 1 << 11 and not reads_floor
+            level_by_level = reads_floor or (block_coefs == default and truth.size > 1 << 12)
             drawn.clear()
             got = mc_risk_for_truth(truth, cfg, noise, replicates=replicates, seed=11)
-            assert sorted(drawn) == (list(range(replicates)) if in_parts else [])
+            assert drawn == ([] if level_by_level else list(range(replicates)))
             assert got.mean_sse.hex() == mean.hex() and got.stderr_sse.hex() == stderr.hex()
             assert np.array_equal(got.per_level_sse, per_level)
 
@@ -583,9 +591,10 @@ class TestMcRisk:
     def test_one_select_k_call_per_replicate_and_level(self, jmax, replicates, covariance,
                                                         monkeypatch):
         # the count the benchmark reads: on tridiagonal noise 254 coefficients
-        # run in blocks of 16 replicates, the last one short, and 65,534 in
-        # blocks of one; on identity noise the dense shell, zero on every level
-        # but one, is drawn by what select_k reads, still on the full levels
+        # run in blocks of 16 replicates, the last one short, and 65,534 one
+        # replicate at a time, level by level; on identity noise the dense
+        # shell, zero on every level but one, is drawn by what select_k reads,
+        # still on the full levels
         gamma = HyperParams(1.0, 2.0, 2.0, 0.5)
         kind = "besov_spread" if covariance == "tridiagonal" else "shell_dense"
         truth = make_signal(spec_for(kind, gamma, eps=2.0 ** -10, jmax=jmax))
@@ -606,12 +615,14 @@ class TestMcRisk:
         assert sum(sizes) == replicates * truth.size
 
     @staticmethod
-    def deep_truth_peak(value):
+    def deep_truth_peak(value, covariance="identity"):
         """Peak traced bytes of a second Monte Carlo run over levels 1..17 with
         every coefficient equal to value; the first fills the estimator's caches
         (its shared zero estimate of 2^17 floats among them)."""
         truth = MultiresSequence(1, tuple(np.full(1 << j, value) for j in range(1, 18)))
-        args = (truth, PenaltyConfig(beta=0.5), NoiseSpec(epsilon=0.1, beta=0.5), 2, 0)
+        noise = NoiseSpec(epsilon=0.1, beta=0.5, covariance=covariance,
+                          rho=0.25 if covariance == "tridiagonal" else 0.0)
+        args = (truth, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise, 2, 0)
         mc_risk_for_truth(*args)
         tracemalloc.start()
         try:
@@ -628,22 +639,29 @@ class TestMcRisk:
 
     def test_peak_memory_of_a_deep_truth_drawn_in_full(self):
         # without a zero coordinate a truth of levels 1..17 is drawn in full, one
-        # replicate to a block, in two parts into a buffer of the top level's size
+        # replicate at a time, level by level into a buffer of the top level's size
         assert self.deep_truth_peak(1e-3) <= 1.25 * (1 << 17) * 8
+
+    def test_peak_memory_of_a_deep_truth_on_tridiagonal_noise(self):
+        # the level-17 factor (2 x 2^17 floats) serves every level through its
+        # leading columns, and each level's normals go to a scratch buffer of
+        # the top level's size before the filter: four times 2^17 floats, no
+        # bands of levels 1..17 laid end to end
+        assert self.deep_truth_peak(0.0, "tridiagonal") <= 1.1 * 4 * (1 << 20)
 
     @pytest.mark.parametrize("covariance", ["tridiagonal", "identity"])
     def test_lowest_failing_replicate_is_raised(self, covariance, monkeypatch):
         # replicates 3, 4 and 7 fail, and 3 is raised.  With one replicate per
         # block 4 is never taken; two per block put 3 and 4 in different blocks,
         # and the default block holds all 40 replicates, so there the failing
-        # replicates share one; a truth of 4,094 coefficients has one
-        # replicate to a default block, drawn in parts, and fails either in the
-        # levels below the top or only at the top level, the second part, whose
-        # normals must continue the replicate's stream.  Each replicate's
-        # normals all equal its index, so a level's first coefficient names the
-        # replicate it belongs to.  On identity noise, drawn one replicate at a
-        # time by what select_k reads, that coefficient is a spike of 1.0, the
-        # only one of its level drawn
+        # replicates share one; a truth of 4,094 coefficients is a one-row
+        # default block, and one of 8,190 fits no block, so it runs one
+        # replicate at a time, level by level; each fails either from its first
+        # level on or only at its top level.  Each replicate's normals all
+        # equal its index, so a level's first coefficient names the replicate
+        # it belongs to.  On identity noise, drawn one replicate at a time by
+        # what select_k reads, that coefficient is a spike of 1.0, the only one
+        # of its level drawn
         noise = NoiseSpec(epsilon=0.1, beta=0.5, covariance=covariance,
                           rho=0.25 if covariance == "tridiagonal" else 0.0)
         spike = 0.0 if covariance == "tridiagonal" else 1.0
@@ -652,7 +670,7 @@ class TestMcRisk:
             return MultiresSequence(1, tuple(np.eye(1, 1 << j)[0] * spike
                                              for j in range(1, jmax + 1)))
 
-        small, deep, fit_level = truth(5), truth(11), simulate._fit_level
+        small, fit_level = truth(5), simulate._fit_level
 
         def fit(j, level, cfg, eps_j, nu_j):
             rep = round((level[0] - spike) / eps_j)
@@ -664,8 +682,9 @@ class TestMcRisk:
         monkeypatch.setattr(simulate, "_fit_level", fit)
         for case, block_coefs, lowest in (
                 (small, small.size, 1), (small, 2 * small.size, 1),
-                (small, simulate._BLOCK_COEFS, 1), (deep, simulate._BLOCK_COEFS, 1),
-                (deep, simulate._BLOCK_COEFS, deep.jmax)):
+                (small, simulate._BLOCK_COEFS, 1),
+                *((truth(jmax), simulate._BLOCK_COEFS, low)
+                  for jmax in (11, 12) for low in (1, jmax))):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             with pytest.raises(NumericalError, match=r"^replicate 3$"):
                 mc_risk_for_truth(case, PenaltyConfig(beta=0.5, xi1=noise.xi1), noise,
@@ -721,8 +740,9 @@ class TestMcRisk:
 
     def test_noise_overflow_names_the_level(self):
         # eps_j = 0.9 * 2^1023 is finite, eps_j * z overflows for |z| > 2.23; the
-        # 4,096 coefficients of j = 12 run one replicate to a block
-        for j in (11, 12):
+        # 4,096 coefficients of j = 12 run one replicate to a block, and the
+        # 65,536 of j = 16 one replicate at a time, level by level
+        for j in (11, 12, 16):
             with pytest.raises(NumericalError, match=rf"^level j={j}: y_j = theta_j \+ eps_j \* "
                                rf"z_j overflows at n={2 ** j}, eps_j=8\.0\d+e\+307$"):
                 mc_risk_for_truth(*overflow_case(j), 2, 0)
@@ -733,7 +753,8 @@ class TestMcRisk:
         the lowest failing replicate's error, message at n = 2^j, is raised."""
         monkeypatch.setattr(simulate, "_stream",
                             lambda gen, words, rep: ConstantNormals(normals[rep]))
-        for j, block_coefs in ((11, 4 * 2048), (12, simulate._BLOCK_COEFS)):
+        for j, block_coefs in ((11, 4 * 2048), (12, simulate._BLOCK_COEFS),
+                               (16, simulate._BLOCK_COEFS)):
             monkeypatch.setattr(simulate, "_BLOCK_COEFS", block_coefs)
             with pytest.raises(NumericalError, match=rf"^level j={j}: "
                                + message.replace("2048", str(2 ** j))):
@@ -745,8 +766,9 @@ class TestMcRisk:
         # at eps_j = 0.9 * 2^1023 every fit fails, and 3 * eps_j (times the
         # filter's 1 + 0.26 or so) overflows before the fit.  At j = 11 the
         # overflow is found for the whole first block of 4 before any fit; at
-        # j = 12 the default block holds one replicate.  Either way the error of
-        # the lowest failing replicate is raised
+        # j = 12 the default block holds one replicate, and j = 16 fits no block,
+        # so its replicates run one at a time, level by level.  Each way the
+        # error of the lowest failing replicate is raised
         self.overflow_in_order(normals, message, "tridiagonal", monkeypatch)
 
     @pytest.mark.parametrize("normals, message", OVERFLOW_CASES)
@@ -961,8 +983,7 @@ class TestFloorDraw:
         # null left undrawn, so its replicate is drawn and fitted again in full:
         # the loop gives sequence_mc_risk's numbers bit for bit.  The redraw runs
         # the level loop again from the start of the replicate's stream, every
-        # level drawn in full; at jmax = 12 that draws what the full draw of a
-        # block of one replicate draws in two parts
+        # level drawn in full, as a truth too large for a block is drawn
         truth = make_signal(spec_for("shell_dense", DENSE_GAMMA, eps=2.0 ** -10, jmax=jmax))
         cfg, noise = PenaltyConfig(beta=0.5), NoiseSpec(epsilon=2.0 ** -10, beta=0.5)
         monkeypatch.setattr(estimator, "select_k", stand_in)
