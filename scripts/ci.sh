@@ -17,6 +17,30 @@ OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest -q --continue-on-colle
 # the size of src/ and the peak RSS of one sparse sweep in a fresh interpreter,
 # which the ROADMAP tracks; printed only, not checked
 wc -l src/penseq/*.py | tail -1
+# code lines per module and in total, the count simplicity changes report: the
+# lines a token spans, less blank lines, comment-only lines and docstrings;
+# printed only, not checked
+python3 - src/penseq/*.py <<'PY'
+import ast, io, sys, tokenize
+total = 0
+for path in sys.argv[1:]:
+    text = open(path).read()
+    docs = set()                                  # the lines of every docstring
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    code = set()                                  # the lines a code token spans
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    total += len(code - docs)
+    print(f"{len(code - docs):6d} {path}")
+print(f"{total:6d} code lines in total")
+PY
 # microseconds per call of the estimator's layers, the source of ROADMAP's
 # per-call figures; printed only, not checked
 PYTHONPATH=src python3 scripts/layers.py

@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, monte_carlo):
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a JSON experiment config")
+        source.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
         if monte_carlo:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
             p.add_argument("--replicates", type=int, default=None,

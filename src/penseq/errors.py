@@ -86,9 +86,11 @@ def real_array(value, name: str) -> np.ndarray:
 
 
 def require_finite(obj, *names: str) -> None:
-    """Raise ValidationError naming the first of obj's fields that is not a finite number."""
+    """Store each field of obj in names as the float as_float makes of it, so a
+    float32 or int field is kept as the float it was checked as;
+    ValidationError naming the first that is not a finite number."""
     for name in names:
-        as_float(getattr(obj, name), name)
+        object.__setattr__(obj, name, as_float(getattr(obj, name), name))
 
 
 def dataclass_kwargs(doc, spec: type, name: str, skip=frozenset()) -> dict:

@@ -14,6 +14,9 @@ added to that sum smallest first.  A huge coefficient therefore cannot wash
 out the small squares.  A level where nothing clears the floor is not sorted
 at all, and it forms no |y| and no pen(0..n): its maximum comes from argmax
 and argmin, its objective is y @ y, and the floor needs only t_n and pen(n).
+The floor is this module's alone: _checked_level decides it for every entry
+point, and _null_floor gives it, with the overflow limit, to the Monte Carlo
+loop, which leaves undrawn the noise select_k would drop.
 A level of at most _SMALL_LEVEL coefficients where one clears the floor is
 fitted on Python floats, where numpy's fixed cost per call would dominate; it
 runs the array kernel's operations in the same order, so every bit of its
@@ -93,29 +96,24 @@ _SHRINK = 1.0 - 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _penalized_objective(y: np.ndarray, peak: float, root: float, epsilon: float,
-                         cfg: PenaltyConfig, nu_eff: float | None):
+def _penalized_objective(y: np.ndarray, cut: float, epsilon: float, cfg: PenaltyConfig,
+                         nu: float):
     """(obj, |y|, pen_vector) with obj[k] = sum_{i>k} a_(i)^2 + eps^2 * pen(k),
-    k = 0..m, for a = |y|, its order statistics a_(1) >= a_(2) >= ...,
-    peak = a_(1) and root = t_n.
+    k = 0..m, for a = |y| and its order statistics a_(1) >= a_(2) >= ..., on a
+    level with a coefficient above the floor cut of _checked_level.
 
     pen is concave, so t_k^2 = pen(k) - pen(k-1) >= t_n^2: a coefficient with
-    |y| <= eps * t_n never lowers the objective by being kept, and the first
-    minimizer is at most m, the number of coefficients above that floor.  The
+    |y| <= cut never lowers the objective by being kept, and the first
+    minimizer is at most m, the number of coefficients above the floor.  The
     others are dropped before the sort; their squares sum to one term, and
     the kept squares are added to it smallest first, so no objective is
-    formed by subtraction.  Without a positive normal floor (eps = 0, or a
-    penalty that is not increasing at n, where root = 0) nothing is dropped
-    and m = n.  None when m = 0, before |y| or the vector is formed: the only
-    objective is then obj[0] = y @ y.
+    formed by subtraction.  Without a floor (cut = 0.0) nothing is dropped
+    and m = n.
     """
-    cut = epsilon * root * _SHRINK
-    if cut >= _TINY and peak <= cut:
-        return None
     a = np.abs(y)
     kept = a
     rest = 0.0
-    if cut >= _TINY:
+    if cut:
         keep = a > cut
         dropped = a[~keep]
         rest = float(dropped @ dropped)
@@ -127,16 +125,20 @@ def _penalized_objective(y: np.ndarray, peak: float, root: float, epsilon: float
     sq.sort()                                     # ascending squares of the kept coefficients
     np.add.accumulate(obj, out=obj)               # rest + the i smallest kept squares
     obj = obj[::-1]                               # obj[k] = rest + the m - k smallest
-    pens = _pen_vector(cfg.key, y.size, _resolve_nu(cfg, nu_eff))   # pen_vector's cache
+    pens = _pen_vector(cfg.key, y.size, nu)       # pen_vector's cache
     obj += (epsilon * epsilon) * pens[:obj.size]
     return obj, a, pens
 
 
 def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
-    """(y, max|y|, t_n, nu) of one level, nu being nu_eff (or cfg.nu) once checked;
-    the input check of every single-level entry point.  It runs per level of every
-    replicate: messages are built on failure, and the level's constants come from
-    one cached record per (penalty, n, nu)."""
+    """(y, max|y|, cut, nu, eps) of one level once checked: nu is nu_eff (or
+    cfg.nu) and eps is epsilon, each as the float it was checked as, and cut is
+    select_k's floor eps * t_n * _SHRINK, or 0.0 where that is not a positive
+    normal float (no floor: eps = 0, or pen not increasing at n).  The input
+    check of every single-level entry point, every input error before any
+    numerical one.  It runs per level of every replicate: messages are built on
+    failure, and the level's constants come from one cached record per
+    (penalty, n, nu)."""
     if type(y) is not np.ndarray or y.dtype is not _FLOAT:   # the loop's views skip it
         y = real_array(y, "y")
     n = y.size
@@ -147,20 +149,42 @@ def _checked_level(y, cfg: PenaltyConfig, epsilon: float, nu_eff: float | None):
     if not math.isfinite(peak):
         raise ValidationError("y contains non-finite values")
     if type(epsilon) is not float or not 0.0 <= epsilon < math.inf:   # else the fast path
-        require(as_float(epsilon, "epsilon") >= 0, f"epsilon must be >= 0, got {epsilon!r}")
-    nu = cfg.nu if nu_eff is None else nu_eff
-    checked = type(nu) is float and cfg.nu <= nu < math.inf           # else checked below
-    root, top, limit = _level_record(cfg.key, n, nu if checked else cfg.nu)
+        epsilon, given = as_float(epsilon, "epsilon"), epsilon
+        require(epsilon >= 0, f"epsilon must be >= 0, got {given!r}")
+    nu = _resolve_nu(cfg, nu_eff)
+    root, top, limit = _level_record(cfg.key, n, nu)
     # checked before anything is squared: above the limit the sum of squares overflows
     if peak > limit:
         raise NumericalError(
             f"max|y| = {peak!r} exceeds {limit!r} at n={n}; its sum of squares overflows")
-    if not checked:
-        nu = _resolve_nu(cfg, nu_eff)
-        root, top, _ = _level_record(cfg.key, n, nu)
-    if not math.isfinite(float(epsilon) * float(epsilon) * top):
+    if not math.isfinite(epsilon * epsilon * top):
         raise NumericalError(f"epsilon = {epsilon!r} at n={n}: eps^2 * pen(n) overflows")
-    return y, peak, root, nu
+    cut = epsilon * root * _SHRINK
+    return y, peak, (cut if cut >= _TINY else 0.0), nu, epsilon
+
+
+def _null_floor(cfg: PenaltyConfig, n: int, eps_j: float, nu_j: float):
+    """(c, floor) of a level of n coefficients at noise eps_j, for the Monte
+    Carlo loop's draw of what select_k reads: no null (theta_i = 0) with
+    |z| <= c can be kept by select_k or raise its overflow, and floor bounds
+    their |y|.  None where _checked_level's cut is 0.0: select_k has no floor
+    and drops nothing.
+
+    floor = min(cut, limit) for _checked_level's floor cut and overflow limit.
+    c is stepped down from floor / eps_j until fl(eps_j * c) <= floor.
+    Rounding is monotone, so a null with |z| <= c has
+    |y| = fl(eps_j * |z|) <= fl(eps_j * c) <= floor <= cut: select_k drops it,
+    and it cannot overflow.
+    """
+    root, _, limit = _level_record(cfg.key, n, _resolve_nu(cfg, nu_j))
+    cut = eps_j * root * _SHRINK                  # _checked_level's floor, bit for bit
+    if not cut >= _TINY:
+        return None
+    floor = min(cut, limit)
+    c = floor / eps_j
+    while eps_j * c > floor:
+        c = math.nextafter(c, 0.0)
+    return c, floor
 
 
 def _kept_threshold(pens, k_hat: int, epsilon: float, n: int, nu_shown) -> float:
@@ -196,7 +220,7 @@ def _select_small(y: np.ndarray, cut: float, epsilon: float, pens: tuple, nu_sho
     the dropped squares, when there are any, are summed by numpy's dot, whose order
     of summation a loop does not share."""
     ys = y.tolist()
-    kept = sorted([v for v in map(abs, ys) if v > cut] if cut >= _TINY else map(abs, ys))
+    kept = sorted([v for v in map(abs, ys) if v > cut] if cut else map(abs, ys))
     rest = 0.0
     if len(kept) < len(ys):
         a = np.abs(y)
@@ -224,14 +248,13 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
     Ties in the objective resolve to the smallest k.  The fitted vector is
     hard thresholding of y at eps * t_{k_hat}.
     """
-    y, peak, root, nu = _checked_level(y, cfg, epsilon, nu_eff)
-    cut = epsilon * root * _SHRINK                # _penalized_objective's floor test, inline
-    if cut >= _TINY and peak <= cut:              # nothing clears the floor
+    y, peak, cut, nu, epsilon = _checked_level(y, cfg, epsilon, nu_eff)
+    if peak <= cut:                               # nothing clears the floor, or y = 0
         return _keep_nothing(y.size, float(y.dot(y)))
     nu_shown = cfg.nu if nu_eff is None else nu_eff
     if y.size <= _SMALL_LEVEL:
         return _select_small(y, cut, epsilon, _pen_tuple(cfg.key, y.size, nu), nu_shown)
-    obj, a, pens = _penalized_objective(y, peak, root, epsilon, cfg, nu)
+    obj, a, pens = _penalized_objective(y, cut, epsilon, cfg, nu)
     k_hat = int(obj.argmin())                     # first minimum = smallest k
     if k_hat == 0:
         return _keep_nothing(y.size, float(obj[0]))
@@ -241,17 +264,6 @@ def select_k(y, cfg: PenaltyConfig, epsilon: float,
 
 
 _SUBSET_ORACLE_MAX_N = 20
-
-
-@functools.lru_cache(maxsize=_SUBSET_ORACLE_MAX_N + 1)
-def _cardinalities(n: int) -> np.ndarray:
-    """card[m] = number of set bits of m, for every mask m < 2^n (read-only)."""
-    card = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        half = 1 << i
-        np.add(card[:half], 1, out=card[half:2 * half])
-    card.flags.writeable = False
-    return card
 
 
 # Row i holds bit i of every mask below 2^_LOW_BITS (the bits of one byte), as
@@ -268,7 +280,11 @@ def _dropped_penalties(key: tuple, n: int, nu: float, e2: float) -> np.ndarray:
     """e2 * pen(n - |d|) for every mask d < 2^n of dropped coordinates, per
     (penalty, n, nu, eps^2) (read-only), nu as _checked_level resolves it; key
     is PenaltyConfig.key, so a lookup never hashes the config object."""
-    out = e2 * _pen_vector(key, n, nu)[n - _cardinalities(n)]
+    card = np.zeros(1 << n, dtype=np.int64)       # card[d] = number of set bits of d
+    for i in range(n):
+        half = 1 << i
+        np.add(card[:half], 1, out=card[half:2 * half])
+    out = e2 * _pen_vector(key, n, nu)[n - card]
     out.setflags(write=False)
     return out
 
@@ -280,12 +296,6 @@ def _dropped_penalties(key: tuple, n: int, nu: float, e2: float) -> np.ndarray:
 _SMALL_ORACLE = 4
 
 
-@functools.lru_cache(maxsize=128)
-def _dropped_penalty_tuple(key: tuple, n: int, nu: float, e2: float) -> tuple:
-    """_dropped_penalties as Python floats, its bits, per (penalty, n, nu, eps^2)."""
-    return tuple(_dropped_penalties(key, n, nu, e2).tolist())
-
-
 def _oracle_small(y: np.ndarray, cfg: PenaltyConfig, epsilon: float, nu: float):
     """subset_oracle at n <= _SMALL_ORACLE on Python floats.  The table doubles in
     the order of the array path, each mask adding its squares in ascending
@@ -294,7 +304,7 @@ def _oracle_small(y: np.ndarray, cfg: PenaltyConfig, epsilon: float, nu: float):
     for v in y.tolist():
         s = v * v
         obj += [t + s for t in obj]
-    pens = _dropped_penalty_tuple(cfg.key, y.size, nu, epsilon * epsilon)
+    pens = _dropped_penalties(cfg.key, y.size, nu, epsilon * epsilon).tolist()
     obj = [t + p for t, p in zip(obj, pens)]
     best = min(obj)
     full = len(obj) - 1
@@ -313,7 +323,7 @@ def subset_oracle(y, cfg: PenaltyConfig, epsilon: float,
     formed without subtraction, as the sum of the squares the subset drops,
     so like select_k it keeps small squares next to a huge one.
     """
-    y, _, _, nu = _checked_level(y, cfg, epsilon, nu_eff)
+    y, _, _, nu, epsilon = _checked_level(y, cfg, epsilon, nu_eff)
     if y.size > _SUBSET_ORACLE_MAX_N:
         raise ValidationError(
             f"exhaustive search supports n <= {_SUBSET_ORACLE_MAX_N}, got n = {y.size}")
@@ -365,9 +375,10 @@ def ideal_risk(theta, cfg: PenaltyConfig, epsilon: float,
     This equals the exhaustive subset minimum of C_eps(J, theta), evaluated
     over sorted |theta|; it is the oracle benchmark of the risk bound.
     """
-    theta, peak, root, nu = _checked_level(theta, cfg, epsilon, nu_eff)
-    found = _penalized_objective(theta, peak, root, epsilon, cfg, nu)
-    return float(theta.dot(theta)) if found is None else float(np.min(found[0]))
+    theta, peak, cut, nu, epsilon = _checked_level(theta, cfg, epsilon, nu_eff)
+    if peak <= cut:                               # nothing clears the floor, or theta = 0
+        return float(theta.dot(theta))
+    return float(np.min(_penalized_objective(theta, cut, epsilon, cfg, nu)[0]))
 
 
 @dataclass(frozen=True, eq=False)

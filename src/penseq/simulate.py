@@ -68,8 +68,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError, as_float, require, require_finite, whole
 from .model import (HyperParams, MultiresSequence, NoiseSpec, Zone, besov_norm,
                     classify_zone, level_noise, shell_radius)
-from .penalty import PenaltyConfig, _level_record, _resolve_nu, m_prime
-from .estimator import _SHRINK, _TINY, _fit_level, _level_schedule, ideal_risk, oracle_constant
+from .penalty import PenaltyConfig, m_prime
+from .estimator import _fit_level, _level_schedule, _null_floor, ideal_risk, oracle_constant
 from .rates import j_plus, j_star
 
 _JMAX_CAP = 20
@@ -426,7 +426,8 @@ def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
 # Devroye, Non-Uniform Random Variate Generation (1986).  This is the law of
 # the full draw restricted to what select_k reads.  Only the sum of the
 # dropped squares differs from the full draw's, and its rounding can settle a
-# near-tie of two objectives the other way.
+# near-tie of two objectives the other way.  The floor is the estimator's own:
+# estimator._null_floor gives it, with select_k's overflow limit.
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -493,30 +494,6 @@ def _tails(stream: np.random.Generator, k: int, q: float) -> np.ndarray:
     z = _upper_quantile(q, np.where(neg, 1.0, 2.0) - 2.0 * v)
     np.negative(z, out=z, where=neg)
     return z
-
-
-def _null_floor(cfg: PenaltyConfig, n: int, eps_j: float, nu_j: float):
-    """(c, floor) of a level of n coefficients at noise eps_j: no null with
-    |z| <= c can be kept by select_k or raise its overflow, and floor bounds
-    their |y|.  None where select_k has no positive normal floor (eps_j = 0, or
-    pen not increasing at n) and so drops nothing.
-
-    select_k drops every |y| <= cut = eps_j * t_n * _SHRINK before its sort,
-    and raises when max|y| exceeds its overflow limit; floor = min(cut, limit).
-    c is stepped down from floor / eps_j until fl(eps_j * c) <= floor.
-    Rounding is monotone, so a null with |z| <= c has
-    |y| = fl(eps_j * |z|) <= fl(eps_j * c) <= floor <= cut: select_k drops it,
-    and it cannot overflow.
-    """
-    root, _, limit = _level_record(cfg.key, n, _resolve_nu(cfg, nu_j))
-    cut = eps_j * root * _SHRINK                  # select_k's floor, bit for bit
-    if not cut >= _TINY:
-        return None
-    floor = min(cut, limit)
-    c = floor / eps_j
-    while eps_j * c > floor:
-        c = math.nextafter(c, 0.0)
-    return c, floor
 
 
 def _level_draws(cfg: PenaltyConfig, schedule: list, levels) -> list:

@@ -529,6 +529,18 @@ class TestRunValues:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "rates", "oracle-check"])
+    def test_preset_and_config_together_exit_2(self, tmp_path, capsys, command):
+        # the config would set radius 2.0 and epsilon 0.01: neither source is taken
+        cfg = write_config(tmp_path, {**PRESETS["dense"], "radius": 2.0, "epsilon": 0.01})
+        argv = [command, *(["seq.json"] if command == "estimate" else []),
+                "--preset", "dense", "--config", cfg, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["rates", "estimate", "oracle-check"])
     def test_no_epsilon_and_one_point_grid_exit_2(self, tmp_path, capsys, command):
         # epsilon is the one source of a single-epsilon command's epsilon

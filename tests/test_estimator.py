@@ -13,7 +13,6 @@ from penseq import (MultiresSequence, NoiseSpec, NumericalError, PenaltyConfig,
                     pen_vector, per_level_sse, select_k, subset_oracle)
 from penseq import estimator, penalty
 from penseq.estimator import _SHRINK, _TINY, _penalized_objective
-from penseq.penalty import _level_record
 from penseq.rates import control_function
 
 CFG = PenaltyConfig(zeta=2.0, nu=40.0, beta=0.0, xi1=1.0)
@@ -474,8 +473,8 @@ class TestExactReference:
         # coefficients tie exactly: the fit keeps 3
         cfg, y, eps = EXACT_TIES[beta]
         y = np.array(y)
-        root = _level_record(cfg.key, y.size, cfg.nu)[0]
-        obj = _penalized_objective(y, 1.0, root, eps, cfg, None)[0]
+        _, _, cut, nu, _ = estimator._checked_level(y, cfg, eps, None)
+        obj = _penalized_objective(y, cut, eps, cfg, nu)[0]
         assert obj.size == 5 and obj[3] == obj[4] == obj.min() < obj[2]
         for _ in each_kernel():
             fit = select_k(y, cfg, eps)
@@ -500,17 +499,27 @@ class TestExactReference:
         rng = np.random.default_rng(32)
         y = rng.standard_normal(n)
         y[[5, 70, 900]] = [40.0, -50.0, 1e4]
-        root, _, _ = _level_record(CFG.key, n, CFG.nu)
-        obj, a, pens = _penalized_objective(y, np.abs(y).max(), root, 1.0, CFG, None)
+        _, _, cut, nu, _ = estimator._checked_level(y, CFG, 1.0, None)
+        obj, a, pens = _penalized_objective(y, cut, 1.0, CFG, nu)
         assert (a == np.abs(y)).all() and pens is pen_vector(CFG, n)
         exact = exact_objectives(y, pens, 1.0)
         assert obj.size == 4
         for k in range(4):
             assert abs(Fraction(obj[k]) - exact[k]) <= _tolerance(n) * exact[k]
-        # nothing above the floor: no objective array at all
-        y = y[1000:1100]
-        root, _, _ = _level_record(CFG.key, 100, CFG.nu)
-        assert _penalized_objective(y, np.abs(y).max(), root, 1.0, CFG, None) is None
+
+    def test_nothing_above_the_floor_forms_no_objective(self, monkeypatch):
+        # a level with no coefficient above the floor: neither select_k nor
+        # ideal_risk calls the kernel, and each returns y @ y
+        y = np.random.default_rng(32).standard_normal(1 << 12)[1000:1100]
+        _, peak, cut, _, _ = estimator._checked_level(y, CFG, 1.0, None)
+        assert 0.0 < peak <= cut
+        calls = []
+        monkeypatch.setattr(estimator, "_penalized_objective",
+                            lambda *args: calls.append(args))
+        fit = select_k(y, CFG, 1.0)
+        assert (fit.k_hat, fit.objective) == (0, float(y @ y))
+        assert ideal_risk(y, CFG, 1.0) == float(y @ y)
+        assert calls == []
 
 
 class TestFastPaths:
@@ -1008,3 +1017,67 @@ def test_oracle_constant_example():
     for zeta in (math.inf, math.nan, True, "2"):
         with pytest.raises(ValidationError, match="zeta must be a finite number"):
             oracle_constant(zeta)
+
+
+def _clear_level_caches():
+    """Empty every cache keyed on PenaltyConfig.key, so the next call computes afresh."""
+    for cache in (penalty._pen_vector, penalty._level_record, estimator._pen_tuple,
+                  estimator._dropped_penalties):
+        cache.cache_clear()
+
+
+def _scalar_run(cfg, epsilon, noise):
+    """The bits of select_k, ideal_risk, subset_oracle and fit_multiscale on seeded
+    levels, each computed afresh: no cache another config filled is read."""
+    _clear_level_caches()
+    rng = np.random.default_rng(36)
+    out = []
+    for _ in range(300):
+        y = 0.3 * rng.standard_normal(16)
+        y[rng.integers(16)] *= 10.0
+        fit = select_k(y, cfg, epsilon)
+        assert type(fit.threshold) is float and type(fit.objective) is float
+        out.append((fit.k_hat, fit.threshold, fit.objective, fit.estimate.tobytes(),
+                    ideal_risk(y, cfg, epsilon)))
+    for n in (3, 6):
+        for _ in range(50):
+            out.append(subset_oracle(0.3 * rng.standard_normal(n), cfg, epsilon))
+    seq = MultiresSequence(j0=1, levels=[0.3 * rng.standard_normal(2 ** j) for j in range(1, 7)])
+    fit = fit_multiscale(seq, cfg, NoiseSpec(epsilon=noise, beta=cfg.beta))
+    out.append(repr(fit.to_json_dict()))
+    return out
+
+
+class TestCheckedScalars:
+    """A scalar is computed with as the float it was checked as: float32, numpy
+    scalars and ints give the bits of the same values given as floats, whichever
+    config fills the per-level caches first."""
+
+    @pytest.mark.parametrize("kind, values", [
+        (np.float32, dict(zeta=1.1, nu=40.0, beta=0.5, xi1=1.3, epsilon=0.1, noise=0.01)),
+        (np.float64, dict(zeta=1.1, nu=40.0, beta=0.5, xi1=1.3, epsilon=0.1, noise=0.01)),
+        (int, dict(zeta=3, nu=40, beta=1, xi1=2, epsilon=1, noise=0)),
+    ], ids=["float32", "numpy-scalar", "int"])
+    def test_same_bits_as_floats(self, kind, values):
+        given_ = {k: kind(v) for k, v in values.items()}
+        floats = {k: float(v) for k, v in given_.items()}
+        runs, cfgs = [], []
+        for scalars in (given_, floats):
+            epsilon, noise = scalars.pop("epsilon"), scalars.pop("noise")
+            cfgs.append(PenaltyConfig(**scalars))
+            runs.append(_scalar_run(cfgs[-1], epsilon, noise))
+        assert runs[0] == runs[1]
+        assert all(type(v) is float for cfg in cfgs for v in cfg.key)
+
+    def test_pen_vector_does_not_depend_on_cache_order(self):
+        given_ = PenaltyConfig(zeta=np.float32(1.1), xi1=np.float32(1.3))
+        floats = PenaltyConfig(zeta=float(np.float32(1.1)), xi1=float(np.float32(1.3)))
+        bits = []
+        for first, second in ((given_, floats), (floats, given_)):
+            _clear_level_caches()
+            bits += [pen_vector(first, 64).tobytes(), pen_vector(second, 64).tobytes()]
+        assert len(set(bits)) == 1
+
+    def test_messages_show_the_value_as_given(self):
+        with pytest.raises(ValidationError, match=re.escape("got np.float32(-0.5)")):
+            select_k(np.ones(4), CFG, np.float32(-0.5))

@@ -880,7 +880,7 @@ class TestFloorDraw:
     def test_no_null_select_k_could_read_goes_undrawn(self, cfg, n, eps):
         # a null left undrawn has |y| <= fl(eps * c): select_k drops it, below its
         # floor and its overflow limit.  c lies a few ulps below floor / eps
-        c, floor = simulate._null_floor(cfg, n, eps, cfg.nu)
+        c, floor = estimator._null_floor(cfg, n, eps, cfg.nu)
         cut = eps * penalty._level_record(cfg.key, n, cfg.nu)[0] * estimator._SHRINK
         assert eps * c <= floor <= cut
         assert c >= floor / eps * (1.0 - 1e-15)
@@ -890,12 +890,30 @@ class TestFloorDraw:
             fit = estimator.select_k(y, cfg, eps, cfg.nu)
             assert fit.k_hat == 0 and fit.objective == y[-1] ** 2
 
+    @pytest.mark.parametrize("cfg", [PenaltyConfig(), PenaltyConfig(beta=0.5), K_COMMON_CFG,
+                                     PenaltyConfig(nu=1.05)])
+    @pytest.mark.parametrize("n", [1, 2, 64, 1 << 17])
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-5, 0.3, 1.0, 7.0, 1e100, 1e300])
+    def test_null_floor_is_the_floor_select_k_checks(self, cfg, n, eps):
+        # the draw's floor and select_k's come from one level check: no floor
+        # (cut 0.0) exactly where _null_floor gives None, else floor = min(cut, limit)
+        limit = penalty._level_record(cfg.key, n, cfg.nu)[2]
+        try:
+            _, _, cut, _, _ = estimator._checked_level(np.zeros(n), cfg, eps, cfg.nu)
+        except NumericalError as err:                 # eps^2 * pen(n) overflows: no fit
+            assert "overflows" in str(err) and eps == 1e300
+            return
+        found = estimator._null_floor(cfg, n, eps, cfg.nu)
+        assert (found is None) == (cut == 0.0)
+        if found is not None:
+            assert found[1] == min(cut, limit)
+
     def test_levels_without_a_floor_are_drawn_in_full(self):
         # eps = 0, and pen not increasing at n = 64 for nu = 1.05, leave select_k
         # no floor; at xi1 = 1e-4 almost every null lies above it (q = 0.96); a
         # level of spikes only has no null
-        assert simulate._null_floor(PenaltyConfig(), 64, 0.0, 40.0) is None
-        assert simulate._null_floor(PenaltyConfig(nu=1.05), 64, 1.0, 1.05) is None
+        assert estimator._null_floor(PenaltyConfig(), 64, 0.0, 40.0) is None
+        assert estimator._null_floor(PenaltyConfig(nu=1.05), 64, 1.0, 1.05) is None
         cfg = PenaltyConfig(xi1=1e-4)
         schedule = [(6, 1e-3, cfg.nu)] * 3
         levels = [np.zeros(64), spiked_level(64, 1, 1.0), spiked_level(64, 2, 1.0)]
@@ -915,7 +933,7 @@ class TestFloorDraw:
         theta = np.zeros(1024)
         (draw,) = simulate._level_draws(K_COMMON_CFG, schedule, [theta])
         _, _, nulls, q, floor = draw
-        c = simulate._null_floor(K_COMMON_CFG, 1024, eps, nu)[0]
+        c = estimator._null_floor(K_COMMON_CFG, 1024, eps, nu)[0]
         assert nulls == 1024 and nulls * q > 100
         rng, y, ks, values = np.random.default_rng(2026), np.zeros(1024), [], []
         for _ in range(4000):
