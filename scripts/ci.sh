@@ -41,6 +41,52 @@ for path in sys.argv[1:]:
     print(f"{len(code - docs):6d} {path}")
 print(f"{total:6d} code lines in total")
 PY
+# dead names, checked: no module but __init__.py imports a name it never reads
+# (__future__ aside), and every top-level private name (_x, not __x__) of a
+# module is read somewhere under src/, so a deletion leaves no unread import or
+# uncalled helper behind
+python3 - src/penseq/*.py <<'PY'
+import ast, sys
+from pathlib import Path
+trees = {path: ast.parse(Path(path).read_text()) for path in sys.argv[1:]}
+read = set()                                      # every name src/ reads or imports by name
+for tree in trees.values():
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+dead = []
+for path, tree in trees.items():
+    if path.endswith("__init__.py"):
+        continue
+    own = {node.id for node in ast.walk(tree)
+           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+    for node in imports:
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in own:
+                dead.append(f"{path}:{node.lineno}: imports {name} and never reads it")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name, line in names:
+            if name.startswith("_") and not name.startswith("__") and name not in read:
+                dead.append(f"{path}:{line}: defines {name} and nothing under src/ reads it")
+if dead:
+    sys.exit("dead names:\n" + "\n".join(dead))
+print(f"dead-name gate: {len(trees)} modules, no unread import or private name")
+PY
 # microseconds per call of the estimator's layers, the source of ROADMAP's
 # per-call figures; printed only, not checked
 PYTHONPATH=src python3 scripts/layers.py

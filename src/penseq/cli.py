@@ -6,16 +6,18 @@ Subcommands:
     rates         rate report and shell-risk profile for one (gamma, C, eps)
     oracle-check  exhaustive-oracle equivalence batch + risk-bound Monte Carlo
 
-Every experiment is a single JSON config document (or a named preset).
-sweep and oracle-check take --seed / --replicates to override those fields;
-every subcommand takes --out.  rates, estimate and oracle-check run at the
-config's 'epsilon', sweep over its 'epsilons' grid.  Outputs embed the fully
-resolved config and a schema_version field and contain no timestamps, so a
-rerun on an output's echoed config writes the same files.
+Every experiment is a single JSON config document, read from --config or
+named by --preset (which lists its choices); exactly one of the two is
+required.  sweep and oracle-check take --seed / --replicates to override
+those fields; every subcommand takes --out.  rates, estimate and oracle-check
+run at the config's 'epsilon', sweep over its 'epsilons' grid.  Outputs embed
+the fully resolved config and a schema_version field and contain no
+timestamps, so a rerun on an output's echoed config writes the same files.
 
-Exit codes: 0 success, 2 validation error (an --out that cannot be written
-included; such a run leaves none of its files), 3 numerical failure,
-4 acceptance-check failure.
+main loads the config once, before a command does any work; each cmd_* only
+forms its output texts, and main writes all of them or none.  Exit codes:
+0 success, 2 validation error (an --out that cannot be written included),
+3 numerical failure, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -172,13 +174,9 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def load_config(args) -> ExperimentConfig:
-    if getattr(args, "preset", None):
-        require(args.preset in PRESETS,
-                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
+    if args.preset:
         doc = json.loads(json.dumps(PRESETS[args.preset]))
     else:
-        require(getattr(args, "config", None) is not None,
-                "either --config PATH or --preset NAME is required")
         text = _read_text(Path(args.config), "config file")
         try:
             doc = json.loads(text)
@@ -197,12 +195,11 @@ def _json_text(config: ExperimentConfig, **body) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_outputs(args, texts: dict) -> None:
-    """Write each text of texts (file name -> text) into the output directory,
+def _write_outputs(out: Path, texts: dict) -> None:
+    """Write each text of texts (file name -> text) into the directory out,
     making it.  The texts are formed before the first write, so a run either
     writes them all or, when one cannot be written, removes those this call
     wrote and raises ValidationError naming the file."""
-    out = Path(args.out) if args.out else Path(".")
     written = []
     for name, text in texts.items():
         path = out / name
@@ -216,14 +213,11 @@ def _write_outputs(args, texts: dict) -> None:
         written.append(path)
 
 
-def cmd_estimate(args) -> int:
-    config = load_config(args)
+def cmd_estimate(config: ExperimentConfig, args) -> tuple:
     y = MultiresSequence.from_json(_read_text(Path(args.input), "input sequence"))
     epsilon = config.single_epsilon()
     fit = fit_multiscale(y, config.penalty, config.noise_spec(epsilon))
-    _write_outputs(args, {"fit.json": _json_text(config, epsilon=epsilon,
-                                                  fit=fit.to_json_dict())})
-    return EXIT_OK
+    return {"fit.json": _json_text(config, epsilon=epsilon, fit=fit.to_json_dict())}, None
 
 
 def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
@@ -234,8 +228,7 @@ def _sweep_point(config: ExperimentConfig, epsilon: float, index: int) -> dict:
             "stderr": result.stderr_sse, "replicates": result.replicates}
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args)
+def cmd_sweep(config: ExperimentConfig, args) -> tuple:
     check_rate_grid(config.epsilons)              # the fit's rule, before any Monte Carlo
     require(config.signal_kind != "zero",
             "sweep cannot fit a rate to a zero signal: a truth with no energy has no "
@@ -255,24 +248,20 @@ def cmd_sweep(args) -> int:
     for row in rows:
         csv_lines.append(f"{row['epsilon']:.17g},{row['mean_sse']:.17g},"
                          f"{row['stderr']:.17g},{row['replicates']}")
-    _write_outputs(args, {"sweep.json": _json_text(config, rows=rows, summary=summary),
-                          "sweep.csv": "\n".join(csv_lines) + "\n"})
-    return EXIT_OK
+    return {"sweep.json": _json_text(config, rows=rows, summary=summary),
+            "sweep.csv": "\n".join(csv_lines) + "\n"}, None
 
 
-def cmd_rates(args) -> int:
-    config = load_config(args)
+def cmd_rates(config: ExperimentConfig, args) -> tuple:
     epsilon = config.single_epsilon()
     report = rate_control(config.gamma, config.radius, epsilon)
     profile = shell_profile(config.gamma, config.radius, epsilon)
-    _write_outputs(args, {"rate_report.json": _json_text(config, epsilon=epsilon,
-                                                         report=report.to_json_dict()),
-                          "shell_profile.csv": profile.to_csv_text()})
-    return EXIT_OK
+    return {"rate_report.json": _json_text(config, epsilon=epsilon,
+                                           report=report.to_json_dict()),
+            "shell_profile.csv": profile.to_csv_text()}, None
 
 
-def cmd_oracle_check(args) -> int:
-    config = load_config(args)
+def cmd_oracle_check(config: ExperimentConfig, args) -> tuple:
     epsilon = config.single_epsilon()
     # the bound's complexity sums need nu_j > e^(1/(1+2*beta)), and nu_j grows
     # with j: the bound's first term, at level 1, refuses a config before any work
@@ -285,25 +274,19 @@ def cmd_oracle_check(args) -> int:
             fit = select_k(y, config.penalty, 1.0)
             indices, _ = subset_oracle(y, config.penalty, 1.0)
             if not indices and fit.k_hat == 0:
-                continue                          # both estimates are all +0.0
-            kept = list(indices)
-            proj = np.zeros(n)
-            proj[kept] = y[kept]
-            if not (proj == fit.estimate).all():
-                mismatches += 1
+                continue                          # both keep nothing
+            # a mismatch: select_k keeps another index set than the oracle's
+            mismatches += tuple(np.flatnonzero(fit.estimate).tolist()) != indices
     lhs, rhs, ratio = oracle_inequality_check(
         config.signal_spec(epsilon), config.penalty, config.noise_spec(epsilon),
         config.replicates, config.seed)
-    _write_outputs(args, {"oracle_check.json": _json_text(
+    texts = {"oracle_check.json": _json_text(
         config, seed=config.seed,
         equivalence={"instances": 12 * EQUIVALENCE_PER_N, "mismatches": mismatches},
         oracle_inequality={"epsilon": epsilon, "lhs": lhs, "rhs": rhs,
-                           "ratio": ratio, "holds": ratio <= 1.0})})
-    if mismatches > 0 or ratio > 1.0:
-        print(f"oracle check FAILED: {mismatches} mismatches, ratio={ratio:.4g}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+                           "ratio": ratio, "holds": ratio <= 1.0})}
+    failure = f"oracle check FAILED: {mismatches} mismatches, ratio={ratio:.4g}"
+    return texts, (failure if mismatches > 0 or ratio > 1.0 else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, monte_carlo):
-        source = p.add_mutually_exclusive_group()
+        source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--config", help="path to a JSON experiment config")
-        source.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
+        source.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
         if monte_carlo:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
             p.add_argument("--replicates", type=int, default=None,
@@ -344,16 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the config is checked before a command reads its input or does any work
+        texts, failure = args.func(load_config(args), args)
+        _write_outputs(Path(args.out), texts)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if failure:                                   # oracle-check's file is written first
+        print(failure, file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

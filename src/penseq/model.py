@@ -304,4 +304,5 @@ def shell_radius(gamma: HyperParams, C: float, j: int | float) -> float:
 
     besov_norm(theta, gamma) <= C implies ||theta_j||_p <= C_j for every j.
     """
-    return C * 2.0 ** (-gamma.a * j)
+    as_float(j, "j")              # checked, kept as given: a numpy j must overflow to inf
+    return as_float(C, "C") * 2.0 ** (-gamma.a * j)

@@ -149,7 +149,8 @@ def nu_schedule(cfg: PenaltyConfig, epsilon: float, j: int) -> float:
     j_eps = jeps_scale * log2(eps^-2) is real-valued; epsilon = 0 gives
     j_eps = +inf (schedule identically nu).
     """
-    require(j >= 1, f"j must be >= 1, got {j}")
+    epsilon = as_float(epsilon, "epsilon")
+    require(as_float(j, "j") >= 1, f"j must be >= 1, got {j}")
     require(0 <= epsilon < 1,
             f"epsilon must lie in [0, 1) for the schedule, got {epsilon}")
     if epsilon == 0.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require
+from .errors import NumericalError, as_float, require
 from .model import HyperParams, Zone, classify_zone, level_noise, shell_radius
 from .penalty import PenaltyConfig, _checked_m_prime_log, nu_schedule
 
@@ -58,7 +58,7 @@ def control_function(n: float, p: float, C: float) -> float:
     Continuous at the dense boundary C = n^(1/p); the sparse/highly-sparse
     boundary carries an order-level jump, branches are evaluated as written.
     """
-    return _control(n, p, C)[0]
+    return _control(as_float(n, "n"), as_float(p, "p"), as_float(C, "C"))[0]
 
 
 def rate_exponent(gamma: HyperParams) -> float:
@@ -77,6 +77,7 @@ def rate_exponent(gamma: HyperParams) -> float:
 
 def j_star(gamma: HyperParams, C: float, epsilon: float) -> float:
     """Real solution of 2^((alpha+beta+1/2) j) = C/eps: the large/small-signal boundary."""
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
     require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
     return math.log2(C / epsilon) / (gamma.alpha + gamma.beta + 0.5)
 
@@ -90,6 +91,7 @@ def j_plus(gamma: HyperParams, C: float, epsilon: float) -> float:
     keeps g(lo) < 0 <= g(hi) until no float lies between lo and hi and returns
     hi, the first float at which g is not negative (0.0 when C = eps).
     """
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
     require(0 < gamma.p < 2, f"j_plus requires 0 < p < 2, got p={gamma.p}")
     require(0 < epsilon <= C, f"need 0 < epsilon <= C, got epsilon={epsilon}, C={C}")
     delta = gamma.a + gamma.beta
@@ -133,7 +135,8 @@ def _shell(gamma: HyperParams, C: float, epsilon: float, j: float) -> tuple:
 def shell_risk(gamma: HyperParams, C: float, epsilon: float, j: float) -> float:
     """Definitional shell risk R_j = eps_j^2 * r_{n_j,p}(C_j / eps_j), real j >= 0;
     NumericalError when it overflows."""
-    require(j >= 0, f"j must be >= 0, got {j}")
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
+    require(as_float(j, "j") >= 0, f"j must be >= 0, got {j}")
     try:
         risk = _shell(gamma, C, epsilon, j)[0]
     except OverflowError:                         # Python floats raise where numpy gives inf
@@ -153,7 +156,8 @@ def shell_risk_closed_form(gamma: HyperParams, C: float, epsilon: float, j: floa
              R+ * 2^(-2a(j-j+)) beyond, with rho = alpha - (2b+1)(1/p - 1/2)
              and phi = p*(alpha+beta+1/2)*log 2.
     """
-    require(j >= 0, f"j must be >= 0, got {j}")
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
+    require(as_float(j, "j") >= 0, f"j must be >= 0, got {j}")
     al, be, p = gamma.alpha, gamma.beta, gamma.p
     js = j_star(gamma, C, epsilon)
     r_star = shell_peak_value(gamma, C, epsilon)
@@ -212,6 +216,7 @@ def log_factor(gamma: HyperParams, C: float, epsilon: float) -> float:
 def rate_control(gamma: HyperParams, C: float, epsilon: float) -> RateReport:
     """Rate control value R(C, eps; gamma) = C^(2(1-r)) eps^(2r) times the
     zone's log_factor."""
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
     zone = classify_zone(gamma)
     require(0 < epsilon < C,
             f"rate control needs 0 < epsilon < C, got epsilon={epsilon}, C={C}")
@@ -244,6 +249,7 @@ class ShellRiskProfile:
 
 def shell_profile(gamma: HyperParams, C: float, epsilon: float) -> ShellRiskProfile:
     """Sample R_j on [0, 5 past the last peak] in steps of 0.1; NumericalError on overflow."""
+    C, epsilon = as_float(C, "C"), as_float(epsilon, "epsilon")
     peak = j_plus(gamma, C, epsilon) if gamma.p < 2.0 else j_star(gamma, C, epsilon)
     grid = np.arange(0.0, peak + 5.0 + 0.05, 0.1)    # half a step of slack keeps the end
     with np.errstate(over="ignore", invalid="ignore"):    # numpy grid points: inf, not a warning
@@ -264,6 +270,7 @@ def t1_complexity_sum(cfg: PenaltyConfig, epsilon: float) -> float:
     Levels run from 1 to ceil(j_eps) + 200; beyond that the schedule has
     pushed per-level terms below any fixed relative tolerance.
     """
+    epsilon = as_float(epsilon, "epsilon")
     require(0 < epsilon < 1, f"epsilon must lie in (0, 1), got {epsilon}")
     j_cap = int(math.ceil(cfg.j_eps(epsilon))) + _LEVEL_CAP_EXTRA
     if j_cap > _LAST_FLOAT_LEVEL:

@@ -512,8 +512,11 @@ class TestOracleCheck:
         assert "single 'epsilon'" in capsys.readouterr().err
         assert not (out / "oracle_check.json").exists()
 
-    def test_unknown_preset(self, tmp_path):
-        assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == 2
+    def test_unknown_preset(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "nope", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestRunValues:
@@ -539,6 +542,18 @@ class TestRunValues:
             main(argv)
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "rates", "oracle-check"])
+    def test_no_config_source_exit_2(self, tmp_path, capsys, command):
+        # exactly one of --config and --preset is required, and argparse says so
+        argv = [command, *(["seq.json"] if command == "estimate" else []),
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "one of the arguments --config --preset is required" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["rates", "estimate", "oracle-check"])

@@ -2,8 +2,8 @@
 
 Each field of the public constructors, of each from_dict and of the Monte
 Carlo, single-level and penalty entry points (nu_eff, n and each size in
-m_prime_many's ns included) and of the bound constant raises ValidationError
-naming the field
+m_prime_many's ns included), of the bound constant and of the theory entry
+points (C, epsilon, j, n and p) raises ValidationError naming the field
 on a value that is not a finite number (a bool, a string, None, nan, inf).
 A numpy scalar, and a whole float in an integer field, gives the same
 result as the plain Python value.  Each array input (y of the single-level
@@ -18,13 +18,16 @@ import numpy as np
 import pytest
 
 from penseq import (HyperParams, McResult, MonoscaleFit, MultiresSequence, NoiseSpec,
-                    PenaltyConfig, SignalSpec, ValidationError, ideal_risk, m_prime,
-                    m_prime_bound_constant, m_prime_many, mc_risk_for_truth, pen_vector, select_k,
-                    subset_oracle)
+                    PenaltyConfig, ShellRiskProfile, SignalSpec, ValidationError,
+                    control_function, ideal_risk, j_plus, j_star, m_prime, m_prime_bound_constant,
+                    m_prime_many, mc_risk_for_truth, nu_schedule, pen_vector, rate_control,
+                    select_k, shell_profile, shell_radius, shell_risk, shell_risk_closed_form,
+                    subset_oracle, t1_complexity_sum)
 from penseq.cli import PRESETS, ExperimentConfig
 from penseq.errors import real_array
 
 GAMMA = {"alpha": 1.0, "p": 2.0, "q": 2.0, "beta": 0.5}
+SPARSE = HyperParams(alpha=0.75, p=1.0, q=1.0, beta=0.5)    # j_plus needs p < 2
 PENALTY = {"zeta": 2.0, "nu": 40.0, "beta": 0.0, "xi1": 1.0, "jeps_scale": 1.0}
 INTEGER = {"replicates", "seed", "jmax", "j0", "n"}
 
@@ -41,6 +44,18 @@ def mc_risk(replicates=2, seed=0):
 
 def config(**kw):
     return ExperimentConfig.from_dict({**PRESETS["dense"], **kw})
+
+
+def theory(call):
+    """call(SPARSE, C, epsilon) as a CALLS entry over C and epsilon."""
+    return (lambda C=1.0, epsilon=0.1: call(SPARSE, C, epsilon),
+            {"C": 1.0, "epsilon": 0.1}, ())
+
+
+def shell(call):
+    """call(SPARSE, C, epsilon, j) as a CALLS entry over C, epsilon and j."""
+    return (lambda C=1.0, epsilon=0.1, j=3.5: call(SPARSE, C, epsilon, j),
+            {"C": 1.0, "epsilon": 0.1, "j": 3.5}, ())
 
 
 # name -> (call taking field overrides, {field: a valid plain value}, fields None is valid for)
@@ -74,6 +89,20 @@ CALLS = {
                      {"ns": 4.0, "nu_eff": 50.0}, ("nu_eff",)),
     "m_prime_bound_constant": (lambda beta=0.5, nu=40.0: m_prime_bound_constant(beta, nu),
                                {"beta": 0.5, "nu": 40.0}, ()),
+    "j_star": theory(j_star),
+    "j_plus": theory(j_plus),
+    "rate_control": theory(rate_control),
+    "shell_profile": theory(shell_profile),
+    "shell_risk": shell(shell_risk),
+    "shell_risk_closed_form": shell(shell_risk_closed_form),
+    "control_function": (lambda n=4, p=1.0, C=1.5: control_function(n, p, C),
+                         {"n": 4, "p": 1.0, "C": 1.5}, ()),
+    "t1_complexity_sum": (lambda epsilon=0.1: t1_complexity_sum(PenaltyConfig(beta=0.5), epsilon),
+                          {"epsilon": 0.1}, ()),
+    # j = 10 lies past j_eps = log2(0.1^-2), on the quadratic branch of the schedule
+    "nu_schedule": (lambda epsilon=0.1, j=10: nu_schedule(PenaltyConfig(beta=0.5), epsilon, j),
+                    {"epsilon": 0.1, "j": 10}, ()),
+    "shell_radius": (lambda C=1.0, j=3.5: shell_radius(SPARSE, C, j), {"C": 1.0, "j": 3.5}, ()),
 }
 CASES = [(call, field) for call, (_, fields, _) in CALLS.items() for field in fields]
 
@@ -88,6 +117,8 @@ def contents(result):
         return result.replicates, result.mean_sse, result.stderr_sse
     if isinstance(result, np.ndarray):
         return result.tolist()
+    if isinstance(result, ShellRiskProfile):
+        return result.to_csv_text()
     return result
 
 
