@@ -14,6 +14,30 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-coll
 # step: numpy's dot and np.polyfit still move their last digit (ROADMAP item 21)
 OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest -q --continue-on-collection-errors \
   --deselect tests/test_golden.py
+# the floor draw's tail values must not depend on the SIMD code numpy picks for
+# this CPU: on a host where numpy reports X86_V4, _tails draws from a fixed
+# stream are hashed in a fresh interpreter as numpy dispatches them, then with
+# X86_V4 and every feature above it disabled, and the two hashes must match
+v4=$(python3 -c 'from numpy._core._multiarray_umath import __cpu_dispatch__ as d, __cpu_features__ as f
+print(" ".join(x for x in d[d.index("X86_V4"):] if f[x]) if f.get("X86_V4") else "")')
+if [ -n "$v4" ]; then
+  tails=$(mktemp -d)
+  hash_tails='import hashlib, numpy as np
+from penseq.simulate import _tails
+rng, h = np.random.default_rng(20261022), hashlib.sha256()
+for c in (1.6, 4.7, 38.0):
+    for k in (1, 7, 5000):
+        h.update(_tails(rng, k, c).tobytes())
+print(h.hexdigest())'
+  PYTHONPATH=src python3 -c "$hash_tails" > "$tails/host"
+  NPY_DISABLE_CPU_FEATURES="$v4" PYTHONPATH=src python3 -c "$hash_tails" > "$tails/lowered"
+  cmp "$tails/host" "$tails/lowered" \
+    || { echo "_tails draws other bits with $v4 disabled"; exit 1; }
+  rm -rf "$tails"
+  echo "tail draws: the same bits with $v4 disabled"
+else
+  echo "tail-draw dispatch check skipped: numpy reports no X86_V4 on this host"
+fi
 # the size of src/ and the peak RSS of one sparse sweep in a fresh interpreter,
 # which the ROADMAP tracks; printed only, not checked
 wc -l src/penseq/*.py | tail -1

@@ -92,6 +92,26 @@ def main() -> int:
 
     rows.append(("identity draw, levels 1..17 of a zero truth",
                  per_call_us(floor_draw, [(rep,) for rep in range(10)])))
+    # one zero level at zeta = 1.01, nu = 2.8, whose low floor (q = 0.11) puts
+    # about n / 9 nulls above it, drawn by what select_k reads and in full, from
+    # one stream; each call sets what it wrote back to +0.0
+    low = PenaltyConfig(zeta=1.01, nu=2.8)
+    stream = np.random.default_rng(SEED)
+
+    def one_level(entry, theta_j: np.ndarray, eps_j: float) -> None:
+        y = row[:theta_j.size]
+        y[_draw_level(stream, entry, theta_j, eps_j, y)] = 0.0
+
+    for j in (6, 10):
+        level_schedule = _level_schedule(low, noise, j, j)
+        theta_j = np.zeros(1 << j)
+        (entry,) = _level_draws(low, level_schedule, [theta_j])
+        if entry is None:
+            sys.exit(f"the level of n = {1 << j} at zeta = 1.01 is drawn in full")
+        eps_j = level_schedule[0][1]
+        for label, how in (("what select_k reads", entry), ("in full", None)):
+            rows.append((f"identity draw, {label}, n = {1 << j}, zeta = 1.01, nu = 2.8",
+                         per_call_us(one_level, [(how, theta_j, eps_j)] * 200)))
     # a noise-only sequence over levels 1..17 at eps = 0.01: every level keeps nothing
     seqs = [(MultiresSequence(1, [0.01 * rng.standard_normal(1 << j) for j in range(1, 18)]),
              CFG, noise) for _ in range(5)]

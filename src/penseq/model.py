@@ -154,7 +154,7 @@ class MultiresSequence:
     @classmethod
     def zeros(cls, j0: int, jmax: int) -> "MultiresSequence":
         j0 = whole(j0, "j0", 1)
-        require(jmax >= j0, f"jmax must be >= j0, got j0={j0}, jmax={jmax}")
+        jmax = whole(jmax, "jmax", j0)
         return cls._adopt(j0, [np.zeros(2 ** j) for j in range(j0, jmax + 1)])
 
     def add(self, other: "MultiresSequence") -> "MultiresSequence":

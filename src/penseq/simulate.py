@@ -421,89 +421,49 @@ def _correlate(g: np.ndarray, bands, out: np.ndarray) -> np.ndarray:
 # the loop draws, per level, the coordinates with theta_i != 0, then the number
 # K of nulls above the floor and their values, and leaves the other nulls
 # +0.0.  K ~ Binomial(n - m, q) with q = P(|z| > c) = erfc(c / sqrt 2) for the
-# floor c in units of eps_j, and a null above it is |z| = -Phi^-1(q * U / 2)
-# for U uniform on (0, 1], its sign an independent coin: inversion, after
-# Devroye, Non-Uniform Random Variate Generation (1986).  This is the law of
+# floor c in units of eps_j, and a null above it is |z| drawn by Marsaglia's
+# tail method (Technometrics 1964; Devroye, Non-Uniform Random Variate
+# Generation, 1986, IX.1), its sign an independent coin.  This is the law of
 # the full draw restricted to what select_k reads.  Only the sum of the
 # dropped squares differs from the full draw's, and its rounding can settle a
 # near-tie of two objectives the other way.  The floor is the estimator's own:
 # estimator._null_floor gives it, with select_k's overflow limit.
 
 _SQRT2 = math.sqrt(2.0)
-_LN2 = math.log(2.0)
 # A level whose nulls lie above the floor with probability over this is drawn
-# in full.  A value above the floor cost about 120 ns against 12 ns a normal of
-# the full draw (numpy 2.4, one x86 core): at this share the draw costs about
-# 1.25x the full one, and it takes in floors as low as that of zeta = 1.01,
-# nu = 2.8 at beta = 0 (q = 0.109)
+# in full.  It takes in floors as low as that of zeta = 1.01, nu = 2.8 at
+# beta = 0 (q = 0.109), where _tails keeps at least 0.77 of its candidates.  A
+# value above the floor costs about 45 ns against 12 ns a normal of the full
+# draw, and a call of _tails about 8 us (numpy 2.4, one x86 core): at this share
+# the values cost half the full draw, but a level of 64 coefficients still draws
+# faster in full, 4 against 18 us (scripts/layers.py times both)
 _TAIL_SHARE = 1.0 / 8.0
 
-# Wichura's AS241 (PPND16), the algorithm of statistics.NormalDist.inv_cdf,
-# relative error about 1e-16, as a table: per region, the coefficients of the
-# numerator and the denominator in rows, lowest power first.  Region 0 is
-# 0.075 <= p <= 0.5 in x = 0.180625 - (p - 0.5)^2; regions 1 and 2 are
-# r = sqrt(-log p) <= 5 in x = r - 1.6 and r > 5 in x = r - 5.  Every
-# coefficient and every x is >= 0, so the sums of powers cancel nothing.
-_AS241 = np.array([
-    [(3.3871328727963666080e+0, 1.0), (1.3314166789178437745e+2, 4.2313330701600911252e+1),
-     (1.9715909503065514427e+3, 6.8718700749205790830e+2),
-     (1.3731693765509461125e+4, 5.3941960214247511077e+3),
-     (4.5921953931549871457e+4, 2.1213794301586595867e+4),
-     (6.7265770927008700853e+4, 3.9307895800092710610e+4),
-     (3.3430575583588128105e+4, 2.8729085735721942674e+4),
-     (2.5090809287301226727e+3, 5.2264952788528545610e+3)],
-    [(1.4234371107496835773e+0, 1.0), (4.6303378461565452959e+0, 2.0531916266377588219e+0),
-     (5.7694972214606914055e+0, 1.6763848301838038494e+0),
-     (3.6478483247632046050e+0, 6.8976733498510000455e-1),
-     (1.2704582524523683826e+0, 1.4810397642748007459e-1),
-     (2.4178072517745061177e-1, 1.5198666563616457197e-2),
-     (2.2723844989269184583e-2, 5.4759380849953449460e-4),
-     (7.7454501427834140764e-4, 1.0507500716444168432e-9)],
-    [(6.6579046435011037772e+0, 1.0), (5.4637849111641143699e+0, 5.9983220655588793769e-1),
-     (1.7848265399172913358e+0, 1.3692988092273580531e-1),
-     (2.9656057182850489123e-1, 1.4875361290850614853e-2),
-     (2.6532189526576123093e-2, 7.8686913114561329059e-4),
-     (1.2426609473880784386e-3, 1.8463183175100546818e-5),
-     (2.7115555687434875782e-5, 1.4215117583164458887e-7),
-     (2.0103343992922881327e-7, 2.0442631033899397856e-15)]])
-_AS241_SHIFT = np.array([0.0, 1.6, 5.0])
-_POWERS = np.arange(8)
 
-
-def _upper_quantile(q: float, u: np.ndarray) -> np.ndarray:
-    """-Phi^-1(q * u / 2) for q in (0, 1] and u in (0, 1], by AS241, in a fixed
-    number of numpy calls.  Below p = q * u / 2 = 0.075, AS241 reads p only
-    through r = sqrt(-log p), which is formed as sqrt(log 2 - log q - log u):
-    finite where p underflows."""
-    s = (0.5 * q) * u - 0.5
-    mid = s >= -0.425
-    r = np.sqrt(_LN2 - math.log(q) - np.log(u))
-    region = np.where(mid, 0, np.where(r <= 5.0, 1, 2))
-    x = np.where(mid, 0.180625 - s * s, r - _AS241_SHIFT[region])
-    num, den = np.matmul((x[:, None] ** _POWERS)[:, None, :], _AS241[region])[:, 0, :].T
-    ratio = num / den
-    return np.where(mid, -s * ratio, ratio)
-
-
-def _tails(stream: np.random.Generator, k: int, q: float) -> np.ndarray:
-    """k standard normals conditioned on |z| > c, where q = erfc(c / sqrt 2), one
-    uniform v of stream each: v < 1/2 gives z < 0 and u = 1 - 2v, else z > 0 and
-    u = 2 - 2v, both exact and in (0, 1], and |z| = -Phi^-1(q * u / 2)."""
-    v = stream.random(k)
-    neg = v < 0.5
-    z = _upper_quantile(q, np.where(neg, 1.0, 2.0) - 2.0 * v)
-    np.negative(z, out=z, where=neg)
+def _tails(stream: np.random.Generator, k: int, c: float) -> np.ndarray:
+    """k standard normals conditioned on |z| > c > 0, by Marsaglia's tail
+    method: in rounds of k candidates x = sqrt(c^2 + 2e), e exponential, each
+    kept when u * x < c for a uniform u, the first k kept in order; then each
+    sign from a uniform of stream, z < 0 below 1/2.  Only exponentials,
+    uniforms and correctly rounded arithmetic and sqrt go in, not numpy's log,
+    so the bits do not depend on the SIMD code numpy picks for the CPU."""
+    kept = np.empty(0)
+    while kept.size < k:
+        x = np.sqrt(c * c + 2.0 * stream.standard_exponential(k))
+        kept = np.concatenate((kept, x[stream.random(k) * x < c]))
+    z = kept[:k]
+    np.negative(z, out=z, where=stream.random(k) < 0.5)
     return z
 
 
 def _level_draws(cfg: PenaltyConfig, schedule: list, levels) -> list:
     """How identity noise draws each level, given its (j, eps_j, nu_j) of
     _level_schedule and its theta_j: None to draw all its coefficients, else
-    (spikes, values, nulls, q, floor), the indices and values of theta_j != 0,
-    the count of nulls, the share q = erfc(c / sqrt 2) of them above
-    _null_floor's c, and its floor.  A level is drawn in full where it has no
-    such floor, where q > _TAIL_SHARE, and where it holds no null, so that its
-    draw is the full one.
+    (spikes, values, nulls, q, c, floor), the indices and values of
+    theta_j != 0, the count of nulls, the share q = erfc(c / sqrt 2) of them
+    above _null_floor's c, and c and its floor.  A level is drawn in full where
+    it has no such floor, where q > _TAIL_SHARE, and where it holds no null, so
+    that its draw is the full one.
     """
     draws = []
     for (_, eps_j, nu_j), theta_j in zip(schedule, levels):
@@ -513,7 +473,7 @@ def _level_draws(cfg: PenaltyConfig, schedule: list, levels) -> list:
         draw = None
         if q <= _TAIL_SHARE and nulls:
             spikes = np.flatnonzero(theta_j)
-            draw = (spikes, theta_j[spikes], nulls, q, found[1])
+            draw = (spikes, theta_j[spikes], nulls, q, *found)
         draws.append(draw)
     return draws
 
@@ -534,7 +494,7 @@ def _draw_level(stream: np.random.Generator, draw, theta_j: np.ndarray, eps_j: f
         y *= eps_j
         y += theta_j
         return slice(None)
-    spikes, values, nulls, q, _ = draw
+    spikes, values, nulls, q, c, _ = draw
     if spikes.size:
         z = stream.standard_normal(spikes.size)
         z *= eps_j
@@ -544,7 +504,7 @@ def _draw_level(stream: np.random.Generator, draw, theta_j: np.ndarray, eps_j: f
     if k == 0:
         return spikes
     at = np.flatnonzero(theta_j[:k + spikes.size] == 0.0)[:k]
-    z = _tails(stream, k, q)
+    z = _tails(stream, k, c)
     z *= eps_j
     y[at] = z
     return np.concatenate((spikes, at))
@@ -627,7 +587,7 @@ def mc_risk_for_truth(truth: MultiresSequence, cfg: PenaltyConfig, noise: NoiseS
                 written = _draw_level(stream, draw, level[1], level[2], y_j, filt)
                 fit, sse[idx] = fit_sse(level, y_j)
                 y_j[written] = 0.0
-                if draw is not None and fit.threshold < draw[4]:
+                if draw is not None and fit.threshold < draw[5]:
                     return False
         return True
 

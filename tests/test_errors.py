@@ -71,6 +71,8 @@ CALLS = {
                             "radius": 2.0, "epsilon": 0.1, "jmax": 6, "placement": "even",
                             "xi0": 2.0, "rho1": 1.1, "rho2": 1.2}, ("jmax",)),
     "MultiresSequence": (lambda j0=1: MultiresSequence(j0, (np.zeros(2),)), {"j0": 1}, ()),
+    "MultiresSequence.zeros": (lambda j0=1, jmax=3: MultiresSequence.zeros(j0, jmax),
+                               {"j0": 1, "jmax": 3}, ()),
     "ExperimentConfig.from_dict": (config, {"radius": 2.0, "epsilon": 0.1, "replicates": 3,
                                             "seed": 3, "jmax": 6}, ("epsilon", "jmax")),
     "mc_risk_for_truth": (mc_risk, {"replicates": 3, "seed": 3}, ()),

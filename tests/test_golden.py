@@ -3,8 +3,10 @@
 The runs below cover every subcommand, every sweep preset that finishes in
 well under a second at a reduced replicate count, and the keep-path of the
 estimator (a tridiagonal besov_spread sweep and an estimate on a seeded
-input with large coefficients).  A refactor that leaves the program's
-behaviour alone must leave every hash unchanged.
+input with large coefficients), and the Monte Carlo loop's draw of the
+values above select_k's floor (the critical preset at a low penalty).  A
+refactor that leaves the program's behaviour alone must leave every hash
+unchanged.
 
 A change that moves a hash on purpose re-records them by strip-and-compare:
 take the old tree's outputs, make to them only the edits the change intends
@@ -37,7 +39,7 @@ import json
 import numpy as np
 import pytest
 
-from penseq.cli import main
+from penseq.cli import PRESETS, main
 
 # Inline copy of the benchmark's tridiagonal besov_spread config: signal on
 # every level, so select_k keeps coefficients and the threshold path runs.
@@ -89,6 +91,14 @@ def _run_sweep_deep_corr(tmp_path):
     return ["sweep", "--config", str(cfg), "--replicates", "4"]
 
 
+def _run_sweep_critical_low_penalty(tmp_path):
+    cfg = tmp_path / "critical_low_penalty.json"
+    critical = PRESETS["critical"]
+    cfg.write_text(json.dumps({**critical, "penalty": {**critical["penalty"], "zeta": 1.01,
+                                                       "nu": 2.8}}))
+    return ["sweep", "--config", str(cfg), "--replicates", "4"]
+
+
 def _run_estimate(tmp_path):
     cfg = tmp_path / "estimate_config.json"
     cfg.write_text(json.dumps(ESTIMATE_CONFIG))
@@ -106,6 +116,9 @@ RUNS = {
                                           "--replicates", "8"],
     "sweep-sparse": lambda tmp: ["sweep", "--preset", "sparse", "--replicates", "4"],
     "sweep-critical": lambda tmp: ["sweep", "--preset", "critical", "--replicates", "10"],
+    # the critical preset at zeta = 1.01, nu = 2.8: floors low enough that nulls
+    # above them are drawn (simulate._tails) and kept
+    "sweep-critical-low-penalty": _run_sweep_critical_low_penalty,
     "sweep-spread-corr": _run_sweep_spread,
     # the spread signal on levels 1..13, 16,382 coefficients drawn in full on
     # tridiagonal noise, level by level; no level reaches 2^14, so the BLAS
@@ -136,6 +149,12 @@ GOLDEN = {
             "ea76e1aa5da7a3c9ffbbbb483b44444f94bc03fc5dd0b85159f3329250c369c7",
         "sweep.json":
             "4213b4887c6b671c6c098c8950a13bc369803a1a2bb13e3919072e9653f4dff4",
+    },
+    "sweep-critical-low-penalty": {
+        "sweep.csv":
+            "896b32e188e11cf3689fa85ad45d5e4841074435e8668b64f4a036ef0b31e987",
+        "sweep.json":
+            "aff3e4203f642fe9a6d4fb4aa20a186062c7d35666a5b34a0cc8a68093d65551",
     },
     "sweep-deep-corr": {
         "sweep.csv":

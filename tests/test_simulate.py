@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import log_ndtr, ndtri
 
 from penseq import (HyperParams, MultiresSequence, NoiseSpec,
                     NumericalError, PenaltyConfig, SignalSpec, ValidationError, besov_norm,
@@ -111,15 +110,15 @@ def floor_sequence_mc_risk(truth, cfg, noise, replicates, seed):
             if draw is None:
                 levels.append(eps_j * rng.standard_normal(theta_j.size))
                 continue
-            spikes, _, nulls, q, _ = draw
+            spikes, _, nulls, q, c, _ = draw
             z = np.zeros(theta_j.size)
             z[spikes] = eps_j * rng.standard_normal(spikes.size)
             k = rng.binomial(nulls, q)
             if k:
-                z[np.flatnonzero(theta_j == 0.0)[:k]] = eps_j * simulate._tails(rng, k, q)
+                z[np.flatnonzero(theta_j == 0.0)[:k]] = eps_j * simulate._tails(rng, k, c)
             levels.append(z)
         fit = fit_multiscale(truth.add(MultiresSequence(truth.j0, tuple(levels))), cfg, noise)
-        if any(d is not None and f.threshold < d[4] for f, d in zip(fit.fits, draws)):
+        if any(d is not None and f.threshold < d[5] for f, d in zip(fit.fits, draws)):
             y = truth.add(per_level_noise(replicate_rng(seed, rep), noise, truth.jmax, truth.j0))
             fit = fit_multiscale(y, cfg, noise)
         kept += sum(f.k_hat for f in fit.fits)
@@ -831,48 +830,56 @@ def spiked_level(n, every, size):
     return level
 
 
-class Uniforms:
-    """A stand-in for a stream whose uniforms are the given values."""
+class Stream:
+    """A stand-in for a stream whose exponentials and uniforms are the given
+    values, each taken in turn."""
 
-    def __init__(self, values):
-        self.values = values
+    def __init__(self, exponentials, uniforms):
+        self.exponentials, self.uniforms = list(exponentials), list(uniforms)
+
+    def standard_exponential(self, k):
+        out, self.exponentials = self.exponentials[:k], self.exponentials[k:]
+        return np.array(out)
 
     def random(self, k):
-        return np.array(self.values[:k])
+        out, self.uniforms = self.uniforms[:k], self.uniforms[k:]
+        return np.array(out)
 
 
 class TestFloorDraw:
     """The identity-noise draw of what select_k can read."""
 
-    def test_upper_quantile_matches_ndtri(self):
-        # _upper_quantile(1, 2p) = -Phi^-1(p), as 2p * 1 / 2 is p exactly: AS241
-        # against SciPy's ndtri from p = 1e-300 to 0.5, and densely just below 0.5,
-        # where both approach 0; the relative tolerance was fixed before the run
-        p = np.concatenate([np.geomspace(1e-300, 0.5, 100_001),
-                            0.5 - np.geomspace(1e-17, 1e-4, 10_001)])
-        np.testing.assert_allclose(simulate._upper_quantile(1.0, 2.0 * p), -ndtri(p),
-                                   rtol=4e-15, atol=0.0)
+    @pytest.mark.parametrize("c", [6.06, 38.0])
+    def test_tails_law(self, c):
+        # 4,000 values above c = 6.06, about the floor at the presets' zeta = 2,
+        # nu = 40, and above c = 38, where q = erfc(c / sqrt 2) is subnormal:
+        # |z| against the normal law above c, F(x) = 1 - exp(logsf(x) - logsf(c)),
+        # and the signs against a fair coin.  The p-value bound 1e-3 was fixed
+        # before the run
+        z = simulate._tails(np.random.default_rng(38), 4000, c)
+        assert z.shape == (4000,) and np.abs(z).min() >= c * (1.0 - 2.0 ** -52)
+        logsf_c = stats.norm.logsf(c)
+        cdf = lambda x: -np.expm1(stats.norm.logsf(x) - logsf_c)
+        assert stats.kstest(np.abs(z), cdf).pvalue > 1e-3
+        assert stats.binomtest(int((z > 0).sum()), z.size).pvalue > 1e-3
 
-    def test_tails_never_read_a_zero_uniform(self):
-        # v = 0 and 1/2 give u = 1, the floor itself; the largest v below 1/2 and
-        # below 1 give u = 2^-52, the smallest u; v < 1/2 gives z < 0
-        half, top = 0.5 - 2.0 ** -53, 1.0 - 2.0 ** -53    # random() is on a 2^-53 grid
-        q = 0.01
-        z = simulate._tails(Uniforms([0.0, 0.5, half, top]), 4, q)
-        assert np.signbit(z).tolist() == [True, False, True, False]
-        np.testing.assert_allclose(np.abs(z), -ndtri(np.array([q, q, q * 2.0 ** -52]) / 2)[
-            [0, 1, 2, 2]], rtol=4e-15, atol=0.0)
+    def test_tails_draw_rounds_until_k_are_kept(self):
+        # at c = 2 the first round of 3 candidates keeps 2 (u * x < c for the
+        # first and third), the second round keeps its last 2; the first 3 kept
+        # are returned, the first round's first, and each then takes its sign
+        e = [0.5, 1.0, 2.0, 3.0, 0.0, 4.0]
+        u = [0.5, 0.99, 0.1, 0.9, 0.2, 0.3]
+        stream = Stream(e, u + [0.25, 0.75, 0.5])
+        z = simulate._tails(stream, 3, 2.0)
+        assert not stream.exponentials and not stream.uniforms
+        np.testing.assert_array_equal(z, [-math.sqrt(5.0), math.sqrt(8.0), 2.0])
 
-    @pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-300])
-    def test_upper_quantile_where_its_probability_underflows(self, q):
-        # p = q * u / 2 is subnormal or 0 for these q and u: |z| is read from
-        # log p = log q + log u - log 2, which log_ndtr(-|z|) must give back
-        u = np.array([1.0, 0.5, 2.0 ** -52])
-        assert (0.5 * q) * u[-1] < np.finfo(float).tiny
-        z = simulate._upper_quantile(q, u)
-        log_p = math.log(q) + np.log(u) - math.log(2.0)
-        assert np.all(np.isfinite(z)) and np.all(z > 37.0)
-        np.testing.assert_allclose(log_ndtr(-z), log_p, rtol=1e-14, atol=0.0)
+    def test_tails_at_a_zero_exponential(self):
+        # e = 0 gives x = sqrt(fl(c^2)), the least value, within two roundings of
+        # c, over floors from the lowest drawn (q = 1/8) to where q reaches 0
+        for c in np.geomspace(1.53, 38.6, 10_001).tolist():
+            z = simulate._tails(Stream([0.0], [0.0, 0.0]), 1, c)
+            assert z.size == 1 and -z[0] >= c * (1.0 - 2.0 ** -52)
 
     @pytest.mark.parametrize("cfg", [PenaltyConfig(), PenaltyConfig(beta=0.5), K_COMMON_CFG])
     @pytest.mark.parametrize("n", [1, 2, 64, 1 << 17])
@@ -918,7 +925,7 @@ class TestFloorDraw:
         schedule = [(6, 1e-3, cfg.nu)] * 3
         levels = [np.zeros(64), spiked_level(64, 1, 1.0), spiked_level(64, 2, 1.0)]
         assert simulate._level_draws(cfg, schedule, levels) == [None] * 3
-        spikes, values, nulls, q, floor = simulate._level_draws(
+        spikes, values, nulls, q, _, floor = simulate._level_draws(
             PenaltyConfig(), schedule, levels)[2]
         assert spikes.tolist() == list(range(0, 64, 2)) and values.tolist() == [1.0] * 32
         assert nulls == 32 and 0 < q < 1e-5 and floor > 4e-3
@@ -932,8 +939,8 @@ class TestFloorDraw:
                                                                10, 10)
         theta = np.zeros(1024)
         (draw,) = simulate._level_draws(K_COMMON_CFG, schedule, [theta])
-        _, _, nulls, q, floor = draw
-        c = estimator._null_floor(K_COMMON_CFG, 1024, eps, nu)[0]
+        _, _, nulls, q, c, floor = draw
+        assert (c, floor) == estimator._null_floor(K_COMMON_CFG, 1024, eps, nu)
         assert nulls == 1024 and nulls * q > 100
         rng, y, ks, values = np.random.default_rng(2026), np.zeros(1024), [], []
         for _ in range(4000):
